@@ -213,13 +213,6 @@ class SparseGenerator:
     def num_states(self) -> int:
         return len(self.states)
 
-    def column_sum(self, j: int):
-        total = self.diagonal[j]
-        for (src, _), value in self.entries.items():
-            if src == j:
-                total = total + value
-        return total
-
     def column_sums_are_zero(self) -> bool:
         zero = Polynomial.zero(self.n) if self.rates is None else Fraction(0)
         sums = [self.diagonal[j] for j in range(self.num_states)]

@@ -171,9 +171,10 @@ def simulate(
 ) -> tuple[SimState, CrossingLedger]:
     """Run the chain from `start` (default: the reference basic state).
 
-    Exactly one of `events` / `time_horizon` sets the run length.  With a
-    time horizon the batches are equal time slabs; with an event horizon
-    they are equal event counts and the recorded slab durations feed the
+    Exactly one of `events` (at least 1 and at least `batches`) and a
+    finite positive `time_horizon` sets the run length.  With a time
+    horizon the batches are equal time slabs; with an event horizon they
+    are equal event counts and the recorded slab durations feed the
     batch-means errors.
     """
     if (events is None) == (time_horizon is None):
@@ -182,6 +183,12 @@ def simulate(
         raise ValueError("rate point has wrong number of rows")
     if batches < 1:
         raise ValueError("need at least one batch")
+    if events is not None and events < 1:
+        raise ValueError(f"need at least one event, got {events}")
+    if events is not None and batches > events:
+        raise ValueError(f"more batches ({batches}) than events ({events})")
+    if time_horizon is not None and not (math.isfinite(time_horizon) and time_horizon > 0):
+        raise ValueError(f"time horizon must be finite and positive, got {time_horizon}")
     p, q = rates.as_floats()
     word = (start or tau_zero(L, n)).letters
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -4,11 +4,15 @@ Every closed form here is paired with an independent oracle computed from
 the stationary ensemble: densities from occupation sums, currents from the
 defining rate-weighted expectation (including, for box currents, the
 crossing bookkeeping of the nonlocal moves via the displacement records).
-All comparisons are exact; symbolic mode proves them as polynomial
-identities in the 2n rates, numeric mode at one exact rate point.
+Each check is one loop over a `Domain`: symbolic mode proves it as a
+polynomial identity in the 2n rates, numeric mode at one exact rate point.
 
-All expectation numerators live over the common denominator L * Z(L, n);
-reported values reduce that to Z(L, n) for whole-row totals.
+Every oracle and closed-form numerator lives over the common denominator
+L * Z(L, n), which `full_normalization` proves equal to the sum of the
+weights, so an entry is decided by comparing bare numerators, with no
+cross-multiplication.  Whole-row closed forms are reported over Z(L, n) and
+scaled by L for the comparison.  Densities and currents share one report
+type, `ObservableReport`.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from .dynamics import displacement_crossings, outgoing_transitions
 from .model import ColoredWord, enumerate_full
 from .stationary import box_weight, config_weight, total_box_weight
 from .symbolic import (
+    Domain,
     Monomial,
     Polynomial,
     RatePoint,
+    RationalValue,
     elementary_symmetric,
     pq_integer,
     rate_product,
-    rate_symbol_poly,
     rect_schur,
     reflected_homogeneous,
 )
@@ -177,6 +182,91 @@ def full_normalization(L: int, n: int) -> Polynomial:
     return total
 
 
+# -- reports ----------------------------------------------------------------------------
+
+
+@dataclass
+class ObservableEntry:
+    name: str
+    index: tuple[int, ...]
+    closed: RationalValue | Fraction
+    oracle: RationalValue | Fraction
+    equal: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "observable": self.name,
+            "index": list(self.index),
+            "closed_form": str(self.closed),
+            "oracle": str(self.oracle),
+            "equal": self.equal,
+        }
+
+
+@dataclass
+class ObservableReport:
+    """Closed forms against their oracles for one family of observables."""
+
+    L: int
+    n: int
+    mode: str
+    entries: list[ObservableEntry]
+
+    def entry(self, name: str, *index: int) -> ObservableEntry:
+        for e in self.entries:
+            if e.name == name and e.index == tuple(index):
+                return e
+        raise KeyError((name, index))
+
+    @property
+    def ok(self) -> bool:
+        return all(e.equal for e in self.entries)
+
+    def require_ok(self, family: str) -> "ObservableReport":
+        bad = next((e for e in self.entries if not e.equal), None)
+        if bad is not None:
+            raise ObservableMismatch(f"{family} mismatch at ({self.L},{self.n}): {bad.name}{bad.index}")
+        return self
+
+    def to_json_rows(self) -> list[dict]:
+        return [e.to_json_dict() for e in self.entries]
+
+    def to_csv_rows(self) -> list[list[str]]:
+        rows = [["observable", "index", "closed_form", "oracle", "equal"]]
+        for e in self.entries:
+            rows.append(
+                [e.name, ":".join(map(str, e.index)), str(e.closed), str(e.oracle), str(e.equal)]
+            )
+        return rows
+
+
+class _CommonDenominator:
+    """Entries whose numerators all sit over L * Z(L, n).
+
+    Oracle numerators sum over all L rotations, so they sit over L * Z, and
+    so do the closed forms, except whole-row totals, which sit over Z and are
+    scaled by L before the comparison.  Comparing bare numerators is sound
+    because full_normalization proves the weights sum to L * Z first.
+    """
+
+    def __init__(self, L: int, n: int, dom: Domain):
+        full_normalization(L, n)
+        self.L = L
+        self.dom = dom
+        self.z = dom.value(partition_function(L, n))
+        if self.z == 0:
+            raise ValueError("all weights vanish at this rate point")
+        self.lz = L * self.z
+
+    def entry(self, name: str, index: tuple[int, ...], closed, oracle, whole_row: bool = False) -> ObservableEntry:
+        if whole_row:
+            closed_den, equal = self.z, self.L * closed == oracle
+        else:
+            closed_den, equal = self.lz, closed == oracle
+        ratio = self.dom.ratio
+        return ObservableEntry(name, index, ratio(closed, closed_den), ratio(oracle, self.lz), equal)
+
+
 # -- densities ----------------------------------------------------------------------
 
 
@@ -206,79 +296,7 @@ def box_density_numerator(L: int, n: int, i: int) -> Polynomial:
     return total
 
 
-@dataclass(frozen=True)
-class RationalValue:
-    """A stationary observable as an exact ratio of polynomials."""
-
-    num: Polynomial
-    den: Polynomial
-
-    def same_value(self, other: "RationalValue") -> bool:
-        return self.num * other.den == other.num * self.den
-
-    def evaluate(self, rates: RatePoint) -> Fraction:
-        return self.num.evaluate(rates) / self.den.evaluate(rates)
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-
-@dataclass
-class ObservableEntry:
-    name: str
-    index: tuple[int, ...]
-    closed: RationalValue | Fraction
-    oracle: RationalValue | Fraction
-    equal: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "observable": self.name,
-            "index": list(self.index),
-            "closed_form": str(self.closed),
-            "oracle": str(self.oracle),
-            "equal": self.equal,
-        }
-
-
-def _entry(name, index, closed, oracle) -> ObservableEntry:
-    if isinstance(closed, RationalValue):
-        equal = closed.same_value(oracle)
-    else:
-        equal = closed == oracle
-    return ObservableEntry(name, index, closed, oracle, equal)
-
-
-@dataclass
-class DensityReport:
-    L: int
-    n: int
-    mode: str
-    entries: list[ObservableEntry]
-
-    def entry(self, name: str, *index: int) -> ObservableEntry:
-        for e in self.entries:
-            if e.name == name and e.index == tuple(index):
-                return e
-        raise KeyError((name, index))
-
-    @property
-    def ok(self) -> bool:
-        return all(e.equal for e in self.entries)
-
-    def to_json_rows(self) -> list[dict]:
-        return [e.to_json_dict() for e in self.entries]
-
-    def to_csv_rows(self) -> list[list[str]]:
-        rows = [["observable", "index", "closed_form", "oracle", "equal"]]
-        for e in self.entries:
-            rows.append(
-                [e.name, ":".join(map(str, e.index)), str(e.closed), str(e.oracle), str(e.equal)]
-            )
-        return rows
-
-
-def densities(L: int, n: int, rates: RatePoint | None = None) -> DensityReport:
+def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
     """Bullet and box densities, closed form against occupation oracle.
 
     Bullet density is 1/L at every site; box densities are column
@@ -286,90 +304,61 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> DensityReport:
     ObservableMismatch if any entry disagrees.
     """
     _check_dims(L, n)
+    dom = Domain(n, rates)
+    over = _CommonDenominator(L, n, dom)
     states, weights = _ensemble(L, n)
-    z = partition_function(L, n)
-    total = full_normalization(L, n)
-
-    if rates is None:
-        wvals: list = [m.as_polynomial() for m in weights]
-        zero: object = Polynomial.zero(n)
-        den: object = total
-        box_closed_num = [box_density_numerator(L, n, i) for i in range(1, n + 1)]
-        bullet_closed_num = z
-
-        def make_value(num):
-            return RationalValue(num, den)
-
-    else:
-        wvals = [m.evaluate(rates) for m in weights]
-        zero = Fraction(0)
-        den = sum(wvals)
-        if den == 0:
-            raise ValueError("all weights vanish at this rate point")
-        box_closed_num = [box_density_numerator(L, n, i).evaluate(rates) for i in range(1, n + 1)]
-        bullet_closed_num = z.evaluate(rates)
-
-        def make_value(num):
-            return num / den
-
-    bullet_num = [[zero] * L for _ in range(n)]
-    box_num = [[zero] * L for _ in range(n)]
-    for w, wv in zip(states, wvals):
+    bullet_num = [[dom.zero] * L for _ in range(n)]
+    box_num = [[dom.zero] * L for _ in range(n)]
+    for w, m in zip(states, weights):
+        wv = dom.weight(m)
         for x, letter in enumerate(w.letters):
             if letter > 0:
-                bullet_num[letter - 1][x] = bullet_num[letter - 1][x] + wv
+                bullet_num[letter - 1][x] += wv
             else:
-                box_num[-letter - 1][x] = box_num[-letter - 1][x] + wv
+                box_num[-letter - 1][x] += wv
 
+    box_closed = [dom.value(box_density_numerator(L, n, i)) for i in range(1, n + 1)]
     entries = []
     for i in range(n):
         for j in range(L):
-            entries.append(
-                _entry("bullet_density", (i + 1, j + 1), make_value(bullet_closed_num), make_value(bullet_num[i][j]))
-            )
-            entries.append(
-                _entry("box_density", (i + 1, j + 1), make_value(box_closed_num[i]), make_value(box_num[i][j]))
-            )
-    report = DensityReport(L, n, "symbolic" if rates is None else "numeric", entries)
-    if not report.ok:
-        bad = next(e for e in report.entries if not e.equal)
-        raise ObservableMismatch(f"density mismatch at ({L},{n}), {bad.name}{bad.index}")
-    return report
+            entries.append(over.entry("bullet_density", (i + 1, j + 1), over.z, bullet_num[i][j]))
+            entries.append(over.entry("box_density", (i + 1, j + 1), box_closed[i], box_num[i][j]))
+    return ObservableReport(L, n, dom.mode, entries).require_ok("density")
 
 
 # -- currents -------------------------------------------------------------------------
 
 
-@dataclass
-class CurrentReport:
-    L: int
-    n: int
-    mode: str
-    entries: list[ObservableEntry]
+def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
+    """Rate-weighted occupation sums: the bullet edge current numerator per
+    (row, boundary), and per row the same-row bullet-box patterns that
+    trigger the nonlocal moves, up (box to the right) and down (to the left)."""
+    states, _ = _ensemble(L, n)
+    edge = [[dom.zero] * L for _ in range(n)]
+    up = [dom.zero] * n
+    down = [dom.zero] * n
+    for w, wv in zip(states, wvals):
+        letters = w.letters
+        for x, letter in enumerate(letters):
+            if letter <= 0:
+                continue
+            i = letter - 1
+            right = letters[(x + 1) % L]
+            left = letters[(x - 1) % L]
+            if right < 0:
+                term = wv * dom.rate(("p", letter))
+                edge[i][x] += term
+                if right == -letter:
+                    up[i] += term
+            if left < 0:
+                term = wv * dom.rate(("q", letter))
+                edge[i][(x - 1) % L] -= term
+                if left == -letter:
+                    down[i] += term
+    return edge, up, down
 
-    def entry(self, name: str, *index: int) -> ObservableEntry:
-        for e in self.entries:
-            if e.name == name and e.index == tuple(index):
-                return e
-        raise KeyError((name, index))
 
-    @property
-    def ok(self) -> bool:
-        return all(e.equal for e in self.entries)
-
-    def to_json_rows(self) -> list[dict]:
-        return [e.to_json_dict() for e in self.entries]
-
-    def to_csv_rows(self) -> list[list[str]]:
-        rows = [["observable", "index", "closed_form", "oracle", "equal"]]
-        for e in self.entries:
-            rows.append(
-                [e.name, ":".join(map(str, e.index)), str(e.closed), str(e.oracle), str(e.equal)]
-            )
-        return rows
-
-
-def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> CurrentReport:
+def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
     """All five current families, closed form against expectation oracle.
 
     Oracles: the bullet edge current from its rate-weighted occupation sum,
@@ -380,86 +369,32 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> CurrentRep
     Raises ObservableMismatch on any disagreement.
     """
     _check_dims(L, n)
-    states, weights = _ensemble(L, n)
-    transitions = _transitions_cache(L, n)
-    z = partition_function(L, n)
-    z_prev = partition_function(L - 1, n) if L - 1 >= n else None
-    total = full_normalization(L, n)
+    dom = Domain(n, rates)
+    zero = dom.zero
+    over = _CommonDenominator(L, n, dom)
+    wvals = [dom.weight(m) for m in _ensemble(L, n)[1]]
+    bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
 
-    if rates is None:
-        wvals: list = [m.as_polynomial() for m in weights]
-        zero: object = Polynomial.zero(n)
-        den = total
-
-        def rate_val(symbol):
-            return rate_symbol_poly(n, symbol)
-
-        p_all: object = rate_product(n, "p").as_polynomial()
-        q_all: object = rate_product(n, "q").as_polynomial()
-        drift_val: object = drift(n)
-        z_prev_val = z_prev
-        prev_density = [box_density_numerator(L - 1, n, i) for i in range(1, n + 1)] if z_prev is not None else None
-    else:
-        wvals = [m.evaluate(rates) for m in weights]
-        zero = Fraction(0)
-        den = sum(wvals)
-
-        def rate_val(symbol):
-            return rates.rate(symbol)
-
-        p_all = rate_product(n, "p").evaluate(rates)
-        q_all = rate_product(n, "q").evaluate(rates)
-        drift_val = p_all - q_all
-        z_prev_val = z_prev.evaluate(rates) if z_prev is not None else None
-        prev_density = (
-            [box_density_numerator(L - 1, n, i).evaluate(rates) for i in range(1, n + 1)]
-            if z_prev is not None
-            else None
-        )
-
-    # Occupation-sum oracles.
-    bullet_edge_num = [[zero] * L for _ in range(n)]
-    v_up_num = [zero] * n
-    v_down_num = [zero] * n
     # Crossing-sum oracles from displacement records.
     bullet_edge_cross = [[zero] * L for _ in range(n)]
     box_col_num = [zero] * L
     box_row_num = [[zero] * L for _ in range(n)]
     box_swap_num = [[zero] * L for _ in range(n)]
-
-    for s_idx, (w, wv) in enumerate(zip(states, wvals)):
-        letters = w.letters
-        for x, letter in enumerate(letters):
-            if letter <= 0:
-                continue
-            i = letter - 1
-            right = letters[(x + 1) % L]
-            left = letters[(x - 1) % L]
-            if right < 0:
-                term = wv * rate_val(("p", i + 1))
-                bullet_edge_num[i][x] = bullet_edge_num[i][x] + term
-                if right == -(i + 1):
-                    v_up_num[i] = v_up_num[i] + term
-            if left < 0:
-                term = wv * rate_val(("q", i + 1))
-                bullet_edge_num[i][(x - 1) % L] = bullet_edge_num[i][(x - 1) % L] - term
-                if left == -(i + 1):
-                    v_down_num[i] = v_down_num[i] + term
-        for t in transitions[s_idx]:
-            coef = wv * rate_val(t.rate_symbol)
+    for outs, wv in zip(_transitions_cache(L, n), wvals):
+        for t in outs:
+            coef = wv * dom.rate(t.rate_symbol)
             for d in t.displacements:
                 for boundary, sign in displacement_crossings(d, L):
                     contrib = coef if sign > 0 else -coef
                     if d.species == "bullet":
-                        row = d.label_from - 1
-                        bullet_edge_cross[row][boundary] = bullet_edge_cross[row][boundary] + contrib
+                        bullet_edge_cross[d.label_from - 1][boundary] += contrib
                     else:
-                        box_col_num[boundary] = box_col_num[boundary] + contrib
+                        box_col_num[boundary] += contrib
                         if not d.jump:
                             row = d.label_from - 1
-                            box_row_num[row][boundary] = box_row_num[row][boundary] + contrib
+                            box_row_num[row][boundary] += contrib
                             if t.kind in ("F1", "B1"):
-                                box_swap_num[row][boundary] = box_swap_num[row][boundary] + contrib
+                                box_swap_num[row][boundary] += contrib
 
     # The label-preserving swap part alone carries no net current; the whole
     # per-row horizontal box current comes from the shifting blocks.
@@ -474,81 +409,48 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> CurrentRep
                     f"bullet crossing rate differs from occupation oracle at ({i + 1},{j + 1})"
                 )
 
-    if z_prev_val is None:
-        # No smaller torus exists (L = n); all currents vanish.
+    if L == n:
+        # No smaller torus exists; all currents vanish.
         closed_edge = closed_col = closed_up = closed_down = closed_net = zero
         closed_row = [zero] * n
     else:
-        closed_edge = drift_val * z_prev_val
-        closed_col = -n * drift_val * z_prev_val
-        # whole-row totals, per unit Z rather than L * Z
-        closed_up = p_all * z_prev_val
-        closed_down = q_all * z_prev_val
-        closed_net = drift_val * z_prev_val
-        closed_row = [drift_val * prev_density[i] for i in range(n)]
+        p_all = dom.weight(rate_product(n, "p"))
+        q_all = dom.weight(rate_product(n, "q"))
+        drift_val = p_all - q_all
+        z_prev = dom.value(partition_function(L - 1, n))
+        closed_edge = drift_val * z_prev
+        closed_col = -n * drift_val * z_prev
+        # whole-row totals, over Z rather than L * Z
+        closed_up = p_all * z_prev
+        closed_down = q_all * z_prev
+        closed_net = drift_val * z_prev
+        closed_row = [
+            drift_val * dom.value(box_density_numerator(L - 1, n, i)) for i in range(1, n + 1)
+        ]
 
-    if rates is None:
-        def over_full(num):
-            return RationalValue(num, den)
-
-        def over_z(num):
-            return RationalValue(num, z)
-
-    else:
-        den_z = den / L
-
-        def over_full(num):
-            return num / den
-
-        def over_z(num):
-            return num / den_z
-
-    # Oracle numerators sum over all L rotations, so they sit over the full
-    # normalization L * Z; whole-row closed forms carry denominator Z.
     entries: list[ObservableEntry] = []
     for i in range(n):
         for j in range(L):
-            entries.append(
-                _entry("bullet_edge_current", (i + 1, j + 1), over_full(closed_edge), over_full(bullet_edge_num[i][j]))
-            )
+            entries.append(over.entry("bullet_edge_current", (i + 1, j + 1), closed_edge, bullet_edge_num[i][j]))
     for i in range(n):
-        row_total = zero
-        for j in range(L):
-            row_total = row_total + bullet_edge_num[i][j]
-        entries.append(
-            _entry("bullet_row_current", (i + 1,), over_z(closed_net), over_full(row_total))
-        )
+        row_total = sum(bullet_edge_num[i], zero)
+        entries.append(over.entry("bullet_row_current", (i + 1,), closed_net, row_total, whole_row=True))
     for j in range(L):
-        entries.append(_entry("box_column_current", (j + 1,), over_full(closed_col), over_full(box_col_num[j])))
+        entries.append(over.entry("box_column_current", (j + 1,), closed_col, box_col_num[j]))
     for i in range(n):
-        entries.append(_entry("box_vertical_up", (i + 1,), over_z(closed_up), over_full(v_up_num[i])))
-        entries.append(_entry("box_vertical_down", (i + 1,), over_z(closed_down), over_full(v_down_num[i])))
-        entries.append(
-            _entry(
-                "box_vertical_net",
-                (i + 1,),
-                over_z(closed_net),
-                over_full(v_up_num[i] - v_down_num[i]),
-            )
-        )
+        up, down = v_up_num[i], v_down_num[i]
+        entries.append(over.entry("box_vertical_up", (i + 1,), closed_up, up, whole_row=True))
+        entries.append(over.entry("box_vertical_down", (i + 1,), closed_down, down, whole_row=True))
+        entries.append(over.entry("box_vertical_net", (i + 1,), closed_net, up - down, whole_row=True))
     for i in range(n):
         for j in range(L):
-            entries.append(
-                _entry("box_row_current", (i + 1, j + 1), over_full(closed_row[i]), over_full(box_row_num[i][j]))
-            )
-
-    report = CurrentReport(L, n, "symbolic" if rates is None else "numeric", entries)
-    if not report.ok:
-        bad = next(e for e in report.entries if not e.equal)
-        raise ObservableMismatch(f"current mismatch at ({L},{n}): {bad.name}{bad.index}")
+            entries.append(over.entry("box_row_current", (i + 1, j + 1), closed_row[i], box_row_num[i][j]))
+    report = ObservableReport(L, n, dom.mode, entries).require_ok("current")
 
     # Particle conservation across each column boundary: bullets and boxes
     # carry opposite net horizontal transport.
     for j in range(L):
-        col_sum = box_col_num[j]
-        for i in range(n):
-            col_sum = col_sum + bullet_edge_num[i][j]
-        if col_sum != zero:
+        if box_col_num[j] + sum((bullet_edge_num[i][j] for i in range(n)), zero) != zero:
             raise ObservableMismatch(f"flux balance fails across boundary {j + 1}")
     return report
 
@@ -614,28 +516,8 @@ def scott_russell_check(L: int, n: int) -> ScottRussellCertificate:
     equals the total horizontal bullet current of the row, both computed
     from their defining expectations (not from the closed forms)."""
     _check_dims(L, n)
-    states, weights = _ensemble(L, n)
-    wvals = [m.as_polynomial() for m in weights]
-    zero = Polynomial.zero(n)
-    vertical = [zero] * n
-    bullet_total = [zero] * n
-    for w, wv in zip(states, wvals):
-        letters = w.letters
-        for x, letter in enumerate(letters):
-            if letter <= 0:
-                continue
-            i = letter - 1
-            right = letters[(x + 1) % L]
-            left = letters[(x - 1) % L]
-            if right < 0:
-                term = wv * rate_symbol_poly(n, ("p", i + 1))
-                bullet_total[i] = bullet_total[i] + term
-                if right == -(i + 1):
-                    vertical[i] = vertical[i] + term
-            if left < 0:
-                term = wv * rate_symbol_poly(n, ("q", i + 1))
-                bullet_total[i] = bullet_total[i] - term
-                if left == -(i + 1):
-                    vertical[i] = vertical[i] - term
-    rows = [(i + 1, vertical[i] == bullet_total[i]) for i in range(n)]
+    dom = Domain(n)
+    wvals = [dom.weight(m) for m in _ensemble(L, n)[1]]
+    edge, up, down = _occupation_currents(L, n, dom, wvals)
+    rows = [(i + 1, up[i] - down[i] == sum(edge[i], dom.zero)) for i in range(n)]
     return ScottRussellCertificate(L, n, rows)

@@ -22,7 +22,7 @@ import scipy.sparse.linalg
 
 from .dynamics import SparseGenerator
 from .model import ColoredWord, box_gap_labels, ensure_valid
-from .symbolic import Monomial, Polynomial, RatePoint, poly_det, rate_product
+from .symbolic import Domain, Monomial, Polynomial, RatePoint, poly_det, rate_product
 
 
 class StationaryError(RuntimeError):
@@ -399,38 +399,21 @@ def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGe
 
     if gen is None:
         gen = build_generator(L, n)
-    weights = [config_weight(w) for w in gen.states]
-    if rates is None:
-        wvals = [m.as_polynomial() for m in weights]
-        zero: object = Polynomial.zero(n)
-
-        def rate_val(symbol):
-            from .symbolic import rate_symbol_poly
-
-            return rate_symbol_poly(n, symbol)
-
-    else:
-        wvals = [m.evaluate(rates) for m in weights]
-        zero = Fraction(0)
-
-        def rate_val(symbol):
-            return rates.rate(symbol)
-
-    inflow = [zero] * gen.num_states
-    outflow = [zero] * gen.num_states
+    dom = Domain(n, rates)
+    wvals = [dom.weight(config_weight(w)) for w in gen.states]
+    inflow = [dom.zero] * gen.num_states
+    outflow = [dom.zero] * gen.num_states
     for j, outs in enumerate(gen.transitions):
         for t in outs:
-            r = rate_val(t.rate_symbol)
-            outflow[j] = outflow[j] + wvals[j] * r
-            k = gen.index[t.target]
-            inflow[k] = inflow[k] + wvals[j] * r
+            flow = wvals[j] * dom.rate(t.rate_symbol)
+            outflow[j] += flow
+            inflow[gen.index[t.target]] += flow
     failures = []
     for j in range(gen.num_states):
         residual = inflow[j] - outflow[j]
-        if residual != zero:
+        if residual != dom.zero:
             failures.append((gen.states[j], residual))
-    mode = "symbolic" if rates is None else "numeric"
-    return BalanceReport(L, n, mode, gen.num_states, failures)
+    return BalanceReport(L, n, dom.mode, gen.num_states, failures)
 
 
 # -- lumping to the ring chain --------------------------------------------------------

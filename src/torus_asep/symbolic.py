@@ -81,7 +81,22 @@ class RatePoint:
         return RatePoint(tuple(x * m for x in self.p), tuple(x * m for x in self.q))
 
     def as_floats(self) -> tuple[list[float], list[float]]:
-        return [float(x) for x in self.p], [float(x) for x in self.q]
+        """The rates as floats; raises ValueError for a rate that overflows
+        a float or a positive rate that rounds to zero."""
+
+        def to_float(family: str, k: int, x: Fraction) -> float:
+            try:
+                value = float(x)
+            except OverflowError:
+                value = math.inf
+            if math.isinf(value) or (x and not value):
+                raise ValueError(f"rate {family}{k} does not fit in a float")
+            return value
+
+        return (
+            [to_float("p", k, x) for k, x in enumerate(self.p, 1)],
+            [to_float("q", k, x) for k, x in enumerate(self.q, 1)],
+        )
 
     @classmethod
     def parse(cls, text: str) -> "RatePoint":
@@ -141,9 +156,6 @@ class Monomial:
 
     def degree(self) -> int:
         return sum(self.exponents)
-
-    def p_exponent(self, k: int) -> int:
-        return self.exponents[k - 1]
 
     def q_exponent(self, k: int) -> int:
         return self.exponents[self.n + k - 1]
@@ -439,6 +451,49 @@ def rate_product(n: int, family: str) -> Monomial:
     for j in range(n):
         e[off + j] = 1
     return Monomial(n, tuple(e))
+
+
+@dataclass(frozen=True)
+class RationalValue:
+    """A symbolic ratio of polynomials, kept for display."""
+
+    num: Polynomial
+    den: Polynomial
+
+    def __str__(self) -> str:
+        return f"({self.num}) / ({self.den})"
+
+
+class Domain:
+    """The exact arithmetic one check runs in, so each loop is written once.
+
+    Symbolic (rates None): polynomials in all 2n rates, so an identity is
+    proved for every rate point.  Numeric: Fractions at one exact rate point.
+    """
+
+    def __init__(self, n: int, rates: RatePoint | None = None):
+        if rates is not None and rates.n != n:
+            raise ValueError("rate point has wrong number of rows")
+        self.rates = rates
+        self.mode = "symbolic" if rates is None else "numeric"
+        self.zero = Polynomial.zero(n) if rates is None else Fraction(0)
+        symbols = [(family, k) for family in ("p", "q") for k in range(1, n + 1)]
+        self._rate = {
+            s: rate_symbol_poly(n, s) if rates is None else rates.rate(s) for s in symbols
+        }
+
+    def rate(self, symbol: tuple[str, int]):
+        return self._rate[symbol]
+
+    def weight(self, mono: Monomial):
+        return mono.as_polynomial() if self.rates is None else mono.evaluate(self.rates)
+
+    def value(self, poly: Polynomial):
+        return poly if self.rates is None else poly.evaluate(self.rates)
+
+    def ratio(self, num, den):
+        """num / den for display: a RationalValue, or a reduced Fraction."""
+        return RationalValue(num, den) if self.rates is None else num / den
 
 
 # -- symmetric function bases --------------------------------------------

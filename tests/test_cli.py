@@ -168,3 +168,25 @@ def test_report_outputs_are_byte_identical(tmp_path):
     first = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first
+
+
+# sha256 of the `observables` output at (4,2); a change to how the oracles
+# compare or render must leave these bytes untouched.
+GOLDEN_OBSERVABLES = {
+    ("json", None): "6d37e233b4685b8ef0634d81f3aa57bf6d9332b506a38699f9a9e5c48835851f",
+    ("csv", None): "07d5ac843e61fd1db06b5486d59f4fe84e6524a73610848d6910babd27902c63",
+    ("json", "1,2;3,5"): "061a42bea4cea7a835bcbce3ea132c738634e4127331d58833e9512e8c6611b3",
+    ("csv", "1,2;3,5"): "568205cd5b52be21058a1893ed14bc9120c203f08f7492eb03745bf6c9c0fa8c",
+}
+
+
+@pytest.mark.parametrize("fmt,rates", sorted(GOLDEN_OBSERVABLES, key=str))
+def test_observables_output_matches_golden_hash(fmt, rates, capsys):
+    import hashlib
+
+    args = ["observables", "--L", "4", "--n", "2", "--format", fmt]
+    if rates is not None:
+        args += ["--rates", rates]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OBSERVABLES[(fmt, rates)]

@@ -170,3 +170,33 @@ def test_simulation_with_vanishing_backward_rates():
     for visited in state.state_time:
         assert ta_membership(ColoredWord(2, visited), frozenset({1}))
     assert tv_distance(state, exact) < 0.02
+
+
+@pytest.mark.parametrize(
+    "kwargs,cli_args",
+    [
+        ({"events": 0}, ["--events", "0"]),
+        ({"events": -3}, ["--events", "-3"]),
+        ({"events": 5, "batches": 6}, ["--events", "5", "--batches", "6"]),
+        ({"time_horizon": -1.0}, ["--time", "-1"]),
+        ({"time_horizon": 0.0}, ["--time", "0"]),
+        ({"time_horizon": float("nan")}, ["--time", "nan"]),
+        # rejected before the event loop starts, which would never end
+        ({"time_horizon": float("inf")}, ["--time", "inf"]),
+        ({"events": 10, "rates": "1e400,2;3,5"}, ["--events", "10", "--rates", "1e400,2;3,5"]),
+        ({"events": 10, "rates": "1,2;3,1e-400"}, ["--events", "10", "--rates", "1,2;3,1e-400"]),
+    ],
+    ids=["events0", "events-neg", "batches>events", "horizon-neg", "horizon0", "horizon-nan",
+         "horizon-inf", "rate-overflow", "rate-underflow"],
+)
+def test_bad_run_length_or_rates_rejected(kwargs, cli_args, capsys):
+    from torus_asep.cli import main
+
+    kwargs = dict(kwargs)
+    rates = RatePoint.parse(kwargs.pop("rates", "1,2;3,5"))
+    with pytest.raises(ValueError):
+        simulate(4, 2, rates, seed=1, **kwargs)
+    if "--rates" not in cli_args:
+        cli_args = cli_args + ["--rates", "1,2;3,5"]
+    assert main(["simulate", "--L", "4", "--n", "2", "--seed", "1", *cli_args]) == 2
+    assert "error" in capsys.readouterr().err

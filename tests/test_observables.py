@@ -269,3 +269,72 @@ def test_vertical_current_contributions_4_2():
     report = currents_exact(4, 2)
     assert report.entry("box_vertical_up", 1).oracle.num == 4 * (p1 * up)
     assert report.entry("box_vertical_down", 1).oracle.num == 4 * (q1 * down)
+
+
+def _cross_multiplied(closed, oracle) -> bool:
+    """The reference comparison the common-denominator shortcut replaced."""
+    if isinstance(closed, Fraction):
+        return closed.numerator * oracle.denominator == oracle.numerator * closed.denominator
+    return closed.num * oracle.den == oracle.num * closed.den
+
+
+SMALL_LATTICES = [(L, n) for L in range(1, 5) for n in range(1, L + 1)]
+
+
+@pytest.mark.parametrize("L,n", SMALL_LATTICES)
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+def test_equal_flag_matches_cross_multiplication(L, n, numeric):
+    import random
+
+    rp = random_rate_point(n, random.Random(1000 * L + n)) if numeric else None
+    for report in (densities(L, n, rp), currents_exact(L, n, rp)):
+        assert report.mode == ("numeric" if numeric else "symbolic")
+        for e in report.entries:
+            assert e.equal == _cross_multiplied(e.closed, e.oracle), (e.name, e.index)
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+def test_whole_row_closed_form_needs_the_factor_L(numeric, rng):
+    from torus_asep.observables import _CommonDenominator
+    from torus_asep.symbolic import Domain
+
+    rp = random_rate_point(2, rng) if numeric else None
+    over = _CommonDenominator(4, 2, Domain(2, rp))
+    e = currents_exact(4, 2, rp).entry("box_vertical_up", 1)
+    if numeric:
+        closed_over_z, oracle_num = e.closed * over.z, e.oracle * over.lz
+    else:
+        closed_over_z, oracle_num = e.closed.num, e.oracle.num
+        assert e.closed.den == partition_function(4, 2)
+    assert over.entry("box_vertical_up", (1,), closed_over_z, oracle_num, whole_row=True).equal
+    assert not over.entry("box_vertical_up", (1,), closed_over_z, oracle_num).equal
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+def test_wrong_box_density_closed_form_raises(numeric, monkeypatch, rng):
+    from torus_asep import observables
+    from torus_asep.observables import ObservableMismatch
+
+    original = observables.box_density_numerator
+    monkeypatch.setattr(observables, "box_density_numerator", lambda L, n, i: original(L, n, i) + 1)
+    rp = random_rate_point(2, rng) if numeric else None
+    with pytest.raises(ObservableMismatch, match="box_density"):
+        densities(4, 2, rp)
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+def test_normalization_is_proved_before_comparing(numeric, monkeypatch, rng):
+    from torus_asep import observables
+
+    calls = []
+    original = observables.full_normalization
+
+    def recording(L, n):
+        calls.append((L, n))
+        return original(L, n)
+
+    monkeypatch.setattr(observables, "full_normalization", recording)
+    rp = random_rate_point(2, rng) if numeric else None
+    densities(4, 2, rp)
+    currents_exact(4, 2, rp)
+    assert calls == [(4, 2), (4, 2)]
