@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
 from .symbolic import Polynomial, RatePoint, rate_symbol_poly
@@ -85,6 +86,30 @@ def displacement_crossings(d: Displacement, L: int) -> list[tuple[int, int]]:
     return out
 
 
+def block_move(pos: Sequence[int], k: int, step: int, L: int) -> tuple[int, int, int, int]:
+    """Geometry of the nonlocal move of bullet k: F2 for step = +1, B2 for -1.
+
+    Returns (start, length, landing, label): the boxes in cells start, ...,
+    start + length - 1 (mod L) each shift one cell by `step`, and the
+    jumper, the box labelled k next to bullet k, is relabelled `label` and
+    lands in cell `landing`.  `pos` holds the 0-based bullet columns by
+    label, read before the move.
+    """
+    n = len(pos)
+    b = pos[k - 1]
+    if step > 0:
+        label = k - 1 if k > 1 else n
+        if n == 1:
+            return (b + 2) % L, L - 2, (b + 2) % L, label
+        a = pos[label - 1]
+        return (a + 1) % L, (b - a - 1) % L, (a + 1) % L, label
+    label = k + 1 if k < n else 1
+    if n == 1:
+        return (b + 1) % L, L - 2, (b - 2) % L, label
+    c = pos[label - 1]
+    return (b + 1) % L, (c - b - 1) % L, (c - 1) % L, label
+
+
 def _forward_transition(w: ColoredWord, k: int, pos: tuple[int, ...]) -> Transition | None:
     n, L = w.n, w.length
     letters = w.letters
@@ -101,14 +126,7 @@ def _forward_transition(w: ColoredWord, k: int, pos: tuple[int, ...]) -> Transit
         moves.append(Displacement("box", i, i, (b + 1) % L, b, -1))
         kind = F1
     else:
-        k_prev = k - 1 if k > 1 else n
-        a = pos[k_prev - 1]
-        if n > 1:
-            landing = (a + 1) % L
-            c_start, c_len = (a + 1) % L, (b - a - 1) % L
-        else:
-            landing = (b + 2) % L
-            c_start, c_len = (b + 2) % L, L - 2
+        c_start, c_len, landing, k_prev = block_move(pos, k, 1, L)
         new[(b + 1) % L] = k
         for t in range(c_len):
             x = (c_start + t) % L
@@ -137,14 +155,7 @@ def _backward_transition(w: ColoredWord, k: int, pos: tuple[int, ...]) -> Transi
         moves.append(Displacement("box", i, i, (b - 1) % L, b, 1))
         kind = B1
     else:
-        k_next = k + 1 if k < n else 1
-        c = pos[k_next - 1]
-        if n > 1:
-            landing = (c - 1) % L
-            c_start, c_len = (b + 1) % L, (c - b - 1) % L
-        else:
-            landing = (b - 2) % L
-            c_start, c_len = (b + 1) % L, L - 2
+        c_start, c_len, landing, k_next = block_move(pos, k, -1, L)
         new[(b - 1) % L] = k
         for t in range(c_len):
             x = (c_start + t) % L

@@ -1,9 +1,15 @@
 """Continuous-time Monte Carlo over the exact dynamics, with crossing ledgers.
 
-The event loop is plain Gillespie sampling: an exponential holding time with
-parameter equal to the total outgoing rate, then a rate-proportional choice
-of transition.  Every executed transition updates a ledger of signed
-column-boundary crossings derived from its displacement records:
+The event loop is Gillespie sampling in the n-fold-way form (Bortz, Kalos
+and Lebowitz 1975; Gillespie 1977).  The state lives in place: a mutable
+letter list, the bullet column of each label, and the occupancy cell of
+every column.  Each event lists the enabled moves, at most two per bullet
+(forward then backward, by label), draws an exponential holding time with
+parameter equal to their total rate, picks a move in proportion to its rate,
+and rewrites only the cells that move touches: two cells for a swap (F1,
+B1), the shifted gap block plus the bullet and the relabelled jumper for a
+nonlocal move (F2, B2).  The crossings are written straight from that
+geometry into a ledger of signed column-boundary crossings:
 
 * bullet crossings, per (row, boundary);
 * label-preserving box crossings, per (row, boundary) - these are the swap
@@ -13,82 +19,56 @@ column-boundary crossings derived from its displacement records:
 * per-row counts of the nonlocal forward moves (box row k -> k-1, "up") and
   backward moves (box row k -> k+1, "down").
 
-Column currents use all box crossings; per-row horizontal currents use only
-the label-preserving ones, matching the exact-observable conventions.
-Runs are reproducible: a fixed (seed, parameters) pair yields an identical
-event sequence, ledger, and occupancy record.
+An event costs O(n + gap length) interpreted steps plus one vectorised
+occupancy add over the L columns; no per-state object is built or cached.
+The per-state time record `state_time` still grows with the number of
+distinct states visited.  Column currents use all box crossings; per-row
+horizontal currents use only the label-preserving ones, matching the
+exact-observable conventions.  Runs are reproducible: a fixed (seed,
+parameters) pair yields an identical event sequence, ledger, and occupancy
+record.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .dynamics import displacement_crossings, outgoing_transitions, tau_zero
-from .model import ColoredWord
+from .dynamics import block_move, tau_zero
+from .model import ColoredWord, ensure_valid
 from .symbolic import RatePoint
 
-CH_BULLET, CH_BOX_LOCAL, CH_BOX_JUMP, CH_ROW_UP, CH_ROW_DOWN = range(5)
 
+def _rate_sum(v: list[float]) -> float:
+    """The sum of `v` exactly as `float(np.array(v).sum())` computes it.
 
-@dataclass
-class _CompiledState:
-    targets: list[tuple[int, ...]]
-    cum: np.ndarray
-    total: float
-    crossings: list[tuple[tuple[int, int, int, int], ...]]
-    occ_species: np.ndarray
-    occ_rows: np.ndarray
-    occ_cols: np.ndarray
-
-
-def _compile_state(letters: tuple[int, ...], n: int, p: list[float], q: list[float]) -> _CompiledState:
-    word = ColoredWord(n, letters)
-    L = len(letters)
-    targets = []
-    rates = []
-    crossings = []
-    for t in outgoing_transitions(word):
-        family, k = t.rate_symbol
-        rate = p[k - 1] if family == "p" else q[k - 1]
-        if rate <= 0.0:
-            continue
-        targets.append(t.target.letters)
-        rates.append(rate)
-        ops: list[tuple[int, int, int, int]] = []
-        for d in t.displacements:
-            if d.species == "bullet":
-                channel = CH_BULLET
-                row = d.label_from - 1
-            elif not d.jump:
-                channel = CH_BOX_LOCAL
-                row = d.label_from - 1
-            else:
-                channel = CH_BOX_JUMP
-                row = 0
-            for boundary, sign in displacement_crossings(d, L):
-                ops.append((channel, row, boundary, sign))
-        if t.kind == "F2":
-            ops.append((CH_ROW_UP, t.row - 1, 0, 1))
-        elif t.kind == "B2":
-            ops.append((CH_ROW_DOWN, t.row - 1, 0, 1))
-        crossings.append(tuple(ops))
-    rate_arr = np.array(rates, dtype=np.float64)
-    occ_species = np.array([0 if c > 0 else 1 for c in letters], dtype=np.intp)
-    occ_rows = np.array([abs(c) - 1 for c in letters], dtype=np.intp)
-    occ_cols = np.arange(L, dtype=np.intp)
-    return _CompiledState(
-        targets=targets,
-        cum=np.cumsum(rate_arr),
-        total=float(rate_arr.sum()),
-        crossings=crossings,
-        occ_species=occ_species,
-        occ_rows=occ_rows,
-        occ_cols=occ_cols,
-    )
+    numpy adds fewer than 8 terms in sequence; from 8 terms on it keeps
+    eight running partial sums, and above 128 terms it splits the range.
+    """
+    m = len(v)
+    if m < 8:
+        s = 0.0
+        for x in v:
+            s += x
+        return s
+    if m > 128:
+        h = m // 2
+        h -= h % 8
+        return _rate_sum(v[:h]) + _rate_sum(v[h:])
+    r = v[:8]
+    stop = m - m % 8
+    for i in range(8, stop, 8):
+        for j in range(8):
+            r[j] += v[i + j]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in v[stop:]:
+        s += x
+    return s
 
 
 @dataclass
@@ -105,32 +85,17 @@ class CrossingLedger:
     row_down: np.ndarray  # (batches, n)
     batch_time: np.ndarray  # (batches,)
 
-    @classmethod
-    def empty(cls, L: int, n: int, batches: int) -> "CrossingLedger":
-        return cls(
-            L=L,
-            n=n,
-            batches=batches,
-            bullet_edge=np.zeros((batches, n, L), dtype=np.int64),
-            box_edge=np.zeros((batches, n, L), dtype=np.int64),
-            box_jump=np.zeros((batches, L), dtype=np.int64),
-            row_up=np.zeros((batches, n), dtype=np.int64),
-            row_down=np.zeros((batches, n), dtype=np.int64),
-            batch_time=np.zeros(batches, dtype=np.float64),
-        )
-
     def box_column(self, j: int) -> int:
         """Total signed box crossings of boundary j|j+1 (1-based), all rows."""
         return int(self.box_edge[:, :, j - 1].sum() + self.box_jump[:, j - 1].sum())
 
     def to_csv_rows(self) -> list[list[str]]:
         rows = [["channel", "row", "boundary", "count"]]
-        names = {CH_BULLET: "bullet_edge", CH_BOX_LOCAL: "box_edge"}
-        for channel, array in ((CH_BULLET, self.bullet_edge), (CH_BOX_LOCAL, self.box_edge)):
+        for name, array in (("bullet_edge", self.bullet_edge), ("box_edge", self.box_edge)):
             totals = array.sum(axis=0)
             for i in range(self.n):
                 for j in range(self.L):
-                    rows.append([names[channel], str(i + 1), str(j + 1), str(int(totals[i, j]))])
+                    rows.append([name, str(i + 1), str(j + 1), str(int(totals[i, j]))])
         jump = self.box_jump.sum(axis=0)
         for j in range(self.L):
             rows.append(["box_jump", "", str(j + 1), str(int(jump[j]))])
@@ -175,7 +140,8 @@ def simulate(
     finite positive `time_horizon` sets the run length.  With a time
     horizon the batches are equal time slabs; with an event horizon they
     are equal event counts and the recorded slab durations feed the
-    batch-means errors.
+    batch-means errors.  `start` must be a valid word of length L with n
+    rows.
     """
     if (events is None) == (time_horizon is None):
         raise ValueError("specify exactly one of events= or time_horizon=")
@@ -189,44 +155,92 @@ def simulate(
         raise ValueError(f"more batches ({batches}) than events ({events})")
     if time_horizon is not None and not (math.isfinite(time_horizon) and time_horizon > 0):
         raise ValueError(f"time horizon must be finite and positive, got {time_horizon}")
+    if start is None:
+        start = tau_zero(L, n)
+    ensure_valid(start)
+    if (start.length, start.n) != (L, n):
+        raise ValueError(
+            f"start word has length {start.length} and {start.n} rows, expected {L} and {n}"
+        )
     p, q = rates.as_floats()
-    word = (start or tau_zero(L, n)).letters
+    # The candidate moves in transition order: per bullet, forward then backward.
+    candidates = [(k, d, r) for k in range(n) for d, r in ((1, p[k]), (-1, q[k])) if r > 0.0]
+    letters = list(start.letters)
+    pos = list(start.bullet_positions())
+    nL = n * L
+
+    def cell(letter: int, x: int) -> int:
+        """Flat index of (species, row, column x) in one batch of `occupancy`."""
+        return (letter - 1) * L + x if letter > 0 else nL + (-letter - 1) * L + x
+
+    cells = np.array([cell(c, x) for x, c in enumerate(letters)], dtype=np.intp)
     rng = np.random.Generator(np.random.PCG64(seed))
-    ledger = CrossingLedger.empty(L, n, batches)
     occupancy = np.zeros((batches, 2, n, L), dtype=np.float64)
+    occ = list(occupancy.reshape(batches, 2 * nL))  # one flat view per batch
+    bullet_edge = [0] * (batches * nL)
+    box_edge = [0] * (batches * nL)
+    box_jump = [0] * (batches * L)
+    row_up = [0] * (batches * n)
+    row_down = [0] * (batches * n)
+    batch_time = [0.0] * batches
     state_time: dict[tuple[int, ...], float] = {}
-    arrays = (ledger.bullet_edge, ledger.box_edge, ledger.box_jump, ledger.row_up, ledger.row_down)
-    cache: dict[tuple[int, ...], _CompiledState] = {}
+
+    def move(k: int, d: int, b: int) -> None:
+        """Apply bullet k's move by d = +1 (F1/F2) or -1 (B1/B2) in place and
+        record its crossings in batch b."""
+        x0 = pos[k]
+        x1 = (x0 + d) % L
+        edge = x0 if d > 0 else x1  # the boundary the bullet crosses
+        bullet_edge[b * nL + k * L + edge] += d
+        i = -letters[x1]
+        if i != k + 1:  # F1/B1: the box swaps back across the same boundary
+            letters[x0] = -i
+            cells[x0] = cell(-i, x0)
+            box_edge[b * nL + (i - 1) * L + edge] -= d
+        else:  # F2/B2
+            first, length, landing, label = block_move(pos, k + 1, d, L)
+            # Each block box crosses one boundary in its own row; walk the
+            # block from its leading end so no cell is overwritten unread.
+            for t in range(length - 1, -1, -1) if d > 0 else range(length):
+                x = (first + t) % L
+                y = (x + d) % L
+                c = letters[x]
+                letters[y] = c
+                cells[y] = cell(c, y)
+                box_edge[b * nL + (-c - 1) * L + (x if d > 0 else y)] += d
+            letters[landing] = -label
+            cells[landing] = cell(-label, landing)
+            # The jumper walks against d from x1 to its landing cell.
+            for t in range((x1 - landing) * d % L):
+                box_jump[b * L + (edge - d * t) % L] -= d
+            (row_up if d > 0 else row_down)[b * n + k] += 1
+        letters[x1] = k + 1
+        cells[x1] = cell(k + 1, x1)
+        pos[k] = x1
 
     t = 0.0
     ev = 0
     slab_len = (time_horizon / batches) if time_horizon is not None else None
 
     while True:
-        comp = cache.get(word)
-        if comp is None:
-            comp = _compile_state(word, n, p, q)
-            cache[word] = comp
-        if comp.total <= 0.0:
+        # A move is enabled when the cell it steps into holds a box.
+        moves = [m for m in candidates if letters[(pos[m[0]] + m[1]) % L] < 0]
+        if not moves:
             break
-        dt = rng.exponential(1.0 / comp.total)
-        u = rng.random() * comp.total
-        idx = min(int(np.searchsorted(comp.cum, u, side="right")), len(comp.targets) - 1)
+        move_rates = [m[2] for m in moves]
+        total = _rate_sum(move_rates)
+        dt = rng.exponential(1.0 / total)
+        u = rng.random() * total
+        k, d, _ = moves[min(bisect_right(list(accumulate(move_rates)), u), len(moves) - 1)]
+        word = tuple(letters)
 
         if events is not None:
             b = ev * batches // events
-            occupancy[b, comp.occ_species, comp.occ_rows, comp.occ_cols] += dt
-            ledger.batch_time[b] += dt
+            occ[b][cells] += dt
+            batch_time[b] += dt
             state_time[word] = state_time.get(word, 0.0) + dt
             t += dt
-            for channel, row, col, sign in comp.crossings[idx]:
-                if channel == CH_BOX_JUMP:
-                    arrays[channel][b, col] += sign
-                elif channel >= CH_ROW_UP:
-                    arrays[channel][b, row] += sign
-                else:
-                    arrays[channel][b, row, col] += sign
-            word = comp.targets[idx]
+            move(k, d, b)
             ev += 1
             if ev == events:
                 break
@@ -243,26 +257,29 @@ def simulate(
                     b = min(b + 1, batches - 1)
                     edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
                 seg_end = min(t_stop, edge)
-                occupancy[b, comp.occ_species, comp.occ_rows, comp.occ_cols] += seg_end - t0
-                ledger.batch_time[b] += seg_end - t0
+                occ[b][cells] += seg_end - t0
+                batch_time[b] += seg_end - t0
                 t0 = seg_end
             if t_new >= time_horizon:
                 t = time_horizon
                 break
-            b = min(int(t_new / slab_len), batches - 1)
-            for channel, row, col, sign in comp.crossings[idx]:
-                if channel == CH_BOX_JUMP:
-                    arrays[channel][b, col] += sign
-                elif channel >= CH_ROW_UP:
-                    arrays[channel][b, row] += sign
-                else:
-                    arrays[channel][b, row, col] += sign
-            word = comp.targets[idx]
+            move(k, d, min(int(t_new / slab_len), batches - 1))
             ev += 1
             t = t_new
 
+    ledger = CrossingLedger(
+        L=L,
+        n=n,
+        batches=batches,
+        bullet_edge=np.array(bullet_edge, dtype=np.int64).reshape(batches, n, L),
+        box_edge=np.array(box_edge, dtype=np.int64).reshape(batches, n, L),
+        box_jump=np.array(box_jump, dtype=np.int64).reshape(batches, L),
+        row_up=np.array(row_up, dtype=np.int64).reshape(batches, n),
+        row_down=np.array(row_down, dtype=np.int64).reshape(batches, n),
+        batch_time=np.array(batch_time, dtype=np.float64),
+    )
     state = SimState(
-        word=ColoredWord(n, word),
+        word=ColoredWord(n, tuple(letters)),
         elapsed=t,
         events=ev,
         occupancy=occupancy,
@@ -331,66 +348,63 @@ class EstimateReport:
         return rows
 
 
-def _batch_estimate(counts: np.ndarray, batch_time: np.ndarray, elapsed: float) -> EstimatedValue:
-    """Point estimate total/elapsed with a batch-means standard error."""
-    batches = len(batch_time)
-    valid = batch_time > 0
-    rates = np.zeros(batches, dtype=np.float64)
-    rates[valid] = counts[valid] / batch_time[valid]
-    value = float(counts.sum() / elapsed) if elapsed > 0 else 0.0
-    if valid.sum() >= 2:
-        stderr = float(np.std(rates[valid], ddof=1) / math.sqrt(valid.sum()))
-    else:
-        stderr = float("inf")
-    low = valid.sum() < 20
-    if low and math.isfinite(stderr):
-        stderr *= 2.0
-    return EstimatedValue(value, stderr, low)
-
-
 def estimate_observables(ledger: CrossingLedger, state: SimState) -> EstimateReport:
     """Densities from time-weighted occupancy, currents from crossing rates.
 
     Per-row horizontal box currents average the label-preserving crossings
     over the L boundaries; column currents include the jumper crossings.
-    Standard errors come from batch means over the run's slabs.
+    Each point estimate is total/elapsed; its standard error comes from
+    batch means over the run's slabs, doubled when fewer than 20 slabs
+    have positive duration.  Every entry is computed from one (entries x
+    batches) array.
     """
     if state.elapsed <= 0:
         raise ValueError("simulation has zero elapsed time")
     L, n = ledger.L, ledger.n
     T = state.elapsed
     bt = ledger.batch_time
-    currents: dict[tuple[str, tuple[int, ...]], EstimatedValue] = {}
-    densities: dict[tuple[str, tuple[int, ...]], EstimatedValue] = {}
+    # (group, name, index, per-batch counts), in report order
+    rows: list[tuple[str, str, tuple[int, ...], np.ndarray]] = []
+
+    def current(name: str, index: tuple[int, ...], counts: np.ndarray) -> None:
+        rows.append(("current", name, index, counts))
 
     for i in range(n):
         for j in range(L):
-            currents[("bullet_edge_current", (i + 1, j + 1))] = _batch_estimate(
-                ledger.bullet_edge[:, i, j], bt, T
-            )
-        currents[("bullet_row_current", (i + 1,))] = _batch_estimate(
-            ledger.bullet_edge[:, i, :].sum(axis=1), bt, T
-        )
-        currents[("box_vertical_up", (i + 1,))] = _batch_estimate(ledger.row_up[:, i], bt, T)
-        currents[("box_vertical_down", (i + 1,))] = _batch_estimate(ledger.row_down[:, i], bt, T)
-        currents[("box_vertical_net", (i + 1,))] = _batch_estimate(
-            ledger.row_up[:, i] - ledger.row_down[:, i], bt, T
-        )
-        currents[("box_row_current", (i + 1,))] = _batch_estimate(
-            ledger.box_edge[:, i, :].sum(axis=1) / L, bt, T
-        )
+            current("bullet_edge_current", (i + 1, j + 1), ledger.bullet_edge[:, i, j])
+        current("bullet_row_current", (i + 1,), ledger.bullet_edge[:, i, :].sum(axis=1))
+        current("box_vertical_up", (i + 1,), ledger.row_up[:, i])
+        current("box_vertical_down", (i + 1,), ledger.row_down[:, i])
+        current("box_vertical_net", (i + 1,), ledger.row_up[:, i] - ledger.row_down[:, i])
+        current("box_row_current", (i + 1,), ledger.box_edge[:, i, :].sum(axis=1) / L)
     for j in range(L):
-        currents[("box_column_current", (j + 1,))] = _batch_estimate(
-            ledger.box_edge[:, :, j].sum(axis=1) + ledger.box_jump[:, j], bt, T
+        current(
+            "box_column_current", (j + 1,), ledger.box_edge[:, :, j].sum(axis=1) + ledger.box_jump[:, j]
         )
-
     for species, name in ((0, "bullet_density"), (1, "box_density")):
         for i in range(n):
             for j in range(L):
-                densities[(name, (i + 1, j + 1))] = _batch_estimate(
-                    state.occupancy[:, species, i, j], bt, T
-                )
+                rows.append(("density", name, (i + 1, j + 1), state.occupancy[:, species, i, j]))
 
+    counts = np.array([row[3] for row in rows], dtype=np.float64)
+    values = counts.sum(axis=1) / T
+    valid = bt > 0
+    num_valid = int(valid.sum())
+    if num_valid >= 2:
+        # Row sums of a C-contiguous array match numpy's 1-D sums bit for
+        # bit; a boolean column selection returns Fortran order.
+        batch_rates = np.ascontiguousarray(counts[:, valid]) / bt[valid]
+        stderrs = np.std(batch_rates, axis=1, ddof=1) / math.sqrt(num_valid)
+    else:
+        stderrs = np.full(len(rows), np.inf)
+    low = num_valid < 20
+    if low:
+        stderrs[np.isfinite(stderrs)] *= 2.0
+    currents: dict[tuple[str, tuple[int, ...]], EstimatedValue] = {}
+    densities: dict[tuple[str, tuple[int, ...]], EstimatedValue] = {}
+    for (group, name, index, _), value, stderr in zip(rows, values.tolist(), stderrs.tolist()):
+        table = currents if group == "current" else densities
+        table[(name, index)] = EstimatedValue(value, stderr, low)
     return EstimateReport(L, n, T, state.batches, currents, densities)
 
 

@@ -28,3 +28,14 @@ def test_exact_workload_op_passes_its_gate(bench, name):
     assert work.op(item, tracing.Tracer(False)) == (0, None)
     with pytest.raises(workloads.GateFailure):
         work.op(item, tracing.Tracer(False), fault=True)
+
+
+def test_simulator_workload_op_passes_its_gate_and_replays(bench):
+    workloads, tracing = bench
+    work = workloads.make_workload("mc_transient", (6, 3))
+    seed = work.draw_input(random.Random(7))
+    events, digest = work.op(seed, tracing.Tracer(False))
+    assert events == work.events
+    work.replay_check(seed, digest)
+    with pytest.raises(workloads.GateFailure):
+        work.replay_check(seed, digest, fault=True)

@@ -190,3 +190,46 @@ def test_observables_output_matches_golden_hash(fmt, rates, capsys):
     code, out, _ = run(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OBSERVABLES[(fmt, rates)]
+
+
+# sha256 of the `simulate` outputs (manifest.json, ledger.csv, estimates.json);
+# a change to the simulator kernel or the estimators must leave these bytes
+# untouched.  (10,5) reaches 8 or more enabled moves, where numpy's sum of
+# the move rates stops adding in sequence.
+GOLDEN_SIMULATE = {
+    "4,2-events": (
+        ["--L", "4", "--n", "2", "--rates", "1,2;3,5", "--seed", "5", "--events", "3000"],
+        "b76ac826f3fd236fdf657c80691720fffd465a65daa728be5b2d01b0bd69bb36",
+        "2864b29ed777b794b169ee5a2ce96751b530143fc30eaf519e24a7b320dd9a49",
+        "edf574f4b93fd3e7406b55b197fd60dfcb61385bad51f533af74b5e91107d204",
+    ),
+    "4,2-time": (
+        ["--L", "4", "--n", "2", "--rates", "1,2;3,5", "--seed", "5", "--time", "200"],
+        "c4b371f13ff350a0f3d35c83fa593ff586029eb6a33e7c8c177cec1195ddde0f",
+        "83e6281a189354903fe1028e8754d7ae7b2661121c72bec3a874d84600246cad",
+        "7984abadd4a9414c279c7db2a7f5fab5626437b8d45f3aa2b2264caadb2143e5",
+    ),
+    "6,1": (
+        ["--L", "6", "--n", "1", "--rates", "2;1", "--seed", "3", "--events", "3000"],
+        "f7eed9a6a54b9c2336e6ecff292dacaf9bfc8b665eb740cc205505e71b04a685",
+        "eae87085135f57f4158c8182bd94432e9585aabf2bf5c5cdc37370eb64d25c25",
+        "8469da28d0654fc7ff33b49441293257d13f244d9b831420393cf74dd5833425",
+    ),
+    "10,5": (
+        ["--L", "10", "--n", "5", "--rates", "1,3/2,2,5/4,1;1/2,1/4,1/3,1/5,1/2",
+         "--seed", "7", "--events", "3000"],
+        "3701ee6261f24f5e37747b48002a81968b3139efbd3e00fdb812a69b9eeb35fe",
+        "cf7586dc0239f8e24da8b4b9dab1db0bb15f28517a486047d578f11fd51341eb",
+        "a3b8567826d1f2e3fb6300c2149ec1bf37c16b2a879149e402b292b7a4deb4cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
+def test_simulate_outputs_match_golden_hash(case, tmp_path):
+    import hashlib
+
+    args, *digests = GOLDEN_SIMULATE[case]
+    assert main(["simulate", *args, "--output", str(tmp_path)]) == 0
+    for name, digest in zip(("manifest.json", "ledger.csv", "estimates.json"), digests):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,16 +1,20 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torus_asep.dynamics import build_generator, displacement_crossings, outgoing_transitions
+from torus_asep.dynamics import build_generator, displacement_crossings, outgoing_transitions, tau_zero
 from torus_asep.mcmc import (
+    _rate_sum,
     estimate_observables,
     run_manifest,
     simulate,
     tv_distance,
 )
-from torus_asep.model import iter_restricted
+from torus_asep.model import ColoredWord, iter_restricted
 from torus_asep.observables import closed_box_density, closed_currents
 from torus_asep.stationary import exact_stationary
 from torus_asep.symbolic import RatePoint
@@ -200,3 +204,213 @@ def test_bad_run_length_or_rates_rejected(kwargs, cli_args, capsys):
         cli_args = cli_args + ["--rates", "1,2;3,5"]
     assert main(["simulate", "--L", "4", "--n", "2", "--seed", "1", *cli_args]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# -- the local-update kernel against the per-state reference kernel ---------------------
+
+
+def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batches=20):
+    """The compile-per-state kernel the local-update one replaced.
+
+    Every event builds its state's moves through `outgoing_transitions` and
+    `displacement_crossings` and picks one with numpy's cumsum, sum and
+    searchsorted.  Returns the run's outputs and the largest number of
+    enabled moves seen in one state.
+    """
+    p, q = rates.as_floats()
+    word = tau_zero(L, n).letters
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bullet_edge = np.zeros((batches, n, L), dtype=np.int64)
+    box_edge = np.zeros((batches, n, L), dtype=np.int64)
+    box_jump = np.zeros((batches, L), dtype=np.int64)
+    row_up = np.zeros((batches, n), dtype=np.int64)
+    row_down = np.zeros((batches, n), dtype=np.int64)
+    batch_time = np.zeros(batches, dtype=np.float64)
+    occupancy = np.zeros((batches, 2, n, L), dtype=np.float64)
+    state_time = {}
+    slab_len = time_horizon / batches if time_horizon is not None else None
+    t, ev, most_moves = 0.0, 0, 0
+    while True:
+        targets, move_rates, crossings = [], [], []
+        for tr in outgoing_transitions(ColoredWord(n, word)):
+            family, k = tr.rate_symbol
+            rate = (p if family == "p" else q)[k - 1]
+            if rate <= 0.0:
+                continue
+            targets.append(tr.target.letters)
+            move_rates.append(rate)
+            ops = []  # (array, index without the batch, sign)
+            for d in tr.displacements:
+                for boundary, sign in displacement_crossings(d, L):
+                    if d.species == "bullet":
+                        ops.append((bullet_edge, (d.label_from - 1, boundary), sign))
+                    elif not d.jump:
+                        ops.append((box_edge, (d.label_from - 1, boundary), sign))
+                    else:
+                        ops.append((box_jump, (boundary,), sign))
+            if tr.kind in ("F2", "B2"):
+                ops.append((row_up if tr.kind == "F2" else row_down, (tr.row - 1,), 1))
+            crossings.append(ops)
+        rate_arr = np.array(move_rates, dtype=np.float64)
+        total = float(rate_arr.sum())
+        if total <= 0.0:
+            break
+        most_moves = max(most_moves, len(move_rates))
+        dt = rng.exponential(1.0 / total)
+        u = rng.random() * total
+        idx = min(int(np.searchsorted(np.cumsum(rate_arr), u, side="right")), len(targets) - 1)
+        cells = ([0 if c > 0 else 1 for c in word], [abs(c) - 1 for c in word], list(range(L)))
+
+        def record(b):
+            for array, index, sign in crossings[idx]:
+                array[(b,) + index] += sign
+
+        if events is not None:
+            b = ev * batches // events
+            occupancy[(b,) + cells] += dt
+            batch_time[b] += dt
+            state_time[word] = state_time.get(word, 0.0) + dt
+            t += dt
+            record(b)
+            word = targets[idx]
+            ev += 1
+            if ev == events:
+                break
+        else:
+            t_new = t + dt
+            t_stop = min(t_new, time_horizon)
+            state_time[word] = state_time.get(word, 0.0) + (t_stop - t)
+            t0 = t
+            while t0 < t_stop:
+                b = min(int(t0 / slab_len), batches - 1)
+                edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
+                if edge <= t0:
+                    b = min(b + 1, batches - 1)
+                    edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
+                seg_end = min(t_stop, edge)
+                occupancy[(b,) + cells] += seg_end - t0
+                batch_time[b] += seg_end - t0
+                t0 = seg_end
+            if t_new >= time_horizon:
+                t = time_horizon
+                break
+            record(min(int(t_new / slab_len), batches - 1))
+            word = targets[idx]
+            ev += 1
+            t = t_new
+    arrays = {
+        "bullet_edge": bullet_edge,
+        "box_edge": box_edge,
+        "box_jump": box_jump,
+        "row_up": row_up,
+        "row_down": row_down,
+        "batch_time": batch_time,
+        "occupancy": occupancy,
+    }
+    return arrays, t, ev, word, state_time, most_moves
+
+
+def _reference_estimate(counts, batch_time, elapsed):
+    """One entry's estimate as it was computed entry by entry."""
+    valid = batch_time > 0
+    rates = counts[valid] / batch_time[valid]
+    stderr = float(np.std(rates, ddof=1) / math.sqrt(valid.sum())) if valid.sum() >= 2 else math.inf
+    if valid.sum() < 20 and math.isfinite(stderr):
+        stderr *= 2.0
+    return float(counts.sum() / elapsed), stderr
+
+
+def _assert_matches_reference(L, n, rates, seed, **horizon):
+    state, ledger = simulate(L, n, rates, seed, **horizon)
+    arrays, elapsed, events, word, state_time, most_moves = _reference_simulate(
+        L, n, rates, seed, **horizon
+    )
+    for name, expected in arrays.items():
+        actual = state.occupancy if name == "occupancy" else getattr(ledger, name)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
+        assert actual.tobytes() == expected.tobytes(), name
+    assert state.elapsed == elapsed and state.events == events
+    assert state.word.letters == word
+    assert state.state_time == state_time
+    if state.elapsed > 0:
+        report = estimate_observables(ledger, state)
+        box_row = ledger.box_edge.sum(axis=2) / L
+        for i in range(n):
+            est = report.current("box_row_current", i + 1)
+            assert (est.value, est.stderr) == _reference_estimate(box_row[:, i], ledger.batch_time, elapsed)
+            for j in range(L):
+                est = report.density("box_density", i + 1, j + 1)
+                counts = state.occupancy[:, 1, i, j]
+                assert (est.value, est.stderr) == _reference_estimate(counts, ledger.batch_time, elapsed)
+                est = report.current("bullet_edge_current", i + 1, j + 1)
+                counts = ledger.bullet_edge[:, i, j]
+                assert (est.value, est.stderr) == _reference_estimate(counts, ledger.batch_time, elapsed)
+    return most_moves
+
+
+_RATE_VALUES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3))
+
+
+@st.composite
+def _kernel_cases(draw):
+    L = draw(st.integers(1, 6))
+    n = draw(st.integers(1, L))
+    p = [draw(st.sampled_from(_RATE_VALUES)) for _ in range(n)]
+    q = [draw(st.sampled_from(_RATE_VALUES)) for _ in range(n)]
+    # Zero some p_k or some q_k (never both kinds: that chain is reducible).
+    side = draw(st.sampled_from(("none", "p", "q")))
+    if side != "none":
+        zeroed = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        for k in zeroed:
+            (p if side == "p" else q)[k] = Fraction(0)
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        events = draw(st.integers(1, 300))
+        horizon = {"events": events, "batches": draw(st.integers(1, min(events, 25)))}
+    else:
+        horizon = {
+            "time_horizon": draw(st.floats(0.01, 40.0)),
+            "batches": draw(st.integers(1, 25)),
+        }
+    return L, n, RatePoint(tuple(p), tuple(q)), seed, horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_kernel_matches_reference_small_lattices(case):
+    L, n, rates, seed, horizon = case
+    _assert_matches_reference(L, n, rates, seed, **horizon)
+
+
+@pytest.mark.parametrize("L,n", [(8, 4), (10, 5), (40, 5)])
+@pytest.mark.parametrize("horizon", [{"events": 400, "batches": 20}, {"time_horizon": 40.0, "batches": 9}])
+def test_kernel_matches_reference_with_eight_or_more_moves(L, n, horizon):
+    p = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 4), Fraction(1))
+    q = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5), Fraction(1, 2))
+    most_moves = _assert_matches_reference(L, n, RatePoint(p[:n], q[:n]), 11, **horizon)
+    # 8 or more moves is where numpy's sum stops adding in sequence
+    assert most_moves >= 8
+
+
+def test_rate_sum_is_numpy_sum_bitwise():
+    rng = np.random.default_rng(3)
+    differs_from_sequential = 0
+    for m in list(range(1, 21)) * 50 + [127, 128, 129, 200, 300]:
+        v = (rng.random(m) * rng.choice([1.0, 1e-3, 1e3], size=m)).tolist()
+        assert _rate_sum(v) == float(np.array(v).sum())
+        sequential = 0.0
+        for x in v:
+            sequential += x
+        differs_from_sequential += sequential != _rate_sum(v)
+    # the check can tell numpy's summation from plain left-to-right adding
+    assert differs_from_sequential > 0
+
+
+@pytest.mark.parametrize(
+    "start",
+    [tau_zero(3, 2), tau_zero(5, 2), tau_zero(4, 3), ColoredWord(2, (1, 1, -1, -2))],
+    ids=["too-short", "too-long", "wrong-rows", "invalid"],
+)
+def test_start_word_must_fit_the_lattice(start):
+    with pytest.raises(ValueError):
+        simulate(4, 2, RP42, seed=1, events=50, start=start)
