@@ -170,8 +170,12 @@ def _transitions_cache(L: int, n: int):
     return tuple(tuple(outgoing_transitions(w)) for w in states)
 
 
+@lru_cache(maxsize=None)
 def full_normalization(L: int, n: int) -> Polynomial:
-    """L times the restricted partition function, verified against the brute sum."""
+    """L times the restricted partition function, verified against the brute sum.
+
+    Cached per (L, n) once it passes; a mismatch raises, so it is never cached.
+    """
     _, weights = _ensemble(L, n)
     total = Polynomial.zero(n)
     for m in weights:

@@ -13,12 +13,12 @@ weight formula can be tested against it as an independent oracle.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .dynamics import SparseGenerator
 from .model import ColoredWord, box_gap_labels, ensure_valid
@@ -188,67 +188,198 @@ def _strongly_connected(num: int, edges: list[tuple[int, int]]) -> bool:
     return reached(fwd) == num and reached(bwd) == num
 
 
-def _solve_fraction_dense(size: int, triplets: list[tuple[int, int, Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination for small systems A y = b."""
-    A = [[Fraction(0)] * size for _ in range(size)]
-    for i, j, v in triplets:
-        A[i][j] += v
-    y = list(b)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if A[r][col]), None)
-        if pivot_row is None:
-            raise StationaryError("singular system: chain has no unique stationary law")
-        if pivot_row != col:
-            A[col], A[pivot_row] = A[pivot_row], A[col]
-            y[col], y[pivot_row] = y[pivot_row], y[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        y[col] *= inv
-        for r in range(size):
-            if r != col and A[r][col]:
-                factor = A[r][col]
-                A[r] = [x - factor * piv for x, piv in zip(A[r], A[col])]
-                y[r] -= factor * y[col]
+# 31-bit primes, largest first.  The solver factors the quotient matrix
+# modulo the first one at which it is invertible.
+PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_563, 2_147_483_549)
+
+# The elimination goes dense once the shortest remaining row is this long
+# and fills a quarter of the remaining rows.
+_DENSE_FROM = 32
+
+
+def _integer_arcs(gen: SparseGenerator, rates: RatePoint) -> list[tuple[int, int, int]]:
+    """(source, target, rate) for every positive-rate arc, rates scaled to integers."""
+    scaled = rates.scaled_to_integers()
+    value = {}
+    for family, vec in (("p", scaled.p), ("q", scaled.q)):
+        for k, v in enumerate(vec, start=1):
+            if v.denominator != 1:
+                raise StationaryError(f"rate {family}{k} did not scale to an integer")
+            value[(family, k)] = v.numerator
+    # Looking states up by their letters skips the dataclass __eq__ of ColoredWord.
+    where = {w.letters: j for j, w in enumerate(gen.states)}
+    return [
+        (j, where[t.target.letters], value[t.rate_symbol])
+        for j, outs in enumerate(gen.transitions)
+        for t in outs
+        if value[t.rate_symbol]
+    ]
+
+
+def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
+    """Gaussian elimination modulo p; consumes `rows` (column -> value).
+
+    Each step pivots on the shortest remaining row, at its column with the
+    fewest remaining entries, and eliminates that column from every other
+    row.  Once even the shortest row fills a quarter of the remaining rows'
+    width, the rest is finished densely.  Returns the steps (pivot row,
+    pivot column, inverse pivot, the (row, multiplier) updates, the rest of
+    the pivot row); their number is the rank modulo p, and `_solve_mod`
+    replays them on a right-hand side.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    live = len(heap)
+    done = bytearray(len(rows))
+    steps = []
+    while heap:
+        length, r = heapq.heappop(heap)
+        row = rows[r]
+        if done[r] or length != len(row):
+            continue
+        if length >= _DENSE_FROM and 4 * length >= live:
+            steps += _eliminate_dense([i for i in range(len(rows)) if not done[i] and rows[i]], rows, p)
+            break
+        done[r] = 1
+        live -= 1
+        if not row:
+            continue
+        c = min(row, key=lambda j: len(cols[j]))
+        inv = pow(row.pop(c), -1, p)
+        for j in row:
+            cols[j].discard(r)
+        rest = list(row.items())
+        updates = []
+        for i in cols.pop(c) - {r}:
+            target = rows[i]
+            f = target.pop(c) * inv % p
+            updates.append((i, f))
+            for j, v in rest:
+                x = (target.get(j, 0) - f * v) % p
+                if x:
+                    if j not in target:
+                        cols[j].add(i)
+                    target[j] = x
+                elif j in target:
+                    del target[j]
+                    cols[j].discard(i)
+            heapq.heappush(heap, (len(target), i))
+        steps.append((r, c, inv, updates, rest))
+    return steps
+
+
+def _eliminate_dense(live: list[int], rows: list[dict[int, int]], p: int) -> list[tuple]:
+    """The elimination steps of the given rows, as an in-place dense LU.
+
+    Entries stay below p < 2^31, so every product fits in an int64.
+    """
+    names = sorted({j for i in live for j in rows[i]})
+    at = {j: k for k, j in enumerate(names)}
+    block = np.zeros((len(live), len(names)), dtype=np.int64)
+    for a, i in enumerate(live):
+        for j, v in rows[i].items():
+            block[a, at[j]] = v
+    order = list(live)
+    steps = []
+    r = 0
+    for c in range(len(names)):
+        nz = np.flatnonzero(block[r:, c])
+        if not nz.size:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            block[[r, k]] = block[[k, r]]
+            order[r], order[k] = order[k], order[r]
+        inv = pow(int(block[r, c]), -1, p)
+        factors = block[r + 1 :, c] * inv % p
+        pivot = block[r, c + 1 :]
+        trailing = block[r + 1 :, c + 1 :]
+        trailing -= np.outer(factors, pivot)
+        trailing %= p
+        below, rest = np.flatnonzero(factors), np.flatnonzero(pivot)
+        steps.append(
+            (
+                order[r],
+                names[c],
+                inv,
+                [(order[r + 1 + i], f) for i, f in zip(below.tolist(), factors[below].tolist())],
+                [(names[c + 1 + j], v) for j, v in zip(rest.tolist(), pivot[rest].tolist())],
+            )
+        )
+        r += 1
+    return steps
+
+
+def _solve_mod(steps: list[tuple], rhs: list[int], p: int) -> list[int]:
+    """Solve A y = rhs modulo p from the full-rank elimination steps of A."""
+    b = [x % p for x in rhs]
+    for r, _, _, updates, _ in steps:
+        if b[r]:
+            for i, f in updates:
+                b[i] = (b[i] - f * b[r]) % p
+    y = [0] * len(rhs)
+    for r, c, inv, _, rest in reversed(steps):
+        acc = b[r]
+        for j, v in rest:
+            acc -= v * y[j]
+        y[c] = acc * inv % p
     return y
 
 
-def _solve_refined(
-    size: int,
-    triplets: list[tuple[int, int, Fraction]],
-    b: list[Fraction],
-    target_bits: int,
-) -> list[Fraction]:
-    """Sparse float LU plus exact-residual iterative refinement.
+def _wang(a: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:
+    """The fraction u/v = a mod modulus with |u| <= num_bound, 0 < v <= den_bound
+    (Wang's rational reconstruction), or None if there is none."""
+    r0, r1, s0, s1 = modulus, a, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if 0 < s1 <= den_bound and math.gcd(r1, s1) == 1:
+        return r1, s1
+    return None
 
-    The float solves only propose corrections; the returned vector is an
-    exact Fraction vector whose residual is below 2^-target_bits, and every
-    caller re-verifies the final answer exactly.
+
+def _reconstruct(x: list[int], modulus: int) -> list[int] | None:
+    """Integers proportional to (1, y), where y is the vector of rationals of
+    numerator and denominator below sqrt(modulus / 2) congruent to x, or None.
+
+    Each entry is reconstructed after multiplying by the denominator found
+    so far, so a shared denominator is paid for once.
     """
-    agg: dict[tuple[int, int], Fraction] = {}
-    for i, j, v in triplets:
-        agg[(i, j)] = agg.get((i, j), Fraction(0)) + v
-    items = [(i, j, v) for (i, j), v in agg.items() if v]
-    rows = np.array([i for i, _, _ in items], dtype=np.int64)
-    cols = np.array([j for _, j, _ in items], dtype=np.int64)
-    vals = np.array([float(v) for _, _, v in items], dtype=np.float64)
-    matrix = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
-    lu = scipy.sparse.linalg.splu(matrix)
-    y = [Fraction(x) for x in lu.solve(np.array([float(x) for x in b], dtype=np.float64))]
-    bound = Fraction(1, 2**target_bits)
-    for _ in range(80):
-        residual = list(b)
-        for i, j, v in items:
-            residual[i] -= v * y[j]
-        if all(abs(r) <= bound for r in residual):
-            return y
-        # Scale the residual to magnitude ~1 so the float correction solve
-        # never underflows, then undo the scaling exactly.
-        top = max(abs(r) for r in residual)
-        mag = top.numerator.bit_length() - top.denominator.bit_length()
-        scale = 2 ** max(0, -mag)
-        correction = lu.solve(np.array([float(r * scale) for r in residual], dtype=np.float64))
-        y = [yi + Fraction(ci) / scale for yi, ci in zip(y, correction)]
-    raise StationaryError("iterative refinement failed to converge")
+    bound = math.isqrt(modulus // 2)
+    den = 1
+    parts = []
+    for xi in x:
+        frac = _wang(xi * den % modulus, modulus, bound, bound // den)
+        if frac is None:
+            return None
+        den *= frac[1]
+        parts.append((frac[0], den))
+    return [den] + [u * (den // d) for u, d in parts]
+
+
+def _rotation_orbits(gen: SparseGenerator) -> tuple[list[int], list[int]]:
+    """Orbit number of each state under rotation, and one member per orbit.
+
+    The word rotated to put B1 at column 0 names the orbit.  If the states
+    are not closed under rotation, every state is its own orbit.
+    """
+    orbit_of: dict[tuple[int, ...], int] = {}
+    orbit = []
+    for w in gen.states:
+        x = w.letters.index(1)
+        orbit.append(orbit_of.setdefault(w.letters[x:] + w.letters[:x], len(orbit_of)))
+    if len(orbit_of) * gen.L != gen.num_states:
+        orbit = list(range(gen.num_states))
+    members = [-1] * (max(orbit) + 1)
+    for j in reversed(range(gen.num_states)):
+        members[orbit[j]] = j
+    return orbit, members
 
 
 def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
@@ -256,21 +387,19 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
 
     The chain must have a unique stationary law, certified here by strong
     connectivity of the positive-rate transition graph (an irreducible
-    finite chain has a one-dimensional null space).  The null vector is
-    found by sparse LU with exact-residual refinement and then certified by
-    an exact residual check, so no floating-point error can leak into the
-    result.
+    finite chain has a one-dimensional null space).  The dynamics commute
+    with rotation, so the law is constant on rotation orbits and solves the
+    lumped chain on the orbits.  That chain, anchored at x = 1 on the orbit
+    of state 0, is factored once by sparse elimination modulo a prime,
+    lifted p-adically (Dixon) and rationally reconstructed (Wang) at doubling
+    precision.  A candidate is accepted only if it is strictly positive and
+    annihilated exactly, in integers, by every arc of the full generator;
+    past the Hadamard bound of the quotient matrix there is none.
     """
     if rates.n != gen.n:
         raise ValueError("rate point has wrong number of rows")
-    scaled = rates.scaled_to_integers()
     num = gen.num_states
-    arcs: list[tuple[int, int, Fraction]] = []
-    for j, outs in enumerate(gen.transitions):
-        for t in outs:
-            value = scaled.rate(t.rate_symbol)
-            if value:
-                arcs.append((j, gen.index[t.target], value))
+    arcs = _integer_arcs(gen, rates)
     if not arcs:
         raise StationaryError(
             "chain has no transitions (n = L): every state is absorbing and the "
@@ -282,95 +411,95 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
             "(restrict_ta) and solve there"
         )
 
-    # Anchor x[0] = 1 and solve the remaining (num-1)-dimensional system
-    # A y = b obtained from M x = 0 by deleting the redundant row/column 0,
-    # where column s of M holds the outflows of state s.
-    size = num - 1
-    if size == 0:
-        return StationaryTable(states=list(gen.states), probabilities=[Fraction(1)])
-    triplets: list[tuple[int, int, Fraction]] = []
-    b = [Fraction(0)] * size
+    # Quotient generator: column o holds the outflows of one member of orbit
+    # o.  Deleting the redundant row and the anchored column 0 leaves the
+    # integer system A y = b, with A's entries kept per row and per column.
+    orbit, members = _rotation_orbits(gen)
+    size = len(members) - 1
+    rows: list[dict[int, int]] = [{} for _ in range(size + 1)]
     for s, t, v in arcs:
-        if t != s:
-            if s == 0:
-                if t != 0:
-                    b[t - 1] -= v
-            elif t != 0:
-                triplets.append((t - 1, s - 1, v))
-            if s != 0:
-                triplets.append((s - 1, s - 1, -v))
+        o = orbit[s]
+        if members[o] == s:
+            into, own = rows[orbit[t]], rows[o]
+            into[o] = into.get(o, 0) + v
+            own[o] = own.get(o, 0) - v
+    b = [-row.pop(0, 0) for row in rows[1:]]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for i, row in enumerate(rows[1:]):
+        for j, v in row.items():
+            if v:
+                cols[j - 1].append((i, v))
+    # Hadamard: every Cramer determinant of A y = b is at most the product
+    # of the column norms of [A | b], so past 2 H^2 the reconstruction is
+    # unique and a failing candidate means there is no exact solution.
+    h2 = math.prod(max(sum(v * v for _, v in c), 1) for c in cols) * max(sum(v * v for v in b), 1)
+    past_bound = 2 * h2
 
-    # Degree of the weight monomials bounds the denominators of the anchored
-    # ratios, which sizes both the refinement target and the reconstruction.
-    degree = (gen.L - gen.n) * (gen.n - 1)
-    max_rate = max(scaled.p + scaled.q)
-    bound = max(int(max_rate) ** max(degree, 1), 2)
-    target_bits = 2 * bound.bit_length() + 40
-
-    if size <= 64:
-        y = _solve_fraction_dense(size, triplets, b)
+    for p in PRIMES:
+        steps = _eliminate([{j - 1: v % p for j, v in row.items() if v % p} for row in rows[1:]], p)
+        if len(steps) == size:
+            break
     else:
-        for attempt in range(3):
-            raw = _solve_refined(size, triplets, b, target_bits << attempt)
-            y = [x.limit_denominator(bound << (attempt * 8)) for x in raw]
-            if _is_null_vector(num, arcs, [Fraction(1)] + y):
-                break
-        else:
-            raise StationaryError("failed to reconstruct an exact null vector")
+        raise StationaryError("quotient matrix is singular modulo every prime tried")
 
-    x = [Fraction(1)] + list(y)
-    if not _is_null_vector(num, arcs, x):
-        raise StationaryError("candidate vector fails the exact balance equations")
-    if any(v <= 0 for v in x):
-        raise StationaryError("null vector is not strictly positive")
-    total = sum(x)
-    return StationaryTable(states=list(gen.states), probabilities=[v / total for v in x])
+    for x, modulus in _dixon(steps, cols, b, p):
+        values = _reconstruct(x, modulus)
+        if values is not None and min(values) > 0:
+            full = [values[o] for o in orbit]
+            if _is_null_vector(arcs, full):
+                total = sum(full)
+                probs = [Fraction(v, total) for v in values]
+                return StationaryTable(states=list(gen.states), probabilities=[probs[o] for o in orbit])
+        if modulus > past_bound:
+            raise StationaryError("no exact positive null vector within the Hadamard bound")
 
 
-def _is_null_vector(num: int, arcs: list[tuple[int, int, Fraction]], x: list[Fraction]) -> bool:
-    acc = [Fraction(0)] * num
+def _dixon(steps: list[tuple], cols: list[list[tuple[int, int]]], b: list[int], p: int):
+    """p-adic lifting for A y = b (Dixon), A given by its columns and by its
+    elimination steps modulo p: yields (x, p^k) with A x = b mod p^k, at
+    k = 1, 2, 4, ... lifts.  Each lift is one solve modulo p and one exact
+    integer update of the residual."""
+    x = [0] * len(b)
+    residual = list(b)
+    modulus, lifts, target = 1, 0, 1
+    while True:
+        for _ in range(target - lifts):
+            z = _solve_mod(steps, residual, p)
+            for c, zc in enumerate(z):
+                if zc:
+                    x[c] += modulus * zc
+                    for i, v in cols[c]:
+                        residual[i] -= v * zc
+            residual = [r // p for r in residual]
+            modulus *= p
+        lifts = target
+        yield x, modulus
+        target *= 2
+
+
+def _is_null_vector(arcs: list[tuple[int, int, int]], x: list[int]) -> bool:
+    """Inflow equals outflow at every state, exactly."""
+    acc = [0] * len(x)
     for s, t, v in arcs:
         flow = v * x[s]
         acc[t] += flow
         acc[s] -= flow
-    return all(a == 0 for a in acc)
+    return not any(acc)
 
 
 def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint, prime: int = 2_147_483_647) -> int:
-    """num_states - rank(M) computed modulo a prime.
+    """num_states - rank(M) computed modulo a prime, by the solver's sparse elimination.
 
     The rank modulo a prime never exceeds the rational rank, so a deficiency
     of 1 here, together with one exhibited null vector, proves the rational
     null space is exactly one-dimensional.
     """
-    scaled = rates.scaled_to_integers()
-    num = gen.num_states
-    M = np.zeros((num, num), dtype=np.int64)
-    for j, outs in enumerate(gen.transitions):
-        for t in outs:
-            v = scaled.rate(t.rate_symbol)
-            assert v.denominator == 1
-            M[gen.index[t.target], j] = (M[gen.index[t.target], j] + v.numerator) % prime
-            M[j, j] = (M[j, j] - v.numerator) % prime
-    rank = 0
-    row = 0
-    for col in range(num):
-        pivots = np.nonzero(M[row:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot_row = row + int(pivots[0])
-        if pivot_row != row:
-            M[[row, pivot_row]] = M[[pivot_row, row]]
-        inv = pow(int(M[row, col]), prime - 2, prime)
-        M[row] = (M[row] * inv) % prime
-        below = M[row + 1 :, col].copy()
-        if below.size:
-            M[row + 1 :] = (M[row + 1 :] - np.outer(below, M[row])) % prime
-        rank += 1
-        row += 1
-        if row == num:
-            break
-    return num - rank
+    rows: list[dict[int, int]] = [{} for _ in range(gen.num_states)]
+    for s, t, v in _integer_arcs(gen, rates):
+        rows[t][s] = (rows[t].get(s, 0) + v) % prime
+        rows[s][s] = (rows[s].get(s, 0) - v) % prime
+    rank = len(_eliminate([{j: v for j, v in row.items() if v} for row in rows], prime))
+    return gen.num_states - rank
 
 
 # -- balance equations --------------------------------------------------------------

@@ -338,3 +338,18 @@ def test_normalization_is_proved_before_comparing(numeric, monkeypatch, rng):
     densities(4, 2, rp)
     currents_exact(4, 2, rp)
     assert calls == [(4, 2), (4, 2)]
+
+
+def test_full_normalization_caches_only_a_passing_result(monkeypatch):
+    from torus_asep import observables
+    from torus_asep.observables import ObservableMismatch, full_normalization
+
+    full_normalization.cache_clear()
+    first = full_normalization(4, 2)
+    assert full_normalization(4, 2) is first
+    assert full_normalization.cache_info().hits == 1
+    monkeypatch.setattr(observables, "partition_function", lambda L, n: Polynomial.zero(n))
+    for _ in range(2):
+        with pytest.raises(ObservableMismatch, match="L\\*Z"):
+            full_normalization(5, 2)
+    assert full_normalization.cache_info().currsize == 1

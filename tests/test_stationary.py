@@ -1,12 +1,21 @@
+import dataclasses
+import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rate_point
 from torus_asep.dynamics import build_generator, restrict_ta
 from torus_asep.model import ColoredWord, iter_restricted
+from torus_asep import stationary
 from torus_asep.stationary import (
     StationaryError,
+    _strongly_connected,
     box_weight,
     config_weight,
     evans_product,
@@ -303,3 +312,310 @@ def test_single_lumped_state_when_no_boxes():
     assert len(fibers) == 3  # one per rotation; each fiber is a singleton
     report = lumping_report(3, 3)
     assert report.ok
+
+
+# -- reference solvers ---------------------------------------------------------------
+# The full-space solver (dense Fractions up to 64 states, float LU with exact
+# refinement above) and the dense rank computation that the rotation-quotient
+# modular path replaced, kept here to test that path against.
+
+
+def _reference_solve_fraction_dense(size, triplets, b):
+    A = [[Fraction(0)] * size for _ in range(size)]
+    for i, j, v in triplets:
+        A[i][j] += v
+    y = list(b)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if A[r][col]), None)
+        if pivot_row is None:
+            raise StationaryError("singular system: chain has no unique stationary law")
+        if pivot_row != col:
+            A[col], A[pivot_row] = A[pivot_row], A[col]
+            y[col], y[pivot_row] = y[pivot_row], y[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        y[col] *= inv
+        for r in range(size):
+            if r != col and A[r][col]:
+                factor = A[r][col]
+                A[r] = [x - factor * piv for x, piv in zip(A[r], A[col])]
+                y[r] -= factor * y[col]
+    return y
+
+
+def _reference_solve_refined(size, triplets, b, target_bits):
+    agg = {}
+    for i, j, v in triplets:
+        agg[(i, j)] = agg.get((i, j), Fraction(0)) + v
+    items = [(i, j, v) for (i, j), v in agg.items() if v]
+    rows = np.array([i for i, _, _ in items], dtype=np.int64)
+    cols = np.array([j for _, j, _ in items], dtype=np.int64)
+    vals = np.array([float(v) for _, _, v in items], dtype=np.float64)
+    matrix = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    lu = scipy.sparse.linalg.splu(matrix)
+    y = [Fraction(x) for x in lu.solve(np.array([float(x) for x in b], dtype=np.float64))]
+    bound = Fraction(1, 2**target_bits)
+    for _ in range(80):
+        residual = list(b)
+        for i, j, v in items:
+            residual[i] -= v * y[j]
+        if all(abs(r) <= bound for r in residual):
+            return y
+        top = max(abs(r) for r in residual)
+        mag = top.numerator.bit_length() - top.denominator.bit_length()
+        scale = 2 ** max(0, -mag)
+        correction = lu.solve(np.array([float(r * scale) for r in residual], dtype=np.float64))
+        y = [yi + Fraction(ci) / scale for yi, ci in zip(y, correction)]
+    raise StationaryError("iterative refinement failed to converge")
+
+
+def _reference_is_null_vector(num, arcs, x):
+    acc = [Fraction(0)] * num
+    for s, t, v in arcs:
+        flow = v * x[s]
+        acc[t] += flow
+        acc[s] -= flow
+    return all(a == 0 for a in acc)
+
+
+def _reference_exact_stationary(gen, rates):
+    scaled = rates.scaled_to_integers()
+    num = gen.num_states
+    arcs = []
+    for j, outs in enumerate(gen.transitions):
+        for t in outs:
+            value = scaled.rate(t.rate_symbol)
+            if value:
+                arcs.append((j, gen.index[t.target], value))
+    if not arcs:
+        raise StationaryError("chain has no transitions")
+    if not _strongly_connected(num, [(u, v) for u, v, _ in arcs]):
+        raise StationaryError("chain is reducible at these rates; restrict")
+    size = num - 1
+    if size == 0:
+        return [Fraction(1)]
+    triplets = []
+    b = [Fraction(0)] * size
+    for s, t, v in arcs:
+        if t != s:
+            if s == 0:
+                if t != 0:
+                    b[t - 1] -= v
+            elif t != 0:
+                triplets.append((t - 1, s - 1, v))
+            if s != 0:
+                triplets.append((s - 1, s - 1, -v))
+    degree = (gen.L - gen.n) * (gen.n - 1)
+    max_rate = max(scaled.p + scaled.q)
+    bound = max(int(max_rate) ** max(degree, 1), 2)
+    target_bits = 2 * bound.bit_length() + 40
+    if size <= 64:
+        y = _reference_solve_fraction_dense(size, triplets, b)
+    else:
+        for attempt in range(3):
+            raw = _reference_solve_refined(size, triplets, b, target_bits << attempt)
+            y = [x.limit_denominator(bound << (attempt * 8)) for x in raw]
+            if _reference_is_null_vector(num, arcs, [Fraction(1)] + y):
+                break
+        else:
+            raise StationaryError("failed to reconstruct an exact null vector")
+    x = [Fraction(1)] + list(y)
+    if not _reference_is_null_vector(num, arcs, x):
+        raise StationaryError("candidate vector fails the exact balance equations")
+    if any(v <= 0 for v in x):
+        raise StationaryError("null vector is not strictly positive")
+    total = sum(x)
+    return [v / total for v in x]
+
+
+def _reference_rank_deficiency(gen, rates, prime=2_147_483_647):
+    scaled = rates.scaled_to_integers()
+    num = gen.num_states
+    M = np.zeros((num, num), dtype=np.int64)
+    for j, outs in enumerate(gen.transitions):
+        for t in outs:
+            v = scaled.rate(t.rate_symbol)
+            M[gen.index[t.target], j] = (M[gen.index[t.target], j] + v.numerator) % prime
+            M[j, j] = (M[j, j] - v.numerator) % prime
+    rank = 0
+    row = 0
+    for col in range(num):
+        pivots = np.nonzero(M[row:, col])[0]
+        if pivots.size == 0:
+            continue
+        pivot_row = row + int(pivots[0])
+        if pivot_row != row:
+            M[[row, pivot_row]] = M[[pivot_row, row]]
+        inv = pow(int(M[row, col]), prime - 2, prime)
+        M[row] = (M[row] * inv) % prime
+        below = M[row + 1 :, col].copy()
+        if below.size:
+            M[row + 1 :] = (M[row + 1 :] - np.outer(below, M[row])) % prime
+        rank += 1
+        row += 1
+        if row == num:
+            break
+    return num - rank
+
+
+def _solve_both(gen, rates):
+    """Both solvers' probabilities, or the StationaryError each raised."""
+    out = []
+    for solve in (lambda: exact_stationary(gen, rates).probabilities, lambda: _reference_exact_stationary(gen, rates)):
+        try:
+            out.append(solve())
+        except StationaryError as err:
+            out.append(err)
+    return out
+
+
+def _assert_same_as_reference(gen, rates):
+    new, ref = _solve_both(gen, rates)
+    if isinstance(ref, StationaryError) and "refinement" in str(ref):
+        # The float LU of the reference does not converge on some badly
+        # conditioned rate points (e.g. p = (5762, 5762, 1), q = (1, 1, 1) at
+        # (5,3)).  There the chain must be irreducible and the new table its
+        # exact positive null vector, which is unique.
+        arcs = [(j, gen.index[t.target], rates.rate(t.rate_symbol)) for j, outs in enumerate(gen.transitions) for t in outs]
+        assert _strongly_connected(gen.num_states, [(s, t) for s, t, v in arcs if v])
+        assert _reference_is_null_vector(gen.num_states, arcs, new) and min(new) > 0 and sum(new) == 1
+    elif isinstance(ref, StationaryError):
+        assert isinstance(new, StationaryError), (rates, ref)
+    else:
+        assert new == ref, rates
+    return new
+
+
+@functools.lru_cache(maxsize=None)
+def _generator(L, n):
+    return build_generator(L, n)
+
+
+_BIG = 10**12
+
+
+@st.composite
+def _solver_cases(draw):
+    L = draw(st.integers(2, 5))
+    n = draw(st.integers(1, L - 1))
+    rate = st.builds(Fraction, st.integers(1, _BIG), st.integers(1, _BIG))
+    p = [draw(rate) for _ in range(n)]
+    q = [draw(rate) for _ in range(n)]
+    # Zero some p_k or some q_k (RatePoint rejects zeros on both sides).
+    side = draw(st.sampled_from(("none", "p", "q")))
+    if side != "none":
+        for k in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            (p if side == "p" else q)[k] = Fraction(0)
+    return L, n, RatePoint(tuple(p), tuple(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_solver_cases())
+def test_exact_stationary_matches_full_space_reference(case):
+    L, n, rates = case
+    _assert_same_as_reference(_generator(L, n), rates)
+
+
+@pytest.mark.parametrize("L,n", [(6, 2), (6, 3), (6, 4)])
+def test_exact_stationary_matches_reference_on_L6(L, n, rng):
+    rates = random_rate_point(n, rng, denominator=997)
+    probabilities = _assert_same_as_reference(_generator(L, n), rates)
+    assert sum(probabilities) == 1
+
+
+@pytest.mark.parametrize("zero_q", [{1}, {1, 2}])
+def test_exact_stationary_matches_reference_on_ta_restriction(zero_q):
+    p = (Fraction(2), Fraction(3, 7), Fraction(5))
+    q = tuple(Fraction(0) if k in zero_q else Fraction(k + 10, 3) for k in (1, 2, 3))
+    rates = RatePoint(p, q)
+    states, cert = restrict_ta(5, 3, zero_q)
+    assert cert.ok and len(states) < 270
+    gen = build_generator(5, 3, rates=rates, states=states)
+    probabilities = _assert_same_as_reference(gen, rates)
+    weights = [config_weight(w).evaluate(rates) for w in states]
+    assert all(prob * sum(weights) == wv for prob, wv in zip(probabilities, weights))
+
+
+def test_exact_stationary_without_rotation_symmetry_solves_every_state(rng):
+    """A state list that is not closed under rotation makes every state its
+    own orbit; the solve is then the full-space one and agrees."""
+    gen = _generator(5, 2)
+    unclosed = dataclasses.replace(gen, L=gen.L + 1)
+    assert stationary._rotation_orbits(unclosed)[0] == list(range(gen.num_states))
+    assert len(stationary._rotation_orbits(gen)[1]) == gen.num_states // gen.L
+    rates = random_rate_point(2, rng)
+    assert exact_stationary(unclosed, rates).probabilities == exact_stationary(gen, rates).probabilities
+
+
+def test_small_primes_still_give_the_exact_table(monkeypatch, rng):
+    """Starting from the primes 5, 7, 11 the quotient matrix is often
+    singular (unlucky primes) and reconstruction at low precision often
+    proposes a wrong vector; the certificate must reject both."""
+    monkeypatch.setattr(stationary, "PRIMES", (5, 7, 11) + stationary.PRIMES)
+    eliminations, candidates = [], []
+    eliminate, reconstruct = stationary._eliminate, stationary._reconstruct
+
+    def spy_eliminate(rows, p):
+        steps = eliminate(rows, p)
+        eliminations.append((p, len(rows) - len(steps)))
+        return steps
+
+    def spy_reconstruct(x, modulus):
+        values = reconstruct(x, modulus)
+        candidates.append(values)
+        return values
+
+    monkeypatch.setattr(stationary, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(stationary, "_reconstruct", spy_reconstruct)
+    solves = 0
+    for L, n in [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 3)]:
+        for _ in range(4):
+            _assert_same_as_reference(_generator(L, n), random_rate_point(n, rng))
+            solves += 1
+    unlucky = {p for p, deficiency in eliminations if deficiency}
+    assert unlucky == {5, 7, 11}
+    # more proposals than solves: some failed the certificate
+    assert sum(values is not None for values in candidates) > solves
+
+
+def test_no_certified_vector_raises_past_the_hadamard_bound(monkeypatch, rng):
+    """If every proposal fails the certificate, lifting stops once the
+    modulus passes the Hadamard bound instead of running forever."""
+    reconstruct = stationary._reconstruct
+    moduli = []
+
+    def off_by_one(x, modulus):
+        moduli.append(modulus)
+        values = reconstruct(x, modulus)
+        return None if values is None else [values[0] + 1] + values[1:]
+
+    monkeypatch.setattr(stationary, "_reconstruct", off_by_one)
+    with pytest.raises(StationaryError, match="Hadamard"):
+        exact_stationary(_generator(4, 2), random_rate_point(2, rng))
+    assert len(moduli) > 3 and moduli[-1] > moduli[-2] ** 1.5
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(2, 6) for n in range(1, L)])
+def test_rank_deficiency_matches_dense_reference(L, n, rng):
+    gen = _generator(L, n)
+    rates = random_rate_point(n, rng)
+    for prime in (2_147_483_647, 7):
+        assert generator_rank_deficiency(gen, rates, prime) == _reference_rank_deficiency(gen, rates, prime)
+    assert generator_rank_deficiency(gen, rates) == 1
+
+
+def test_rank_deficiency_of_reducible_full_space():
+    """With q_1 = 0 the full space is reducible but keeps one closed class
+    (the restrict_ta states), so the deficiency stays 1 while the solver
+    refuses it; with n = L nothing moves and every state is its own class."""
+    for L, n in [(4, 2), (5, 2), (5, 3)]:
+        gen = _generator(L, n)
+        p = tuple(Fraction(k + 1) for k in range(n))
+        rates = RatePoint(p, (Fraction(0),) + tuple(Fraction(3, k + 1) for k in range(1, n)))
+        assert generator_rank_deficiency(gen, rates) == _reference_rank_deficiency(gen, rates) == 1
+        with pytest.raises(StationaryError, match="restrict"):
+            exact_stationary(gen, rates)
+    for L in (3, 4, 5):
+        gen = _generator(L, L)
+        rates = RatePoint((Fraction(1),) * L, (Fraction(2),) * L)
+        assert generator_rank_deficiency(gen, rates) == _reference_rank_deficiency(gen, rates) == L
