@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import observables as obs
-from .dynamics import ResourceCapError, build_generator, restrict_ta
+from .dynamics import DEFAULT_STATE_CAP, ResourceCapError, build_generator, check_state_cap, restrict_ta
 from .mcmc import estimate_observables, run_manifest, simulate
 from .model import enumerate_restricted, iter_restricted
 from .stationary import (
@@ -51,7 +51,12 @@ STATE_CAP_ENV = "TORUS_ASEP_STATE_CAP"
 
 def _state_cap() -> int:
     raw = os.environ.get(STATE_CAP_ENV)
-    return int(raw) if raw else 2_000_000
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, rates: bool = False) -> None:
@@ -200,6 +205,7 @@ def _cmd_observables(args) -> int:
     if mode == "numeric" and rp is None:
         raise ValueError("numeric observables require --rates or --rates-file")
     rates = rp if mode == "numeric" else None
+    check_state_cap(args.L, args.n, _state_cap())
     try:
         density_report = obs.densities(args.L, args.n, rates)
         current_report = obs.currents_exact(args.L, args.n, rates)

@@ -19,6 +19,12 @@ the adjacent box plus a relabelling-free rotation of the gap contents.
 Every transition carries per-particle displacement records; the signed step
 of each record determines exactly which column boundaries the particle
 crossed, which feeds the current estimators.
+
+`build_generator` assembles the package's one transition graph: the states,
+their index, and per state its arcs with their target indices.  The exact
+solver, the balance and lumping checks, the observable oracles and the
+reachability certificate all read it; the rate matrix itself is derived
+from the arcs only when it is exported.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
-from .symbolic import Polynomial, RatePoint, rate_symbol_poly
+from .symbolic import Domain, Polynomial, RatePoint
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -201,14 +207,23 @@ def replay_displacements(t: Transition) -> ColoredWord:
 # -- generator -----------------------------------------------------------------
 
 
+def check_state_cap(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> None:
+    """Raise ResourceCapError if the full (L, n) state space exceeds `cap`."""
+    count = L * restricted_count(L, n)
+    if count > cap:
+        raise ResourceCapError(count, cap)
+
+
 @dataclass
 class SparseGenerator:
-    """Column-stochastic rate matrix over an enumerated state space.
+    """The transition graph of the chain over an enumerated state space.
 
-    Column j holds the outflows of state j: the off-diagonal entry keyed
-    (source, target) is the total rate source -> target, and the diagonal
-    entry of a column is minus the column's off-diagonal sum, so every
-    column sums to zero exactly.
+    transitions[j] lists the arcs leaving state j, and targets[j] holds the
+    index of each arc's target, in the same order.  An arc whose rate
+    vanishes at `rates` is left out; rates None keeps every arc.  The rate
+    matrix (column j holds the outflows of state j, its diagonal entry minus
+    the column's off-diagonal sum) is not stored: `triplet_rows` derives it
+    from the arcs when it is exported.
     """
 
     L: int
@@ -216,28 +231,28 @@ class SparseGenerator:
     states: list[ColoredWord]
     index: dict[ColoredWord, int]
     transitions: list[list[Transition]]
-    rates: RatePoint | None  # None = symbolic entries
-    entries: dict[tuple[int, int], Polynomial | Fraction]
-    diagonal: list[Polynomial | Fraction]
+    targets: list[list[int]]
+    rates: RatePoint | None  # None = symbolic
 
     @property
     def num_states(self) -> int:
         return len(self.states)
 
-    def column_sums_are_zero(self) -> bool:
-        zero = Polynomial.zero(self.n) if self.rates is None else Fraction(0)
-        sums = [self.diagonal[j] for j in range(self.num_states)]
-        for (src, _), value in self.entries.items():
-            sums[src] = sums[src] + value
-        return all(s == zero for s in sums)
-
     def triplet_rows(self) -> list[tuple[int, int, str]]:
-        """Sparse export: (source index, target index, rate string)."""
-        rows = [
-            (src, tgt, str(value))
-            for (src, tgt), value in sorted(self.entries.items())
-        ]
-        rows.extend((j, j, str(self.diagonal[j])) for j in range(self.num_states))
+        """Sparse export: (source index, target index, rate string), the
+        summed off-diagonal entries by (source, target), then the diagonal."""
+        dom = Domain(self.n, self.rates)
+        entries: dict[tuple[int, int], Polynomial | Fraction] = {}
+        diagonal = []
+        for j, (outs, targets) in enumerate(zip(self.transitions, self.targets)):
+            outflow = dom.zero
+            for t, k in zip(outs, targets):
+                value = dom.rate(t.rate_symbol)
+                entries[j, k] = entries.get((j, k), dom.zero) + value
+                outflow = outflow - value
+            diagonal.append(outflow)
+        rows = [(src, tgt, str(value)) for (src, tgt), value in sorted(entries.items())]
+        rows.extend((j, j, str(value)) for j, value in enumerate(diagonal))
         return rows
 
     def state_manifest(self) -> list[tuple[int, str]]:
@@ -251,43 +266,36 @@ def build_generator(
     cap: int = DEFAULT_STATE_CAP,
     states: list[ColoredWord] | None = None,
 ) -> SparseGenerator:
-    """Assemble the generator over the full state space (or a given subset)."""
+    """The transition graph over the full state space (or a given subset)."""
     subset_mode = states is not None
     if states is None:
-        count = L * restricted_count(L, n)
-        if count > cap:
-            raise ResourceCapError(count, cap)
+        check_state_cap(L, n, cap)
         states = enumerate_full(L, n)
     index = {w: j for j, w in enumerate(states)}
-    zero = Polynomial.zero(n) if rates is None else Fraction(0)
-    entries: dict[tuple[int, int], Polynomial | Fraction] = {}
-    diagonal = [zero] * len(states)
+    symbols = [(family, k) for family in ("p", "q") for k in range(1, n + 1)]
+    vanishing = set() if rates is None else {s for s in symbols if rates.rate(s) == 0}
     all_transitions: list[list[Transition]] = []
-    for j, w in enumerate(states):
-        outs = []
+    all_targets: list[list[int]] = []
+    for w in states:
+        outs, targets = [], []
         for t in outgoing_transitions(w):
-            value = (
-                rate_symbol_poly(n, t.rate_symbol)
-                if rates is None
-                else rates.rate(t.rate_symbol)
-            )
-            if t.target not in index:
+            k = index.get(t.target)
+            if k is None:
                 # A transition may leave an explicit state subset only if its
-                # rate vanishes identically (e.g. a zeroed backward rate).
-                if not subset_mode or value != zero:
+                # rate vanishes (e.g. a zeroed backward rate).
+                if not subset_mode or t.rate_symbol not in vanishing:
                     raise ValueError(
                         "state set is not closed under the positive-rate dynamics: "
                         f"{w.to_text()} -> {t.target.to_text()}"
                     )
                 continue
-            if value == zero:
+            if t.rate_symbol in vanishing:
                 continue
             outs.append(t)
-            key = (j, index[t.target])
-            entries[key] = entries.get(key, zero) + value
-            diagonal[j] = diagonal[j] - value
+            targets.append(k)
         all_transitions.append(outs)
-    return SparseGenerator(L, n, states, index, all_transitions, rates, entries, diagonal)
+        all_targets.append(targets)
+    return SparseGenerator(L, n, states, index, all_transitions, all_targets, rates)
 
 
 # -- excess and reachability -----------------------------------------------------
@@ -327,21 +335,15 @@ def reachability_tau0(
     (direction 'to') every state; the witness path realizes the deepest state."""
     if direction not in ("from", "to"):
         raise ValueError("direction must be 'from' or 'to'")
-    count = L * restricted_count(L, n)
-    if count > cap:
-        raise ResourceCapError(count, cap)
-    states = enumerate_full(L, n)
-    index = {w: j for j, w in enumerate(states)}
-    outs = [outgoing_transitions(w) for w in states]
-    adjacency: list[list[tuple[int, Transition]]] = [[] for _ in states]
-    for j, transitions in enumerate(outs):
-        for t in transitions:
-            tgt = index[t.target]
+    gen = build_generator(L, n, cap=cap)
+    adjacency: list[list[tuple[int, Transition]]] = [[] for _ in gen.states]
+    for j, (outs, targets) in enumerate(zip(gen.transitions, gen.targets)):
+        for t, k in zip(outs, targets):
             if direction == "from":
-                adjacency[j].append((tgt, t))
+                adjacency[j].append((k, t))
             else:
-                adjacency[tgt].append((j, t))
-    root = index[tau_zero(L, n)]
+                adjacency[k].append((j, t))
+    root = gen.index[tau_zero(L, n)]
     parent: dict[int, tuple[int, Transition] | None] = {root: None}
     frontier = [root]
     order = [root]
@@ -363,13 +365,13 @@ def reachability_tau0(
         node = prev
     if direction == "from":
         path.reverse()
-        start = states[root]
+        start = gen.states[root]
     else:
-        start = states[deepest]
+        start = gen.states[deepest]
     return ReachabilityReport(
-        ok=len(parent) == len(states),
+        ok=len(parent) == gen.num_states,
         direction=direction,
-        num_states=len(states),
+        num_states=gen.num_states,
         num_reached=len(parent),
         witness_start=start,
         witness_path=path,
@@ -428,9 +430,7 @@ def restrict_ta(
     zero_q = frozenset(zero_q)
     if not all(isinstance(m, int) and 1 <= m <= n for m in zero_q):
         raise ValueError(f"zeroed labels must lie in 1..{n}")
-    count = L * restricted_count(L, n)
-    if count > cap:
-        raise ResourceCapError(count, cap)
+    check_state_cap(L, n, cap)
     states = [w for w in enumerate_full(L, n) if ta_membership(w, zero_q)]
     members = set(states)
     violations = []

@@ -126,9 +126,6 @@ class TorusConfig:
         """1-based accessor."""
         return self.cells[row - 1][col - 1]
 
-    def pretty(self) -> str:
-        return "\n".join("".join(row) for row in self.cells)
-
 
 @dataclass(frozen=True)
 class MarkedPartition:

@@ -6,6 +6,8 @@ defining rate-weighted expectation (including, for box currents, the
 crossing bookkeeping of the nonlocal moves via the displacement records).
 Each check is one loop over a `Domain`: symbolic mode proves it as a
 polynomial identity in the 2n rates, numeric mode at one exact rate point.
+The ensemble is the lattice's transition graph from `build_generator`
+plus the weight of each state, cached for the two most recent lattices.
 
 Every oracle and closed-form numerator lives over the common denominator
 L * Z(L, n), which `full_normalization` proves equal to the sum of the
@@ -22,8 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .dynamics import displacement_crossings, outgoing_transitions
-from .model import ColoredWord, enumerate_full
+from .dynamics import SparseGenerator, build_generator, displacement_crossings
 from .stationary import box_weight, config_weight, total_box_weight
 from .symbolic import (
     Domain,
@@ -157,17 +158,15 @@ def _first_difference(a: Polynomial, b: Polynomial) -> str:
 # -- stationary ensemble ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ensemble(L: int, n: int) -> tuple[tuple[ColoredWord, ...], tuple[Monomial, ...]]:
-    states = tuple(enumerate_full(L, n))
-    weights = tuple(config_weight(w) for w in states)
-    return states, weights
+@lru_cache(maxsize=2)
+def _ensemble(L: int, n: int) -> tuple[SparseGenerator, tuple[Monomial, ...]]:
+    """The symbolic transition graph of (L, n) and the weight of each state.
 
-
-@lru_cache(maxsize=None)
-def _transitions_cache(L: int, n: int):
-    states, _ = _ensemble(L, n)
-    return tuple(tuple(outgoing_transitions(w)) for w in states)
+    Bounded to the two most recent lattices: a check runs on one lattice at a
+    time, and the graph grows like the state space.
+    """
+    gen = build_generator(L, n)
+    return gen, tuple(config_weight(w) for w in gen.states)
 
 
 @lru_cache(maxsize=None)
@@ -310,10 +309,10 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
     _check_dims(L, n)
     dom = Domain(n, rates)
     over = _CommonDenominator(L, n, dom)
-    states, weights = _ensemble(L, n)
+    gen, weights = _ensemble(L, n)
     bullet_num = [[dom.zero] * L for _ in range(n)]
     box_num = [[dom.zero] * L for _ in range(n)]
-    for w, m in zip(states, weights):
+    for w, m in zip(gen.states, weights):
         wv = dom.weight(m)
         for x, letter in enumerate(w.letters):
             if letter > 0:
@@ -337,11 +336,11 @@ def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
     """Rate-weighted occupation sums: the bullet edge current numerator per
     (row, boundary), and per row the same-row bullet-box patterns that
     trigger the nonlocal moves, up (box to the right) and down (to the left)."""
-    states, _ = _ensemble(L, n)
+    gen, _ = _ensemble(L, n)
     edge = [[dom.zero] * L for _ in range(n)]
     up = [dom.zero] * n
     down = [dom.zero] * n
-    for w, wv in zip(states, wvals):
+    for w, wv in zip(gen.states, wvals):
         letters = w.letters
         for x, letter in enumerate(letters):
             if letter <= 0:
@@ -376,7 +375,8 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     dom = Domain(n, rates)
     zero = dom.zero
     over = _CommonDenominator(L, n, dom)
-    wvals = [dom.weight(m) for m in _ensemble(L, n)[1]]
+    gen, weights = _ensemble(L, n)
+    wvals = [dom.weight(m) for m in weights]
     bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
 
     # Crossing-sum oracles from displacement records.
@@ -384,7 +384,7 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     box_col_num = [zero] * L
     box_row_num = [[zero] * L for _ in range(n)]
     box_swap_num = [[zero] * L for _ in range(n)]
-    for outs, wv in zip(_transitions_cache(L, n), wvals):
+    for outs, wv in zip(gen.transitions, wvals):
         for t in outs:
             coef = wv * dom.rate(t.rate_symbol)
             for d in t.displacements:

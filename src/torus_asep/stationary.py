@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,12 +207,10 @@ def _integer_arcs(gen: SparseGenerator, rates: RatePoint) -> list[tuple[int, int
             if v.denominator != 1:
                 raise StationaryError(f"rate {family}{k} did not scale to an integer")
             value[(family, k)] = v.numerator
-    # Looking states up by their letters skips the dataclass __eq__ of ColoredWord.
-    where = {w.letters: j for j, w in enumerate(gen.states)}
     return [
-        (j, where[t.target.letters], value[t.rate_symbol])
-        for j, outs in enumerate(gen.transitions)
-        for t in outs
+        (j, k, value[t.rate_symbol])
+        for j, (outs, targets) in enumerate(zip(gen.transitions, gen.targets))
+        for t, k in zip(outs, targets)
         if value[t.rate_symbol]
     ]
 
@@ -532,11 +531,11 @@ def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGe
     wvals = [dom.weight(config_weight(w)) for w in gen.states]
     inflow = [dom.zero] * gen.num_states
     outflow = [dom.zero] * gen.num_states
-    for j, outs in enumerate(gen.transitions):
-        for t in outs:
+    for j, (outs, targets) in enumerate(zip(gen.transitions, gen.targets)):
+        for t, k in zip(outs, targets):
             flow = wvals[j] * dom.rate(t.rate_symbol)
             outflow[j] += flow
-            inflow[gen.index[t.target]] += flow
+            inflow[k] += flow
     failures = []
     for j in range(gen.num_states):
         residual = inflow[j] - outflow[j]
@@ -607,26 +606,24 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     Checks, exactly and exhaustively: (1) the total rate from any fiber
     state into each target fiber depends only on the fiber (strong
     lumpability), and (2) the sum of weights over a fiber equals the product
-    over gaps of total_box_weight(k)^{c_k}.
+    over gaps of total_box_weight(k)^{c_k}.  Every rate is a distinct
+    variable, so (1) holds exactly when every member of a fiber has the same
+    multiset of (target fiber, rate symbol) over its arcs.
     """
     from .dynamics import build_generator
-    from .symbolic import rate_symbol_poly
 
     if gen is None:
         gen = build_generator(L, n)
+    lumped = [lump(w) for w in gen.states]
     fibers: dict[OneDimConfig, list[int]] = {}
-    for j, w in enumerate(gen.states):
-        fibers.setdefault(lump(w), []).append(j)
+    for j, psi in enumerate(lumped):
+        fibers.setdefault(psi, []).append(j)
 
     rate_failures = []
     for psi, members in fibers.items():
-        reference: dict[OneDimConfig, Polynomial] | None = None
+        reference = None
         for j in members:
-            into: dict[OneDimConfig, Polynomial] = {}
-            for t in gen.transitions[j]:
-                target = lump(t.target)
-                poly = rate_symbol_poly(n, t.rate_symbol)
-                into[target] = into.get(target, Polynomial.zero(n)) + poly
+            into = Counter((lumped[k], t.rate_symbol) for t, k in zip(gen.transitions[j], gen.targets[j]))
             if reference is None:
                 reference = into
             elif into != reference:

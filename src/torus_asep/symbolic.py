@@ -56,9 +56,6 @@ class RatePoint:
     def n(self) -> int:
         return len(self.p)
 
-    def all_positive(self) -> bool:
-        return all(x > 0 for x in self.p + self.q)
-
     def zero_q_labels(self) -> frozenset[int]:
         """Row labels k (1-based) with q_k = 0."""
         return frozenset(k + 1 for k, x in enumerate(self.q) if x == 0)

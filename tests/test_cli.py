@@ -148,6 +148,17 @@ def test_state_cap_exit_code(monkeypatch, capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("command", ["stationary", "verify", "observables"])
+def test_state_cap_applies_to_every_state_space_command(command, monkeypatch, capsys):
+    # (5,3) has 270 states.
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "100")
+    code, out, err = run([command, "--L", "5", "--n", "3", "--rates", "1,2,3;4,5,6"], capsys)
+    assert code == 3 and "270 states" in err and out == ""
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "many")
+    code, out, err = run([command, "--L", "5", "--n", "3", "--rates", "1,2,3;4,5,6"], capsys)
+    assert code == 2 and "TORUS_ASEP_STATE_CAP" in err and out == ""
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--L", "4"])

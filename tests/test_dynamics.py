@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from torus_asep.dynamics import (
     tau_zero,
 )
 from torus_asep.model import ColoredWord, enumerate_full, iter_restricted, validate
-from torus_asep.symbolic import RatePoint, p_var, q_var
+from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbol_poly
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
 
@@ -142,30 +143,116 @@ def test_monotone_strategy_reaches_basic():
         assert excess(w) == 0
 
 
+def _reference_triplets(L, n, rates=None, states=None):
+    """Reference assembly of the generator dump, one rate value per arc:
+    Polynomials (symbolic) or Fractions summed into the (source, target)
+    entries, and each diagonal entry built by subtracting every outflow
+    from zero."""
+    subset_mode = states is not None
+    if states is None:
+        states = enumerate_full(L, n)
+    index = {w: j for j, w in enumerate(states)}
+    zero = Polynomial.zero(n) if rates is None else Fraction(0)
+    entries = {}
+    diagonal = [zero] * len(states)
+    for j, w in enumerate(states):
+        for t in outgoing_transitions(w):
+            value = rate_symbol_poly(n, t.rate_symbol) if rates is None else rates.rate(t.rate_symbol)
+            if t.target not in index:
+                assert subset_mode and value == zero
+                continue
+            if value == zero:
+                continue
+            key = (j, index[t.target])
+            entries[key] = entries.get(key, zero) + value
+            diagonal[j] = diagonal[j] - value
+    rows = [(src, tgt, str(value)) for (src, tgt), value in sorted(entries.items())]
+    rows.extend((j, j, str(diagonal[j])) for j in range(len(states)))
+    return rows
+
+
+_LINEAR_TERM = re.compile(r"(-|\+ |- )?(?:(\d+)\*)?([pq])(\d+)")
+
+
+def _read_rate(text, n, symbolic):
+    """A dumped rate read back as an exact value: a Fraction, or a Polynomial
+    of degree at most one, checked to render back to the same text."""
+    if not symbolic:
+        return Fraction(text)
+    value = Polynomial.zero(n)
+    for sign, coef, family, k in _LINEAR_TERM.findall(text):
+        term = int(coef or 1) * rate_symbol_poly(n, (family, int(k)))
+        value = value - term if sign.strip() == "-" else value + term
+    assert str(value) == text
+    return value
+
+
+def _exported_matrix(gen):
+    """The exported triplets as {(source, target): exact value}."""
+    matrix = {}
+    for src, tgt, text in gen.triplet_rows():
+        assert (src, tgt) not in matrix
+        matrix[src, tgt] = _read_rate(text, gen.n, gen.rates is None)
+    return matrix
+
+
+def _columns_sum_to_zero(gen):
+    zero = Polynomial.zero(gen.n) if gen.rates is None else Fraction(0)
+    sums = [zero] * gen.num_states
+    for (src, _), value in _exported_matrix(gen).items():
+        sums[src] = sums[src] + value
+    return all(s == zero for s in sums)
+
+
 def test_generator_column_sums_symbolic():
     gen = build_generator(4, 2)
     assert gen.num_states == 48
-    assert gen.column_sums_are_zero()
+    assert _columns_sum_to_zero(gen)
 
 
 def test_generator_column_sums_numeric():
     rp = RatePoint((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
     gen = build_generator(4, 2, rates=rp)
     assert gen.num_states == 48
-    assert gen.column_sums_are_zero()
+    assert _columns_sum_to_zero(gen)
     gen21 = build_generator(2, 1, rates=RatePoint((Fraction(2),), (Fraction(7),)))
     assert gen21.num_states == 2
-    assert gen21.column_sums_are_zero()
+    assert _columns_sum_to_zero(gen21)
 
 
 def test_total_outgoing_rate_both_gaps_occupied():
     gen = build_generator(4, 2)
+    matrix = _exported_matrix(gen)
     expected = (p_var(2, 1) + q_var(2, 2)) + (p_var(2, 2) + q_var(2, 1))
     for j, w in enumerate(gen.states):
         pos = w.bullet_positions()
         gap_sizes = [(pos[1] - pos[0] - 1) % 4, (pos[0] - pos[1] - 1) % 4]
         if all(g > 0 for g in gap_sizes):
-            assert -gen.diagonal[j] == expected
+            assert -matrix[j, j] == expected
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 6) for n in range(1, L + 1)])
+def test_triplet_rows_match_per_arc_assembly(L, n):
+    assert build_generator(L, n).triplet_rows() == _reference_triplets(L, n)
+    ones = (Fraction(1),) * n
+    points = [
+        RatePoint(tuple(Fraction(k, 2) for k in range(2, n + 2)), tuple(Fraction(3 * k + 1, 5) for k in range(n)))
+    ]
+    for k in range(n):
+        zeroed = tuple(Fraction(0) if i == k else Fraction(i + 2, 3) for i in range(n))
+        points += [RatePoint(zeroed, ones), RatePoint(ones, zeroed)]
+    for rates in points:
+        assert build_generator(L, n, rates=rates).triplet_rows() == _reference_triplets(L, n, rates)
+
+
+@pytest.mark.parametrize("zero_q", [{1}, {1, 2}])
+def test_triplet_rows_match_per_arc_assembly_on_ta_subset(zero_q):
+    states, cert = restrict_ta(5, 3, zero_q)
+    assert cert.ok and len(states) < 270
+    q = tuple(Fraction(0) if k in zero_q else Fraction(k + 4, 3) for k in (1, 2, 3))
+    rates = RatePoint((Fraction(1), Fraction(7, 2), Fraction(2)), q)
+    gen = build_generator(5, 3, rates=rates, states=states)
+    assert gen.triplet_rows() == _reference_triplets(5, 3, rates, states)
 
 
 def test_generator_cap():

@@ -294,6 +294,21 @@ def test_lumping_report(L, n):
     assert report.num_fibers == L * math.comb(L - 1, n - 1)
 
 
+def test_lumping_report_reads_the_arc_targets():
+    # Swap the targets of two arcs that lead into different fibers: the
+    # state's (target fiber, rate symbol) multiset no longer matches its fiber.
+    gen = build_generator(4, 2)
+    j = next(
+        j
+        for j, targets in enumerate(gen.targets)
+        if len(targets) > 1 and lump(gen.states[targets[0]]) != lump(gen.states[targets[1]])
+    )
+    targets = [list(t) for t in gen.targets]
+    targets[j][:2] = targets[j][1::-1]
+    report = lumping_report(4, 2, gen=dataclasses.replace(gen, targets=targets))
+    assert not report.lumpable and report.marginal_ok
+
+
 def test_lumped_marginals_match_product_form():
     gen = build_generator(4, 2)
     rp = RatePoint((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
