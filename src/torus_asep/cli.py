@@ -99,6 +99,7 @@ def _emit(args, payload, csv_rows=None) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    check_state_cap(args.L, args.n, _state_cap())
     states = enumerate_restricted(args.L, args.n)
     payload = {
         "L": args.L,
@@ -113,6 +114,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_weights(args) -> int:
     rp = _parse_rates(args, args.n)
+    check_state_cap(args.L, args.n, _state_cap())
     records = []
     for w in iter_restricted(args.L, args.n):
         weight = config_weight(w)

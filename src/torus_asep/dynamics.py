@@ -30,11 +30,10 @@ from the arcs only when it is exported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
-from .symbolic import Domain, Polynomial, RatePoint
+from .symbolic import Domain, Monomial, RatePoint
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -242,17 +241,17 @@ class SparseGenerator:
         """Sparse export: (source index, target index, rate string), the
         summed off-diagonal entries by (source, target), then the diagonal."""
         dom = Domain(self.n, self.rates)
-        entries: dict[tuple[int, int], Polynomial | Fraction] = {}
-        diagonal = []
+        unit = dom.weight(Monomial.unit(self.n))
+        pairs = sorted({(j, k) for j, targets in enumerate(self.targets) for k in targets})
+        slot = {pair: i for i, pair in enumerate(pairs)}
+        entries, diagonal = dom.sums(len(pairs)), dom.sums(self.num_states)
         for j, (outs, targets) in enumerate(zip(self.transitions, self.targets)):
-            outflow = dom.zero
             for t, k in zip(outs, targets):
-                value = dom.rate(t.rate_symbol)
-                entries[j, k] = entries.get((j, k), dom.zero) + value
-                outflow = outflow - value
-            diagonal.append(outflow)
-        rows = [(src, tgt, str(value)) for (src, tgt), value in sorted(entries.items())]
-        rows.extend((j, j, str(value)) for j, value in enumerate(diagonal))
+                rate = dom.term(unit, t.rate_symbol)
+                entries.add(slot[j, k], rate)
+                diagonal.add(j, rate, -1)
+        rows = [(src, tgt, str(value)) for (src, tgt), value in zip(pairs, entries.freeze())]
+        rows.extend((j, j, str(value)) for j, value in enumerate(diagonal.freeze()))
         return rows
 
     def state_manifest(self) -> list[tuple[int, str]]:

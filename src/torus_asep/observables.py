@@ -20,6 +20,7 @@ type, `ObservableReport`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -49,47 +50,31 @@ def _check_dims(L: int, n: int) -> None:
         raise ValueError(f"need 1 <= n <= L, got n={n}, L={L}")
 
 
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def partition_function(L: int, n: int) -> Polynomial:
-    """Restricted partition function: sum over gap compositions of the
-    product of total box weights, homogeneous of degree (L-n)(n-1)."""
+    """Restricted partition function: sum over gap compositions (c_1..c_n)
+    of L - n of the product of total_box_weight(k)^{c_k}, homogeneous of
+    degree (L-n)(n-1).
+
+    That sum is the complete homogeneous symmetric polynomial h_{L-n} in the
+    n total box weights W_k, built by h_c(W_1..W_k) = h_c(W_1..W_{k-1}) +
+    W_k h_{c-1}(W_1..W_k).
+    """
     _check_dims(L, n)
     m = L - n
-    powers = []
+    h = [Polynomial.one(n)] + [Polynomial.zero(n)] * m
     for k in range(1, n + 1):
         w = total_box_weight(k, n)
-        pk = [Polynomial.one(n)]
-        for _ in range(m):
-            pk.append(pk[-1] * w)
-        powers.append(pk)
-    total = Polynomial.zero(n)
-    for comp in compositions(m, n):
-        term = Polynomial.one(n)
-        for k, c in enumerate(comp):
-            if c:
-                term = term * powers[k][c]
-        total = total + term
-    return total
+        for c in range(1, m + 1):
+            h[c] = h[c] + w * h[c - 1]
+    return h[m]
 
 
 def brute_force_partition_function(L: int, n: int) -> Polynomial:
     """Independent oracle: sum of config weights over the restricted states."""
     from .model import iter_restricted
 
-    total = Polynomial.zero(n)
-    for w in iter_restricted(L, n):
-        total = total + config_weight(w).as_polynomial()
-    return total
+    return Polynomial(n, Counter(config_weight(w).exponents for w in iter_restricted(L, n)))
 
 
 def drift(n: int) -> Polynomial:
@@ -150,8 +135,8 @@ def partition_function_special(L: int, n: int, case: str) -> SpecialCaseCertific
 
 def _first_difference(a: Polynomial, b: Polynomial) -> str:
     diff = a - b
-    for mono, coef in diff.monomials():
-        return f"{mono} (coefficient {coef})"
+    for exps, coef in diff.sorted_terms():
+        return f"{Monomial(diff.n, exps)} (coefficient {coef})"
     return "<none>"
 
 
@@ -176,9 +161,7 @@ def full_normalization(L: int, n: int) -> Polynomial:
     Cached per (L, n) once it passes; a mismatch raises, so it is never cached.
     """
     _, weights = _ensemble(L, n)
-    total = Polynomial.zero(n)
-    for m in weights:
-        total = total + m.as_polynomial()
+    total = Polynomial(n, Counter(m.exponents for m in weights))
     expected = L * partition_function(L, n)
     if total != expected:
         raise ObservableMismatch(f"sum of weights differs from L*Z at ({L},{n})")
@@ -288,14 +271,12 @@ def box_density_numerator(L: int, n: int, i: int) -> Polynomial:
         return box_density_numerator(L, n, 1).shift_rows(i - 1)
     total = Polynomial.zero(n)
     for a in range(1, n + 1):
-        w1a = box_weight(1, a, n).as_polynomial()
+        # sum over j = 1..L-n of W_a^{j-1} Z(L-j, n), by Horner's rule
         wa = total_box_weight(a, n)
         inner = Polynomial.zero(n)
-        power = Polynomial.one(n)
-        for j in range(1, L - n + 1):
-            inner = inner + power * partition_function(L - j, n)
-            power = power * wa
-        total = total + w1a * inner
+        for j in range(L - n, 0, -1):
+            inner = partition_function(L - j, n) + wa * inner
+        total = total + inner * box_weight(1, a, n)
     return total
 
 
@@ -310,15 +291,17 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
     dom = Domain(n, rates)
     over = _CommonDenominator(L, n, dom)
     gen, weights = _ensemble(L, n)
-    bullet_num = [[dom.zero] * L for _ in range(n)]
-    box_num = [[dom.zero] * L for _ in range(n)]
+    bullet_sums = [dom.sums(L) for _ in range(n)]
+    box_sums = [dom.sums(L) for _ in range(n)]
     for w, m in zip(gen.states, weights):
         wv = dom.weight(m)
         for x, letter in enumerate(w.letters):
             if letter > 0:
-                bullet_num[letter - 1][x] += wv
+                bullet_sums[letter - 1].add(x, wv)
             else:
-                box_num[-letter - 1][x] += wv
+                box_sums[-letter - 1].add(x, wv)
+    bullet_num = [s.freeze() for s in bullet_sums]
+    box_num = [s.freeze() for s in box_sums]
 
     box_closed = [dom.value(box_density_numerator(L, n, i)) for i in range(1, n + 1)]
     entries = []
@@ -337,9 +320,9 @@ def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
     (row, boundary), and per row the same-row bullet-box patterns that
     trigger the nonlocal moves, up (box to the right) and down (to the left)."""
     gen, _ = _ensemble(L, n)
-    edge = [[dom.zero] * L for _ in range(n)]
-    up = [dom.zero] * n
-    down = [dom.zero] * n
+    edge = [dom.sums(L) for _ in range(n)]
+    up = dom.sums(n)
+    down = dom.sums(n)
     for w, wv in zip(gen.states, wvals):
         letters = w.letters
         for x, letter in enumerate(letters):
@@ -349,16 +332,16 @@ def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
             right = letters[(x + 1) % L]
             left = letters[(x - 1) % L]
             if right < 0:
-                term = wv * dom.rate(("p", letter))
-                edge[i][x] += term
+                term = dom.term(wv, ("p", letter))
+                edge[i].add(x, term)
                 if right == -letter:
-                    up[i] += term
+                    up.add(i, term)
             if left < 0:
-                term = wv * dom.rate(("q", letter))
-                edge[i][(x - 1) % L] -= term
+                term = dom.term(wv, ("q", letter))
+                edge[i].add((x - 1) % L, term, -1)
                 if left == -letter:
-                    down[i] += term
-    return edge, up, down
+                    down.add(i, term)
+    return [e.freeze() for e in edge], up.freeze(), down.freeze()
 
 
 def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
@@ -380,25 +363,28 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
 
     # Crossing-sum oracles from displacement records.
-    bullet_edge_cross = [[zero] * L for _ in range(n)]
-    box_col_num = [zero] * L
-    box_row_num = [[zero] * L for _ in range(n)]
-    box_swap_num = [[zero] * L for _ in range(n)]
+    edge_cross = [dom.sums(L) for _ in range(n)]
+    box_col = dom.sums(L)
+    box_row = [dom.sums(L) for _ in range(n)]
+    box_swap = [dom.sums(L) for _ in range(n)]
     for outs, wv in zip(gen.transitions, wvals):
         for t in outs:
-            coef = wv * dom.rate(t.rate_symbol)
+            term = dom.term(wv, t.rate_symbol)
             for d in t.displacements:
                 for boundary, sign in displacement_crossings(d, L):
-                    contrib = coef if sign > 0 else -coef
                     if d.species == "bullet":
-                        bullet_edge_cross[d.label_from - 1][boundary] += contrib
+                        edge_cross[d.label_from - 1].add(boundary, term, sign)
                     else:
-                        box_col_num[boundary] += contrib
+                        box_col.add(boundary, term, sign)
                         if not d.jump:
                             row = d.label_from - 1
-                            box_row_num[row][boundary] += contrib
+                            box_row[row].add(boundary, term, sign)
                             if t.kind in ("F1", "B1"):
-                                box_swap_num[row][boundary] += contrib
+                                box_swap[row].add(boundary, term, sign)
+    bullet_edge_cross = [s.freeze() for s in edge_cross]
+    box_col_num = box_col.freeze()
+    box_row_num = [s.freeze() for s in box_row]
+    box_swap_num = [s.freeze() for s in box_swap]
 
     # The label-preserving swap part alone carries no net current; the whole
     # per-row horizontal box current comes from the shifting blocks.
@@ -418,8 +404,8 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
         closed_edge = closed_col = closed_up = closed_down = closed_net = zero
         closed_row = [zero] * n
     else:
-        p_all = dom.weight(rate_product(n, "p"))
-        q_all = dom.weight(rate_product(n, "q"))
+        p_all = dom.value(rate_product(n, "p").as_polynomial())
+        q_all = dom.value(rate_product(n, "q").as_polynomial())
         drift_val = p_all - q_all
         z_prev = dom.value(partition_function(L - 1, n))
         closed_edge = drift_val * z_prev

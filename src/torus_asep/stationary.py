@@ -18,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -33,6 +35,7 @@ class StationaryError(RuntimeError):
 # -- stationary weights ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def box_weight(i: int, k: int, n: int) -> Monomial:
     """Weight of a box at row i sitting in gap k; total degree n - 1."""
     if not (1 <= i <= n and 1 <= k <= n):
@@ -58,21 +61,20 @@ def box_weight(i: int, k: int, n: int) -> Monomial:
     return Monomial(n, tuple(e))
 
 
+@lru_cache(maxsize=None)
 def total_box_weight(k: int, n: int) -> Polynomial:
     """Sum of box_weight(i, k) over all rows i; n terms of degree n - 1."""
-    total = Polynomial.zero(n)
-    for i in range(1, n + 1):
-        total = total + box_weight(i, k, n).as_polynomial()
-    return total
+    return Polynomial(n, Counter(box_weight(i, k, n).exponents for i in range(1, n + 1)))
 
 
 def config_weight(w: ColoredWord) -> Monomial:
     """Product of box weights over all boxes of the state."""
     ensure_valid(w)
-    total = Monomial.unit(w.n)
+    n = w.n
+    total = (0,) * (2 * n)
     for _, i, g in box_gap_labels(w):
-        total = total * box_weight(i, g, w.n)
-    return total
+        total = tuple(map(add, total, box_weight(i, g, n).exponents))
+    return Monomial(n, total)
 
 
 @dataclass
@@ -155,9 +157,7 @@ def weight_table(L: int, n: int, states: list[ColoredWord] | None = None) -> Sta
     if states is None:
         states = enumerate_full(L, n)
     weights = [config_weight(w) for w in states]
-    total = Polynomial.zero(n)
-    for m in weights:
-        total = total + m.as_polynomial()
+    total = Polynomial(n, Counter(m.exponents for m in weights))
     return StationaryTable(states=states, weights=weights, normalization=total)
 
 
@@ -528,19 +528,14 @@ def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGe
     if gen is None:
         gen = build_generator(L, n)
     dom = Domain(n, rates)
-    wvals = [dom.weight(config_weight(w)) for w in gen.states]
-    inflow = [dom.zero] * gen.num_states
-    outflow = [dom.zero] * gen.num_states
-    for j, (outs, targets) in enumerate(zip(gen.transitions, gen.targets)):
+    net = dom.sums(gen.num_states)  # inflow minus outflow per state
+    for j, (w, outs, targets) in enumerate(zip(gen.states, gen.transitions, gen.targets)):
+        wv = dom.weight(config_weight(w))
         for t, k in zip(outs, targets):
-            flow = wvals[j] * dom.rate(t.rate_symbol)
-            outflow[j] += flow
-            inflow[k] += flow
-    failures = []
-    for j in range(gen.num_states):
-        residual = inflow[j] - outflow[j]
-        if residual != dom.zero:
-            failures.append((gen.states[j], residual))
+            flow = dom.term(wv, t.rate_symbol)
+            net.add(k, flow)
+            net.add(j, flow, -1)
+    failures = [(w, residual) for w, residual in zip(gen.states, net.freeze()) if residual]
     return BalanceReport(L, n, dom.mode, gen.num_states, failures)
 
 
@@ -629,14 +624,12 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
             elif into != reference:
                 rate_failures.append((psi, gen.states[j]))
 
-    marginal_failures = []
-    weights = [config_weight(w) for w in gen.states]
-    for psi, members in fibers.items():
-        total = Polynomial.zero(n)
-        for j in members:
-            total = total + weights[j].as_polynomial()
-        if total != evans_product(psi.gap_vector(), n):
-            marginal_failures.append(psi)
+    weights = [config_weight(w).exponents for w in gen.states]
+    marginal_failures = [
+        psi
+        for psi, members in fibers.items()
+        if Polynomial(n, Counter(weights[j] for j in members)) != evans_product(psi.gap_vector(), n)
+    ]
 
     return LumpingReport(
         L=L,

@@ -1,8 +1,11 @@
 """Exact arithmetic in the 2n hopping rates p_1..p_n, q_1..q_n.
 
-Coefficients are `fractions.Fraction` throughout and polynomials are kept in
-canonical form (no zero terms, one entry per monomial), so `==` is
-mathematical equality. No floating point enters any identity computed here.
+A polynomial stores an integral coefficient as an `int` and any other as a
+`fractions.Fraction`, and is kept in canonical form (no zero terms, one entry
+per monomial), so `==` is mathematical equality; `evaluate` returns a
+`Fraction`.  Sums over many states are built in place by a `Domain`'s
+accumulators and frozen into polynomials once.  No floating point enters any
+identity computed here.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from operator import add
 
 
 def _as_fraction(x) -> Fraction:
@@ -20,6 +23,16 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact scalar (int or Fraction), got {type(x).__name__}")
+
+
+def _exact(c):
+    """The stored form of an exact scalar: an int when integral, else a Fraction."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and store the rest in `_exact` form."""
+    return {e: _exact(c) for e, c in terms.items() if c}
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -140,16 +153,12 @@ class Monomial:
     @classmethod
     def p(cls, n: int, k: int) -> "Monomial":
         _check_label(k, n)
-        e = [0] * (2 * n)
-        e[k - 1] = 1
-        return cls(n, tuple(e))
+        return cls(n, _counts(2 * n, [k - 1]))
 
     @classmethod
     def q(cls, n: int, k: int) -> "Monomial":
         _check_label(k, n)
-        e = [0] * (2 * n)
-        e[n + k - 1] = 1
-        return cls(n, tuple(e))
+        return cls(n, _counts(2 * n, [n + k - 1]))
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -160,34 +169,21 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.n != other.n:
             raise ValueError("monomials over different variable sets")
-        return Monomial(self.n, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(self.n, tuple(map(add, self.exponents, other.exponents)))
 
     def evaluate(self, rates: RatePoint) -> Fraction:
         if rates.n != self.n:
             raise ValueError("rate point has wrong number of rows")
-        value = Fraction(1)
-        for x, e in zip(rates.p + rates.q, self.exponents):
-            if e:
-                value *= x**e
-        return value
-
-    def shift_rows(self, s: int) -> "Monomial":
-        """Substitute p_j -> p_{j+s}, q_j -> q_{j+s} (labels cyclic mod n)."""
-        n = self.n
-        e = [0] * (2 * n)
-        for j in range(n):
-            e[(j + s) % n] = self.exponents[j]
-            e[n + (j + s) % n] = self.exponents[n + j]
-        return Monomial(n, tuple(e))
+        return _monomial_value(rates.p + rates.q, self.exponents, Fraction(1))
 
     def uses_q_label(self, labels) -> bool:
         return any(self.q_exponent(k) > 0 for k in labels)
 
     def as_polynomial(self) -> "Polynomial":
-        return Polynomial(self.n, {self.exponents: Fraction(1)})
+        return Polynomial._trusted(self.n, {self.exponents: 1})
 
     def __str__(self) -> str:
-        return _render_term(self.n, self.exponents, Fraction(1), lead=True)
+        return _render_term(self.n, self.exponents, 1, lead=True)
 
 
 def _check_label(k: int, n: int) -> None:
@@ -195,39 +191,54 @@ def _check_label(k: int, n: int) -> None:
         raise ValueError(f"label {k} out of range 1..{n}")
 
 
+def _counts(size: int, positions) -> tuple[int, ...]:
+    """The exponent tuple of length `size` counting each listed position."""
+    e = [0] * size
+    for j in positions:
+        e[j] += 1
+    return tuple(e)
+
+
+def _monomial_value(values, exps: tuple[int, ...], coef) -> Fraction:
+    for x, e in zip(values, exps):
+        if e:
+            coef *= x**e
+    return coef
+
+
 class Polynomial:
-    """Multivariate polynomial in p_1..p_n, q_1..q_n with Fraction coefficients."""
+    """Multivariate polynomial in p_1..p_n, q_1..q_n with exact coefficients."""
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, n: int, terms: dict[tuple[int, ...], int | Fraction] | None = None):
         self.n = n
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in (terms or {}).items():
-            coef = _as_fraction(coef)
-            if coef:
-                if len(exps) != 2 * n:
-                    raise ValueError("exponent tuple has wrong length")
-                clean[tuple(exps)] = coef
-        self._terms = clean
+        self._terms = _clean({tuple(e): _as_fraction(c) for e, c in (terms or {}).items()})
+        if any(len(e) != 2 * n for e in self._terms):
+            raise ValueError("exponent tuple has wrong length")
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[tuple[int, ...], int | Fraction]) -> "Polynomial":
+        """Wrap terms that are already clean: 2n-tuples, no zero coefficient,
+        each coefficient in `_exact` form.  The dict is taken, not copied."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly._terms = terms
+        return poly
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
-        return cls(n, {})
+        return cls._trusted(n, {})
 
     @classmethod
     def one(cls, n: int) -> "Polynomial":
-        return cls.constant(n, 1)
+        return cls._trusted(n, {(0,) * (2 * n): 1})
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {(0,) * (2 * n): _as_fraction(c)})
-
-    @classmethod
-    def from_monomial(cls, mono: Monomial, coef=1) -> "Polynomial":
-        return cls(mono.n, {mono.exponents: _as_fraction(coef)})
+        return cls(n, {(0,) * (2 * n): c})
 
     # -- inspection -------------------------------------------------------
 
@@ -237,16 +248,9 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono.exponents, Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms in graded lexicographic order on (p_1..p_n, q_1..q_n)."""
         return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def monomials(self) -> Iterator[tuple[Monomial, Fraction]]:
-        for exps, coef in self.sorted_terms():
-            yield Monomial(self.n, exps), coef
 
     def degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
@@ -262,25 +266,24 @@ class Polynomial:
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial":
+        if isinstance(other, Monomial):
+            other = other.as_polynomial()
         if isinstance(other, Polynomial):
             if other.n != self.n:
                 raise ValueError("polynomials over different variable sets")
             return other
-        if isinstance(other, Monomial):
-            return Polynomial.from_monomial(other)
         return Polynomial.constant(self.n, other)
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
         terms = dict(self._terms)
-        for exps, coef in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coef
-        return Polynomial(self.n, terms)
+        for exps, coef in self._coerce(other)._terms.items():
+            terms[exps] = terms.get(exps, 0) + coef
+        return Polynomial._trusted(self.n, _clean(terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -290,12 +293,12 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.n, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Polynomial._trusted(self.n, _clean(terms))
 
     __rmul__ = __mul__
 
@@ -327,50 +330,38 @@ class Polynomial:
         if rates.n != self.n:
             raise ValueError("rate point has wrong number of rows")
         values = rates.p + rates.q
-        total = Fraction(0)
+        return sum((_monomial_value(values, e, c) for e, c in self._terms.items()), Fraction(0))
+
+    def _map_exponents(self, n: int, rewrite) -> "Polynomial":
+        """Sum the terms after rewriting each exponent tuple (a substitution)."""
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coef in self._terms.items():
-            term = coef
-            for x, e in zip(values, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return total
+            e = rewrite(exps)
+            terms[e] = terms.get(e, 0) + coef
+        return Polynomial._trusted(n, _clean(terms))
 
     def shift_rows(self, s: int) -> "Polynomial":
         """Substitute p_j -> p_{j+s}, q_j -> q_{j+s} (labels cyclic mod n)."""
         n = self.n
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in self._terms.items():
-            e = [0] * (2 * n)
-            for j in range(n):
-                e[(j + s) % n] = exps[j]
-                e[n + (j + s) % n] = exps[n + j]
-            terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + coef
-        return Polynomial(n, terms)
+        # Output position (j + s) mod n reads input position j, in both halves.
+        order = [(j - s) % n for j in range(n)]
+        order += [n + j for j in order]
+        return self._map_exponents(n, lambda e: tuple(e[j] for j in order))
 
     def subs_identical(self) -> "Polynomial":
         """Set every p_i = p and q_i = q; the result is a polynomial in (p, q)."""
-        terms: dict[tuple[int, ...], Fraction] = {}
         n = self.n
-        for exps, coef in self._terms.items():
-            e = (sum(exps[:n]), sum(exps[n:]))
-            terms[e] = terms.get(e, Fraction(0)) + coef
-        return Polynomial(1, terms)
+        return self._map_exponents(1, lambda e: (sum(e[:n]), sum(e[n:])))
 
     def subs_symmetric(self) -> "Polynomial":
         """Set q_i = p_i for every row."""
-        terms: dict[tuple[int, ...], Fraction] = {}
         n = self.n
-        for exps, coef in self._terms.items():
-            e = tuple(exps[j] + exps[n + j] for j in range(n)) + (0,) * n
-            terms[e] = terms.get(e, Fraction(0)) + coef
-        return Polynomial(n, terms)
+        return self._map_exponents(n, lambda e: tuple(map(add, e[:n], e[n:])) + (0,) * n)
 
     def subs_zero_q(self) -> "Polynomial":
         """Set q_i = 0 for every row (terms containing any q drop out)."""
         n = self.n
-        terms = {e: c for e, c in self._terms.items() if not any(e[n:])}
-        return Polynomial(n, terms)
+        return Polynomial._trusted(n, {e: c for e, c in self._terms.items() if not any(e[n:])})
 
     # -- serialization ------------------------------------------------------
 
@@ -443,11 +434,8 @@ def rate_symbol_poly(n: int, symbol: tuple[str, int]) -> Polynomial:
 
 def rate_product(n: int, family: str) -> Monomial:
     """The monomial p_1..p_n (family 'p') or q_1..q_n (family 'q')."""
-    e = [0] * (2 * n)
     off = 0 if family == "p" else n
-    for j in range(n):
-        e[off + j] = 1
-    return Monomial(n, tuple(e))
+    return Monomial(n, _counts(2 * n, range(off, off + n)))
 
 
 @dataclass(frozen=True)
@@ -466,24 +454,34 @@ class Domain:
 
     Symbolic (rates None): polynomials in all 2n rates, so an identity is
     proved for every rate point.  Numeric: Fractions at one exact rate point.
+    A summand is a state `weight` or a weight times one rate (`term`): an
+    exponent tuple, or a value.  `sums` adds summands in place.
     """
 
     def __init__(self, n: int, rates: RatePoint | None = None):
         if rates is not None and rates.n != n:
             raise ValueError("rate point has wrong number of rows")
+        self.n = n
         self.rates = rates
         self.mode = "symbolic" if rates is None else "numeric"
         self.zero = Polynomial.zero(n) if rates is None else Fraction(0)
-        symbols = [(family, k) for family in ("p", "q") for k in range(1, n + 1)]
-        self._rate = {
-            s: rate_symbol_poly(n, s) if rates is None else rates.rate(s) for s in symbols
-        }
-
-    def rate(self, symbol: tuple[str, int]):
-        return self._rate[symbol]
+        # per rate symbol: its position in an exponent tuple, or its value
+        symbols = [(family, k) for family in "pq" for k in range(1, n + 1)]
+        self._rate = {s: j if rates is None else rates.rate(s) for j, s in enumerate(symbols)}
 
     def weight(self, mono: Monomial):
-        return mono.as_polynomial() if self.rates is None else mono.evaluate(self.rates)
+        return mono.exponents if self.rates is None else mono.evaluate(self.rates)
+
+    def term(self, weight, symbol: tuple[str, int]):
+        """A weight summand times the rate `symbol`."""
+        if self.rates is None:
+            j = self._rate[symbol]
+            return weight[:j] + (weight[j] + 1,) + weight[j + 1 :]
+        return weight * self._rate[symbol]
+
+    def sums(self, k: int) -> "MonomialSums | FractionSums":
+        """k independent running sums, all zero."""
+        return MonomialSums(self.n, k) if self.rates is None else FractionSums(k)
 
     def value(self, poly: Polynomial):
         return poly if self.rates is None else poly.evaluate(self.rates)
@@ -493,6 +491,46 @@ class Domain:
         return RationalValue(num, den) if self.rates is None else num / den
 
 
+class MonomialSums:
+    """k sums of monomials, each a dict from exponent tuple to an int count;
+    `freeze` hands them over as polynomials once, and they take no more."""
+
+    __slots__ = ("n", "slots")
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.slots: list[dict[tuple[int, ...], int]] | None = [{} for _ in range(k)]
+
+    def add(self, i: int, exps: tuple[int, ...], sign: int = 1) -> None:
+        slot = self.slots[i]
+        count = slot.get(exps, 0) + sign
+        if count:
+            slot[exps] = count
+        else:
+            del slot[exps]
+
+    def freeze(self) -> list[Polynomial]:
+        slots, self.slots = self.slots, None
+        return [Polynomial._trusted(self.n, slot) for slot in slots]
+
+
+class FractionSums:
+    """k sums of exact values at one rate point, with the interface of
+    `MonomialSums`."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, k: int):
+        self.slots: list[Fraction] | None = [Fraction(0)] * k
+
+    def add(self, i: int, value: Fraction, sign: int = 1) -> None:
+        self.slots[i] += value if sign > 0 else -value
+
+    def freeze(self) -> list[Fraction]:
+        slots, self.slots = self.slots, None
+        return slots
+
+
 # -- symmetric function bases --------------------------------------------
 
 
@@ -500,34 +538,22 @@ def elementary_symmetric(n: int, k: int) -> Polynomial:
     """e_k(p_1,..,p_n), 1 <= k <= n."""
     if not 1 <= k <= n:
         raise ValueError(f"elementary symmetric degree {k} out of range 1..{n}")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for subset in itertools.combinations(range(n), k):
-        e = [0] * (2 * n)
-        for j in subset:
-            e[j] = 1
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(n, terms)
+    return Polynomial(n, {_counts(2 * n, c): 1 for c in itertools.combinations(range(n), k)})
 
 
 def homogeneous_symmetric(n: int, k: int) -> Polynomial:
     """h_k(p_1,..,p_n), k >= 0 (h_0 = 1)."""
     if k < 0:
         raise ValueError("homogeneous symmetric degree must be >= 0")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        e = [0] * (2 * n)
-        for j in combo:
-            e[j] += 1
-        terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + 1
-    return Polynomial(n, terms)
+    combos = itertools.combinations_with_replacement(range(n), k)
+    return Polynomial(n, {_counts(2 * n, c): 1 for c in combos})
 
 
 def pq_integer(n: int) -> Polynomial:
     """The two-variable quantum integer p^{n-1} + p^{n-2} q + .. + q^{n-1}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    terms = {(n - 1 - i, i): Fraction(1) for i in range(n)}
-    return Polynomial(1, terms)
+    return Polynomial(1, {(n - 1 - i, i): 1 for i in range(n)})
 
 
 def reflected_homogeneous(n: int, m: int) -> Polynomial:
@@ -538,12 +564,7 @@ def reflected_homogeneous(n: int, m: int) -> Polynomial:
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
-    base = homogeneous_symmetric(n, m)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, coef in base._terms.items():
-        e = tuple(m - exps[j] for j in range(n)) + (0,) * n
-        terms[e] = terms.get(e, Fraction(0)) + coef
-    return Polynomial(n, terms)
+    return homogeneous_symmetric(n, m)._map_exponents(n, lambda e: tuple(m - x for x in e[:n]) + (0,) * n)
 
 
 def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:

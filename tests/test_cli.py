@@ -148,14 +148,18 @@ def test_state_cap_exit_code(monkeypatch, capsys):
     assert code == 3 and "cap" in err
 
 
-@pytest.mark.parametrize("command", ["stationary", "verify", "observables"])
+@pytest.mark.parametrize("command", ["stationary", "verify", "observables", "enumerate", "weights"])
 def test_state_cap_applies_to_every_state_space_command(command, monkeypatch, capsys):
-    # (5,3) has 270 states.
-    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "100")
-    code, out, err = run([command, "--L", "5", "--n", "3", "--rates", "1,2,3;4,5,6"], capsys)
-    assert code == 3 and "270 states" in err and out == ""
+    # (5,3) has 270 states, 54 of them restricted.
+    args = [command, "--L", "5", "--n", "3"]
+    if command != "enumerate":
+        args += ["--rates", "1,2,3;4,5,6"]
+    for cap in ("100", "10"):
+        monkeypatch.setenv("TORUS_ASEP_STATE_CAP", cap)
+        code, out, err = run(args, capsys)
+        assert code == 3 and "270 states" in err and out == ""
     monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "many")
-    code, out, err = run([command, "--L", "5", "--n", "3", "--rates", "1,2,3;4,5,6"], capsys)
+    code, out, err = run(args, capsys)
     assert code == 2 and "TORUS_ASEP_STATE_CAP" in err and out == ""
 
 
@@ -274,3 +278,21 @@ def test_stationary_generator_dump_matches_golden_hash(tmp_path, capsys):
     assert code == 0
     for name in ("generator.csv", "states.json"):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_STATIONARY[name], name
+
+
+# sha256 of the symbolic `verify` and `observables` JSON at (6,3), taken while
+# every sum was still built by repeated `Polynomial` addition; accumulating
+# the sums in place must leave these bytes untouched.
+GOLDEN_SYMBOLIC_6_3 = {
+    "verify": "ef888a78fe5cc89b73620c8d995f2f3b97fb30e6deedf039781e10b556b3f06e",
+    "observables": "b9e3659ea3fa387e3c06a2cdead8b4f26a0c30fb1dec198bfdddc1747c049948",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SYMBOLIC_6_3))
+def test_symbolic_output_at_6_3_matches_golden_hash(command, capsys):
+    import hashlib
+
+    code, out, _ = run([command, "--L", "6", "--n", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SYMBOLIC_6_3[command]

@@ -8,7 +8,6 @@ from torus_asep.observables import (
     brute_force_partition_function,
     closed_box_density,
     closed_currents,
-    compositions,
     currents_exact,
     densities,
     drift,
@@ -42,7 +41,10 @@ def test_partition_function_displays():
 def test_partition_function_degree_and_generating_series():
     z = partition_function(6, 3)
     assert z.is_homogeneous(3 * 2)
-    assert len(list(compositions(3, 3))) == 10
+    # at unit rates every total box weight is n, and there are C(5, 2) = 10
+    # gap compositions of L - n = 3 into n = 3 parts
+    ones = RatePoint((Fraction(1),) * 3, (Fraction(1),) * 3)
+    assert z.evaluate(ones) == 3**3 * 10
 
 
 @pytest.mark.parametrize("L,n", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 4)])

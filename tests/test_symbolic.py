@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_polynomial import Polynomial as ReferencePolynomial
 from torus_asep.symbolic import (
+    Domain,
+    FractionSums,
     Monomial,
+    MonomialSums,
     Polynomial,
     RatePoint,
     elementary_symmetric,
@@ -188,3 +192,101 @@ def test_monomial_rendering():
     mono = Monomial(2, (2, 0, 1, 0))
     assert str(mono) == "p1^2*q1"
     assert str(Polynomial.zero(2)) == "0"
+
+
+# -- differential tests against the reference Polynomial -------------------------
+
+# Integral and fractional coefficients, some of them cancelling in a sum.
+exact_coeff = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+term_dicts = st.dictionaries(small_exps, exact_coeff, max_size=4)
+scalars = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def _same(new: Polynomial, ref: ReferencePolynomial) -> None:
+    assert new.n == ref.n
+    assert new._terms == ref._terms
+    assert str(new) == str(ref)
+    assert new.to_json_dict() == ref.to_json_dict()
+    # storage rule: no zero term, an int for every integral coefficient
+    for coef in new._terms.values():
+        assert coef and (type(coef) is int or coef.denominator != 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, term_dicts, st.integers(0, 3), scalars, rate_points, st.integers(-2, 3))
+def test_polynomial_matches_reference(ta, tb, k, c, point, shift):
+    a, b = Polynomial(2, ta), Polynomial(2, tb)
+    ra, rb = ReferencePolynomial(2, ta), ReferencePolynomial(2, tb)
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(-a, -ra)
+    _same(a * b, ra * rb)
+    _same(a**k, ra**k)
+    _same(a + c, ra + c)
+    _same(c - a, c - ra)
+    _same(c * a, c * ra)
+    assert (a == b) == (ra == rb)
+    assert (a == c) == (ra == c)
+    assert a - a == 0
+    value = a.evaluate(point)
+    assert type(value) is Fraction and value == ra.evaluate(point)
+    _same(a.shift_rows(shift), ra.shift_rows(shift))
+    _same(a.subs_identical(), ra.subs_identical())
+    _same(a.subs_symmetric(), ra.subs_symmetric())
+    _same(a.subs_zero_q(), ra.subs_zero_q())
+    _same(Polynomial.from_json_dict(a.to_json_dict()), ra)
+
+
+# (slot, exponents, sign) summands; each drawn summand is also added once
+# more with the opposite sign when `cancel` is set, so some sums vanish.
+summands = st.lists(
+    st.tuples(st.integers(0, 2), small_exps, st.sampled_from([1, -1]), st.booleans()),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(summands, rate_points)
+def test_accumulated_sums_match_repeated_reference_adds(items, point):
+    symbolic, numeric = Domain(2).sums(3), Domain(2, point).sums(3)
+    expected = [ReferencePolynomial.zero(2) for _ in range(3)]
+    for slot, exps, sign, cancel in items:
+        mono = ReferencePolynomial(2, {exps: 1})
+        for s in (sign, -sign) if cancel else (sign,):
+            symbolic.add(slot, exps, s)
+            numeric.add(slot, Monomial(2, exps).evaluate(point), s)
+            expected[slot] = expected[slot] + mono if s > 0 else expected[slot] - mono
+    for new, value, ref in zip(symbolic.freeze(), numeric.freeze(), expected):
+        _same(new, ref)
+        assert type(value) is Fraction and value == ref.evaluate(point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_exps, st.sampled_from([("p", 1), ("p", 2), ("q", 1), ("q", 2)]), rate_points)
+def test_domain_term_is_weight_times_rate(exps, symbol, point):
+    var = (Monomial.p if symbol[0] == "p" else Monomial.q)(2, symbol[1])
+    expected = ReferencePolynomial(2, {exps: 1}) * ReferencePolynomial(2, {var.exponents: 1})
+    symbolic, numeric = Domain(2), Domain(2, point)
+    sums = symbolic.sums(1)
+    sums.add(0, symbolic.term(symbolic.weight(Monomial(2, exps)), symbol))
+    _same(sums.freeze()[0], expected)
+    assert numeric.term(numeric.weight(Monomial(2, exps)), symbol) == expected.evaluate(point)
+
+
+@pytest.mark.parametrize("rates", [None, ONES], ids=["symbolic", "numeric"])
+def test_sums_slots_are_distinct_and_freeze_once(rates):
+    dom = Domain(2, rates)
+    sums = dom.sums(2)
+    assert isinstance(sums, MonomialSums if rates is None else FractionSums)
+    if rates is None:
+        assert sums.slots[0] is not sums.slots[1]
+    summand = dom.weight(Monomial.p(2, 1))
+    sums.add(0, summand)
+    first, second = sums.freeze()
+    assert first == dom.value(p_var(2, 1)) and second == dom.zero
+    with pytest.raises(TypeError):
+        sums.add(0, summand)
