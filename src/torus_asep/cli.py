@@ -33,7 +33,7 @@ from .mcmc import estimate_observables, run_manifest, simulate
 from .model import enumerate_restricted, iter_restricted
 from .stationary import (
     StationaryError,
-    config_weight,
+    _enumerated_weight,
     exact_stationary,
     lumping_report,
     verify_balance,
@@ -117,7 +117,7 @@ def _cmd_weights(args) -> int:
     check_state_cap(args.L, args.n, _state_cap())
     records = []
     for w in iter_restricted(args.L, args.n):
-        weight = config_weight(w)
+        weight = _enumerated_weight(w)
         rec = {"state": w.to_text(), "weight": str(weight)}
         if rp is not None:
             rec["weight_value"] = str(weight.evaluate(rp))
@@ -135,7 +135,7 @@ def _cmd_stationary(args) -> int:
         raise ValueError("stationary requires --rates or --rates-file")
     gen = build_generator(args.L, args.n, cap=_state_cap())
     table = exact_stationary(gen, rp)
-    weights = [config_weight(w) for w in gen.states]
+    weights = [_enumerated_weight(w) for w in gen.states]
     records = []
     for w, weight, prob in zip(gen.states, weights, table.probabilities):
         records.append(
@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
         balance = verify_balance(args.L, args.n, rates=rp, gen=gen)
         checks.append(("balance_numeric", balance.ok, f"{balance.num_states} states"))
         table = exact_stationary(gen, rp)
-        weights = [config_weight(w).evaluate(rp) for w in gen.states]
+        weights = [_enumerated_weight(w).evaluate(rp) for w in gen.states]
         total = sum(weights)
         proportional = all(
             prob * total == weight for prob, weight in zip(table.probabilities, weights)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
-from .symbolic import Domain, Monomial, RatePoint
+from .symbolic import Domain, Monomial, RatePoint, rate_symbols
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -244,7 +244,7 @@ class SparseGenerator:
         unit = dom.weight(Monomial.unit(self.n))
         pairs = sorted({(j, k) for j, targets in enumerate(self.targets) for k in targets})
         slot = {pair: i for i, pair in enumerate(pairs)}
-        entries, diagonal = dom.sums(len(pairs)), dom.sums(self.num_states)
+        entries, diagonal = dom.sums(len(pairs), terms=True), dom.sums(self.num_states, terms=True)
         for j, (outs, targets) in enumerate(zip(self.transitions, self.targets)):
             for t, k in zip(outs, targets):
                 rate = dom.term(unit, t.rate_symbol)
@@ -271,8 +271,7 @@ def build_generator(
         check_state_cap(L, n, cap)
         states = enumerate_full(L, n)
     index = {w: j for j, w in enumerate(states)}
-    symbols = [(family, k) for family in ("p", "q") for k in range(1, n + 1)]
-    vanishing = set() if rates is None else {s for s in symbols if rates.rate(s) == 0}
+    vanishing = set() if rates is None else {s for s in rate_symbols(n) if rates.rate(s) == 0}
     all_transitions: list[list[Transition]] = []
     all_targets: list[list[int]] = []
     for w in states:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dynamics import SparseGenerator, build_generator, displacement_crossings
-from .stationary import box_weight, config_weight, total_box_weight
+from .stationary import _enumerated_weight, box_weight, total_box_weight
 from .symbolic import (
     Domain,
     Monomial,
@@ -74,7 +74,7 @@ def brute_force_partition_function(L: int, n: int) -> Polynomial:
     """Independent oracle: sum of config weights over the restricted states."""
     from .model import iter_restricted
 
-    return Polynomial(n, Counter(config_weight(w).exponents for w in iter_restricted(L, n)))
+    return Polynomial(n, Counter(_enumerated_weight(w).exponents for w in iter_restricted(L, n)))
 
 
 def drift(n: int) -> Polynomial:
@@ -151,7 +151,7 @@ def _ensemble(L: int, n: int) -> tuple[SparseGenerator, tuple[Monomial, ...]]:
     time, and the graph grows like the state space.
     """
     gen = build_generator(L, n)
-    return gen, tuple(config_weight(w) for w in gen.states)
+    return gen, tuple(_enumerated_weight(w) for w in gen.states)
 
 
 @lru_cache(maxsize=None)
@@ -320,9 +320,9 @@ def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
     (row, boundary), and per row the same-row bullet-box patterns that
     trigger the nonlocal moves, up (box to the right) and down (to the left)."""
     gen, _ = _ensemble(L, n)
-    edge = [dom.sums(L) for _ in range(n)]
-    up = dom.sums(n)
-    down = dom.sums(n)
+    edge = [dom.sums(L, terms=True) for _ in range(n)]
+    up = dom.sums(n, terms=True)
+    down = dom.sums(n, terms=True)
     for w, wv in zip(gen.states, wvals):
         letters = w.letters
         for x, letter in enumerate(letters):
@@ -363,10 +363,10 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
 
     # Crossing-sum oracles from displacement records.
-    edge_cross = [dom.sums(L) for _ in range(n)]
-    box_col = dom.sums(L)
-    box_row = [dom.sums(L) for _ in range(n)]
-    box_swap = [dom.sums(L) for _ in range(n)]
+    edge_cross = [dom.sums(L, terms=True) for _ in range(n)]
+    box_col = dom.sums(L, terms=True)
+    box_row = [dom.sums(L, terms=True) for _ in range(n)]
+    box_swap = [dom.sums(L, terms=True) for _ in range(n)]
     for outs, wv in zip(gen.transitions, wvals):
         for t in outs:
             term = dom.term(wv, t.rate_symbol)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import SparseGenerator
 from .model import ColoredWord, box_gap_labels, ensure_valid
-from .symbolic import Domain, Monomial, Polynomial, RatePoint, poly_det, rate_product
+from .symbolic import Domain, Monomial, Polynomial, RatePoint, poly_det, rate_product, rate_symbols
 
 
 class StationaryError(RuntimeError):
@@ -70,6 +70,12 @@ def total_box_weight(k: int, n: int) -> Polynomial:
 def config_weight(w: ColoredWord) -> Monomial:
     """Product of box weights over all boxes of the state."""
     ensure_valid(w)
+    return _enumerated_weight(w)
+
+
+def _enumerated_weight(w: ColoredWord) -> Monomial:
+    """`config_weight` of a word the package enumerated itself (by
+    `build_generator` or `iter_restricted`), so it is not validated again."""
     n = w.n
     total = (0,) * (2 * n)
     for _, i, g in box_gap_labels(w):
@@ -156,7 +162,7 @@ def weight_table(L: int, n: int, states: list[ColoredWord] | None = None) -> Sta
 
     if states is None:
         states = enumerate_full(L, n)
-    weights = [config_weight(w) for w in states]
+    weights = [_enumerated_weight(w) for w in states]
     total = Polynomial(n, Counter(m.exponents for m in weights))
     return StationaryTable(states=states, weights=weights, normalization=total)
 
@@ -200,13 +206,7 @@ _DENSE_FROM = 32
 
 def _integer_arcs(gen: SparseGenerator, rates: RatePoint) -> list[tuple[int, int, int]]:
     """(source, target, rate) for every positive-rate arc, rates scaled to integers."""
-    scaled = rates.scaled_to_integers()
-    value = {}
-    for family, vec in (("p", scaled.p), ("q", scaled.q)):
-        for k, v in enumerate(vec, start=1):
-            if v.denominator != 1:
-                raise StationaryError(f"rate {family}{k} did not scale to an integer")
-            value[(family, k)] = v.numerator
+    value = dict(zip(rate_symbols(rates.n), rates.integer_scaling()[1]))
     return [
         (j, k, value[t.rate_symbol])
         for j, (outs, targets) in enumerate(zip(gen.transitions, gen.targets))
@@ -528,9 +528,9 @@ def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGe
     if gen is None:
         gen = build_generator(L, n)
     dom = Domain(n, rates)
-    net = dom.sums(gen.num_states)  # inflow minus outflow per state
+    net = dom.sums(gen.num_states, terms=True)  # inflow minus outflow per state
     for j, (w, outs, targets) in enumerate(zip(gen.states, gen.transitions, gen.targets)):
-        wv = dom.weight(config_weight(w))
+        wv = dom.weight(_enumerated_weight(w))
         for t, k in zip(outs, targets):
             flow = dom.term(wv, t.rate_symbol)
             net.add(k, flow)
@@ -624,7 +624,7 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
             elif into != reference:
                 rate_failures.append((psi, gen.states[j]))
 
-    weights = [config_weight(w).exponents for w in gen.states]
+    weights = [_enumerated_weight(w).exponents for w in gen.states]
     marginal_failures = [
         psi
         for psi, members in fibers.items()

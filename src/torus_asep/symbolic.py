@@ -4,8 +4,10 @@ A polynomial stores an integral coefficient as an `int` and any other as a
 `fractions.Fraction`, and is kept in canonical form (no zero terms, one entry
 per monomial), so `==` is mathematical equality; `evaluate` returns a
 `Fraction`.  Sums over many states are built in place by a `Domain`'s
-accumulators and frozen into polynomials once.  No floating point enters any
-identity computed here.
+accumulators and frozen once: into polynomials in symbolic mode, and in
+numeric mode into Fractions over a power of D, the lcm of the rate
+denominators, after summing Python ints at the integer-scaled rate point
+D * r.  No floating point enters any identity computed here.
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ class RatePoint:
         vec = self.p if family == "p" else self.q
         return vec[k - 1]
 
+    def integer_scaling(self) -> tuple[int, tuple[int, ...]]:
+        """D, the lcm of the rate denominators, and the 2n integers
+        D*p_1..D*p_n, D*q_1..D*q_n."""
+        rates = self.p + self.q
+        scale = math.lcm(*(x.denominator for x in rates))
+        return scale, tuple(x.numerator * (scale // x.denominator) for x in rates)
+
     def scaled_to_integers(self) -> "RatePoint":
         """Multiply all rates by the lcm of their denominators.
 
@@ -86,9 +95,8 @@ class RatePoint:
         rescaling changes neither the stationary distribution nor any
         rate ratio.
         """
-        denoms = [x.denominator for x in self.p + self.q]
-        m = math.lcm(*denoms)
-        return RatePoint(tuple(x * m for x in self.p), tuple(x * m for x in self.q))
+        values = self.integer_scaling()[1]
+        return RatePoint(values[: self.n], values[self.n :])
 
     def as_floats(self) -> tuple[list[float], list[float]]:
         """The rates as floats; raises ValueError for a rate that overflows
@@ -174,7 +182,12 @@ class Monomial:
     def evaluate(self, rates: RatePoint) -> Fraction:
         if rates.n != self.n:
             raise ValueError("rate point has wrong number of rows")
-        return _monomial_value(rates.p + rates.q, self.exponents, Fraction(1))
+        num = den = 1
+        for x, e in zip(rates.p + rates.q, self.exponents):
+            if e:
+                num *= x.numerator**e
+                den *= x.denominator**e
+        return Fraction(num, den)
 
     def uses_q_label(self, labels) -> bool:
         return any(self.q_exponent(k) > 0 for k in labels)
@@ -199,7 +212,7 @@ def _counts(size: int, positions) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _monomial_value(values, exps: tuple[int, ...], coef) -> Fraction:
+def _monomial_value(values: tuple[int, ...], exps: tuple[int, ...], coef: int) -> int:
     for x, e in zip(values, exps):
         if e:
             coef *= x**e
@@ -327,10 +340,18 @@ class Polynomial:
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, rates: RatePoint) -> Fraction:
+        """The value at a rate point, summed in ints over the common
+        denominator lcm(coefficient denominators) * D^degree."""
         if rates.n != self.n:
             raise ValueError("rate point has wrong number of rows")
-        values = rates.p + rates.q
-        return sum((_monomial_value(values, e, c) for e, c in self._terms.items()), Fraction(0))
+        scale, values = rates.integer_scaling()
+        top = self.degree()
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        total = sum(
+            _monomial_value(values, e, c.numerator * (den // c.denominator) * scale ** (top - sum(e)))
+            for e, c in self._terms.items()
+        )
+        return Fraction(total, den * scale**top)
 
     def _map_exponents(self, n: int, rewrite) -> "Polynomial":
         """Sum the terms after rewriting each exponent tuple (a substitution)."""
@@ -427,6 +448,11 @@ def q_var(n: int, k: int) -> Polynomial:
     return Monomial.q(n, k).as_polynomial()
 
 
+def rate_symbols(n: int) -> list[tuple[str, int]]:
+    """The rate symbols ('p', 1)..('p', n), ('q', 1)..('q', n), in exponent order."""
+    return [(family, k) for family in "pq" for k in range(1, n + 1)]
+
+
 def rate_symbol_poly(n: int, symbol: tuple[str, int]) -> Polynomial:
     family, k = symbol
     return p_var(n, k) if family == "p" else q_var(n, k)
@@ -453,9 +479,13 @@ class Domain:
     """The exact arithmetic one check runs in, so each loop is written once.
 
     Symbolic (rates None): polynomials in all 2n rates, so an identity is
-    proved for every rate point.  Numeric: Fractions at one exact rate point.
-    A summand is a state `weight` or a weight times one rate (`term`): an
-    exponent tuple, or a value.  `sums` adds summands in place.
+    proved for every rate point; a state `weight` is its exponent tuple.
+    Numeric: Python ints at the integer-scaled rate point D * r, D the lcm
+    of the rate denominators; a weight of degree d is its int value there,
+    which stands for that value over D^d.  Every weight of a numeric domain
+    must have the same degree (a ValueError otherwise), so each sum has the
+    one denominator D^d, or D^(d+1) for sums of weight-times-rate `term`s.
+    `sums` adds summands in place and freezes them once.
     """
 
     def __init__(self, n: int, rates: RatePoint | None = None):
@@ -465,12 +495,23 @@ class Domain:
         self.rates = rates
         self.mode = "symbolic" if rates is None else "numeric"
         self.zero = Polynomial.zero(n) if rates is None else Fraction(0)
-        # per rate symbol: its position in an exponent tuple, or its value
-        symbols = [(family, k) for family in "pq" for k in range(1, n + 1)]
-        self._rate = {s: j if rates is None else rates.rate(s) for j, s in enumerate(symbols)}
+        # per rate symbol: its position in an exponent tuple, or its scaled value
+        if rates is None:
+            self._rate = {s: j for j, s in enumerate(rate_symbols(n))}
+        else:
+            self._scale, self._values = rates.integer_scaling()
+            self._rate = dict(zip(rate_symbols(n), self._values))
+            self._degree: int | None = None  # shared by every weight
 
     def weight(self, mono: Monomial):
-        return mono.exponents if self.rates is None else mono.evaluate(self.rates)
+        if self.rates is None:
+            return mono.exponents
+        d = mono.degree()
+        if d != self._degree:
+            if self._degree is not None:
+                raise ValueError(f"weights of degrees {self._degree} and {d} cannot share one denominator")
+            self._degree = d
+        return _monomial_value(self._values, mono.exponents, 1)
 
     def term(self, weight, symbol: tuple[str, int]):
         """A weight summand times the rate `symbol`."""
@@ -479,9 +520,10 @@ class Domain:
             return weight[:j] + (weight[j] + 1,) + weight[j + 1 :]
         return weight * self._rate[symbol]
 
-    def sums(self, k: int) -> "MonomialSums | FractionSums":
-        """k independent running sums, all zero."""
-        return MonomialSums(self.n, k) if self.rates is None else FractionSums(k)
+    def sums(self, k: int, terms: bool = False) -> "MonomialSums | IntegerSums":
+        """k independent running sums, all zero, of weights, or of `term`s
+        when `terms` is set."""
+        return MonomialSums(self.n, k) if self.rates is None else IntegerSums(self, k, terms)
 
     def value(self, poly: Polynomial):
         return poly if self.rates is None else poly.evaluate(self.rates)
@@ -514,21 +556,25 @@ class MonomialSums:
         return [Polynomial._trusted(self.n, slot) for slot in slots]
 
 
-class FractionSums:
-    """k sums of exact values at one rate point, with the interface of
-    `MonomialSums`."""
+class IntegerSums:
+    """k sums of a numeric domain's int summands, with the interface of
+    `MonomialSums`; `freeze` puts each over the domain's denominator D^d
+    (D^(d+1) for sums of terms) as one reduced Fraction."""
 
-    __slots__ = ("slots",)
+    __slots__ = ("dom", "terms", "slots")
 
-    def __init__(self, k: int):
-        self.slots: list[Fraction] | None = [Fraction(0)] * k
+    def __init__(self, dom: Domain, k: int, terms: bool):
+        self.dom = dom
+        self.terms = terms
+        self.slots: list[int] | None = [0] * k
 
-    def add(self, i: int, value: Fraction, sign: int = 1) -> None:
+    def add(self, i: int, value: int, sign: int = 1) -> None:
         self.slots[i] += value if sign > 0 else -value
 
     def freeze(self) -> list[Fraction]:
         slots, self.slots = self.slots, None
-        return slots
+        den = self.dom._scale ** ((self.dom._degree or 0) + self.terms)
+        return [Fraction(total, den) for total in slots]
 
 
 # -- symmetric function bases --------------------------------------------

@@ -296,3 +296,33 @@ def test_symbolic_output_at_6_3_matches_golden_hash(command, capsys):
     code, out, _ = run([command, "--L", "6", "--n", "3"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SYMBOLIC_6_3[command]
+
+
+# sha256 of numeric outputs at a rate point whose denominators differ, so
+# the numeric checks run at the scaled point D * r with D = 420; taken while
+# every numeric sum was still built by repeated Fraction addition.
+MIXED_RATES = "1/2,3/4,5/3;7/10,1,9/7"
+GOLDEN_MIXED_DENOMINATOR = {
+    "observables": (
+        ["observables", "--L", "6", "--n", "3", "--format", "json"],
+        "32980b823ef34afa418be4929e9e66bb7a8dce18510cf95ad545bf0d9d3f442f",
+    ),
+    "verify": (
+        ["verify", "--L", "6", "--n", "3"],
+        "d2406e3a031f303077c1f8727dae87877f6d224739cba16f492c3f7bf375dbf7",
+    ),
+    "stationary": (
+        ["stationary", "--L", "5", "--n", "3", "--format", "json"],
+        "f46d6216df36572fdb4a5664dbb1f69456dc3ac43d9572cecd32b023d730830a",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_MIXED_DENOMINATOR))
+def test_numeric_output_at_mixed_denominators_matches_golden_hash(command, capsys):
+    import hashlib
+
+    args, digest = GOLDEN_MIXED_DENOMINATOR[command]
+    code, out, _ = run(args + ["--rates", MIXED_RATES], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

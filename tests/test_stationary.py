@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_rate_point
 from torus_asep.dynamics import build_generator, restrict_ta
-from torus_asep.model import ColoredWord, iter_restricted
+from torus_asep.model import ColoredWord, ValidationError, iter_restricted
 from torus_asep import stationary
 from torus_asep.stationary import (
     StationaryError,
@@ -74,6 +74,12 @@ def test_box_weight_range_errors():
 
 def test_config_weight_worked_example():
     assert config_weight(TAU) == _mono4(p1=2, p2=4, p3=2, p4=2, q1=3, q2=1, q3=1, q4=3)
+
+
+def test_config_weight_still_validates_its_word():
+    # Two bullets labelled 1 and no bullet 2: not a state.
+    with pytest.raises(ValidationError):
+        config_weight(ColoredWord(2, (1, -1, -2, 1)))
 
 
 def test_config_weight_degenerate_and_rotation_invariant():

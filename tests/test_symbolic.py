@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference_polynomial import Polynomial as ReferencePolynomial
 from torus_asep.symbolic import (
     Domain,
-    FractionSums,
+    IntegerSums,
     Monomial,
     MonomialSums,
     Polynomial,
@@ -241,27 +241,39 @@ def test_polynomial_matches_reference(ta, tb, k, c, point, shift):
     _same(Polynomial.from_json_dict(a.to_json_dict()), ra)
 
 
-# (slot, exponents, sign) summands; each drawn summand is also added once
-# more with the opposite sign when `cancel` is set, so some sums vanish.
-summands = st.lists(
-    st.tuples(st.integers(0, 2), small_exps, st.sampled_from([1, -1]), st.booleans()),
-    max_size=12,
+def _summands(exps):
+    """(slot, exponents, sign) summands; each drawn summand is also added once
+    more with the opposite sign when `cancel` is set, so some sums vanish."""
+    return st.lists(
+        st.tuples(st.integers(0, 2), exps, st.sampled_from([1, -1]), st.booleans()),
+        max_size=12,
+    )
+
+
+# A numeric domain's weights share one degree; these all have degree 2.
+degree_two_exps = st.lists(st.integers(0, 3), min_size=2, max_size=2).map(
+    lambda pos: tuple(pos.count(j) for j in range(4))
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(summands, rate_points)
-def test_accumulated_sums_match_repeated_reference_adds(items, point):
-    symbolic, numeric = Domain(2).sums(3), Domain(2, point).sums(3)
+def _accumulate(dom, items):
+    """The frozen sums of the drawn weights, and the reference polynomials."""
+    sums = dom.sums(3)
     expected = [ReferencePolynomial.zero(2) for _ in range(3)]
     for slot, exps, sign, cancel in items:
         mono = ReferencePolynomial(2, {exps: 1})
         for s in (sign, -sign) if cancel else (sign,):
-            symbolic.add(slot, exps, s)
-            numeric.add(slot, Monomial(2, exps).evaluate(point), s)
+            sums.add(slot, dom.weight(Monomial(2, exps)), s)
             expected[slot] = expected[slot] + mono if s > 0 else expected[slot] - mono
-    for new, value, ref in zip(symbolic.freeze(), numeric.freeze(), expected):
+    return zip(sums.freeze(), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_summands(small_exps), _summands(degree_two_exps), rate_points)
+def test_accumulated_sums_match_repeated_reference_adds(items, numeric_items, point):
+    for new, ref in _accumulate(Domain(2), items):
         _same(new, ref)
+    for value, ref in _accumulate(Domain(2, point), numeric_items):
         assert type(value) is Fraction and value == ref.evaluate(point)
 
 
@@ -271,17 +283,18 @@ def test_domain_term_is_weight_times_rate(exps, symbol, point):
     var = (Monomial.p if symbol[0] == "p" else Monomial.q)(2, symbol[1])
     expected = ReferencePolynomial(2, {exps: 1}) * ReferencePolynomial(2, {var.exponents: 1})
     symbolic, numeric = Domain(2), Domain(2, point)
-    sums = symbolic.sums(1)
+    sums, values = symbolic.sums(1), numeric.sums(1, terms=True)
     sums.add(0, symbolic.term(symbolic.weight(Monomial(2, exps)), symbol))
+    values.add(0, numeric.term(numeric.weight(Monomial(2, exps)), symbol))
     _same(sums.freeze()[0], expected)
-    assert numeric.term(numeric.weight(Monomial(2, exps)), symbol) == expected.evaluate(point)
+    assert values.freeze()[0] == expected.evaluate(point)
 
 
 @pytest.mark.parametrize("rates", [None, ONES], ids=["symbolic", "numeric"])
 def test_sums_slots_are_distinct_and_freeze_once(rates):
     dom = Domain(2, rates)
     sums = dom.sums(2)
-    assert isinstance(sums, MonomialSums if rates is None else FractionSums)
+    assert isinstance(sums, MonomialSums if rates is None else IntegerSums)
     if rates is None:
         assert sums.slots[0] is not sums.slots[1]
     summand = dom.weight(Monomial.p(2, 1))
