@@ -12,7 +12,7 @@ One subcommand per verification family so failures isolate cleanly:
     ta           surviving states when backward rates vanish, with closure
 
 Exit status: 0 all requested checks passed, 1 a verification failed,
-2 usage or parse error, 3 state-space cap exceeded.  Output files are
+2 usage, parse or file error, 3 state-space cap exceeded.  Output files are
 deterministic for a fixed configuration (seeds included), so reruns are
 byte-identical.
 """
@@ -30,9 +30,10 @@ from pathlib import Path
 from . import observables as obs
 from .dynamics import DEFAULT_STATE_CAP, ResourceCapError, build_generator, check_state_cap, restrict_ta
 from .mcmc import estimate_observables, run_manifest, simulate
-from .model import enumerate_restricted, iter_restricted
+from .model import enumerate_restricted
 from .stationary import (
     StationaryError,
+    StationaryTable,
     _enumerated_weight,
     exact_stationary,
     lumping_report,
@@ -115,13 +116,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_weights(args) -> int:
     rp = _parse_rates(args, args.n)
     check_state_cap(args.L, args.n, _state_cap())
-    records = []
-    for w in iter_restricted(args.L, args.n):
-        weight = _enumerated_weight(w)
-        rec = {"state": w.to_text(), "weight": str(weight)}
-        if rp is not None:
-            rec["weight_value"] = str(weight.evaluate(rp))
-        records.append(rec)
+    states = enumerate_restricted(args.L, args.n)
+    records = StationaryTable(states, weights=[_enumerated_weight(w) for w in states]).to_json_rows(rp)
     payload = {"L": args.L, "n": args.n, "weights": records}
     header = ["state", "weight"] + (["weight_value"] if rp is not None else [])
     rows = [header] + [[r[h] for h in header] for r in records]
@@ -135,17 +131,8 @@ def _cmd_stationary(args) -> int:
         raise ValueError("stationary requires --rates or --rates-file")
     gen = build_generator(args.L, args.n, cap=_state_cap())
     table = exact_stationary(gen, rp)
-    weights = [_enumerated_weight(w) for w in gen.states]
-    records = []
-    for w, weight, prob in zip(gen.states, weights, table.probabilities):
-        records.append(
-            {
-                "state": w.to_text(),
-                "weight": str(weight),
-                "weight_value": str(weight.evaluate(rp)),
-                "probability": str(prob),
-            }
-        )
+    table.weights = gen.weights
+    records = table.to_json_rows(rp)
     payload = {"L": args.L, "n": args.n, "rates": rp.to_json_dict(), "table": records}
     header = ["state", "weight", "weight_value", "probability"]
     rows = [header] + [[r[h] for h in header] for r in records]
@@ -179,7 +166,7 @@ def _cmd_verify(args) -> int:
         balance = verify_balance(args.L, args.n, rates=rp, gen=gen)
         checks.append(("balance_numeric", balance.ok, f"{balance.num_states} states"))
         table = exact_stationary(gen, rp)
-        weights = [_enumerated_weight(w).evaluate(rp) for w in gen.states]
+        weights = [m.evaluate(rp) for m in gen.weights]
         total = sum(weights)
         proportional = all(
             prob * total == weight for prob, weight in zip(table.probabilities, weights)
@@ -365,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, StationaryError) as exc:
+    except (ValueError, StationaryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -30,6 +30,7 @@ from the arcs only when it is exported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
@@ -115,77 +116,46 @@ def block_move(pos: Sequence[int], k: int, step: int, L: int) -> tuple[int, int,
     return (b + 1) % L, (c - b - 1) % L, (c - 1) % L, label
 
 
-def _forward_transition(w: ColoredWord, k: int, pos: tuple[int, ...]) -> Transition | None:
+def _move(w: ColoredWord, k: int, d: int, pos: tuple[int, ...]) -> Transition | None:
+    """The move of bullet k by d = +1 (F1/F2, rate p_k) or d = -1 (B1/B2,
+    rate q_k), or None if the cell it steps into holds a bullet."""
     n, L = w.n, w.length
     letters = w.letters
     b = pos[k - 1]
-    right = letters[(b + 1) % L]
-    if right > 0:
+    x1 = (b + d) % L
+    i = -letters[x1]
+    if i < 0:
         return None
-    i = -right
     new = list(letters)
-    moves = [Displacement("bullet", k, k, b, (b + 1) % L, 1)]
+    new[x1] = k
+    moves = [Displacement("bullet", k, k, b, x1, d)]
     if i != k:
-        new[(b + 1) % L] = k
-        new[b] = right
-        moves.append(Displacement("box", i, i, (b + 1) % L, b, -1))
-        kind = F1
+        new[b] = -i
+        moves.append(Displacement("box", i, i, x1, b, -d))
+        kind = F1 if d > 0 else B1
     else:
-        c_start, c_len, landing, k_prev = block_move(pos, k, 1, L)
-        new[(b + 1) % L] = k
-        for t in range(c_len):
-            x = (c_start + t) % L
-            new[(x + 1) % L] = letters[x]
-            moves.append(Displacement("box", -letters[x], -letters[x], x, (x + 1) % L, 1))
-        new[landing] = -k_prev
-        back = ((b + 1) - landing) % L
-        moves.append(Displacement("box", k, k_prev, (b + 1) % L, landing, -back, jump=True))
-        kind = F2
-    return Transition(w, ColoredWord(n, tuple(new)), kind, k, ("p", k), tuple(moves))
-
-
-def _backward_transition(w: ColoredWord, k: int, pos: tuple[int, ...]) -> Transition | None:
-    n, L = w.n, w.length
-    letters = w.letters
-    b = pos[k - 1]
-    left = letters[(b - 1) % L]
-    if left > 0:
-        return None
-    i = -left
-    new = list(letters)
-    moves = [Displacement("bullet", k, k, b, (b - 1) % L, -1)]
-    if i != k:
-        new[(b - 1) % L] = k
-        new[b] = left
-        moves.append(Displacement("box", i, i, (b - 1) % L, b, 1))
-        kind = B1
-    else:
-        c_start, c_len, landing, k_next = block_move(pos, k, -1, L)
-        new[(b - 1) % L] = k
-        for t in range(c_len):
-            x = (c_start + t) % L
-            new[(x - 1) % L] = letters[x]
-            moves.append(Displacement("box", -letters[x], -letters[x], x, (x - 1) % L, -1))
-        new[landing] = -k_next
-        fwd = (landing - (b - 1)) % L
-        moves.append(Displacement("box", k, k_next, (b - 1) % L, landing, fwd, jump=True))
-        kind = B2
-    return Transition(w, ColoredWord(n, tuple(new)), kind, k, ("q", k), tuple(moves))
+        start, length, landing, label = block_move(pos, k, d, L)
+        for t in range(length):
+            x = (start + t) % L
+            new[(x + d) % L] = letters[x]
+            moves.append(Displacement("box", -letters[x], -letters[x], x, (x + d) % L, d))
+        new[landing] = -label
+        # The jumper walks against d from x1 to its landing cell.
+        moves.append(Displacement("box", k, label, x1, landing, -d * ((x1 - landing) * d % L), jump=True))
+        kind = F2 if d > 0 else B2
+    return Transition(w, ColoredWord(n, tuple(new)), kind, k, ("p" if d > 0 else "q", k), tuple(moves))
 
 
 def outgoing_transitions(w: ColoredWord) -> list[Transition]:
     """All transitions leaving w: per bullet label, forward then backward."""
     ensure_valid(w)
+    return _transitions(w)
+
+
+def _transitions(w: ColoredWord) -> list[Transition]:
+    """`outgoing_transitions` of a word already known to be valid."""
     pos = w.bullet_positions()
-    out = []
-    for k in range(1, w.n + 1):
-        t = _forward_transition(w, k, pos)
-        if t is not None:
-            out.append(t)
-        t = _backward_transition(w, k, pos)
-        if t is not None:
-            out.append(t)
-    return out
+    return [t for k in range(1, w.n + 1) for d in (1, -1) if (t := _move(w, k, d, pos)) is not None]
 
 
 def replay_displacements(t: Transition) -> ColoredWord:
@@ -237,6 +207,14 @@ class SparseGenerator:
     def num_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def weights(self) -> list[Monomial]:
+        """The stationary weight monomial of each state, computed on first
+        read; the exact solver never reads it."""
+        from .stationary import _enumerated_weight
+
+        return [_enumerated_weight(w) for w in self.states]
+
     def triplet_rows(self) -> list[tuple[int, int, str]]:
         """Sparse export: (source index, target index, rate string), the
         summed off-diagonal entries by (source, target), then the diagonal."""
@@ -265,18 +243,25 @@ def build_generator(
     cap: int = DEFAULT_STATE_CAP,
     states: list[ColoredWord] | None = None,
 ) -> SparseGenerator:
-    """The transition graph over the full state space (or a given subset)."""
+    """The transition graph over the full state space (or a given subset).
+
+    A given subset comes from the caller, so each of its words is validated;
+    the enumerated states are valid by construction.
+    """
     subset_mode = states is not None
     if states is None:
         check_state_cap(L, n, cap)
         states = enumerate_full(L, n)
+    else:
+        for w in states:
+            ensure_valid(w)
     index = {w: j for j, w in enumerate(states)}
     vanishing = set() if rates is None else {s for s in rate_symbols(n) if rates.rate(s) == 0}
     all_transitions: list[list[Transition]] = []
     all_targets: list[list[int]] = []
     for w in states:
         outs, targets = [], []
-        for t in outgoing_transitions(w):
+        for t in _transitions(w):
             k = index.get(t.target)
             if k is None:
                 # A transition may leave an explicit state subset only if its
@@ -326,6 +311,23 @@ class ReachabilityReport:
     witness_path: list[Transition]
 
 
+def breadth_first(adjacency: list[list[int]], root: int) -> dict[int, int | None]:
+    """Breadth-first search tree from root: the parent of each reached node
+    (None for root), inserted in visiting order, so the last key is a
+    deepest node."""
+    parent: dict[int, int | None] = {root: None}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    return parent
+
+
 def reachability_tau0(
     L: int, n: int, direction: str = "from", cap: int = DEFAULT_STATE_CAP
 ) -> ReachabilityReport:
@@ -334,32 +336,22 @@ def reachability_tau0(
     if direction not in ("from", "to"):
         raise ValueError("direction must be 'from' or 'to'")
     gen = build_generator(L, n, cap=cap)
-    adjacency: list[list[tuple[int, Transition]]] = [[] for _ in gen.states]
-    for j, (outs, targets) in enumerate(zip(gen.transitions, gen.targets)):
-        for t, k in zip(outs, targets):
-            if direction == "from":
-                adjacency[j].append((k, t))
-            else:
-                adjacency[k].append((j, t))
+    adjacency = gen.targets
+    if direction == "to":
+        adjacency = [[] for _ in gen.states]
+        for j, targets in enumerate(gen.targets):
+            for k in targets:
+                adjacency[k].append(j)
     root = gen.index[tau_zero(L, n)]
-    parent: dict[int, tuple[int, Transition] | None] = {root: None}
-    frontier = [root]
-    order = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, t in adjacency[u]:
-                if v not in parent:
-                    parent[v] = (u, t)
-                    nxt.append(v)
-                    order.append(v)
-        frontier = nxt
-    deepest = order[-1]
+    parent = breadth_first(adjacency, root)
+    deepest = next(reversed(parent))
     path: list[Transition] = []
     node = deepest
     while parent[node] is not None:
-        prev, t = parent[node]  # type: ignore[misc]
-        path.append(t)
+        prev = parent[node]
+        # the first arc realizing the tree edge, the one the search took
+        src, dst = (prev, node) if direction == "from" else (node, prev)
+        path.append(next(t for t, k in zip(gen.transitions[src], gen.targets[src]) if k == dst))
         node = prev
     if direction == "from":
         path.reverse()
@@ -379,27 +371,20 @@ def reachability_tau0(
 # -- totally asymmetric restriction ---------------------------------------------
 
 
-def _cyclic_open_closed(i: int, k: int, n: int) -> frozenset[int]:
-    """Labels strictly after i up to and including k, walking forward mod n."""
-    out = set()
-    j = i
-    while j != k:
-        j = j % n + 1
-        out.add(j)
-    return frozenset(out)
+@lru_cache(maxsize=None)
+def _vanishing_boxes(n: int, zero_q: frozenset[int]) -> frozenset[tuple[int, int]]:
+    """The (row, gap) pairs whose box weight has a factor q_m, m in zero_q."""
+    from .stationary import box_weight
+
+    pairs = ((i, g) for i in range(1, n + 1) for g in range(1, n + 1))
+    return frozenset((i, g) for i, g in pairs if box_weight(i, g, n).uses_q_label(zero_q))
 
 
 def ta_membership(w: ColoredWord, zero_q: frozenset[int]) -> bool:
-    """True if the stationary weight of w survives setting q_m = 0 for m in the set.
-
-    A box with label i in gap g carries the factor q_m exactly when m lies in
-    the cyclic label interval (i, g]; membership requires that interval to
-    avoid every zeroed label, for every box.
-    """
-    for _, i, g in box_gap_labels(w):
-        if _cyclic_open_closed(i, g, w.n) & zero_q:
-            return False
-    return True
+    """True if the stationary weight of w survives setting q_m = 0 for m in
+    the set, that is, if no box weight of w has a factor q_m."""
+    vanishing = _vanishing_boxes(w.n, frozenset(zero_q))
+    return not any((i, g) in vanishing for _, i, g in box_gap_labels(w))
 
 
 @dataclass

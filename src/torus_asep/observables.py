@@ -6,15 +6,18 @@ defining rate-weighted expectation (including, for box currents, the
 crossing bookkeeping of the nonlocal moves via the displacement records).
 Each check is one loop over a `Domain`: symbolic mode proves it as a
 polynomial identity in the 2n rates, numeric mode at one exact rate point.
-The ensemble is the lattice's transition graph from `build_generator`
-plus the weight of each state, cached for the two most recent lattices.
+The ensemble is the lattice's transition graph from `build_generator`,
+whose `weights` hold the weight of each state, cached for the two most
+recent lattices.
 
 Every oracle and closed-form numerator lives over the common denominator
 L * Z(L, n), which `full_normalization` proves equal to the sum of the
 weights, so an entry is decided by comparing bare numerators, with no
 cross-multiplication.  Whole-row closed forms are reported over Z(L, n) and
-scaled by L for the comparison.  Densities and currents share one report
-type, `ObservableReport`.
+scaled by L for the comparison.  Every closed form is read from one table,
+`closed_forms`, which the oracle checks and the rate-point values
+(`closed_currents`, `closed_box_density`) share.  Densities and currents
+share one report type, `ObservableReport`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dynamics import SparseGenerator, build_generator, displacement_crossings
-from .stationary import _enumerated_weight, box_weight, total_box_weight
+from .model import _check_dims, iter_restricted
+from .stationary import _enumerated_weight, box_weight, drift, total_box_weight, weight_table
 from .symbolic import (
     Domain,
     Monomial,
@@ -43,11 +47,6 @@ from .symbolic import (
 
 class ObservableMismatch(AssertionError):
     """A closed form disagrees with its brute-force oracle."""
-
-
-def _check_dims(L: int, n: int) -> None:
-    if not 1 <= n <= L:
-        raise ValueError(f"need 1 <= n <= L, got n={n}, L={L}")
 
 
 @lru_cache(maxsize=None)
@@ -72,14 +71,7 @@ def partition_function(L: int, n: int) -> Polynomial:
 
 def brute_force_partition_function(L: int, n: int) -> Polynomial:
     """Independent oracle: sum of config weights over the restricted states."""
-    from .model import iter_restricted
-
     return Polynomial(n, Counter(_enumerated_weight(w).exponents for w in iter_restricted(L, n)))
-
-
-def drift(n: int) -> Polynomial:
-    """p_1..p_n - q_1..q_n, the factor carried by every current."""
-    return rate_product(n, "p").as_polynomial() - rate_product(n, "q").as_polynomial()
 
 
 # -- special-case partition functions ------------------------------------------
@@ -144,14 +136,13 @@ def _first_difference(a: Polynomial, b: Polynomial) -> str:
 
 
 @lru_cache(maxsize=2)
-def _ensemble(L: int, n: int) -> tuple[SparseGenerator, tuple[Monomial, ...]]:
-    """The symbolic transition graph of (L, n) and the weight of each state.
+def _ensemble(L: int, n: int) -> SparseGenerator:
+    """The symbolic transition graph of (L, n), with the weights of its states.
 
     Bounded to the two most recent lattices: a check runs on one lattice at a
     time, and the graph grows like the state space.
     """
-    gen = build_generator(L, n)
-    return gen, tuple(_enumerated_weight(w) for w in gen.states)
+    return build_generator(L, n)
 
 
 @lru_cache(maxsize=None)
@@ -160,8 +151,7 @@ def full_normalization(L: int, n: int) -> Polynomial:
 
     Cached per (L, n) once it passes; a mismatch raises, so it is never cached.
     """
-    _, weights = _ensemble(L, n)
-    total = Polynomial(n, Counter(m.exponents for m in weights))
+    total = weight_table(_ensemble(L, n)).normalization
     expected = L * partition_function(L, n)
     if total != expected:
         raise ObservableMismatch(f"sum of weights differs from L*Z at ({L},{n})")
@@ -239,7 +229,8 @@ class _CommonDenominator:
         full_normalization(L, n)
         self.L = L
         self.dom = dom
-        self.z = dom.value(partition_function(L, n))
+        self.closed = closed_forms(L, n, dom)
+        self.z = self.closed["bullet_density"]
         if self.z == 0:
             raise ValueError("all weights vanish at this rate point")
         self.lz = L * self.z
@@ -251,6 +242,63 @@ class _CommonDenominator:
             closed_den, equal = self.lz, closed == oracle
         ratio = self.dom.ratio
         return ObservableEntry(name, index, ratio(closed, closed_den), ratio(oracle, self.lz), equal)
+
+    def check(self, name: str, index: tuple[int, ...], oracle) -> ObservableEntry:
+        """The entry of an oracle numerator against its closed form, which
+        for a family with rows is the one of row index[0]."""
+        closed = self.closed[name]
+        if isinstance(closed, list):
+            closed = closed[index[0] - 1]
+        return self.entry(name, index, closed, oracle, whole_row=name in WHOLE_ROW)
+
+
+# -- closed forms -------------------------------------------------------------------
+
+# The closed forms of whole-row totals sit over Z(L, n), every other one over L * Z(L, n).
+WHOLE_ROW = frozenset({"bullet_row_current", "box_vertical_up", "box_vertical_down", "box_vertical_net"})
+
+
+def closed_forms(L: int, n: int, dom: Domain) -> dict:
+    """Every closed-form numerator of (L, n) in `dom`, by observable name.
+
+    A family that depends on the row maps to its list by row.  The bullet
+    density 1/L is Z over L * Z.  Every current carries the drift times a
+    quantity of the torus one column smaller, and vanishes for L = n, where
+    there is none.  Computed afresh on every call.
+    """
+    _check_dims(L, n)
+    if L > n:
+        z_prev = dom.value(partition_function(L - 1, n))
+        row = [dom.value(box_density_numerator(L - 1, n, i)) for i in range(1, n + 1)]
+    else:
+        z_prev, row = dom.zero, [dom.zero] * n
+    p_all, q_all = (dom.value(rate_product(n, family).as_polynomial()) for family in "pq")
+    d = dom.value(drift(n))
+    return {
+        "bullet_density": dom.value(partition_function(L, n)),
+        "box_density": [dom.value(box_density_numerator(L, n, i)) for i in range(1, n + 1)],
+        "bullet_edge_current": d * z_prev,
+        "bullet_row_current": d * z_prev,
+        "box_column_current": -n * d * z_prev,
+        "box_vertical_up": p_all * z_prev,
+        "box_vertical_down": q_all * z_prev,
+        "box_vertical_net": d * z_prev,
+        "box_row_current": [d * r for r in row],
+    }
+
+
+def _closed_values(L: int, n: int, rates: RatePoint) -> dict:
+    """`closed_forms` divided out at a rate point, with no ensemble enumeration."""
+    table = closed_forms(L, n, Domain(n, rates))
+    z = table["bullet_density"]
+
+    def value(name, num):
+        return num / (z if name in WHOLE_ROW else L * z)
+
+    return {
+        name: [value(name, x) for x in num] if isinstance(num, list) else value(name, num)
+        for name, num in table.items()
+    }
 
 
 # -- densities ----------------------------------------------------------------------
@@ -290,10 +338,10 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
     _check_dims(L, n)
     dom = Domain(n, rates)
     over = _CommonDenominator(L, n, dom)
-    gen, weights = _ensemble(L, n)
+    gen = _ensemble(L, n)
     bullet_sums = [dom.sums(L) for _ in range(n)]
     box_sums = [dom.sums(L) for _ in range(n)]
-    for w, m in zip(gen.states, weights):
+    for w, m in zip(gen.states, gen.weights):
         wv = dom.weight(m)
         for x, letter in enumerate(w.letters):
             if letter > 0:
@@ -303,12 +351,11 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
     bullet_num = [s.freeze() for s in bullet_sums]
     box_num = [s.freeze() for s in box_sums]
 
-    box_closed = [dom.value(box_density_numerator(L, n, i)) for i in range(1, n + 1)]
     entries = []
     for i in range(n):
         for j in range(L):
-            entries.append(over.entry("bullet_density", (i + 1, j + 1), over.z, bullet_num[i][j]))
-            entries.append(over.entry("box_density", (i + 1, j + 1), box_closed[i], box_num[i][j]))
+            entries.append(over.check("bullet_density", (i + 1, j + 1), bullet_num[i][j]))
+            entries.append(over.check("box_density", (i + 1, j + 1), box_num[i][j]))
     return ObservableReport(L, n, dom.mode, entries).require_ok("density")
 
 
@@ -319,7 +366,7 @@ def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
     """Rate-weighted occupation sums: the bullet edge current numerator per
     (row, boundary), and per row the same-row bullet-box patterns that
     trigger the nonlocal moves, up (box to the right) and down (to the left)."""
-    gen, _ = _ensemble(L, n)
+    gen = _ensemble(L, n)
     edge = [dom.sums(L, terms=True) for _ in range(n)]
     up = dom.sums(n, terms=True)
     down = dom.sums(n, terms=True)
@@ -358,8 +405,8 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     dom = Domain(n, rates)
     zero = dom.zero
     over = _CommonDenominator(L, n, dom)
-    gen, weights = _ensemble(L, n)
-    wvals = [dom.weight(m) for m in weights]
+    gen = _ensemble(L, n)
+    wvals = [dom.weight(m) for m in gen.weights]
     bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
 
     # Crossing-sum oracles from displacement records.
@@ -399,42 +446,15 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
                     f"bullet crossing rate differs from occupation oracle at ({i + 1},{j + 1})"
                 )
 
-    if L == n:
-        # No smaller torus exists; all currents vanish.
-        closed_edge = closed_col = closed_up = closed_down = closed_net = zero
-        closed_row = [zero] * n
-    else:
-        p_all = dom.value(rate_product(n, "p").as_polynomial())
-        q_all = dom.value(rate_product(n, "q").as_polynomial())
-        drift_val = p_all - q_all
-        z_prev = dom.value(partition_function(L - 1, n))
-        closed_edge = drift_val * z_prev
-        closed_col = -n * drift_val * z_prev
-        # whole-row totals, over Z rather than L * Z
-        closed_up = p_all * z_prev
-        closed_down = q_all * z_prev
-        closed_net = drift_val * z_prev
-        closed_row = [
-            drift_val * dom.value(box_density_numerator(L - 1, n, i)) for i in range(1, n + 1)
-        ]
-
-    entries: list[ObservableEntry] = []
-    for i in range(n):
-        for j in range(L):
-            entries.append(over.entry("bullet_edge_current", (i + 1, j + 1), closed_edge, bullet_edge_num[i][j]))
-    for i in range(n):
-        row_total = sum(bullet_edge_num[i], zero)
-        entries.append(over.entry("bullet_row_current", (i + 1,), closed_net, row_total, whole_row=True))
-    for j in range(L):
-        entries.append(over.entry("box_column_current", (j + 1,), closed_col, box_col_num[j]))
+    entries = [over.check("bullet_edge_current", (i + 1, j + 1), bullet_edge_num[i][j]) for i in range(n) for j in range(L)]
+    entries += [over.check("bullet_row_current", (i + 1,), sum(bullet_edge_num[i], zero)) for i in range(n)]
+    entries += [over.check("box_column_current", (j + 1,), box_col_num[j]) for j in range(L)]
     for i in range(n):
         up, down = v_up_num[i], v_down_num[i]
-        entries.append(over.entry("box_vertical_up", (i + 1,), closed_up, up, whole_row=True))
-        entries.append(over.entry("box_vertical_down", (i + 1,), closed_down, down, whole_row=True))
-        entries.append(over.entry("box_vertical_net", (i + 1,), closed_net, up - down, whole_row=True))
-    for i in range(n):
-        for j in range(L):
-            entries.append(over.entry("box_row_current", (i + 1, j + 1), closed_row[i], box_row_num[i][j]))
+        entries.append(over.check("box_vertical_up", (i + 1,), up))
+        entries.append(over.check("box_vertical_down", (i + 1,), down))
+        entries.append(over.check("box_vertical_net", (i + 1,), up - down))
+    entries += [over.check("box_row_current", (i + 1, j + 1), box_row_num[i][j]) for i in range(n) for j in range(L)]
     report = ObservableReport(L, n, dom.mode, entries).require_ok("current")
 
     # Particle conservation across each column boundary: bullets and boxes
@@ -451,43 +471,14 @@ def closed_currents(L: int, n: int, rates: RatePoint) -> dict[str, Fraction | li
     Cheap enough for lattices beyond exact-oracle reach; per-row horizontal
     box currents come back as a list indexed by row.
     """
-    _check_dims(L, n)
-    if L == n:
-        zero = Fraction(0)
-        return {
-            "bullet_edge_current": zero,
-            "bullet_row_current": zero,
-            "box_column_current": zero,
-            "box_vertical_up": zero,
-            "box_vertical_down": zero,
-            "box_vertical_net": zero,
-            "box_row_current": [zero] * n,
-        }
-    z = partition_function(L, n).evaluate(rates)
-    z_prev = partition_function(L - 1, n).evaluate(rates)
-    p_all = rate_product(n, "p").evaluate(rates)
-    q_all = rate_product(n, "q").evaluate(rates)
-    d = p_all - q_all
-    edge = d * z_prev / (L * z)
-    row_currents = [
-        d * box_density_numerator(L - 1, n, i).evaluate(rates) / (L * z)
-        for i in range(1, n + 1)
-    ]
-    return {
-        "bullet_edge_current": edge,
-        "bullet_row_current": L * edge,
-        "box_column_current": -n * edge,
-        "box_vertical_up": p_all * z_prev / z,
-        "box_vertical_down": q_all * z_prev / z,
-        "box_vertical_net": d * z_prev / z,
-        "box_row_current": row_currents,
-    }
+    return {name: v for name, v in _closed_values(L, n, rates).items() if not name.endswith("density")}
 
 
 def closed_box_density(L: int, n: int, i: int, rates: RatePoint) -> Fraction:
     """Closed-form box density of row i at a rate point."""
-    z = partition_function(L, n).evaluate(rates)
-    return box_density_numerator(L, n, i).evaluate(rates) / (L * z)
+    if not 1 <= i <= n:
+        raise ValueError(f"row {i} out of range 1..{n}")
+    return _closed_values(L, n, rates)["box_density"][i - 1]
 
 
 @dataclass
@@ -507,7 +498,7 @@ def scott_russell_check(L: int, n: int) -> ScottRussellCertificate:
     from their defining expectations (not from the closed forms)."""
     _check_dims(L, n)
     dom = Domain(n)
-    wvals = [dom.weight(m) for m in _ensemble(L, n)[1]]
+    wvals = [dom.weight(m) for m in _ensemble(L, n).weights]
     edge, up, down = _occupation_currents(L, n, dom, wvals)
     rows = [(i + 1, up[i] - down[i] == sum(edge[i], dom.zero)) for i in range(n)]
     return ScottRussellCertificate(L, n, rows)

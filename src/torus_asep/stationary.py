@@ -23,7 +23,7 @@ from operator import add
 
 import numpy as np
 
-from .dynamics import SparseGenerator
+from .dynamics import SparseGenerator, breadth_first, build_generator
 from .model import ColoredWord, box_gap_labels, ensure_valid
 from .symbolic import Domain, Monomial, Polynomial, RatePoint, poly_det, rate_product, rate_symbols
 
@@ -74,13 +74,18 @@ def config_weight(w: ColoredWord) -> Monomial:
 
 
 def _enumerated_weight(w: ColoredWord) -> Monomial:
-    """`config_weight` of a word the package enumerated itself (by
-    `build_generator` or `iter_restricted`), so it is not validated again."""
+    """`config_weight` of a word already known to be valid: enumerated by
+    the package, or validated when it was given to `build_generator`."""
     n = w.n
     total = (0,) * (2 * n)
     for _, i, g in box_gap_labels(w):
         total = tuple(map(add, total, box_weight(i, g, n).exponents))
     return Monomial(n, total)
+
+
+def drift(n: int) -> Polynomial:
+    """p_1..p_n - q_1..q_n: the weight determinant's factor, carried by every current."""
+    return rate_product(n, "p").as_polynomial() - rate_product(n, "q").as_polynomial()
 
 
 @dataclass
@@ -100,12 +105,12 @@ def weight_identities(n: int) -> WeightIdentityReport:
     relation p_k w(i,k) - q_k w(i,k-1) = [i=k] (p_1..p_n - q_1..q_n)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    drift = rate_product(n, "p").as_polynomial() - rate_product(n, "q").as_polynomial()
+    d = drift(n)
     matrix = [
         [box_weight(i, k, n).as_polynomial() for k in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    determinant_ok = poly_det(matrix) == drift ** (n - 1)
+    determinant_ok = poly_det(matrix) == d ** (n - 1)
     failures = []
     for i in range(1, n + 1):
         for k in range(1, n + 1):
@@ -113,7 +118,7 @@ def weight_identities(n: int) -> WeightIdentityReport:
             lhs = (
                 Monomial.p(n, k) * box_weight(i, k, n)
             ).as_polynomial() - (Monomial.q(n, k) * box_weight(i, k_prev, n)).as_polynomial()
-            expected = drift if i == k else Polynomial.zero(n)
+            expected = d if i == k else Polynomial.zero(n)
             if lhs != expected:
                 failures.append((i, k))
     return WeightIdentityReport(n, determinant_ok, not failures, failures)
@@ -156,15 +161,10 @@ class StationaryTable:
         return rows
 
 
-def weight_table(L: int, n: int, states: list[ColoredWord] | None = None) -> StationaryTable:
-    """Symbolic stationary table: per-state weights plus their sum."""
-    from .model import enumerate_full
-
-    if states is None:
-        states = enumerate_full(L, n)
-    weights = [_enumerated_weight(w) for w in states]
-    total = Polynomial(n, Counter(m.exponents for m in weights))
-    return StationaryTable(states=states, weights=weights, normalization=total)
+def weight_table(gen: SparseGenerator) -> StationaryTable:
+    """Symbolic stationary table of a generator's states: their weights plus their sum."""
+    total = Polynomial(gen.n, Counter(m.exponents for m in gen.weights))
+    return StationaryTable(states=gen.states, weights=gen.weights, normalization=total)
 
 
 # -- exact stationary solve --------------------------------------------------------
@@ -177,22 +177,7 @@ def _strongly_connected(num: int, edges: list[tuple[int, int]]) -> bool:
     for u, v in edges:
         fwd[u].append(v)
         bwd[v].append(u)
-
-    def reached(adj: list[list[int]]) -> int:
-        seen = bytearray(num)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count
-
-    return reached(fwd) == num and reached(bwd) == num
+    return len(breadth_first(fwd, 0)) == num and len(breadth_first(bwd, 0)) == num
 
 
 # 31-bit primes, largest first.  The solver factors the quotient matrix
@@ -523,14 +508,12 @@ def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGe
     Symbolic mode (rates None) proves the identity as polynomials in all
     2n rates; numeric mode checks it at one exact rate point.
     """
-    from .dynamics import build_generator
-
     if gen is None:
         gen = build_generator(L, n)
     dom = Domain(n, rates)
     net = dom.sums(gen.num_states, terms=True)  # inflow minus outflow per state
-    for j, (w, outs, targets) in enumerate(zip(gen.states, gen.transitions, gen.targets)):
-        wv = dom.weight(_enumerated_weight(w))
+    for j, (m, outs, targets) in enumerate(zip(gen.weights, gen.transitions, gen.targets)):
+        wv = dom.weight(m)
         for t, k in zip(outs, targets):
             flow = dom.term(wv, t.rate_symbol)
             net.add(k, flow)
@@ -605,8 +588,6 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     variable, so (1) holds exactly when every member of a fiber has the same
     multiset of (target fiber, rate symbol) over its arcs.
     """
-    from .dynamics import build_generator
-
     if gen is None:
         gen = build_generator(L, n)
     lumped = [lump(w) for w in gen.states]
@@ -624,11 +605,10 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
             elif into != reference:
                 rate_failures.append((psi, gen.states[j]))
 
-    weights = [_enumerated_weight(w).exponents for w in gen.states]
     marginal_failures = [
         psi
         for psi, members in fibers.items()
-        if Polynomial(n, Counter(weights[j] for j in members)) != evans_product(psi.gap_vector(), n)
+        if Polynomial(n, Counter(gen.weights[j].exponents for j in members)) != evans_product(psi.gap_vector(), n)
     ]
 
     return LumpingReport(

@@ -41,8 +41,10 @@ def parse_fraction(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a decimal string into an exact Fraction."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     if "." in text or "e" in text.lower():
         return Fraction(text)
     return Fraction(int(text))
@@ -123,7 +125,7 @@ class RatePoint:
             p_text, q_text = text.split(";")
             p = tuple(parse_fraction(t) for t in p_text.split(","))
             q = tuple(parse_fraction(t) for t in q_text.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"cannot parse rate point {text!r}: {exc}") from exc
         return cls(p, q)
 
@@ -135,6 +137,8 @@ class RatePoint:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatePoint":
+        if not (isinstance(data, dict) and all(isinstance(data.get(f), list) for f in "pq")):
+            raise ValueError("a rate point must be a JSON object with lists p and q")
         return cls(
             tuple(parse_fraction(str(x)) for x in data["p"]),
             tuple(parse_fraction(str(x)) for x in data["q"]),

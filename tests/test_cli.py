@@ -137,6 +137,25 @@ def test_bad_rates_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+BAD_RATES_FILES = {
+    "missing_file": None,
+    "not_an_object": "[1, 2]",
+    "no_q": '{"p": ["1", "2"]}',
+    "zero_denominator": '{"p": ["1/0", "2"], "q": ["3", "5"]}',
+}
+
+
+@pytest.mark.parametrize("command", ["weights", "stationary", "verify"])
+@pytest.mark.parametrize("case", sorted(BAD_RATES_FILES))
+def test_bad_rates_file_is_a_usage_error(case, command, tmp_path, capsys):
+    path = tmp_path / "rates.json"
+    if BAD_RATES_FILES[case] is not None:
+        path.write_text(BAD_RATES_FILES[case])
+    code, out, err = run([command, "--L", "4", "--n", "2", "--rates-file", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_wrong_rate_length_exit_code(capsys):
     code, _, err = run(["stationary", "--L", "4", "--n", "2", "--rates", "1;2"], capsys)
     assert code == 2

@@ -15,7 +15,7 @@ from torus_asep.dynamics import (
     ta_membership,
     tau_zero,
 )
-from torus_asep.model import ColoredWord, enumerate_full, iter_restricted, validate
+from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate
 from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbol_poly
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
@@ -40,6 +40,34 @@ def test_worked_example_transitions():
     for t in trans:
         assert validate(t.target) == []
         assert t.row == t.rate_symbol[1]
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_move_rule_matches_the_separate_forward_and_backward_rules(L):
+    from reference_transitions import reference_transitions
+
+    for n in range(1, L + 1):
+        for w in enumerate_full(L, n):
+            assert outgoing_transitions(w) == reference_transitions(w), w.to_text()
+
+
+def test_words_from_outside_the_package_are_still_validated():
+    bad = ColoredWord(2, (1, -1, -2, 1))  # bullet 1 twice, no bullet 2
+    with pytest.raises(ValidationError):
+        outgoing_transitions(bad)
+    with pytest.raises(ValidationError):
+        build_generator(4, 2, states=[bad])
+
+
+def test_build_generator_validates_only_the_states_it_is_given(monkeypatch):
+    from torus_asep import dynamics
+
+    calls = []
+    monkeypatch.setattr(dynamics, "ensure_valid", calls.append)
+    build_generator(4, 2)
+    assert calls == []
+    build_generator(4, 2, states=enumerate_full(4, 2))
+    assert len(calls) == 48
 
 
 def test_no_transitions_when_full_of_bullets():

@@ -217,6 +217,21 @@ def test_currents_numeric_matches_closed(rng):
     assert report.entry("box_row_current", 2, 1).closed == values["box_row_current"][1]
 
 
+@pytest.mark.parametrize("L", range(1, 8))
+def test_closed_values_match_the_separately_written_formulas(L):
+    import random
+
+    import reference_closed_forms as reference
+
+    for n in range(1, L + 1):
+        rng = random.Random(100 * L + n)
+        for _ in range(3):
+            rp = random_rate_point(n, rng)
+            assert closed_currents(L, n, rp) == reference.closed_currents(L, n, rp)
+            for i in range(1, n + 1):
+                assert closed_box_density(L, n, i, rp) == reference.closed_box_density(L, n, i, rp)
+
+
 def test_currents_no_boxes_all_zero():
     report = currents_exact(3, 3)
     for entry in report.entries:

@@ -241,12 +241,40 @@ def test_balance_structure_of_adjacent_bullet_states():
 
 
 def test_weight_table_normalization():
-    table = weight_table(4, 2)
+    table = weight_table(build_generator(4, 2))
     from torus_asep.observables import partition_function
 
     assert table.normalization == 4 * partition_function(4, 2)
     rows = table.to_json_rows()
     assert len(rows) == 48 and "weight" in rows[0]
+
+
+def test_exact_stationary_never_reads_the_weights(monkeypatch):
+    from torus_asep.dynamics import SparseGenerator
+
+    def forbidden(gen):
+        raise AssertionError("the solver read the weights it is there to test")
+
+    monkeypatch.setattr(SparseGenerator, "weights", property(forbidden))
+    table = exact_stationary(build_generator(4, 2), RatePoint.parse("1,2;3,5"))
+    assert sum(table.probabilities) == 1
+
+
+def test_weights_are_computed_once_per_generator(monkeypatch):
+    calls = []
+    original = stationary._enumerated_weight
+
+    def counting(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(stationary, "_enumerated_weight", counting)
+    gen = build_generator(5, 3)
+    assert verify_balance(5, 3, gen=gen).ok
+    assert verify_balance(5, 3, rates=RatePoint.parse("1,2,3;4,5,6"), gen=gen).ok
+    assert lumping_report(5, 3, gen=gen).ok
+    assert weight_table(gen).weights is gen.weights
+    assert calls == gen.states
 
 
 def test_stationary_table_export_and_lookup():
@@ -328,7 +356,7 @@ def test_lumped_marginals_match_product_form():
 
 
 def test_single_lumped_state_when_no_boxes():
-    table = weight_table(3, 3)
+    table = weight_table(build_generator(3, 3))
     fibers = {lump(w) for w in table.states}
     assert len(fibers) == 3  # one per rotation; each fiber is a singleton
     report = lumping_report(3, 3)
