@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
-from .symbolic import Domain, Monomial, RatePoint, rate_symbols
+from .symbolic import Domain, Monomial, RatePoint
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -185,11 +185,11 @@ def check_state_cap(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> None:
 
 @dataclass
 class SparseGenerator:
-    """The transition graph of the chain over an enumerated state space.
+    """The transition graph of the chain over the full state space of (L, n).
 
-    transitions[j] lists the arcs leaving state j, and targets[j] holds the
-    index of each arc's target, in the same order.  An arc whose rate
-    vanishes at `rates` is left out; rates None keeps every arc.  The rate
+    transitions[j] lists every arc leaving state j, and targets[j] holds the
+    index of each arc's target, in the same order.  No rate point is
+    attached: a check that is given one reads the arcs at it.  The rate
     matrix (column j holds the outflows of state j, its diagonal entry minus
     the column's off-diagonal sum) is not stored: `triplet_rows` derives it
     from the arcs when it is exported.
@@ -201,7 +201,6 @@ class SparseGenerator:
     index: dict[ColoredWord, int]
     transitions: list[list[Transition]]
     targets: list[list[int]]
-    rates: RatePoint | None  # None = symbolic
 
     @property
     def num_states(self) -> int:
@@ -215,20 +214,26 @@ class SparseGenerator:
 
         return [_enumerated_weight(w) for w in self.states]
 
-    def triplet_rows(self) -> list[tuple[int, int, str]]:
-        """Sparse export: (source index, target index, rate string), the
-        summed off-diagonal entries by (source, target), then the diagonal."""
-        dom = Domain(self.n, self.rates)
+    def triplet_rows(self, rates: RatePoint | None = None) -> list[tuple[int, int, str]]:
+        """Sparse export at `rates` (None = symbolic): (source index, target
+        index, rate string), the summed off-diagonal entries by (source,
+        target), then the diagonal.  An arc whose rate vanishes at `rates`
+        is left out."""
+        dom = Domain(self.n, rates)
         unit = dom.weight(Monomial.unit(self.n))
-        pairs = sorted({(j, k) for j, targets in enumerate(self.targets) for k in targets})
-        slot = {pair: i for i, pair in enumerate(pairs)}
-        entries, diagonal = dom.sums(len(pairs), terms=True), dom.sums(self.num_states, terms=True)
-        for j, (outs, targets) in enumerate(zip(self.transitions, self.targets)):
-            for t, k in zip(outs, targets):
-                rate = dom.term(unit, t.rate_symbol)
-                entries.add(slot[j, k], rate)
-                diagonal.add(j, rate, -1)
-        rows = [(src, tgt, str(value)) for (src, tgt), value in zip(pairs, entries.freeze())]
+        arcs = [
+            (j, k, t.rate_symbol)
+            for j, (outs, targets) in enumerate(zip(self.transitions, self.targets))
+            for t, k in zip(outs, targets)
+            if rates is None or rates.rate(t.rate_symbol)
+        ]
+        slot = {pair: i for i, pair in enumerate(sorted({(j, k) for j, k, _ in arcs}))}
+        entries, diagonal = dom.sums(len(slot), terms=True), dom.sums(self.num_states, terms=True)
+        for j, k, symbol in arcs:
+            rate = dom.term(unit, symbol)
+            entries.add(slot[j, k], rate)
+            diagonal.add(j, rate, -1)
+        rows = [(src, tgt, str(value)) for (src, tgt), value in zip(slot, entries.freeze())]
         rows.extend((j, j, str(value)) for j, value in enumerate(diagonal.freeze()))
         return rows
 
@@ -236,49 +241,15 @@ class SparseGenerator:
         return [(j, w.to_text()) for j, w in enumerate(self.states)]
 
 
-def build_generator(
-    L: int,
-    n: int,
-    rates: RatePoint | None = None,
-    cap: int = DEFAULT_STATE_CAP,
-    states: list[ColoredWord] | None = None,
-) -> SparseGenerator:
-    """The transition graph over the full state space (or a given subset).
-
-    A given subset comes from the caller, so each of its words is validated;
-    the enumerated states are valid by construction.
-    """
-    subset_mode = states is not None
-    if states is None:
-        check_state_cap(L, n, cap)
-        states = enumerate_full(L, n)
-    else:
-        for w in states:
-            ensure_valid(w)
+def build_generator(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> SparseGenerator:
+    """The transition graph over the full state space of (L, n), every arc
+    included; the enumerated states are valid by construction."""
+    check_state_cap(L, n, cap)
+    states = enumerate_full(L, n)
     index = {w: j for j, w in enumerate(states)}
-    vanishing = set() if rates is None else {s for s in rate_symbols(n) if rates.rate(s) == 0}
-    all_transitions: list[list[Transition]] = []
-    all_targets: list[list[int]] = []
-    for w in states:
-        outs, targets = [], []
-        for t in _transitions(w):
-            k = index.get(t.target)
-            if k is None:
-                # A transition may leave an explicit state subset only if its
-                # rate vanishes (e.g. a zeroed backward rate).
-                if not subset_mode or t.rate_symbol not in vanishing:
-                    raise ValueError(
-                        "state set is not closed under the positive-rate dynamics: "
-                        f"{w.to_text()} -> {t.target.to_text()}"
-                    )
-                continue
-            if t.rate_symbol in vanishing:
-                continue
-            outs.append(t)
-            targets.append(k)
-        all_transitions.append(outs)
-        all_targets.append(targets)
-    return SparseGenerator(L, n, states, index, all_transitions, all_targets, rates)
+    transitions = [_transitions(w) for w in states]
+    targets = [[index[t.target] for t in outs] for outs in transitions]
+    return SparseGenerator(L, n, states, index, transitions, targets)
 
 
 # -- excess and reachability -----------------------------------------------------
@@ -396,15 +367,6 @@ class ClosureCertificate:
     violations: list[tuple[ColoredWord, Transition]]
 
 
-def allowed_transitions_ta(w: ColoredWord, zero_q: frozenset[int]) -> list[Transition]:
-    """Outgoing transitions once the backward moves of the zeroed rows are removed."""
-    return [
-        t
-        for t in outgoing_transitions(w)
-        if not (t.rate_symbol[0] == "q" and t.rate_symbol[1] in zero_q)
-    ]
-
-
 def restrict_ta(
     L: int, n: int, zero_q, cap: int = DEFAULT_STATE_CAP
 ) -> tuple[list[ColoredWord], ClosureCertificate]:
@@ -416,13 +378,12 @@ def restrict_ta(
     check_state_cap(L, n, cap)
     states = [w for w in enumerate_full(L, n) if ta_membership(w, zero_q)]
     members = set(states)
-    violations = []
-    checked = 0
+    vanishing = {("q", m) for m in zero_q}
+    violations, checked = [], 0
     for w in states:
-        for t in allowed_transitions_ta(w, zero_q):
-            checked += 1
-            if t.target not in members:
-                violations.append((w, t))
+        arcs = [t for t in _transitions(w) if t.rate_symbol not in vanishing]
+        checked += len(arcs)
+        violations += [(w, t) for t in arcs if t.target not in members]
     certificate = ClosureCertificate(
         ok=not violations,
         zero_q=zero_q,

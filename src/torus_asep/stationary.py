@@ -74,8 +74,8 @@ def config_weight(w: ColoredWord) -> Monomial:
 
 
 def _enumerated_weight(w: ColoredWord) -> Monomial:
-    """`config_weight` of a word already known to be valid: enumerated by
-    the package, or validated when it was given to `build_generator`."""
+    """`config_weight` of a word already known to be valid, as every word
+    the package enumerates is."""
     n = w.n
     total = (0,) * (2 * n)
     for _, i, g in box_gap_labels(w):
@@ -170,14 +170,27 @@ def weight_table(gen: SparseGenerator) -> StationaryTable:
 # -- exact stationary solve --------------------------------------------------------
 
 
-def _strongly_connected(num: int, edges: list[tuple[int, int]]) -> bool:
-    """Forward and backward reachability of node 0 over the whole graph."""
+def _closed_class(num: int, arcs: list[tuple[int, int, int]]) -> list[int]:
+    """The states of the chain's one closed class, in index order.
+
+    From node c, step to the deepest node that c reaches but that does not
+    reach c, until there is none: every step shrinks the set c reaches, and
+    at the end that set is a closed class.  It is the only one if every state
+    reaches c; otherwise StationaryError.  On an irreducible chain this is
+    one forward and one backward search from node 0.
+    """
     fwd: list[list[int]] = [[] for _ in range(num)]
     bwd: list[list[int]] = [[] for _ in range(num)]
-    for u, v in edges:
+    for u, v, _ in arcs:
         fwd[u].append(v)
         bwd[v].append(u)
-    return len(breadth_first(fwd, 0)) == num and len(breadth_first(bwd, 0)) == num
+    c: int | None = 0
+    while c is not None:
+        reach, back = breadth_first(fwd, c), breadth_first(bwd, c)
+        c = next((v for v in reversed(reach) if v not in back), None)
+    if len(back) != num:
+        raise StationaryError("chain has more than one closed class: its stationary law is not unique")
+    return sorted(reach)
 
 
 # 31-bit primes, largest first.  The solver factors the quotient matrix
@@ -347,21 +360,21 @@ def _reconstruct(x: list[int], modulus: int) -> list[int] | None:
     return [den] + [u * (den // d) for u, d in parts]
 
 
-def _rotation_orbits(gen: SparseGenerator) -> tuple[list[int], list[int]]:
-    """Orbit number of each state under rotation, and one member per orbit.
+def _rotation_orbits(gen: SparseGenerator, states: list[int]) -> tuple[list[int], list[int]]:
+    """Orbit number under rotation of each of the given states (-1 for any
+    other state), and the first member of each orbit.
 
-    The word rotated to put B1 at column 0 names the orbit.  If the states
-    are not closed under rotation, every state is its own orbit.
+    The word rotated to put B1 at column 0 names the orbit.  The states
+    must be closed under rotation.
     """
     orbit_of: dict[tuple[int, ...], int] = {}
-    orbit = []
-    for w in gen.states:
-        x = w.letters.index(1)
-        orbit.append(orbit_of.setdefault(w.letters[x:] + w.letters[:x], len(orbit_of)))
-    if len(orbit_of) * gen.L != gen.num_states:
-        orbit = list(range(gen.num_states))
-    members = [-1] * (max(orbit) + 1)
-    for j in reversed(range(gen.num_states)):
+    orbit = [-1] * gen.num_states
+    for j in states:
+        letters = gen.states[j].letters
+        x = letters.index(1)
+        orbit[j] = orbit_of.setdefault(letters[x:] + letters[:x], len(orbit_of))
+    members = [-1] * len(orbit_of)
+    for j in reversed(states):
         members[orbit[j]] = j
     return orbit, members
 
@@ -369,41 +382,32 @@ def _rotation_orbits(gen: SparseGenerator) -> tuple[list[int], list[int]]:
 def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     """Exact stationary distribution of the generator at the given rates.
 
-    The chain must have a unique stationary law, certified here by strong
-    connectivity of the positive-rate transition graph (an irreducible
-    finite chain has a one-dimensional null space).  The dynamics commute
-    with rotation, so the law is constant on rotation orbits and solves the
-    lumped chain on the orbits.  That chain, anchored at x = 1 on the orbit
-    of state 0, is factored once by sparse elimination modulo a prime,
-    lifted p-adically (Dixon) and rationally reconstructed (Wang) at doubling
-    precision.  A candidate is accepted only if it is strictly positive and
-    annihilated exactly, in integers, by every arc of the full generator;
-    past the Hadamard bound of the quotient matrix there is none.
+    The positive-rate transition graph must have one closed class, found
+    and certified here; the law is zero off it and unique (a finite chain
+    with one closed class has a one-dimensional null space).  The dynamics
+    commute with rotation, so the one class is closed under rotation, and
+    the law is constant on rotation orbits and solves the lumped chain on
+    the orbits of the class.  That chain, anchored at x = 1 on the orbit of
+    the class's first state, is factored once by sparse elimination modulo
+    a prime, lifted p-adically (Dixon) and rationally reconstructed (Wang)
+    at doubling precision.  A candidate is accepted only if it is strictly
+    positive on the class and, extended by zero, annihilated exactly, in
+    integers, by every arc of the full generator; past the Hadamard bound
+    of the quotient matrix there is none.
     """
     if rates.n != gen.n:
         raise ValueError("rate point has wrong number of rows")
-    num = gen.num_states
     arcs = _integer_arcs(gen, rates)
-    if not arcs:
-        raise StationaryError(
-            "chain has no transitions (n = L): every state is absorbing and the "
-            "stationary distribution is not unique"
-        )
-    if not _strongly_connected(num, [(u, v) for u, v, _ in arcs]):
-        raise StationaryError(
-            "chain is reducible at these rates; restrict to the surviving states "
-            "(restrict_ta) and solve there"
-        )
 
     # Quotient generator: column o holds the outflows of one member of orbit
     # o.  Deleting the redundant row and the anchored column 0 leaves the
     # integer system A y = b, with A's entries kept per row and per column.
-    orbit, members = _rotation_orbits(gen)
+    orbit, members = _rotation_orbits(gen, _closed_class(gen.num_states, arcs))
     size = len(members) - 1
     rows: list[dict[int, int]] = [{} for _ in range(size + 1)]
     for s, t, v in arcs:
         o = orbit[s]
-        if members[o] == s:
+        if o >= 0 and members[o] == s:
             into, own = rows[orbit[t]], rows[o]
             into[o] = into.get(o, 0) + v
             own[o] = own.get(o, 0) - v
@@ -429,6 +433,8 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     for x, modulus in _dixon(steps, cols, b, p):
         values = _reconstruct(x, modulus)
         if values is not None and min(values) > 0:
+            # orbit -1 reads the appended 0: the law vanishes off the class
+            values.append(0)
             full = [values[o] for o in orbit]
             if _is_null_vector(arcs, full):
                 total = sum(full)
@@ -502,14 +508,22 @@ class BalanceReport:
         return not self.failures
 
 
+def _lattice_generator(L: int, n: int, gen: SparseGenerator | None) -> SparseGenerator:
+    """`gen`, built for (L, n) when None; a ValueError if it is of another lattice."""
+    if gen is None:
+        return build_generator(L, n)
+    if (gen.L, gen.n) != (L, n):
+        raise ValueError(f"generator is of lattice (L, n) = ({gen.L}, {gen.n}), not ({L}, {n})")
+    return gen
+
+
 def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGenerator | None = None) -> BalanceReport:
     """Weighted inflow equals weighted outflow at every state, exactly.
 
     Symbolic mode (rates None) proves the identity as polynomials in all
     2n rates; numeric mode checks it at one exact rate point.
     """
-    if gen is None:
-        gen = build_generator(L, n)
+    gen = _lattice_generator(L, n, gen)
     dom = Domain(n, rates)
     net = dom.sums(gen.num_states, terms=True)  # inflow minus outflow per state
     for j, (m, outs, targets) in enumerate(zip(gen.weights, gen.transitions, gen.targets)):
@@ -588,8 +602,7 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     variable, so (1) holds exactly when every member of a fiber has the same
     multiset of (target fiber, rate symbol) over its arcs.
     """
-    if gen is None:
-        gen = build_generator(L, n)
+    gen = _lattice_generator(L, n, gen)
     lumped = [lump(w) for w in gen.states]
     fibers: dict[OneDimConfig, list[int]] = {}
     for j, psi in enumerate(lumped):

@@ -1,0 +1,52 @@
+"""Generator assembly as it stood while `build_generator` still took a rate
+point and an explicit state subset: arcs whose rate vanishes at the point
+are left out, and an arc may leave the subset only if its rate vanishes.
+Kept as the reference that the differential tests of the full-space solve
+check against; nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+from torus_asep.dynamics import DEFAULT_STATE_CAP, SparseGenerator, Transition, _transitions, check_state_cap
+from torus_asep.model import ColoredWord, enumerate_full, ensure_valid
+from torus_asep.symbolic import RatePoint, rate_symbols
+
+
+def build_generator(
+    L: int,
+    n: int,
+    rates: RatePoint | None = None,
+    cap: int = DEFAULT_STATE_CAP,
+    states: list[ColoredWord] | None = None,
+) -> SparseGenerator:
+    """The transition graph at `rates` over the full state space or a given
+    subset, which must be closed under the positive-rate dynamics."""
+    subset_mode = states is not None
+    if states is None:
+        check_state_cap(L, n, cap)
+        states = enumerate_full(L, n)
+    else:
+        for w in states:
+            ensure_valid(w)
+    index = {w: j for j, w in enumerate(states)}
+    vanishing = set() if rates is None else {s for s in rate_symbols(n) if rates.rate(s) == 0}
+    all_transitions: list[list[Transition]] = []
+    all_targets: list[list[int]] = []
+    for w in states:
+        outs, targets = [], []
+        for t in _transitions(w):
+            k = index.get(t.target)
+            if k is None:
+                if not subset_mode or t.rate_symbol not in vanishing:
+                    raise ValueError(
+                        "state set is not closed under the positive-rate dynamics: "
+                        f"{w.to_text()} -> {t.target.to_text()}"
+                    )
+                continue
+            if t.rate_symbol in vanishing:
+                continue
+            outs.append(t)
+            targets.append(k)
+        all_transitions.append(outs)
+        all_targets.append(targets)
+    return SparseGenerator(L, n, states, index, all_transitions, all_targets)

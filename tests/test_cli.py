@@ -77,6 +77,20 @@ def test_verify_numeric(capsys):
     assert any(c["name"] == "stationary_matches_weights" and c["ok"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("rates", ["1,2,3;0,5,0", "1,0,3;2,5,1/2"])
+def test_stationary_and_verify_at_a_zero_rate(rates, capsys):
+    """The full-space solve puts the law on the one closed class: each
+    probability is the weight value over their sum, zero off the class."""
+    code, out, _ = run(["stationary", "--L", "5", "--n", "3", "--rates", rates], capsys)
+    assert code == 0
+    table = json.loads(out)["table"]
+    total = sum(eval_frac(row["weight_value"]) for row in table)
+    assert all(eval_frac(row["probability"]) == eval_frac(row["weight_value"]) / total for row in table)
+    assert any(row["probability"] == "0" for row in table)
+    code, out, _ = run(["verify", "--L", "5", "--n", "3", "--rates", rates], capsys)
+    assert code == 0 and json.loads(out)["ok"]
+
+
 def test_observables_numeric(capsys):
     code, out, _ = run(
         ["observables", "--L", "4", "--n", "2", "--rates", "1,2;3,5"], capsys

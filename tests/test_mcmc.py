@@ -167,8 +167,7 @@ def test_simulation_with_vanishing_backward_rates():
     rp = RatePoint((Fraction(2), Fraction(3)), (Fraction(0), Fraction(1)))
     states, cert = restrict_ta(4, 2, {1})
     assert cert.ok
-    gen = build_generator(4, 2, rates=rp, states=states)
-    table = exact_stationary(gen, rp)
+    table = exact_stationary(build_generator(4, 2), rp)
     exact = {w.letters: p for w, p in zip(table.states, table.probabilities)}
     state, _ = simulate(4, 2, rp, seed=77, events=200_000)
     for visited in state.state_time:

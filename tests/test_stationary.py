@@ -9,13 +9,13 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_generator
 from conftest import random_rate_point
-from torus_asep.dynamics import build_generator, restrict_ta
+from torus_asep.dynamics import breadth_first, build_generator, restrict_ta
 from torus_asep.model import ColoredWord, ValidationError, iter_restricted
 from torus_asep import stationary
 from torus_asep.stationary import (
     StationaryError,
-    _strongly_connected,
     box_weight,
     config_weight,
     evans_product,
@@ -171,22 +171,45 @@ def test_exact_stationary_requires_some_dynamics():
         exact_stationary(gen, RatePoint((Fraction(1),) * 3, (Fraction(1),) * 3))
 
 
-def test_exact_stationary_rejects_reducible_full_space():
+def test_exact_stationary_solves_reducible_full_space():
+    """With q_1 = 0 the full space is reducible; the solver finds its one
+    closed class and puts the law there, zero elsewhere."""
     gen = build_generator(4, 2)
-    with pytest.raises(StationaryError) as err:
-        exact_stationary(gen, RatePoint((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))))
-    assert "restrict" in str(err.value)
+    rp = RatePoint((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))
+    table = exact_stationary(gen, rp)
+    weights = [m.evaluate(rp) for m in gen.weights]
+    total = sum(weights)
+    assert all(p * total == wv for p, wv in zip(table.probabilities, weights))
+    support = [j for j, p in enumerate(table.probabilities) if p]
+    assert 0 < len(support) < gen.num_states
+    # the class is closed under rotation, each orbit of size L
+    assert len(stationary._rotation_orbits(gen, support)[1]) == len(support) // gen.L
 
 
 def test_exact_stationary_on_ta_restriction():
     rp = RatePoint((Fraction(2), Fraction(3)), (Fraction(0), Fraction(1)))
     states, cert = restrict_ta(4, 2, {1})
     assert cert.ok
-    gen = build_generator(4, 2, rates=rp, states=states)
-    table = exact_stationary(gen, rp)
+    table = exact_stationary(build_generator(4, 2), rp)
+    assert [w for w, p in zip(table.states, table.probabilities) if p] == states
     weights = [config_weight(w).evaluate(rp) for w in states]
     total = sum(weights)
-    assert all(p * total == wv for p, wv in zip(table.probabilities, weights))
+    assert all(table.probability_of(w) * total == wv for w, wv in zip(states, weights))
+
+
+def test_exact_stationary_rejects_two_closed_classes(rng):
+    """A graph edited so that states 0 and 1 keep no arc has two closed
+    classes, and so no unique law; so has n = L, where nothing moves."""
+    gen = build_generator(4, 2)
+    cut = dataclasses.replace(
+        gen,
+        transitions=[[] if j < 2 else outs for j, outs in enumerate(gen.transitions)],
+        targets=[[] if j < 2 else targets for j, targets in enumerate(gen.targets)],
+    )
+    with pytest.raises(StationaryError, match="more than one closed class"):
+        exact_stationary(cut, random_rate_point(2, rng))
+    with pytest.raises(StationaryError, match="more than one closed class"):
+        exact_stationary(build_generator(3, 3), random_rate_point(3, rng))
 
 
 def test_symbolic_balance_small():
@@ -205,6 +228,15 @@ def test_numeric_balance(rng):
     rp = random_rate_point(3, rng)
     report = verify_balance(5, 3, rates=rp)
     assert report.ok and report.mode == "numeric"
+
+
+def test_balance_and_lumping_reject_a_generator_of_another_lattice():
+    gen = build_generator(5, 2)
+    for L, n in [(4, 2), (5, 3)]:
+        with pytest.raises(ValueError, match="lattice"):
+            verify_balance(L, n, gen=gen)
+        with pytest.raises(ValueError, match="lattice"):
+            lumping_report(L, n, gen=gen)
 
 
 def test_balance_trivial_no_boxes():
@@ -427,6 +459,16 @@ def _reference_is_null_vector(num, arcs, x):
     return all(a == 0 for a in acc)
 
 
+def _strongly_connected(num, edges):
+    """Forward and backward reachability of node 0 over the whole graph."""
+    fwd = [[] for _ in range(num)]
+    bwd = [[] for _ in range(num)]
+    for u, v in edges:
+        fwd[u].append(v)
+        bwd[v].append(u)
+    return len(breadth_first(fwd, 0)) == num and len(breadth_first(bwd, 0)) == num
+
+
 def _reference_exact_stationary(gen, rates):
     scaled = rates.scaled_to_integers()
     num = gen.num_states
@@ -518,7 +560,31 @@ def _solve_both(gen, rates):
     return out
 
 
+def _assert_same_as_subset_reference(gen, rates):
+    """At a point with a zero rate: the full-space law is the reference
+    subset assembly's solve on the law's support, which must be closed
+    under the positive-rate dynamics, and zero elsewhere; with q's zeroed
+    that support is the restrict_ta set."""
+    probabilities = exact_stationary(gen, rates).probabilities
+    support = [w for w, p in zip(gen.states, probabilities) if p]
+    if rates.zero_q_labels():
+        states, cert = restrict_ta(gen.L, gen.n, rates.zero_q_labels())
+        assert cert.ok and support == states
+    subset = reference_generator.build_generator(gen.L, gen.n, rates=rates, states=support)
+    expected = dict(zip(support, _assert_solves_like_reference(subset, rates)))
+    assert probabilities == [expected.get(w, 0) for w in gen.states], rates
+    return probabilities
+
+
 def _assert_same_as_reference(gen, rates):
+    """The full-space law against the reference, directly when every rate
+    is positive, else through the subset reference."""
+    if 0 in rates.p + rates.q:
+        return _assert_same_as_subset_reference(gen, rates)
+    return _assert_solves_like_reference(gen, rates)
+
+
+def _assert_solves_like_reference(gen, rates):
     new, ref = _solve_both(gen, rates)
     if isinstance(ref, StationaryError) and "refinement" in str(ref):
         # The float LU of the reference does not converge on some badly
@@ -577,23 +643,28 @@ def test_exact_stationary_matches_reference_on_ta_restriction(zero_q):
     p = (Fraction(2), Fraction(3, 7), Fraction(5))
     q = tuple(Fraction(0) if k in zero_q else Fraction(k + 10, 3) for k in (1, 2, 3))
     rates = RatePoint(p, q)
-    states, cert = restrict_ta(5, 3, zero_q)
-    assert cert.ok and len(states) < 270
-    gen = build_generator(5, 3, rates=rates, states=states)
+    gen = _generator(5, 3)
     probabilities = _assert_same_as_reference(gen, rates)
-    weights = [config_weight(w).evaluate(rates) for w in states]
-    assert all(prob * sum(weights) == wv for prob, wv in zip(probabilities, weights))
+    assert 0 < sum(1 for prob in probabilities if prob) < 270
+    weights = [m.evaluate(rates) for m in gen.weights]
+    total = sum(weights)
+    assert all(prob * total == wv for prob, wv in zip(probabilities, weights))
 
 
-def test_exact_stationary_without_rotation_symmetry_solves_every_state(rng):
-    """A state list that is not closed under rotation makes every state its
-    own orbit; the solve is then the full-space one and agrees."""
-    gen = _generator(5, 2)
-    unclosed = dataclasses.replace(gen, L=gen.L + 1)
-    assert stationary._rotation_orbits(unclosed)[0] == list(range(gen.num_states))
-    assert len(stationary._rotation_orbits(gen)[1]) == gen.num_states // gen.L
-    rates = random_rate_point(2, rng)
-    assert exact_stationary(unclosed, rates).probabilities == exact_stationary(gen, rates).probabilities
+def _zero_rate_points(n):
+    """A rate point for every nonempty set of zeroed q's and of zeroed p's."""
+    for side in ("p", "q"):
+        for mask in range(1, 2**n):
+            zeroed = tuple(Fraction(0) if mask >> k & 1 else Fraction(k + 2, 3) for k in range(n))
+            others = tuple(Fraction(2 * k + 5, 4) for k in range(n))
+            yield RatePoint(zeroed, others) if side == "p" else RatePoint(others, zeroed)
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(2, 6) for n in range(1, L)])
+def test_full_space_solve_matches_subset_reference_at_every_zero_set(L, n):
+    gen = _generator(L, n)
+    for rates in _zero_rate_points(n):
+        _assert_same_as_subset_reference(gen, rates)
 
 
 def test_small_primes_still_give_the_exact_table(monkeypatch, rng):
@@ -655,15 +726,18 @@ def test_rank_deficiency_matches_dense_reference(L, n, rng):
 
 def test_rank_deficiency_of_reducible_full_space():
     """With q_1 = 0 the full space is reducible but keeps one closed class
-    (the restrict_ta states), so the deficiency stays 1 while the solver
-    refuses it; with n = L nothing moves and every state is its own class."""
+    (the restrict_ta states), so the deficiency stays 1 and the solver puts
+    the law on that class; with n = L nothing moves and every state is its
+    own class."""
     for L, n in [(4, 2), (5, 2), (5, 3)]:
         gen = _generator(L, n)
         p = tuple(Fraction(k + 1) for k in range(n))
         rates = RatePoint(p, (Fraction(0),) + tuple(Fraction(3, k + 1) for k in range(1, n)))
         assert generator_rank_deficiency(gen, rates) == _reference_rank_deficiency(gen, rates) == 1
-        with pytest.raises(StationaryError, match="restrict"):
-            exact_stationary(gen, rates)
+        probabilities = _assert_same_as_subset_reference(gen, rates)
+        weights = [m.evaluate(rates) for m in gen.weights]
+        total = sum(weights)
+        assert all(prob * total == wv for prob, wv in zip(probabilities, weights))
     for L in (3, 4, 5):
         gen = _generator(L, L)
         rates = RatePoint((Fraction(1),) * L, (Fraction(2),) * L)
