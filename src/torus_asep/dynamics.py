@@ -20,18 +20,20 @@ Every transition carries per-particle displacement records; the signed step
 of each record determines exactly which column boundaries the particle
 crossed, which feeds the current estimators.
 
-`build_generator` assembles the package's one transition graph: the states,
-their index, and per state its arcs with their target indices.  The exact
-solver, the balance and lumping checks, the observable oracles and the
-reachability certificate all read it; the rate matrix itself is derived
-from the arcs only when it is exported.
+`build_generator` hands out the package's one transition graph of a lattice:
+the states, their index, and per state its arcs with their target indices.
+The exact solver, the balance and lumping checks, the observable oracles,
+the reachability certificate and the totally asymmetric restriction all
+read it; the rate matrix itself is derived from the arcs only when it is
+exported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
 from .symbolic import Domain, Monomial, RatePoint
@@ -183,7 +185,7 @@ def check_state_cap(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> None:
         raise ResourceCapError(count, cap)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseGenerator:
     """The transition graph of the chain over the full state space of (L, n).
 
@@ -192,27 +194,59 @@ class SparseGenerator:
     attached: a check that is given one reads the arcs at it.  The rate
     matrix (column j holds the outflows of state j, its diagonal entry minus
     the column's off-diagonal sum) is not stored: `triplet_rows` derives it
-    from the arcs when it is exported.
+    from the arcs when it is exported.  The graph is immutable, since
+    `build_generator` shares one per lattice; so are the tables derived from
+    it on first read, `weights` and `crossings`.
     """
 
     L: int
     n: int
-    states: list[ColoredWord]
-    index: dict[ColoredWord, int]
-    transitions: list[list[Transition]]
-    targets: list[list[int]]
+    states: tuple[ColoredWord, ...]
+    index: Mapping[ColoredWord, int]
+    transitions: tuple[tuple[Transition, ...], ...]
+    targets: tuple[tuple[int, ...], ...]
 
     @property
     def num_states(self) -> int:
         return len(self.states)
 
     @cached_property
-    def weights(self) -> list[Monomial]:
+    def weights(self) -> tuple[Monomial, ...]:
         """The stationary weight monomial of each state, computed on first
         read; the exact solver never reads it."""
         from .stationary import _enumerated_weight
 
-        return [_enumerated_weight(w) for w in self.states]
+        return tuple(_enumerated_weight(w) for w in self.states)
+
+    @cached_property
+    def crossings(self) -> tuple[tuple[tuple[tuple[str, int], tuple[tuple[int, int, int], ...]], ...], ...]:
+        """Per state, per arc in `transitions` order: the arc's rate symbol
+        and the (channel, boundary, sign) entries of the signed boundary
+        crossings of its displacements, in record order, computed on first
+        read.
+
+        A bullet of row i crosses on channel i - 1.  A box crosses on
+        channel n, the box column total; unless it is the relabelled jumper,
+        also on channel n + i for its row i, and, if the arc is a swap (F1
+        or B1), on channel 2n + i.
+        """
+        L, n = self.L, self.n
+
+        def entries(t: Transition) -> tuple[tuple[int, int, int], ...]:
+            out = []
+            for d in t.displacements:
+                if d.species == "bullet":
+                    channels: tuple[int, ...] = (d.label_from - 1,)
+                elif d.jump:
+                    channels = (n,)
+                elif t.kind in (F1, B1):
+                    channels = (n, n + d.label_from, 2 * n + d.label_from)
+                else:
+                    channels = (n, n + d.label_from)
+                out += [(c, boundary, sign) for boundary, sign in displacement_crossings(d, L) for c in channels]
+            return tuple(out)
+
+        return tuple(tuple((t.rate_symbol, entries(t)) for t in outs) for outs in self.transitions)
 
     def triplet_rows(self, rates: RatePoint | None = None) -> list[tuple[int, int, str]]:
         """Sparse export at `rates` (None = symbolic): (source index, target
@@ -243,13 +277,25 @@ class SparseGenerator:
 
 def build_generator(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> SparseGenerator:
     """The transition graph over the full state space of (L, n), every arc
-    included; the enumerated states are valid by construction."""
+    included.
+
+    The cap is checked on every call.  The graph is built once per lattice
+    and shared: the two most recent lattices are kept, since a check runs
+    on one lattice at a time and the graph grows like the state space.
+    """
     check_state_cap(L, n, cap)
-    states = enumerate_full(L, n)
+    return _graph(L, n)
+
+
+@lru_cache(maxsize=2)
+def _graph(L: int, n: int) -> SparseGenerator:
+    """`build_generator` without the cap; the enumerated states are valid by
+    construction."""
+    states = tuple(enumerate_full(L, n))
     index = {w: j for j, w in enumerate(states)}
-    transitions = [_transitions(w) for w in states]
-    targets = [[index[t.target] for t in outs] for outs in transitions]
-    return SparseGenerator(L, n, states, index, transitions, targets)
+    transitions = tuple(tuple(_transitions(w)) for w in states)
+    targets = tuple(tuple(index[t.target] for t in outs) for outs in transitions)
+    return SparseGenerator(L, n, states, MappingProxyType(index), transitions, targets)
 
 
 # -- excess and reachability -----------------------------------------------------
@@ -375,15 +421,16 @@ def restrict_ta(
     zero_q = frozenset(zero_q)
     if not all(isinstance(m, int) and 1 <= m <= n for m in zero_q):
         raise ValueError(f"zeroed labels must lie in 1..{n}")
-    check_state_cap(L, n, cap)
-    states = [w for w in enumerate_full(L, n) if ta_membership(w, zero_q)]
-    members = set(states)
+    gen = build_generator(L, n, cap)
+    member = [ta_membership(w, zero_q) for w in gen.states]
     vanishing = {("q", m) for m in zero_q}
     violations, checked = [], 0
-    for w in states:
-        arcs = [t for t in _transitions(w) if t.rate_symbol not in vanishing]
-        checked += len(arcs)
-        violations += [(w, t) for t in arcs if t.target not in members]
+    for w, keep, outs, targets in zip(gen.states, member, gen.transitions, gen.targets):
+        if keep:
+            arcs = [(t, k) for t, k in zip(outs, targets) if t.rate_symbol not in vanishing]
+            checked += len(arcs)
+            violations += [(w, t) for t, k in arcs if not member[k]]
+    states = [w for w, keep in zip(gen.states, member) if keep]
     certificate = ClosureCertificate(
         ok=not violations,
         zero_q=zero_q,

@@ -6,9 +6,9 @@ defining rate-weighted expectation (including, for box currents, the
 crossing bookkeeping of the nonlocal moves via the displacement records).
 Each check is one loop over a `Domain`: symbolic mode proves it as a
 polynomial identity in the 2n rates, numeric mode at one exact rate point.
-The ensemble is the lattice's transition graph from `build_generator`,
-whose `weights` hold the weight of each state, cached for the two most
-recent lattices.
+The ensemble is the lattice's transition graph from `build_generator`:
+its `weights` hold the weight of each state, and its `crossings` the signed
+boundary crossings of each arc's displacement records.
 
 Every oracle and closed-form numerator lives over the common denominator
 L * Z(L, n), which `full_normalization` proves equal to the sum of the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .dynamics import SparseGenerator, build_generator, displacement_crossings
+from .dynamics import build_generator
 from .model import _check_dims, iter_restricted
 from .stationary import _enumerated_weight, box_weight, drift, total_box_weight, weight_table
 from .symbolic import (
@@ -135,23 +135,13 @@ def _first_difference(a: Polynomial, b: Polynomial) -> str:
 # -- stationary ensemble ---------------------------------------------------------
 
 
-@lru_cache(maxsize=2)
-def _ensemble(L: int, n: int) -> SparseGenerator:
-    """The symbolic transition graph of (L, n), with the weights of its states.
-
-    Bounded to the two most recent lattices: a check runs on one lattice at a
-    time, and the graph grows like the state space.
-    """
-    return build_generator(L, n)
-
-
 @lru_cache(maxsize=None)
 def full_normalization(L: int, n: int) -> Polynomial:
     """L times the restricted partition function, verified against the brute sum.
 
     Cached per (L, n) once it passes; a mismatch raises, so it is never cached.
     """
-    total = weight_table(_ensemble(L, n)).normalization
+    total = weight_table(build_generator(L, n)).normalization
     expected = L * partition_function(L, n)
     if total != expected:
         raise ObservableMismatch(f"sum of weights differs from L*Z at ({L},{n})")
@@ -338,7 +328,7 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
     _check_dims(L, n)
     dom = Domain(n, rates)
     over = _CommonDenominator(L, n, dom)
-    gen = _ensemble(L, n)
+    gen = build_generator(L, n)
     bullet_sums = [dom.sums(L) for _ in range(n)]
     box_sums = [dom.sums(L) for _ in range(n)]
     for w, m in zip(gen.states, gen.weights):
@@ -366,7 +356,7 @@ def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
     """Rate-weighted occupation sums: the bullet edge current numerator per
     (row, boundary), and per row the same-row bullet-box patterns that
     trigger the nonlocal moves, up (box to the right) and down (to the left)."""
-    gen = _ensemble(L, n)
+    gen = build_generator(L, n)
     edge = [dom.sums(L, terms=True) for _ in range(n)]
     up = dom.sums(n, terms=True)
     down = dom.sums(n, terms=True)
@@ -405,33 +395,22 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     dom = Domain(n, rates)
     zero = dom.zero
     over = _CommonDenominator(L, n, dom)
-    gen = _ensemble(L, n)
+    gen = build_generator(L, n)
     wvals = [dom.weight(m) for m in gen.weights]
     bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
 
-    # Crossing-sum oracles from displacement records.
-    edge_cross = [dom.sums(L, terms=True) for _ in range(n)]
-    box_col = dom.sums(L, terms=True)
-    box_row = [dom.sums(L, terms=True) for _ in range(n)]
-    box_swap = [dom.sums(L, terms=True) for _ in range(n)]
-    for outs, wv in zip(gen.transitions, wvals):
-        for t in outs:
-            term = dom.term(wv, t.rate_symbol)
-            for d in t.displacements:
-                for boundary, sign in displacement_crossings(d, L):
-                    if d.species == "bullet":
-                        edge_cross[d.label_from - 1].add(boundary, term, sign)
-                    else:
-                        box_col.add(boundary, term, sign)
-                        if not d.jump:
-                            row = d.label_from - 1
-                            box_row[row].add(boundary, term, sign)
-                            if t.kind in ("F1", "B1"):
-                                box_swap[row].add(boundary, term, sign)
-    bullet_edge_cross = [s.freeze() for s in edge_cross]
-    box_col_num = box_col.freeze()
-    box_row_num = [s.freeze() for s in box_row]
-    box_swap_num = [s.freeze() for s in box_swap]
+    # Crossing-sum oracles from the displacement records, by crossing channel.
+    crossed = [dom.sums(L, terms=True) for _ in range(3 * n + 1)]
+    for arcs, wv in zip(gen.crossings, wvals):
+        for symbol, entries in arcs:
+            term = dom.term(wv, symbol)
+            for channel, boundary, sign in entries:
+                crossed[channel].add(boundary, term, sign)
+    crossed_num = [s.freeze() for s in crossed]
+    bullet_edge_cross = crossed_num[:n]
+    box_col_num = crossed_num[n]
+    box_row_num = crossed_num[n + 1 : 2 * n + 1]
+    box_swap_num = crossed_num[2 * n + 1 :]
 
     # The label-preserving swap part alone carries no net current; the whole
     # per-row horizontal box current comes from the shifting blocks.
@@ -498,7 +477,7 @@ def scott_russell_check(L: int, n: int) -> ScottRussellCertificate:
     from their defining expectations (not from the closed forms)."""
     _check_dims(L, n)
     dom = Domain(n)
-    wvals = [dom.weight(m) for m in _ensemble(L, n).weights]
+    wvals = [dom.weight(m) for m in build_generator(L, n).weights]
     edge, up, down = _occupation_currents(L, n, dom, wvals)
     rows = [(i + 1, up[i] - down[i] == sum(edge[i], dom.zero)) for i in range(n)]
     return ScottRussellCertificate(L, n, rows)

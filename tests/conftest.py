@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torus_asep import ColoredWord, RatePoint
+from torus_asep import ColoredWord, RatePoint, dynamics
 
 
 def random_rate_point(n: int, rng: random.Random, denominator: int = 10) -> RatePoint:
@@ -29,3 +29,13 @@ def random_word(L: int, n: int, rng: random.Random) -> ColoredWord:
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+@pytest.fixture
+def fresh_graphs():
+    """Empty `build_generator`'s per-process memo before and after the test,
+    so that a test counting work inside a build sees a build, and a graph
+    built under the test's patches is not handed to later tests."""
+    dynamics._graph.cache_clear()
+    yield
+    dynamics._graph.cache_clear()

@@ -1,8 +1,11 @@
+import dataclasses
 import re
 from fractions import Fraction
 
 import pytest
 
+from torus_asep import dynamics
+from torus_asep.cli import main
 from torus_asep.dynamics import (
     ResourceCapError,
     build_generator,
@@ -57,9 +60,7 @@ def test_words_from_outside_the_package_are_still_validated():
         outgoing_transitions(bad)
 
 
-def test_build_generator_does_not_revalidate_enumerated_states(monkeypatch):
-    from torus_asep import dynamics
-
+def test_build_generator_does_not_revalidate_enumerated_states(monkeypatch, fresh_graphs):
     calls = []
     monkeypatch.setattr(dynamics, "ensure_valid", calls.append)
     build_generator(4, 2)
@@ -288,6 +289,79 @@ def test_generator_cap():
     with pytest.raises(ResourceCapError) as err:
         build_generator(6, 3, cap=100)
     assert err.value.count == 1620
+
+
+# -- the per-process graph memo --------------------------------------------------
+
+
+def test_a_repeat_build_returns_the_same_graph(fresh_graphs):
+    gen = build_generator(4, 2)
+    assert build_generator(4, 2) is gen
+    assert build_generator(4, 2, cap=gen.num_states) is gen
+    assert gen.weights is build_generator(4, 2).weights
+
+
+def test_the_cap_is_checked_on_a_cached_lattice(fresh_graphs):
+    gen = build_generator(5, 3)
+    with pytest.raises(ResourceCapError) as err:
+        build_generator(5, 3, cap=gen.num_states - 1)
+    assert err.value.count == 270
+
+
+@pytest.mark.parametrize("command", ["observables", "stationary", "verify", "ta"])
+def test_the_cli_cap_holds_after_an_in_process_build(command, fresh_graphs, monkeypatch, capsys):
+    build_generator(5, 3)
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "10")
+    args = [command, "--L", "5", "--n", "3"] + (["--rates", "1,2,3;4,5,6"] if command == "stationary" else [])
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 3 and "270 states" in err and out == ""
+
+
+def test_a_third_lattice_evicts_the_oldest(fresh_graphs):
+    first, second, third = build_generator(2, 1), build_generator(3, 1), build_generator(3, 2)
+    assert dynamics._graph.cache_info().currsize == 2
+    assert build_generator(3, 2) is third and build_generator(3, 1) is second
+    assert build_generator(2, 1) is not first
+
+
+def test_the_shared_graph_is_immutable(fresh_graphs):
+    gen = build_generator(4, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen.states = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen.transitions = ()
+    with pytest.raises(TypeError):
+        gen.index[gen.states[0]] = 1
+    for table in (gen.states, gen.transitions, gen.targets, gen.weights, gen.crossings):
+        assert isinstance(table, tuple)
+    for rows in (gen.transitions, gen.targets, gen.crossings):
+        assert all(isinstance(row, tuple) for row in rows)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_crossing_table_matches_the_displacement_records(L):
+    """Arc for arc and in order, the table holds each arc's rate symbol and
+    the `displacement_crossings` of its records, on their channels."""
+    for n in range(1, L + 1):
+        gen = build_generator(L, n)
+        assert len(gen.crossings) == gen.num_states
+        for outs, arcs in zip(gen.transitions, gen.crossings):
+            assert len(arcs) == len(outs)
+            for t, (symbol, entries) in zip(outs, arcs):
+                expected = []
+                for d in t.displacements:
+                    for boundary, sign in displacement_crossings(d, L):
+                        if d.species == "bullet":
+                            expected.append((d.label_from - 1, boundary, sign))
+                            continue
+                        expected.append((n, boundary, sign))
+                        if not d.jump:
+                            expected.append((n + d.label_from, boundary, sign))
+                            if t.kind in ("F1", "B1"):
+                                expected.append((2 * n + d.label_from, boundary, sign))
+                assert symbol == t.rate_symbol
+                assert entries == tuple(expected)
 
 
 def test_generator_triplet_export():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_currents
 from conftest import random_rate_point
 from torus_asep.observables import (
     box_density_numerator,
@@ -370,3 +371,16 @@ def test_full_normalization_caches_only_a_passing_result(monkeypatch):
         with pytest.raises(ObservableMismatch, match="L\\*Z"):
             full_normalization(5, 2)
     assert full_normalization.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 6) for n in range(1, L + 1)])
+def test_currents_match_the_displacement_record_reference(L, n, rng):
+    """The crossing-table oracle against the former per-record loop, in
+    both modes, at random rate points and at one with a vanishing q_k."""
+    zeroed = random_rate_point(n, rng)
+    k = rng.randrange(n)
+    zeroed = RatePoint(zeroed.p, zeroed.q[:k] + (Fraction(0),) + zeroed.q[k + 1 :])
+    for rates in (None, random_rate_point(n, rng), random_rate_point(n, rng), zeroed):
+        report, reference = currents_exact(L, n, rates), reference_currents.currents_exact(L, n, rates)
+        assert report.entries == reference.entries
+        assert report.to_json_rows() == reference.to_json_rows()
