@@ -3,13 +3,16 @@
 The event loop is Gillespie sampling in the n-fold-way form (Bortz, Kalos
 and Lebowitz 1975; Gillespie 1977).  The state lives in place: a mutable
 letter list, the bullet column of each label, and the occupancy cell of
-every column.  Each event lists the enabled moves, at most two per bullet
-(forward then backward, by label), draws an exponential holding time with
-parameter equal to their total rate, picks a move in proportion to its rate,
-and rewrites only the cells that move touches: two cells for a swap (F1,
-B1), the shifted gap block plus the bullet and the relabelled jumper for a
-nonlocal move (F2, B2).  The crossings are written straight from that
-geometry into a ledger of signed column-boundary crossings:
+every column.  Each event scans the at most 2n candidate moves (per bullet,
+forward then backward, by label) into a bitmask of the enabled ones.  The
+moves, total rate and cumulative rates of a mask form its menu, built on
+the first event that meets the mask and kept in a table that is cleared
+once it holds `_MENU_LIMIT` menus.  The event draws an exponential holding
+time with parameter equal to the total rate, picks a move in proportion to
+its rate, and rewrites only the cells that move touches: two cells for a
+swap (F1, B1), the shifted gap block plus the bullet and the relabelled
+jumper for a nonlocal move (F2, B2).  The crossings are written straight
+from that geometry into a ledger of signed column-boundary crossings:
 
 * bullet crossings, per (row, boundary);
 * label-preserving box crossings, per (row, boundary) - these are the swap
@@ -20,13 +23,15 @@ geometry into a ledger of signed column-boundary crossings:
   backward moves (box row k -> k+1, "down").
 
 An event costs O(n + gap length) interpreted steps plus one vectorised
-occupancy add over the L columns; no per-state object is built or cached.
-The per-state time record `state_time` still grows with the number of
-distinct states visited.  Column currents use all box crossings; per-row
-horizontal currents use only the label-preserving ones, matching the
-exact-observable conventions.  Runs are reproducible: a fixed (seed,
-parameters) pair yields an identical event sequence, ledger, and occupancy
-record.
+occupancy add over the L columns; no per-state object is built or cached,
+so a run's memory does not grow with its length.  Only a run made with
+`record_states=True` keeps the time spent in each visited state
+(`state_time`, read by `empirical_distribution` and `tv_distance`); that
+record grows with the number of distinct states visited.  Column currents
+use all box crossings; per-row horizontal currents use only the
+label-preserving ones, matching the exact-observable conventions.  Runs
+are reproducible: a fixed (seed, parameters) pair yields an identical event
+sequence, ledger, and occupancy record.
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ def _rate_sum(v: list[float]) -> float:
     return s
 
 
+_MENU_LIMIT = 4096  # menus kept per run; the table is cleared when it is full
+
+
 @dataclass
 class CrossingLedger:
     """Per-batch signed crossing counts; batch 0..batches-1 partition the run."""
@@ -113,12 +121,14 @@ class SimState:
     elapsed: float
     events: int
     occupancy: np.ndarray  # (batches, 2, n, L): species 0 = bullet, 1 = box
-    state_time: dict[tuple[int, ...], float]
+    state_time: dict[tuple[int, ...], float] | None  # None unless record_states
     seed: int
     rates: RatePoint
     batches: int
 
     def empirical_distribution(self) -> dict[tuple[int, ...], float]:
+        if self.state_time is None:
+            raise ValueError("the run kept no per-state times; simulate it with record_states=True")
         if self.elapsed <= 0:
             return {}
         return {k: v / self.elapsed for k, v in self.state_time.items()}
@@ -133,6 +143,7 @@ def simulate(
     time_horizon: float | None = None,
     batches: int = 20,
     start: ColoredWord | None = None,
+    record_states: bool = False,
 ) -> tuple[SimState, CrossingLedger]:
     """Run the chain from `start` (default: the reference basic state).
 
@@ -141,7 +152,10 @@ def simulate(
     horizon the batches are equal time slabs; with an event horizon they
     are equal event counts and the recorded slab durations feed the
     batch-means errors.  `start` must be a valid word of length L with n
-    rows.
+    rows.  With `record_states` the run also keeps the time spent in each
+    visited state as `SimState.state_time`, which grows with the number of
+    distinct states visited; otherwise `state_time` is None.  The setting
+    changes no other output.
     """
     if (events is None) == (time_horizon is None):
         raise ValueError("specify exactly one of events= or time_horizon=")
@@ -165,15 +179,18 @@ def simulate(
     p, q = rates.as_floats()
     # The candidate moves in transition order: per bullet, forward then backward.
     candidates = [(k, d, r) for k in range(n) for d, r in ((1, p[k]), (-1, q[k])) if r > 0.0]
+    scan = [(1 << i, k, d) for i, (k, d, _) in enumerate(candidates)]
+    menus: dict[int, tuple[list, float, list[float]]] = {}  # enabled mask -> menu
     letters = list(start.letters)
     pos = list(start.bullet_positions())
     nL = n * L
-
-    def cell(letter: int, x: int) -> int:
-        """Flat index of (species, row, column x) in one batch of `occupancy`."""
-        return (letter - 1) * L + x if letter > 0 else nL + (-letter - 1) * L + x
-
-    cells = np.array([cell(c, x) for x, c in enumerate(letters)], dtype=np.intp)
+    # Cell of letter c in column x, flat over one batch of `occupancy`, is
+    # base[c] + x: bullets c > 0 first, then boxes, which index from the end.
+    base = [0] * (2 * n + 1)
+    for c in range(1, n + 1):
+        base[c] = (c - 1) * L
+        base[-c] = nL + (c - 1) * L
+    cells = np.array([base[c] + x for x, c in enumerate(letters)], dtype=np.intp)
     rng = np.random.Generator(np.random.PCG64(seed))
     occupancy = np.zeros((batches, 2, n, L), dtype=np.float64)
     occ = list(occupancy.reshape(batches, 2 * nL))  # one flat view per batch
@@ -183,7 +200,7 @@ def simulate(
     row_up = [0] * (batches * n)
     row_down = [0] * (batches * n)
     batch_time = [0.0] * batches
-    state_time: dict[tuple[int, ...], float] = {}
+    state_time: dict[tuple[int, ...], float] | None = {} if record_states else None
 
     def move(k: int, d: int, b: int) -> None:
         """Apply bullet k's move by d = +1 (F1/F2) or -1 (B1/B2) in place and
@@ -195,7 +212,7 @@ def simulate(
         i = -letters[x1]
         if i != k + 1:  # F1/B1: the box swaps back across the same boundary
             letters[x0] = -i
-            cells[x0] = cell(-i, x0)
+            cells[x0] = base[-i] + x0
             box_edge[b * nL + (i - 1) * L + edge] -= d
         else:  # F2/B2
             first, length, landing, label = block_move(pos, k + 1, d, L)
@@ -206,16 +223,16 @@ def simulate(
                 y = (x + d) % L
                 c = letters[x]
                 letters[y] = c
-                cells[y] = cell(c, y)
+                cells[y] = base[c] + y
                 box_edge[b * nL + (-c - 1) * L + (x if d > 0 else y)] += d
             letters[landing] = -label
-            cells[landing] = cell(-label, landing)
+            cells[landing] = base[-label] + landing
             # The jumper walks against d from x1 to its landing cell.
             for t in range((x1 - landing) * d % L):
                 box_jump[b * L + (edge - d * t) % L] -= d
             (row_up if d > 0 else row_down)[b * n + k] += 1
         letters[x1] = k + 1
-        cells[x1] = cell(k + 1, x1)
+        cells[x1] = base[k + 1] + x1
         pos[k] = x1
 
     t = 0.0
@@ -224,21 +241,32 @@ def simulate(
 
     while True:
         # A move is enabled when the cell it steps into holds a box.
-        moves = [m for m in candidates if letters[(pos[m[0]] + m[1]) % L] < 0]
-        if not moves:
+        mask = 0
+        for bit, k, d in scan:
+            if letters[(pos[k] + d) % L] < 0:
+                mask |= bit
+        if not mask:
             break
-        move_rates = [m[2] for m in moves]
-        total = _rate_sum(move_rates)
+        menu = menus.get(mask)
+        if menu is None:
+            moves = [m for i, m in enumerate(candidates) if mask >> i & 1]
+            move_rates = [m[2] for m in moves]
+            menu = (moves, _rate_sum(move_rates), list(accumulate(move_rates)))
+            if len(menus) >= _MENU_LIMIT:
+                menus.clear()
+            menus[mask] = menu
+        moves, total, cumulative = menu
         dt = rng.exponential(1.0 / total)
         u = rng.random() * total
-        k, d, _ = moves[min(bisect_right(list(accumulate(move_rates)), u), len(moves) - 1)]
-        word = tuple(letters)
+        k, d, _ = moves[min(bisect_right(cumulative, u), len(moves) - 1)]
 
         if events is not None:
             b = ev * batches // events
             occ[b][cells] += dt
             batch_time[b] += dt
-            state_time[word] = state_time.get(word, 0.0) + dt
+            if state_time is not None:
+                word = tuple(letters)
+                state_time[word] = state_time.get(word, 0.0) + dt
             t += dt
             move(k, d, b)
             ev += 1
@@ -247,7 +275,9 @@ def simulate(
         else:
             t_new = t + dt
             t_stop = min(t_new, time_horizon)
-            state_time[word] = state_time.get(word, 0.0) + (t_stop - t)
+            if state_time is not None:
+                word = tuple(letters)
+                state_time[word] = state_time.get(word, 0.0) + (t_stop - t)
             t0 = t
             while t0 < t_stop:
                 b = min(int(t0 / slab_len), batches - 1)
@@ -410,7 +440,8 @@ def estimate_observables(ledger: CrossingLedger, state: SimState) -> EstimateRep
 
 def tv_distance(state: SimState, exact_probabilities: dict[tuple[int, ...], Fraction]) -> float:
     """Total-variation distance between the time-averaged empirical law and
-    an exact distribution keyed by letter tuples."""
+    an exact distribution keyed by letter tuples; the run must have been
+    made with `record_states=True`."""
     empirical = state.empirical_distribution()
     keys = set(empirical) | set(exact_probabilities)
     return 0.5 * sum(

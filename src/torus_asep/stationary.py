@@ -568,6 +568,7 @@ def lump(w: ColoredWord) -> OneDimConfig:
     return OneDimConfig(w.n, tuple(c if c > 0 else 0 for c in w.letters))
 
 
+@lru_cache(maxsize=None)
 def evans_product(gaps: tuple[int, ...], n: int) -> Polynomial:
     """Product over gaps k of total_box_weight(k)^{c_k}."""
     total = Polynomial.one(n)
@@ -600,28 +601,34 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     lumpability), and (2) the sum of weights over a fiber equals the product
     over gaps of total_box_weight(k)^{c_k}.  Every rate is a distinct
     variable, so (1) holds exactly when every member of a fiber has the same
-    multiset of (target fiber, rate symbol) over its arcs.
+    multiset of (target fiber, rate symbol) over its arcs.  Fibers are
+    numbered in order of their first state, and a multiset is compared as
+    a sorted list.
     """
     gen = _lattice_generator(L, n, gen)
-    lumped = [lump(w) for w in gen.states]
-    fibers: dict[OneDimConfig, list[int]] = {}
-    for j, psi in enumerate(lumped):
-        fibers.setdefault(psi, []).append(j)
+    ids: dict[tuple[int, ...], int] = {}  # lumped letters -> fiber id
+    fiber = [ids.setdefault(tuple(c if c > 0 else 0 for c in w.letters), len(ids)) for w in gen.states]
+    fibers = [OneDimConfig(n, letters) for letters in ids]
+    members: list[list[int]] = [[] for _ in fibers]
+    for j, f in enumerate(fiber):
+        members[f].append(j)
 
     rate_failures = []
-    for psi, members in fibers.items():
+    for f, states in enumerate(members):
         reference = None
-        for j in members:
-            into = Counter((lumped[k], t.rate_symbol) for t, k in zip(gen.transitions[j], gen.targets[j]))
+        for j in states:
+            into = sorted((fiber[k], t.rate_symbol) for t, k in zip(gen.transitions[j], gen.targets[j]))
             if reference is None:
                 reference = into
             elif into != reference:
-                rate_failures.append((psi, gen.states[j]))
+                rate_failures.append((fibers[f], gen.states[j]))
 
+    dom = Domain(n)
+    sums = dom.sums(len(fibers))
+    for f, m in zip(fiber, gen.weights):
+        sums.add(f, dom.weight(m))
     marginal_failures = [
-        psi
-        for psi, members in fibers.items()
-        if Polynomial(n, Counter(gen.weights[j].exponents for j in members)) != evans_product(psi.gap_vector(), n)
+        psi for psi, total in zip(fibers, sums.freeze()) if total != evans_product(psi.gap_vector(), n)
     ]
 
     return LumpingReport(

@@ -1,0 +1,57 @@
+"""The lumping certificate as it stood before fibers were keyed by int ids:
+each state lumped to a `OneDimConfig`, each state's arcs compared as a
+`Counter` of (target fiber, rate symbol), each fiber's weights summed as a
+`Polynomial` and its product form rebuilt per fiber.  Kept as the slow
+reference that test_stationary.py checks `lumping_report` against; nothing
+in the package imports it.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from torus_asep.stationary import LumpingReport, OneDimConfig, lump, total_box_weight
+from torus_asep.symbolic import Polynomial
+
+
+def reference_evans_product(gaps: tuple[int, ...], n: int) -> Polynomial:
+    total = Polynomial.one(n)
+    for k, c in enumerate(gaps, start=1):
+        if c:
+            total = total * total_box_weight(k, n) ** c
+    return total
+
+
+def reference_lumping_report(gen) -> LumpingReport:
+    L, n = gen.L, gen.n
+    lumped = [lump(w) for w in gen.states]
+    fibers: dict[OneDimConfig, list[int]] = {}
+    for j, psi in enumerate(lumped):
+        fibers.setdefault(psi, []).append(j)
+
+    rate_failures = []
+    for psi, members in fibers.items():
+        reference = None
+        for j in members:
+            into = Counter((lumped[k], t.rate_symbol) for t, k in zip(gen.transitions[j], gen.targets[j]))
+            if reference is None:
+                reference = into
+            elif into != reference:
+                rate_failures.append((psi, gen.states[j]))
+
+    marginal_failures = [
+        psi
+        for psi, members in fibers.items()
+        if Polynomial(n, Counter(gen.weights[j].exponents for j in members))
+        != reference_evans_product(psi.gap_vector(), n)
+    ]
+
+    return LumpingReport(
+        L=L,
+        n=n,
+        num_fibers=len(fibers),
+        lumpable=not rate_failures,
+        fiber_rate_failures=rate_failures,
+        marginal_ok=not marginal_failures,
+        marginal_failures=marginal_failures,
+    )

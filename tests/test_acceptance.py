@@ -268,7 +268,7 @@ def test_c11_simulation():
     gen = build_generator(4, 2)
     table = exact_stationary(gen, rp42)
     exact = {w.letters: p for w, p in zip(table.states, table.probabilities)}
-    state, _ = simulate(4, 2, rp42, seed=20260809, events=1_000_000)
+    state, _ = simulate(4, 2, rp42, seed=20260809, events=1_000_000, record_states=True)
     tv = tv_distance(state, exact)
     assert tv < 0.01, tv
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torus_asep import mcmc
 from torus_asep.dynamics import build_generator, displacement_crossings, outgoing_transitions, tau_zero
 from torus_asep.mcmc import (
     _rate_sum,
@@ -23,13 +24,13 @@ RP42 = RatePoint((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
 
 
 def test_determinism():
-    s1, l1 = simulate(4, 2, RP42, seed=42, events=4000)
-    s2, l2 = simulate(4, 2, RP42, seed=42, events=4000)
+    s1, l1 = simulate(4, 2, RP42, seed=42, events=4000, record_states=True)
+    s2, l2 = simulate(4, 2, RP42, seed=42, events=4000, record_states=True)
     assert s1.word == s2.word and s1.elapsed == s2.elapsed and s1.events == s2.events
     for a, b in ((l1.bullet_edge, l2.bullet_edge), (l1.box_edge, l2.box_edge),
                  (l1.box_jump, l2.box_jump), (l1.row_up, l2.row_up)):
         assert (a == b).all()
-    s3, _ = simulate(4, 2, RP42, seed=43, events=4000)
+    s3, _ = simulate(4, 2, RP42, seed=43, events=4000, record_states=True)
     assert s3.state_time != s1.state_time
 
 
@@ -48,7 +49,8 @@ def test_no_dynamics_terminates_immediately():
 
 
 def test_two_state_symmetric_occupancy():
-    state, _ = simulate(2, 1, RatePoint((Fraction(1),), (Fraction(1),)), seed=7, events=20000)
+    state, _ = simulate(2, 1, RatePoint((Fraction(1),), (Fraction(1),)), seed=7, events=20000,
+                        record_states=True)
     emp = state.empirical_distribution()
     assert len(emp) == 2
     for value in emp.values():
@@ -99,11 +101,21 @@ def test_tv_distance_decreases_with_run_length():
     gen = build_generator(4, 2)
     table = exact_stationary(gen, RP42)
     exact = {w.letters: p for w, p in zip(table.states, table.probabilities)}
-    small, _ = simulate(4, 2, RP42, seed=11, events=10_000)
-    large, _ = simulate(4, 2, RP42, seed=11, events=100_000)
+    small, _ = simulate(4, 2, RP42, seed=11, events=10_000, record_states=True)
+    large, _ = simulate(4, 2, RP42, seed=11, events=100_000, record_states=True)
     tv_small = tv_distance(small, exact)
     tv_large = tv_distance(large, exact)
     assert tv_large < tv_small < 0.2
+
+
+def test_unrecorded_run_has_no_state_times():
+    state, _ = simulate(4, 2, RP42, seed=11, events=1000)
+    assert state.state_time is None
+    with pytest.raises(ValueError, match="record_states=True"):
+        state.empirical_distribution()
+    exact = {tau_zero(4, 2).letters: Fraction(1)}
+    with pytest.raises(ValueError, match="record_states=True"):
+        tv_distance(state, exact)
 
 
 def test_estimates_match_closed_forms_4_2():
@@ -169,7 +181,7 @@ def test_simulation_with_vanishing_backward_rates():
     assert cert.ok
     table = exact_stationary(build_generator(4, 2), rp)
     exact = {w.letters: p for w, p in zip(table.states, table.probabilities)}
-    state, _ = simulate(4, 2, rp, seed=77, events=200_000)
+    state, _ = simulate(4, 2, rp, seed=77, events=200_000, record_states=True)
     for visited in state.state_time:
         assert ta_membership(ColoredWord(2, visited), frozenset({1}))
     assert tv_distance(state, exact) < 0.02
@@ -213,8 +225,8 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
 
     Every event builds its state's moves through `outgoing_transitions` and
     `displacement_crossings` and picks one with numpy's cumsum, sum and
-    searchsorted.  Returns the run's outputs and the largest number of
-    enabled moves seen in one state.
+    searchsorted.  Returns the run's outputs and the set of distinct
+    enabled-move sets seen, each as the tuple of its rate symbols.
     """
     p, q = rates.as_floats()
     word = tau_zero(L, n).letters
@@ -228,14 +240,15 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
     occupancy = np.zeros((batches, 2, n, L), dtype=np.float64)
     state_time = {}
     slab_len = time_horizon / batches if time_horizon is not None else None
-    t, ev, most_moves = 0.0, 0, 0
+    t, ev, menus = 0.0, 0, set()
     while True:
-        targets, move_rates, crossings = [], [], []
+        targets, move_rates, crossings, symbols = [], [], [], []
         for tr in outgoing_transitions(ColoredWord(n, word)):
             family, k = tr.rate_symbol
             rate = (p if family == "p" else q)[k - 1]
             if rate <= 0.0:
                 continue
+            symbols.append(tr.rate_symbol)
             targets.append(tr.target.letters)
             move_rates.append(rate)
             ops = []  # (array, index without the batch, sign)
@@ -254,7 +267,7 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
         total = float(rate_arr.sum())
         if total <= 0.0:
             break
-        most_moves = max(most_moves, len(move_rates))
+        menus.add(tuple(symbols))
         dt = rng.exponential(1.0 / total)
         u = rng.random() * total
         idx = min(int(np.searchsorted(np.cumsum(rate_arr), u, side="right")), len(targets) - 1)
@@ -306,7 +319,7 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
         "batch_time": batch_time,
         "occupancy": occupancy,
     }
-    return arrays, t, ev, word, state_time, most_moves
+    return arrays, t, ev, word, state_time, menus
 
 
 def _reference_estimate(counts, batch_time, elapsed):
@@ -320,8 +333,8 @@ def _reference_estimate(counts, batch_time, elapsed):
 
 
 def _assert_matches_reference(L, n, rates, seed, **horizon):
-    state, ledger = simulate(L, n, rates, seed, **horizon)
-    arrays, elapsed, events, word, state_time, most_moves = _reference_simulate(
+    state, ledger = simulate(L, n, rates, seed, **horizon, record_states=True)
+    arrays, elapsed, events, word, state_time, menus = _reference_simulate(
         L, n, rates, seed, **horizon
     )
     for name, expected in arrays.items():
@@ -344,7 +357,7 @@ def _assert_matches_reference(L, n, rates, seed, **horizon):
                 est = report.current("bullet_edge_current", i + 1, j + 1)
                 counts = ledger.bullet_edge[:, i, j]
                 assert (est.value, est.stderr) == _reference_estimate(counts, ledger.batch_time, elapsed)
-    return most_moves
+    return menus
 
 
 _RATE_VALUES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3))
@@ -386,9 +399,36 @@ def test_kernel_matches_reference_small_lattices(case):
 def test_kernel_matches_reference_with_eight_or_more_moves(L, n, horizon):
     p = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 4), Fraction(1))
     q = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5), Fraction(1, 2))
-    most_moves = _assert_matches_reference(L, n, RatePoint(p[:n], q[:n]), 11, **horizon)
+    menus = _assert_matches_reference(L, n, RatePoint(p[:n], q[:n]), 11, **horizon)
+    most_moves = max(map(len, menus))
     # 8 or more moves is where numpy's sum stops adding in sequence
     assert most_moves >= 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_cases())
+def test_recording_states_changes_no_other_output(case):
+    L, n, rates, seed, horizon = case
+    recorded, recorded_ledger = simulate(L, n, rates, seed, **horizon, record_states=True)
+    plain, plain_ledger = simulate(L, n, rates, seed, **horizon)
+    assert plain.state_time is None and recorded.state_time is not None
+    for name in ("bullet_edge", "box_edge", "box_jump", "row_up", "row_down", "batch_time"):
+        a, b = getattr(plain_ledger, name), getattr(recorded_ledger, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert plain.occupancy.tobytes() == recorded.occupancy.tobytes()
+    assert (plain.elapsed, plain.events, plain.word) == (recorded.elapsed, recorded.events, recorded.word)
+
+
+@pytest.mark.parametrize("horizon", [{"events": 600, "batches": 20}, {"time_horizon": 30.0, "batches": 7}])
+def test_kernel_matches_reference_past_the_menu_limit(monkeypatch, horizon):
+    """A run that meets more enabled-move sets than the menu table holds
+    clears the table and rebuilds its menus, and matches the reference."""
+    limit = 8
+    monkeypatch.setattr(mcmc, "_MENU_LIMIT", limit)
+    p = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 4), Fraction(1), Fraction(7, 3))
+    q = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5), Fraction(1, 2), Fraction(2))
+    menus = _assert_matches_reference(12, 6, RatePoint(p, q), 5, **horizon)
+    assert len(menus) > 2 * limit
 
 
 def test_rate_sum_is_numpy_sum_bitwise():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_generator
+from reference_lumping import reference_evans_product, reference_lumping_report
 from conftest import random_rate_point
 from torus_asep.dynamics import breadth_first, build_generator, restrict_ta
 from torus_asep.model import ColoredWord, ValidationError, iter_restricted
@@ -373,6 +374,35 @@ def test_lumping_report_reads_the_arc_targets():
     targets[j][:2] = targets[j][1::-1]
     report = lumping_report(4, 2, gen=dataclasses.replace(gen, targets=targets))
     assert not report.lumpable and report.marginal_ok
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 7) for n in range(1, L + 1)])
+def test_lumping_report_matches_reference(L, n):
+    gen = build_generator(L, n)
+    assert lumping_report(L, n, gen=gen) == reference_lumping_report(gen)
+
+
+def test_lumping_report_failures_match_reference():
+    # Swap two states of different fibers: their arcs no longer lead where
+    # the fibers' other members' arcs lead.  Then swap two weights of
+    # different fibers back, so the fiber sums break as well.
+    gen = build_generator(5, 2)
+    states = list(gen.states)
+    j = next(j for j, w in enumerate(states) if lump(w) != lump(states[0]))
+    states[0], states[j] = states[j], states[0]
+    broken = dataclasses.replace(gen, states=tuple(states))
+    weights = list(broken.weights)
+    weights[0], weights[j] = weights[j], weights[0]
+    broken.__dict__["weights"] = tuple(weights)  # the table read on first access
+    report = lumping_report(5, 2, gen=broken)
+    assert not report.lumpable and not report.marginal_ok
+    assert report == reference_lumping_report(broken)
+
+
+def test_evans_product_is_memoised_and_matches_reference():
+    for gaps, n in [((3, 1, 2, 0), 4), ((0, 2), 2), ((1, 0, 1), 3)]:
+        assert evans_product(gaps, n) is evans_product(gaps, n)
+        assert evans_product(gaps, n) == reference_evans_product(gaps, n)
 
 
 def test_lumped_marginals_match_product_form():
