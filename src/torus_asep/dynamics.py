@@ -30,13 +30,17 @@ exported.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
-from .symbolic import Domain, Monomial, RatePoint
+from .symbolic import Domain, Monomial, RatePoint, SumTable, _frozen, rate_symbols
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -185,6 +189,23 @@ def check_state_cap(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> None:
         raise ResourceCapError(count, cap)
 
 
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each index i repeated counts[i] times, and the rank 0, 1, ... of
+    each copy among those of its index."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+class Arcs(NamedTuple):
+    """Every arc of a graph, in `transitions` order, as read-only int64
+    arrays: its source and target state and the index of its rate symbol
+    (its position in an exponent tuple)."""
+
+    source: np.ndarray
+    target: np.ndarray
+    rate: np.ndarray
+
+
 @dataclass(frozen=True)
 class SparseGenerator:
     """The transition graph of the chain over the full state space of (L, n).
@@ -196,7 +217,10 @@ class SparseGenerator:
     the column's off-diagonal sum) is not stored: `triplet_rows` derives it
     from the arcs when it is exported.  The graph is immutable, since
     `build_generator` shares one per lattice; so are the tables derived from
-    it on first read, `weights` and `crossings`.
+    it on first read, each in one pass: `weights` and their `exponents`,
+    the `arcs` arrays, and one `SumTable` per oracle, which holds the
+    oracle's combinatorics and no rate point (`balance_rows`,
+    `density_rows`, `occupation_rows`, `crossings`, `fiber_rows`).
     """
 
     L: int
@@ -219,11 +243,83 @@ class SparseGenerator:
         return tuple(_enumerated_weight(w) for w in self.states)
 
     @cached_property
-    def crossings(self) -> tuple[tuple[tuple[tuple[str, int], tuple[tuple[int, int, int], ...]], ...], ...]:
-        """Per state, per arc in `transitions` order: the arc's rate symbol
-        and the (channel, boundary, sign) entries of the signed boundary
-        crossings of its displacements, in record order, computed on first
-        read.
+    def exponents(self) -> np.ndarray:
+        """The exponent tuple of each state's weight, one row per state."""
+        return _frozen(np.array([m.exponents for m in self.weights], dtype=np.int64).reshape(-1, 2 * self.n))
+
+    @cached_property
+    def arcs(self) -> Arcs:
+        rate_index = {s: j for j, s in enumerate(rate_symbols(self.n))}
+        degrees = [len(targets) for targets in self.targets]
+        count = sum(degrees)
+        return Arcs(
+            _frozen(np.repeat(np.arange(self.num_states, dtype=np.int64), degrees)),
+            _frozen(np.fromiter(chain.from_iterable(self.targets), dtype=np.int64, count=count)),
+            _frozen(
+                np.fromiter(
+                    (rate_index[t.rate_symbol] for outs in self.transitions for t in outs), dtype=np.int64, count=count
+                )
+            ),
+        )
+
+    @cached_property
+    def balance_rows(self) -> SumTable:
+        """Inflow minus outflow per state: each arc's flow, its source's
+        weight times its rate, added to its target and taken from its source."""
+        source, target, rate = self.arcs
+        ones = np.ones(len(source), dtype=np.int64)
+        return SumTable.build(
+            self.num_states, np.concatenate([target, source]), np.concatenate([source, source]),
+            np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
+        )
+
+    def _letters(self) -> np.ndarray:
+        """The letters of each state, one row per state."""
+        return np.array([w.letters for w in self.states], dtype=np.int64).reshape(self.num_states, self.L)
+
+    @cached_property
+    def density_rows(self) -> SumTable:
+        """Occupation sums: per state and column, its weight added to slot
+        (k - 1) L + x for bullet k at column x, and (n + i - 1) L + x for a
+        box of row i there."""
+        L, n = self.L, self.n
+        letters = self._letters()
+        slot = np.where(letters > 0, letters - 1, n - 1 - letters) * L + np.arange(L)
+        return SumTable.build(2 * n * L, slot.ravel(), np.repeat(np.arange(self.num_states), L))
+
+    @cached_property
+    def occupation_rows(self) -> SumTable:
+        """Rate-weighted occupation sums of the bullet moves.  Slot i L + x
+        is the bullet edge current of row i + 1 across boundary x: bullet
+        i + 1 at x with a box on its right, at rate p_{i+1}, minus bullet
+        i + 1 at x + 1 with a box on its left, at rate q_{i+1}.  Slots n L + i
+        and n L + n + i hold the same-row patterns that trigger the nonlocal
+        moves of row i + 1: the box on the right (up) and on the left (down)."""
+        L, n = self.L, self.n
+        letters = self._letters()
+        state = np.broadcast_to(np.arange(self.num_states)[:, None], letters.shape)
+        column = np.broadcast_to(np.arange(L), letters.shape)
+        row = letters - 1
+        groups = []  # (mask, slot, rate index, sign)
+        for step, rate in ((1, row), (-1, row + n)):
+            beside = np.roll(letters, -step, axis=1)
+            bullet_box = (letters > 0) & (beside < 0)
+            groups.append((bullet_box, row * L + (column + min(step, 0)) % L, rate, step))
+            groups.append((bullet_box & (beside == -letters), n * L + (step < 0) * n + row, rate, 1))
+        return SumTable.build(
+            n * L + 2 * n,
+            np.concatenate([slot[mask] for mask, slot, _, _ in groups]),
+            np.concatenate([state[mask] for mask, _, _, _ in groups]),
+            np.concatenate([rate[mask] for mask, _, rate, _ in groups]),
+            np.concatenate([np.full(np.count_nonzero(mask), sign) for mask, _, _, sign in groups]),
+        )
+
+    @cached_property
+    def crossings(self) -> SumTable:
+        """The signed boundary crossings of every arc's displacement
+        records, arc by arc in `transitions` order and in record order: a
+        crossing of boundary b on channel c adds the arc's flow, its
+        source's weight times its rate, to slot c L + b with its sign.
 
         A bullet of row i crosses on channel i - 1.  A box crosses on
         channel n, the box column total; unless it is the relabelled jumper,
@@ -231,44 +327,66 @@ class SparseGenerator:
         or B1), on channel 2n + i.
         """
         L, n = self.L, self.n
+        rate_index = {s: j for j, s in enumerate(rate_symbols(n))}
+        # One row per record: source, rate, start, signed step and its
+        # channels, padded with -1.
+        records = array("i")
+        for j, outs in enumerate(self.transitions):
+            for t in outs:
+                r = rate_index[t.rate_symbol]
+                swap = t.kind in (F1, B1)
+                for d in t.displacements:
+                    if d.species == "bullet":
+                        channels = (d.label_from - 1, -1, -1)
+                    elif d.jump:
+                        channels = (n, -1, -1)
+                    else:
+                        channels = (n, n + d.label_from, 2 * n + d.label_from if swap else -1)
+                    records.extend((j, r, d.pos_from, d.step, *channels))
+        source, rate, start, step, *channels = np.frombuffer(records, dtype=np.int32).reshape(-1, 7).T
+        channels = np.stack(channels, axis=1)
+        # Each record's |step| crossings, as `displacement_crossings` walks
+        # them, then one row per crossing and channel.
+        record, walked = _expand(np.abs(step))
+        forward = step[record] > 0
+        boundary = np.where(forward, start[record] + walked, start[record] - 1 - walked) % L
+        crossing, k = _expand(np.count_nonzero(channels >= 0, axis=1)[record])
+        row = record[crossing]
+        return SumTable.build(
+            (3 * n + 1) * L, channels[row, k] * L + boundary[crossing], source[row], rate[row],
+            np.where(forward, 1, -1)[crossing],
+        )
 
-        def entries(t: Transition) -> tuple[tuple[int, int, int], ...]:
-            out = []
-            for d in t.displacements:
-                if d.species == "bullet":
-                    channels: tuple[int, ...] = (d.label_from - 1,)
-                elif d.jump:
-                    channels = (n,)
-                elif t.kind in (F1, B1):
-                    channels = (n, n + d.label_from, 2 * n + d.label_from)
-                else:
-                    channels = (n, n + d.label_from)
-                out += [(c, boundary, sign) for boundary, sign in displacement_crossings(d, L) for c in channels]
-            return tuple(out)
-
-        return tuple(tuple((t.rate_symbol, entries(t)) for t in outs) for outs in self.transitions)
+    @cached_property
+    def fiber_rows(self) -> SumTable:
+        """Weight sums over the fibers of the label-erasing projection, one
+        row per state in state order, so slot[j] is the fiber of state j;
+        fibers are numbered in order of their first state."""
+        lumped = np.maximum(self._letters(), 0)
+        _, first, inverse = np.unique(lumped, axis=0, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return SumTable.build(len(first), rank[inverse.ravel()], np.arange(self.num_states))
 
     def triplet_rows(self, rates: RatePoint | None = None) -> list[tuple[int, int, str]]:
         """Sparse export at `rates` (None = symbolic): (source index, target
         index, rate string), the summed off-diagonal entries by (source,
         target), then the diagonal.  An arc whose rate vanishes at `rates`
         is left out."""
-        dom = Domain(self.n, rates)
-        unit = dom.weight(Monomial.unit(self.n))
-        arcs = [
-            (j, k, t.rate_symbol)
-            for j, (outs, targets) in enumerate(zip(self.transitions, self.targets))
-            for t, k in zip(outs, targets)
-            if rates is None or rates.rate(t.rate_symbol)
-        ]
-        slot = {pair: i for i, pair in enumerate(sorted({(j, k) for j, k, _ in arcs}))}
-        entries, diagonal = dom.sums(len(slot), terms=True), dom.sums(self.num_states, terms=True)
-        for j, k, symbol in arcs:
-            rate = dom.term(unit, symbol)
-            entries.add(slot[j, k], rate)
-            diagonal.add(j, rate, -1)
-        rows = [(src, tgt, str(value)) for (src, tgt), value in zip(slot, entries.freeze())]
-        rows.extend((j, j, str(value)) for j, value in enumerate(diagonal.freeze()))
+        num = self.num_states
+        source, target, rate = self.arcs
+        if rates is not None:
+            live = np.flatnonzero(np.array([bool(x) for x in rates.p + rates.q])[rate])
+            source, target, rate = source[live], target[live], rate[live]
+        pairs, pair = np.unique(source * num + target, return_inverse=True)
+        ones = np.ones(len(source), dtype=np.int64)
+        table = SumTable.build(
+            len(pairs) + num, np.concatenate([pair.ravel(), len(pairs) + source]), np.zeros(2 * len(source), dtype=np.int32),
+            np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
+        )
+        values = Domain(self.n, rates).totals(np.zeros((1, 2 * self.n), dtype=np.int64), table)
+        rows = [(j, k, str(v)) for j, k, v in zip((pairs // num).tolist(), (pairs % num).tolist(), values)]
+        rows.extend((j, j, str(v)) for j, v in enumerate(values[len(pairs) :]))
         return rows
 
     def state_manifest(self) -> list[tuple[int, str]]:

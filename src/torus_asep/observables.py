@@ -4,11 +4,13 @@ Every closed form here is paired with an independent oracle computed from
 the stationary ensemble: densities from occupation sums, currents from the
 defining rate-weighted expectation (including, for box currents, the
 crossing bookkeeping of the nonlocal moves via the displacement records).
-Each check is one loop over a `Domain`: symbolic mode proves it as a
-polynomial identity in the 2n rates, numeric mode at one exact rate point.
-The ensemble is the lattice's transition graph from `build_generator`:
-its `weights` hold the weight of each state, and its `crossings` the signed
-boundary crossings of each arc's displacement records.
+Each oracle is one integer table of the lattice's transition graph from
+`build_generator`, evaluated by one `Domain.totals` call over the weights'
+exponent matrix: symbolic mode proves the check as a polynomial identity
+in the 2n rates, numeric mode at one exact rate point.  The tables are
+`density_rows` (occupation per state and column), `occupation_rows` (the
+rate-weighted bullet moves) and `crossings` (the signed boundary
+crossings of each arc's displacement records).
 
 Every oracle and closed-form numerator lives over the common denominator
 L * Z(L, n), which `full_normalization` proves equal to the sum of the
@@ -329,17 +331,9 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
     dom = Domain(n, rates)
     over = _CommonDenominator(L, n, dom)
     gen = build_generator(L, n)
-    bullet_sums = [dom.sums(L) for _ in range(n)]
-    box_sums = [dom.sums(L) for _ in range(n)]
-    for w, m in zip(gen.states, gen.weights):
-        wv = dom.weight(m)
-        for x, letter in enumerate(w.letters):
-            if letter > 0:
-                bullet_sums[letter - 1].add(x, wv)
-            else:
-                box_sums[-letter - 1].add(x, wv)
-    bullet_num = [s.freeze() for s in bullet_sums]
-    box_num = [s.freeze() for s in box_sums]
+    totals = dom.totals(gen.exponents, gen.density_rows)
+    bullet_num = [totals[i * L : (i + 1) * L] for i in range(n)]
+    box_num = [totals[(n + i) * L : (n + i + 1) * L] for i in range(n)]
 
     entries = []
     for i in range(n):
@@ -352,33 +346,14 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
 # -- currents -------------------------------------------------------------------------
 
 
-def _occupation_currents(L: int, n: int, dom: Domain, wvals: list):
+def _occupation_currents(L: int, n: int, dom: Domain):
     """Rate-weighted occupation sums: the bullet edge current numerator per
     (row, boundary), and per row the same-row bullet-box patterns that
     trigger the nonlocal moves, up (box to the right) and down (to the left)."""
     gen = build_generator(L, n)
-    edge = [dom.sums(L, terms=True) for _ in range(n)]
-    up = dom.sums(n, terms=True)
-    down = dom.sums(n, terms=True)
-    for w, wv in zip(gen.states, wvals):
-        letters = w.letters
-        for x, letter in enumerate(letters):
-            if letter <= 0:
-                continue
-            i = letter - 1
-            right = letters[(x + 1) % L]
-            left = letters[(x - 1) % L]
-            if right < 0:
-                term = dom.term(wv, ("p", letter))
-                edge[i].add(x, term)
-                if right == -letter:
-                    up.add(i, term)
-            if left < 0:
-                term = dom.term(wv, ("q", letter))
-                edge[i].add((x - 1) % L, term, -1)
-                if left == -letter:
-                    down.add(i, term)
-    return [e.freeze() for e in edge], up.freeze(), down.freeze()
+    totals = dom.totals(gen.exponents, gen.occupation_rows)
+    edge = [totals[i * L : (i + 1) * L] for i in range(n)]
+    return edge, totals[n * L : n * L + n], totals[n * L + n :]
 
 
 def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
@@ -396,17 +371,11 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     zero = dom.zero
     over = _CommonDenominator(L, n, dom)
     gen = build_generator(L, n)
-    wvals = [dom.weight(m) for m in gen.weights]
-    bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
+    bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom)
 
     # Crossing-sum oracles from the displacement records, by crossing channel.
-    crossed = [dom.sums(L, terms=True) for _ in range(3 * n + 1)]
-    for arcs, wv in zip(gen.crossings, wvals):
-        for symbol, entries in arcs:
-            term = dom.term(wv, symbol)
-            for channel, boundary, sign in entries:
-                crossed[channel].add(boundary, term, sign)
-    crossed_num = [s.freeze() for s in crossed]
+    crossed = dom.totals(gen.exponents, gen.crossings)
+    crossed_num = [crossed[c * L : (c + 1) * L] for c in range(3 * n + 1)]
     bullet_edge_cross = crossed_num[:n]
     box_col_num = crossed_num[n]
     box_row_num = crossed_num[n + 1 : 2 * n + 1]
@@ -477,7 +446,6 @@ def scott_russell_check(L: int, n: int) -> ScottRussellCertificate:
     from their defining expectations (not from the closed forms)."""
     _check_dims(L, n)
     dom = Domain(n)
-    wvals = [dom.weight(m) for m in build_generator(L, n).weights]
-    edge, up, down = _occupation_currents(L, n, dom, wvals)
+    edge, up, down = _occupation_currents(L, n, dom)
     rows = [(i + 1, up[i] - down[i] == sum(edge[i], dom.zero)) for i in range(n)]
     return ScottRussellCertificate(L, n, rows)

@@ -23,9 +23,9 @@ from operator import add
 
 import numpy as np
 
-from .dynamics import SparseGenerator, breadth_first, build_generator
+from .dynamics import SparseGenerator, _expand, breadth_first, build_generator
 from .model import ColoredWord, box_gap_labels, ensure_valid
-from .symbolic import Domain, Monomial, Polynomial, RatePoint, poly_det, rate_product, rate_symbols
+from .symbolic import Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det, rate_product
 
 
 class StationaryError(RuntimeError):
@@ -204,13 +204,10 @@ _DENSE_FROM = 32
 
 def _integer_arcs(gen: SparseGenerator, rates: RatePoint) -> list[tuple[int, int, int]]:
     """(source, target, rate) for every positive-rate arc, rates scaled to integers."""
-    value = dict(zip(rate_symbols(rates.n), rates.integer_scaling()[1]))
-    return [
-        (j, k, value[t.rate_symbol])
-        for j, (outs, targets) in enumerate(zip(gen.transitions, gen.targets))
-        for t, k in zip(outs, targets)
-        if value[t.rate_symbol]
-    ]
+    values = rates.integer_scaling()[1]
+    source, target, rate = gen.arcs
+    live = np.flatnonzero(np.array([bool(x) for x in values])[rate])
+    return list(zip(source[live].tolist(), target[live].tolist(), [values[r] for r in rate[live].tolist()]))
 
 
 def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
@@ -436,7 +433,7 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
             # orbit -1 reads the appended 0: the law vanishes off the class
             values.append(0)
             full = [values[o] for o in orbit]
-            if _is_null_vector(arcs, full):
+            if _is_null_vector(gen, rates, full):
                 total = sum(full)
                 probs = [Fraction(v, total) for v in values]
                 return StationaryTable(states=list(gen.states), probabilities=[probs[o] for o in orbit])
@@ -467,14 +464,10 @@ def _dixon(steps: list[tuple], cols: list[list[tuple[int, int]]], b: list[int], 
         target *= 2
 
 
-def _is_null_vector(arcs: list[tuple[int, int, int]], x: list[int]) -> bool:
-    """Inflow equals outflow at every state, exactly."""
-    acc = [0] * len(x)
-    for s, t, v in arcs:
-        flow = v * x[s]
-        acc[t] += flow
-        acc[s] -= flow
-    return not any(acc)
+def _is_null_vector(gen: SparseGenerator, rates: RatePoint, x: list[int]) -> bool:
+    """Inflow equals outflow at every state, exactly, for the state values
+    x at the integer-scaled rates."""
+    return not any(integer_totals(gen.balance_rows, x, rates.integer_scaling()[1]))
 
 
 def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint, prime: int = 2_147_483_647) -> int:
@@ -525,14 +518,8 @@ def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGe
     """
     gen = _lattice_generator(L, n, gen)
     dom = Domain(n, rates)
-    net = dom.sums(gen.num_states, terms=True)  # inflow minus outflow per state
-    for j, (m, outs, targets) in enumerate(zip(gen.weights, gen.transitions, gen.targets)):
-        wv = dom.weight(m)
-        for t, k in zip(outs, targets):
-            flow = dom.term(wv, t.rate_symbol)
-            net.add(k, flow)
-            net.add(j, flow, -1)
-    failures = [(w, residual) for w, residual in zip(gen.states, net.freeze()) if residual]
+    net = dom.totals(gen.exponents, gen.balance_rows)  # inflow minus outflow per state
+    failures = [(w, residual) for w, residual in zip(gen.states, net) if residual]
     return BalanceReport(L, n, dom.mode, gen.num_states, failures)
 
 
@@ -602,33 +589,32 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     over gaps of total_box_weight(k)^{c_k}.  Every rate is a distinct
     variable, so (1) holds exactly when every member of a fiber has the same
     multiset of (target fiber, rate symbol) over its arcs.  Fibers are
-    numbered in order of their first state, and a multiset is compared as
-    a sorted list.
+    numbered in order of their first state, a multiset is compared as a
+    sorted row of codes, and the sums of (2) are the generator's
+    `fiber_rows`.
     """
     gen = _lattice_generator(L, n, gen)
-    ids: dict[tuple[int, ...], int] = {}  # lumped letters -> fiber id
-    fiber = [ids.setdefault(tuple(c if c > 0 else 0 for c in w.letters), len(ids)) for w in gen.states]
-    fibers = [OneDimConfig(n, letters) for letters in ids]
-    members: list[list[int]] = [[] for _ in fibers]
-    for j, f in enumerate(fiber):
-        members[f].append(j)
+    table = gen.fiber_rows
+    fiber = table.slot
+    first = np.unique(fiber, return_index=True)[1]
+    fibers = [OneDimConfig(n, tuple(max(c, 0) for c in gen.states[j].letters)) for j in first.tolist()]
 
-    rate_failures = []
-    for f, states in enumerate(members):
-        reference = None
-        for j in states:
-            into = sorted((fiber[k], t.rate_symbol) for t, k in zip(gen.transitions[j], gen.targets[j]))
-            if reference is None:
-                reference = into
-            elif into != reference:
-                rate_failures.append((fibers[f], gen.states[j]))
+    # Per state, its (target fiber, rate symbol) pairs as sorted codes,
+    # padded to the 2n moves a state can have, against its fiber's first member.
+    source, target, rate = gen.arcs
+    width = 2 * n
+    _, move = _expand(np.bincount(source, minlength=gen.num_states))  # arcs are in source order
+    into = np.full((gen.num_states, width), -1, dtype=np.int64)
+    into[source, move] = fiber[target] * width + rate
+    into.sort(axis=1)
+    differs = np.flatnonzero((into != into[first[fiber]]).any(axis=1))
+    differs = differs[np.argsort(fiber[differs], kind="stable")]
+    rate_failures = [(fibers[f], gen.states[j]) for f, j in zip(fiber[differs].tolist(), differs.tolist())]
 
-    dom = Domain(n)
-    sums = dom.sums(len(fibers))
-    for f, m in zip(fiber, gen.weights):
-        sums.add(f, dom.weight(m))
     marginal_failures = [
-        psi for psi, total in zip(fibers, sums.freeze()) if total != evans_product(psi.gap_vector(), n)
+        psi
+        for psi, total in zip(fibers, Domain(n).totals(gen.exponents, table))
+        if total != evans_product(psi.gap_vector(), n)
     ]
 
     return LumpingReport(

@@ -3,11 +3,11 @@
 A polynomial stores an integral coefficient as an `int` and any other as a
 `fractions.Fraction`, and is kept in canonical form (no zero terms, one entry
 per monomial), so `==` is mathematical equality; `evaluate` returns a
-`Fraction`.  Sums over many states are built in place by a `Domain`'s
-accumulators and frozen once: into polynomials in symbolic mode, and in
-numeric mode into Fractions over a power of D, the lcm of the rate
-denominators, after summing Python ints at the integer-scaled rate point
-D * r.  No floating point enters any identity computed here.
+`Fraction`.  Sums over a state ensemble are `SumTable`s of integer rows,
+evaluated by a `Domain` in one array pass: into polynomials in symbolic
+mode, and in numeric mode into Fractions over a power of D, the lcm of the
+rate denominators, after summing exact ints at the integer-scaled rate
+point D * r.  No floating point enters any identity computed here.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+
+import numpy as np
 
 
 def _as_fraction(x) -> Fraction:
@@ -479,17 +481,119 @@ class RationalValue:
         return f"({self.num}) / ({self.den})"
 
 
-class Domain:
-    """The exact arithmetic one check runs in, so each loop is written once.
+# Magnitudes below this fit an int64.
+_INT64_LIMIT = 2**63
 
+# Rows per numeric pass, which bounds the pass's temporary arrays.
+_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True)
+class SumTable:
+    """The combinatorics of `size` sums over a state ensemble, as rows.
+
+    Row r adds sign[r] times the weight of state[r] to slot[r], times the
+    rate symbol of index rate[r] (its position in an exponent tuple) when
+    the table has rates, which it has for every row or for none.  A table
+    holds structure only, no rate point and no value: `Domain.totals`
+    evaluates it.  Its arrays are read-only, int32 and the signs int8;
+    `depth` is the most rows any one slot receives.
+    """
+
+    size: int
+    slot: np.ndarray
+    state: np.ndarray
+    rate: np.ndarray | None
+    sign: np.ndarray
+    depth: int
+
+    @classmethod
+    def build(cls, size: int, slot, state, rate=None, sign=None) -> "SumTable":
+        if size > np.iinfo(np.int32).max:
+            raise ValueError(f"a table of {size} slots does not fit int32 rows")
+        slot, state = _frozen(slot, np.int32), _frozen(state, np.int32)
+        sign = _frozen(np.ones(len(slot)) if sign is None else sign, np.int8)
+        depth = int(np.bincount(slot, minlength=1).max()) if len(slot) else 0
+        return cls(size, slot, state, None if rate is None else _frozen(rate, np.int32), sign, depth)
+
+
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    """`values` as a read-only array of `dtype`, not copied if it is one."""
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def integer_totals(table: SumTable, weights, rates) -> list[int]:
+    """The exact slot totals of `table` as Python ints, given the int
+    weight of each state and the int value of each rate symbol.  The sums
+    run in int64 when a bound proves that no partial sum can overflow it,
+    and over Python ints otherwise."""
+    terms = table.rate is not None
+    top = max(map(abs, weights), default=0) * (max(map(abs, rates), default=0) if terms else 1)
+    dtype = np.int64 if max(table.depth, 1) * top < _INT64_LIMIT else object
+    return _scatter(table, np.array(weights, dtype=dtype), np.array(rates, dtype=dtype) if terms else None)
+
+
+def _scatter(table: SumTable, weights: np.ndarray, rates: np.ndarray | None) -> list[int]:
+    """`integer_totals` of weights and rates (None for a table without
+    rates) already in one dtype."""
+    totals = np.zeros(table.size, dtype=weights.dtype)
+    for lo in range(0, len(table.slot), _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        values = weights[table.state[rows]] * table.sign[rows]
+        if rates is not None:
+            values *= rates[table.rate[rows]]
+        np.add.at(totals, table.slot[rows], values)
+    return totals.tolist()
+
+
+def _sort_keys(table: SumTable, exponents: np.ndarray, base: int) -> list[np.ndarray]:
+    """int64 key columns whose lexicographic order is that of the rows'
+    (slot, exponent tuple), each exponent a digit below `base`, the tuple of
+    a row its state's weight with its rate's exponent raised by one.  Every
+    column packs as many digits as fit below 2^63, the slot leading the
+    first; a state's digits are packed once, and each row adds its rate's
+    digit to its state's key."""
+    width = exponents.shape[1]
+    bounds, span = [0], table.size
+    for j in range(width):
+        if span * base >= _INT64_LIMIT:
+            bounds.append(j)
+            span = 1
+        span *= base
+    bounds.append(width)
+    # place[j]: the value of a unit in digit j within its column
+    place = np.concatenate([base ** np.arange(hi - lo - 1, -1, -1) for lo, hi in zip(bounds, bounds[1:])])
+    column_of = np.searchsorted(bounds, np.arange(width), side="right") - 1
+    columns = []
+    for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        key = (exponents[:, lo:hi] @ place[lo:hi])[table.state]
+        if table.rate is not None:
+            key += np.where(column_of[table.rate] == c, place[table.rate], 0)
+        if c == 0:
+            key += table.slot.astype(np.int64) * base ** (hi - lo)
+        columns.append(key)
+    return columns
+
+
+class Domain:
+    """The exact arithmetic one check runs in, so each check is written once.
+
+    A check is a `SumTable` over the weights of a state ensemble, given as
+    their exponent matrix (one row of 2n exponents per state), and
+    `totals` evaluates it in one array pass.
     Symbolic (rates None): polynomials in all 2n rates, so an identity is
-    proved for every rate point; a state `weight` is its exponent tuple.
-    Numeric: Python ints at the integer-scaled rate point D * r, D the lcm
-    of the rate denominators; a weight of degree d is its int value there,
-    which stands for that value over D^d.  Every weight of a numeric domain
-    must have the same degree (a ValueError otherwise), so each sum has the
-    one denominator D^d, or D^(d+1) for sums of weight-times-rate `term`s.
-    `sums` adds summands in place and freezes them once.
+    proved for every rate point; each row is its weight's exponent tuple
+    (with its rate's exponent raised by one), and equal tuples of a slot are
+    counted by sorting packed int keys.
+    Numeric: each weight is its int value at the integer-scaled rate point
+    D * r, D the lcm of the rate denominators, which stands for that value
+    over D^d.  The weights must share one degree d (a ValueError
+    otherwise), so each total is one reduced Fraction over D^d, or over
+    D^(d+1) for a table with rates.  The ints are summed in int64 when the
+    table's depth times the largest weight-times-rate bound is below 2^63,
+    and as Python ints otherwise.
     """
 
     def __init__(self, n: int, rates: RatePoint | None = None):
@@ -499,35 +603,59 @@ class Domain:
         self.rates = rates
         self.mode = "symbolic" if rates is None else "numeric"
         self.zero = Polynomial.zero(n) if rates is None else Fraction(0)
-        # per rate symbol: its position in an exponent tuple, or its scaled value
-        if rates is None:
-            self._rate = {s: j for j, s in enumerate(rate_symbols(n))}
-        else:
+        if rates is not None:
             self._scale, self._values = rates.integer_scaling()
-            self._rate = dict(zip(rate_symbols(n), self._values))
-            self._degree: int | None = None  # shared by every weight
 
-    def weight(self, mono: Monomial):
+    def totals(self, exponents: np.ndarray, table: SumTable) -> list:
+        """The `table.size` slot values of `table` over states whose
+        weights have the given exponent rows; computed afresh on every call."""
         if self.rates is None:
-            return mono.exponents
-        d = mono.degree()
-        if d != self._degree:
-            if self._degree is not None:
-                raise ValueError(f"weights of degrees {self._degree} and {d} cannot share one denominator")
-            self._degree = d
-        return _monomial_value(self._values, mono.exponents, 1)
+            return self._polynomial_totals(exponents, table)
+        degrees = exponents.sum(axis=1)
+        d = int(degrees[0]) if len(degrees) else 0
+        other = np.flatnonzero(degrees != d)
+        if len(other):
+            raise ValueError(f"weights of degrees {d} and {int(degrees[other[0]])} cannot share one denominator")
+        terms = table.rate is not None
+        top = max(self._values)
+        dtype = np.int64 if max(table.depth, 1) * top ** (d + terms) < _INT64_LIMIT else object
+        # weight values as products of rate powers, read from a power table
+        powers = np.array([[x**e for e in range(d + 1)] for x in self._values], dtype=dtype)
+        weights = np.ones(len(exponents), dtype=dtype)
+        for row, column in zip(powers, exponents.T):
+            if column.any():
+                weights = weights * row[column]
+        den = self._scale ** (d + terms)
+        rates = np.array(self._values, dtype=dtype) if terms else None
+        return [Fraction(total, den) for total in _scatter(table, weights, rates)]
 
-    def term(self, weight, symbol: tuple[str, int]):
-        """A weight summand times the rate `symbol`."""
-        if self.rates is None:
-            j = self._rate[symbol]
-            return weight[:j] + (weight[j] + 1,) + weight[j + 1 :]
-        return weight * self._rate[symbol]
-
-    def sums(self, k: int, terms: bool = False) -> "MonomialSums | IntegerSums":
-        """k independent running sums, all zero, of weights, or of `term`s
-        when `terms` is set."""
-        return MonomialSums(self.n, k) if self.rates is None else IntegerSums(self, k, terms)
+    def _polynomial_totals(self, exponents: np.ndarray, table: SumTable) -> list[Polynomial]:
+        if not len(table.slot):
+            return [Polynomial.zero(self.n) for _ in range(table.size)]
+        keys = _sort_keys(table, exponents, int(exponents.sum(axis=1).max()) + 2)
+        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+        start = np.zeros(len(order), dtype=bool)
+        start[0] = True
+        for key in keys:
+            ordered = key[order]
+            start[1:] |= ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(start)
+        counts = np.add.reduceat(table.sign[order], starts, dtype=np.int64)
+        live = counts != 0
+        first = order[starts[live]]
+        exps = exponents[table.state[first]]
+        if table.rate is not None:
+            exps[np.arange(len(first)), table.rate[first]] += 1
+        # the runs are sorted by slot first, so each slot's terms are contiguous
+        slots = table.slot[first]
+        heads = np.flatnonzero(np.diff(slots, prepend=-1))
+        monomials = list(zip(*exps.T.tolist()))
+        counts = counts[live].tolist()
+        terms: list[dict] = [{} for _ in range(table.size)]
+        cuts = heads.tolist() + [len(first)]
+        for slot, a, b in zip(slots[heads].tolist(), cuts, cuts[1:]):
+            terms[slot] = dict(zip(monomials[a:b], counts[a:b]))
+        return [Polynomial._trusted(self.n, t) for t in terms]
 
     def value(self, poly: Polynomial):
         return poly if self.rates is None else poly.evaluate(self.rates)
@@ -535,50 +663,6 @@ class Domain:
     def ratio(self, num, den):
         """num / den for display: a RationalValue, or a reduced Fraction."""
         return RationalValue(num, den) if self.rates is None else num / den
-
-
-class MonomialSums:
-    """k sums of monomials, each a dict from exponent tuple to an int count;
-    `freeze` hands them over as polynomials once, and they take no more."""
-
-    __slots__ = ("n", "slots")
-
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.slots: list[dict[tuple[int, ...], int]] | None = [{} for _ in range(k)]
-
-    def add(self, i: int, exps: tuple[int, ...], sign: int = 1) -> None:
-        slot = self.slots[i]
-        count = slot.get(exps, 0) + sign
-        if count:
-            slot[exps] = count
-        else:
-            del slot[exps]
-
-    def freeze(self) -> list[Polynomial]:
-        slots, self.slots = self.slots, None
-        return [Polynomial._trusted(self.n, slot) for slot in slots]
-
-
-class IntegerSums:
-    """k sums of a numeric domain's int summands, with the interface of
-    `MonomialSums`; `freeze` puts each over the domain's denominator D^d
-    (D^(d+1) for sums of terms) as one reduced Fraction."""
-
-    __slots__ = ("dom", "terms", "slots")
-
-    def __init__(self, dom: Domain, k: int, terms: bool):
-        self.dom = dom
-        self.terms = terms
-        self.slots: list[int] | None = [0] * k
-
-    def add(self, i: int, value: int, sign: int = 1) -> None:
-        self.slots[i] += value if sign > 0 else -value
-
-    def freeze(self) -> list[Fraction]:
-        slots, self.slots = self.slots, None
-        den = self.dom._scale ** ((self.dom._degree or 0) + self.terms)
-        return [Fraction(total, den) for total in slots]
 
 
 # -- symmetric function bases --------------------------------------------

@@ -1,21 +1,20 @@
 """`currents_exact` as it stood before the crossing oracles read the
 generator's `crossings` table: every call walks the displacement records of
-every arc and expands each record's `displacement_crossings` on the spot.
-Kept as the slow reference that the differential tests of the crossing table
-check against; nothing in the package imports it.
+every arc and expands each record's `displacement_crossings` on the spot,
+and every sum is a running sum of summands (`reference_sums`).  Kept as the
+slow reference that the differential tests of the crossing table check
+against; nothing in the package imports it.
 """
 
 from __future__ import annotations
 
 from torus_asep.dynamics import build_generator, displacement_crossings
 from torus_asep.model import _check_dims
-from torus_asep.observables import (
-    ObservableMismatch,
-    ObservableReport,
-    _CommonDenominator,
-    _occupation_currents,
-)
+from torus_asep.observables import ObservableMismatch, ObservableReport, _CommonDenominator
 from torus_asep.symbolic import Domain, RatePoint
+
+from reference_sums import SummandDomain
+from reference_tables import reference_occupation_currents
 
 
 def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
@@ -23,12 +22,14 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     with the horizontal box and bullet crossing sums read off the
     displacement records."""
     _check_dims(L, n)
-    dom = Domain(n, rates)
+    dom = SummandDomain(n, rates)
     zero = dom.zero
-    over = _CommonDenominator(L, n, dom)
+    over = _CommonDenominator(L, n, Domain(n, rates))
     gen = build_generator(L, n)
     wvals = [dom.weight(m) for m in gen.weights]
-    bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom, wvals)
+    occupation = reference_occupation_currents(gen, rates)
+    bullet_edge_num = [occupation[i * L : (i + 1) * L] for i in range(n)]
+    v_up_num, v_down_num = occupation[n * L : n * L + n], occupation[n * L + n :]
 
     edge_cross = [dom.sums(L, terms=True) for _ in range(n)]
     box_col = dom.sums(L, terms=True)
@@ -73,7 +74,7 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
         entries.append(over.check("box_vertical_down", (i + 1,), down))
         entries.append(over.check("box_vertical_net", (i + 1,), up - down))
     entries += [over.check("box_row_current", (i + 1, j + 1), box_row_num[i][j]) for i in range(n) for j in range(L)]
-    report = ObservableReport(L, n, dom.mode, entries).require_ok("current")
+    report = ObservableReport(L, n, over.dom.mode, entries).require_ok("current")
 
     for j in range(L):
         if box_col_num[j] + sum((bullet_edge_num[i][j] for i in range(n)), zero) != zero:

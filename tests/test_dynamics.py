@@ -19,7 +19,7 @@ from torus_asep.dynamics import (
     tau_zero,
 )
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate
-from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbol_poly
+from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbol_poly, rate_symbols
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
 
@@ -333,22 +333,31 @@ def test_the_shared_graph_is_immutable(fresh_graphs):
         gen.transitions = ()
     with pytest.raises(TypeError):
         gen.index[gen.states[0]] = 1
-    for table in (gen.states, gen.transitions, gen.targets, gen.weights, gen.crossings):
+    for table in (gen.states, gen.transitions, gen.targets, gen.weights):
         assert isinstance(table, tuple)
-    for rows in (gen.transitions, gen.targets, gen.crossings):
+    for rows in (gen.transitions, gen.targets):
         assert all(isinstance(row, tuple) for row in rows)
+    tables = (gen.balance_rows, gen.density_rows, gen.occupation_rows, gen.crossings, gen.fiber_rows)
+    arrays = [gen.exponents, *gen.arcs] + [a for t in tables for a in (t.slot, t.state, t.rate, t.sign) if a is not None]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen.crossings.slot = None
 
 
 @pytest.mark.parametrize("L", range(1, 7))
 def test_crossing_table_matches_the_displacement_records(L):
-    """Arc for arc and in order, the table holds each arc's rate symbol and
-    the `displacement_crossings` of its records, on their channels."""
+    """Arc for arc and in order, the crossing rows hold each arc's source,
+    its rate symbol and the `displacement_crossings` of its records, on
+    their channels."""
     for n in range(1, L + 1):
         gen = build_generator(L, n)
-        assert len(gen.crossings) == gen.num_states
-        for outs, arcs in zip(gen.transitions, gen.crossings):
-            assert len(arcs) == len(outs)
-            for t, (symbol, entries) in zip(outs, arcs):
+        table = gen.crossings
+        assert table.size == (3 * n + 1) * L
+        rows = iter(zip(table.slot.tolist(), table.state.tolist(), table.rate.tolist(), table.sign.tolist()))
+        for j, outs in enumerate(gen.transitions):
+            for t in outs:
                 expected = []
                 for d in t.displacements:
                     for boundary, sign in displacement_crossings(d, L):
@@ -360,8 +369,12 @@ def test_crossing_table_matches_the_displacement_records(L):
                             expected.append((n + d.label_from, boundary, sign))
                             if t.kind in ("F1", "B1"):
                                 expected.append((2 * n + d.label_from, boundary, sign))
-                assert symbol == t.rate_symbol
-                assert entries == tuple(expected)
+                for channel, boundary, sign in expected:
+                    slot, state, rate, row_sign = next(rows)
+                    assert (slot, state, rate_symbols(n)[rate], row_sign) == (
+                        channel * L + boundary, j, t.rate_symbol, sign
+                    )
+        assert next(rows, None) is None
 
 
 def test_generator_triplet_export():

@@ -1,21 +1,23 @@
 """Differential tests of the numeric domain's integer arithmetic.
 
-A numeric `Domain` sums Python ints at the integer-scaled rate point D * r
-and builds each reduced Fraction once, at `freeze`; `Monomial.evaluate` and
-`Polynomial.evaluate` sum in ints over one common denominator.  Each is
-checked here against the Fraction-by-Fraction reference it replaced, at
-rate points with mixed denominators, zero rates and large denominators.
+A numeric `Domain` evaluates a `SumTable` by summing exact ints at the
+integer-scaled rate point D * r, in int64 or in Python ints, and builds each
+reduced Fraction once; `Monomial.evaluate` and `Polynomial.evaluate` sum in
+ints over one common denominator.  Each is checked here against the
+references it replaced (`reference_sums`), at rate points with mixed
+denominators, zero rates and large denominators.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference_polynomial import Polynomial as ReferencePolynomial
-from reference_sums import FractionSums
-from torus_asep.symbolic import Domain, Monomial, Polynomial, RatePoint
+from reference_sums import FractionSums, SummandDomain
+from torus_asep.symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, rate_symbols
 
 # Zero, small fractions with mixed denominators, and huge or tiny values.
 rates = st.one_of(
@@ -59,34 +61,60 @@ def accumulations(draw):
     return n, point, adds
 
 
+def _tables(n, adds):
+    """One weight state per add, and a table of the weight adds and one of
+    the weight-times-rate adds, each signed add once more with the opposite
+    sign when `cancel` is set."""
+    exponents = np.array([exps for _, exps, _, _, _ in adds], dtype=np.int64).reshape(len(adds), 2 * n)
+    rows = {False: [], True: []}
+    for state, (slot, _, symbol, sign, cancel) in enumerate(adds):
+        rate = None if symbol is None else rate_symbols(n).index(symbol)
+        for s in (sign, -sign) if cancel else (sign,):
+            rows[symbol is not None].append((slot, state, rate, s))
+    tables = []
+    for terms, group in rows.items():
+        slot, state, rate, sign = zip(*group) if group else ((), (), (), ())
+        tables.append(SumTable.build(3, slot, state, rate if terms else None, sign))
+    return exponents, tables
+
+
 @settings(max_examples=200, deadline=None)
 @given(accumulations())
 def test_integer_sums_match_reference_fraction_sums(case):
+    """The numeric kernel against per-summand Fraction sums and against the
+    int running sums it replaced."""
     n, point, adds = case
-    dom = Domain(n, point)
-    weights, terms = dom.sums(3), dom.sums(3, terms=True)
+    dom, old = Domain(n, point), SummandDomain(n, point)
     ref_weights, ref_terms = FractionSums(3), FractionSums(3)
+    old_weights, old_terms = old.sums(3), old.sums(3, terms=True)
     for slot, exps, symbol, sign, cancel in adds:
         value = ReferencePolynomial(n, {exps: 1}).evaluate(point)
-        summand = dom.weight(Monomial(n, exps))
+        summand = old.weight(Monomial(n, exps))
         if symbol is not None:
             value *= point.rate(symbol)
-            summand = dom.term(summand, symbol)
-        sums, ref = (weights, ref_weights) if symbol is None else (terms, ref_terms)
+            summand = old.term(summand, symbol)
+        ref, sums = (ref_weights, old_weights) if symbol is None else (ref_terms, old_terms)
         for s in (sign, -sign) if cancel else (sign,):
-            sums.add(slot, summand, s)
             ref.add(slot, value, s)
-    for sums, ref in ((weights, ref_weights), (terms, ref_terms)):
-        for got, expected in zip(sums.freeze(), ref.freeze()):
-            assert type(got) is Fraction and got == expected
+            sums.add(slot, summand, s)
+    exponents, tables = _tables(n, adds)
+    for table, ref, sums in zip(tables, (ref_weights, ref_terms), (old_weights, old_terms)):
+        got = dom.totals(exponents, table)
+        assert all(type(x) is Fraction for x in got)
+        assert got == ref.freeze() == sums.freeze()
 
 
 def test_weights_of_unequal_degree_in_one_sum_raise():
-    dom = Domain(2, RatePoint.parse("1/2,3;5/7,2"))
-    sums = dom.sums(1)
-    sums.add(0, dom.weight(Monomial(2, (1, 0, 0, 1))))
-    with pytest.raises(ValueError, match="one denominator"):
-        sums.add(0, dom.weight(Monomial(2, (1, 0, 1, 1))))
+    rates = RatePoint.parse("1/2,3;5/7,2")
+    exponents = np.array([(1, 0, 0, 1), (1, 0, 1, 1)], dtype=np.int64)
+    message = "weights of degrees 2 and 3 cannot share one denominator"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Domain(2, rates).totals(exponents, SumTable.build(1, [0, 0], [0, 1]))
+    old = SummandDomain(2, rates)
+    sums = old.sums(1)
+    sums.add(0, old.weight(Monomial(2, (1, 0, 0, 1))))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sums.add(0, old.weight(Monomial(2, (1, 0, 1, 1))))
 
 
 coefficients = st.one_of(

@@ -1,18 +1,19 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_polynomial import Polynomial as ReferencePolynomial
+from reference_sums import IntegerSums, MonomialSums, SummandDomain
 from torus_asep.symbolic import (
     Domain,
-    IntegerSums,
     Monomial,
-    MonomialSums,
     Polynomial,
     RatePoint,
+    SumTable,
     elementary_symmetric,
     homogeneous_symmetric,
     p_var,
@@ -21,6 +22,7 @@ from torus_asep.symbolic import (
     pq_integer,
     q_var,
     rate_product,
+    rate_symbols,
     rect_schur,
     reflected_homogeneous,
 )
@@ -257,15 +259,18 @@ degree_two_exps = st.lists(st.integers(0, 3), min_size=2, max_size=2).map(
 
 
 def _accumulate(dom, items):
-    """The frozen sums of the drawn weights, and the reference polynomials."""
-    sums = dom.sums(3)
+    """The kernel's sums of the drawn weights, one state per item, and the
+    reference polynomials."""
+    exponents = np.array([exps for _, exps, _, _ in items], dtype=np.int64).reshape(len(items), 4)
+    rows = []
     expected = [ReferencePolynomial.zero(2) for _ in range(3)]
-    for slot, exps, sign, cancel in items:
+    for state, (slot, exps, sign, cancel) in enumerate(items):
         mono = ReferencePolynomial(2, {exps: 1})
         for s in (sign, -sign) if cancel else (sign,):
-            sums.add(slot, dom.weight(Monomial(2, exps)), s)
+            rows.append((slot, state, s))
             expected[slot] = expected[slot] + mono if s > 0 else expected[slot] - mono
-    return zip(sums.freeze(), expected)
+    slot, state, sign = zip(*rows) if rows else ((), (), ())
+    return zip(dom.totals(exponents, SumTable.build(3, slot, state, sign=sign)), expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,24 +287,33 @@ def test_accumulated_sums_match_repeated_reference_adds(items, numeric_items, po
 def test_domain_term_is_weight_times_rate(exps, symbol, point):
     var = (Monomial.p if symbol[0] == "p" else Monomial.q)(2, symbol[1])
     expected = ReferencePolynomial(2, {exps: 1}) * ReferencePolynomial(2, {var.exponents: 1})
-    symbolic, numeric = Domain(2), Domain(2, point)
-    sums, values = symbolic.sums(1), numeric.sums(1, terms=True)
-    sums.add(0, symbolic.term(symbolic.weight(Monomial(2, exps)), symbol))
-    values.add(0, numeric.term(numeric.weight(Monomial(2, exps)), symbol))
-    _same(sums.freeze()[0], expected)
-    assert values.freeze()[0] == expected.evaluate(point)
+    table = SumTable.build(1, [0], [0], [rate_symbols(2).index(symbol)])
+    exponents = np.array([exps], dtype=np.int64)
+    _same(Domain(2).totals(exponents, table)[0], expected)
+    assert Domain(2, point).totals(exponents, table)[0] == expected.evaluate(point)
 
 
 @pytest.mark.parametrize("rates", [None, ONES], ids=["symbolic", "numeric"])
 def test_sums_slots_are_distinct_and_freeze_once(rates):
+    """Each slot is its own value, every call evaluates the table afresh,
+    the values equal the running sums the kernel replaced, and a table is
+    frozen: it takes no more rows."""
     dom = Domain(2, rates)
-    sums = dom.sums(2)
-    assert isinstance(sums, MonomialSums if rates is None else IntegerSums)
-    if rates is None:
-        assert sums.slots[0] is not sums.slots[1]
-    summand = dom.weight(Monomial.p(2, 1))
-    sums.add(0, summand)
-    first, second = sums.freeze()
+    table = SumTable.build(2, [0], [0])
+    exponents = np.array([Monomial.p(2, 1).exponents], dtype=np.int64)
+    first, second = dom.totals(exponents, table)
+    assert first is not second
     assert first == dom.value(p_var(2, 1)) and second == dom.zero
+    again = dom.totals(exponents, table)
+    assert again == [first, second] and again[0] is not first
+    old = SummandDomain(2, rates)
+    sums = old.sums(2)
+    assert isinstance(sums, MonomialSums if rates is None else IntegerSums)
+    sums.add(0, old.weight(Monomial.p(2, 1)))
+    assert sums.freeze() == again
+    with pytest.raises(ValueError, match="read-only"):
+        table.slot[0] = 1
     with pytest.raises(TypeError):
-        sums.add(0, summand)
+        sums.add(0, old.weight(Monomial.p(2, 1)))
+
+
