@@ -21,11 +21,11 @@ of each record determines exactly which column boundaries the particle
 crossed, which feeds the current estimators.
 
 `build_generator` hands out the package's one transition graph of a lattice:
-the states, their index, and per state its arcs with their target indices.
-The exact solver, the balance and lumping checks, the observable oracles,
-the reachability certificate and the totally asymmetric restriction all
-read it; the rate matrix itself is derived from the arcs only when it is
-exported.
+the states, their index, and int arrays of the arcs (source, target, rate
+index) and of their displacement records, written in one pass over the move
+rule with no `Transition` kept.  The exact solver, the checks, the
+reachability certificate and the totally asymmetric restriction read the
+arrays, and every graph search walks one `adjacency` of them.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
-from .symbolic import Domain, Monomial, RatePoint, SumTable, _frozen, rate_symbols
+from .symbolic import Domain, Monomial, RatePoint, SumTable, _frozen
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -197,9 +196,9 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Arcs(NamedTuple):
-    """Every arc of a graph, in `transitions` order, as read-only int64
-    arrays: its source and target state and the index of its rate symbol
-    (its position in an exponent tuple)."""
+    """Every arc of a graph, by source and then in move-rule order, as
+    read-only int64 arrays: its source and target state and the index of
+    its rate symbol (its position in an exponent tuple)."""
 
     source: np.ndarray
     target: np.ndarray
@@ -210,29 +209,36 @@ class Arcs(NamedTuple):
 class SparseGenerator:
     """The transition graph of the chain over the full state space of (L, n).
 
-    transitions[j] lists every arc leaving state j, and targets[j] holds the
-    index of each arc's target, in the same order.  No rate point is
-    attached: a check that is given one reads the arcs at it.  The rate
-    matrix (column j holds the outflows of state j, its diagonal entry minus
-    the column's off-diagonal sum) is not stored: `triplet_rows` derives it
-    from the arcs when it is exported.  The graph is immutable, since
-    `build_generator` shares one per lattice; so are the tables derived from
-    it on first read, each in one pass: `weights` and their `exponents`,
-    the `arcs` arrays, and one `SumTable` per oracle, which holds the
-    oracle's combinatorics and no rate point (`balance_rows`,
-    `density_rows`, `occupation_rows`, `crossings`, `fiber_rows`).
+    `arcs` holds every arc, and `displacements` one int32 row per record of
+    every arc, arc by arc: (arc, start column, signed step, three crossing
+    channels or -1; see `crossings`).  No rate point is attached: a check
+    that is given one reads the arcs at it.  The rate matrix (column j holds
+    the outflows of state j, its diagonal entry minus the column's
+    off-diagonal sum) is not stored: `triplet_rows` derives it from the arcs
+    when it is exported.  The graph is immutable, since `build_generator`
+    shares one per lattice; so are the tables derived from it on first read,
+    each in one pass: `weights` and their `exponents`, and one `SumTable` per
+    oracle, which holds the oracle's combinatorics and no rate point
+    (`balance_rows`, `density_rows`, `occupation_rows`, `crossings`,
+    `fiber_rows`).
     """
 
     L: int
     n: int
     states: tuple[ColoredWord, ...]
     index: Mapping[ColoredWord, int]
-    transitions: tuple[tuple[Transition, ...], ...]
-    targets: tuple[tuple[int, ...], ...]
+    arcs: Arcs
+    displacements: np.ndarray
 
     @property
     def num_states(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[Transition, ...], ...]:
+        """Per state, its arcs as `Transition`s in arc order, rebuilt by the
+        move rule on first read; nothing in the package reads this view."""
+        return tuple(tuple(_transitions(w)) for w in self.states)
 
     @cached_property
     def weights(self) -> tuple[Monomial, ...]:
@@ -246,21 +252,6 @@ class SparseGenerator:
     def exponents(self) -> np.ndarray:
         """The exponent tuple of each state's weight, one row per state."""
         return _frozen(np.array([m.exponents for m in self.weights], dtype=np.int64).reshape(-1, 2 * self.n))
-
-    @cached_property
-    def arcs(self) -> Arcs:
-        rate_index = {s: j for j, s in enumerate(rate_symbols(self.n))}
-        degrees = [len(targets) for targets in self.targets]
-        count = sum(degrees)
-        return Arcs(
-            _frozen(np.repeat(np.arange(self.num_states, dtype=np.int64), degrees)),
-            _frozen(np.fromiter(chain.from_iterable(self.targets), dtype=np.int64, count=count)),
-            _frozen(
-                np.fromiter(
-                    (rate_index[t.rate_symbol] for outs in self.transitions for t in outs), dtype=np.int64, count=count
-                )
-            ),
-        )
 
     @cached_property
     def balance_rows(self) -> SumTable:
@@ -317,9 +308,9 @@ class SparseGenerator:
     @cached_property
     def crossings(self) -> SumTable:
         """The signed boundary crossings of every arc's displacement
-        records, arc by arc in `transitions` order and in record order: a
-        crossing of boundary b on channel c adds the arc's flow, its
-        source's weight times its rate, to slot c L + b with its sign.
+        records, arc by arc and in record order: a crossing of boundary b
+        on channel c adds the arc's flow, its source's weight times its
+        rate, to slot c L + b with its sign.
 
         A bullet of row i crosses on channel i - 1.  A box crosses on
         channel n, the box column total; unless it is the relabelled jumper,
@@ -327,24 +318,8 @@ class SparseGenerator:
         or B1), on channel 2n + i.
         """
         L, n = self.L, self.n
-        rate_index = {s: j for j, s in enumerate(rate_symbols(n))}
-        # One row per record: source, rate, start, signed step and its
-        # channels, padded with -1.
-        records = array("i")
-        for j, outs in enumerate(self.transitions):
-            for t in outs:
-                r = rate_index[t.rate_symbol]
-                swap = t.kind in (F1, B1)
-                for d in t.displacements:
-                    if d.species == "bullet":
-                        channels = (d.label_from - 1, -1, -1)
-                    elif d.jump:
-                        channels = (n, -1, -1)
-                    else:
-                        channels = (n, n + d.label_from, 2 * n + d.label_from if swap else -1)
-                    records.extend((j, r, d.pos_from, d.step, *channels))
-        source, rate, start, step, *channels = np.frombuffer(records, dtype=np.int32).reshape(-1, 7).T
-        channels = np.stack(channels, axis=1)
+        arc, start, step = self.displacements[:, :3].T
+        channels = self.displacements[:, 3:]
         # Each record's |step| crossings, as `displacement_crossings` walks
         # them, then one row per crossing and channel.
         record, walked = _expand(np.abs(step))
@@ -353,8 +328,8 @@ class SparseGenerator:
         crossing, k = _expand(np.count_nonzero(channels >= 0, axis=1)[record])
         row = record[crossing]
         return SumTable.build(
-            (3 * n + 1) * L, channels[row, k] * L + boundary[crossing], source[row], rate[row],
-            np.where(forward, 1, -1)[crossing],
+            (3 * n + 1) * L, channels[row, k] * L + boundary[crossing], self.arcs.source[arc[row]],
+            self.arcs.rate[arc[row]], np.where(forward, 1, -1)[crossing],
         )
 
     @cached_property
@@ -408,12 +383,28 @@ def build_generator(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> SparseGener
 @lru_cache(maxsize=2)
 def _graph(L: int, n: int) -> SparseGenerator:
     """`build_generator` without the cap; the enumerated states are valid by
-    construction."""
+    construction, and their arcs come from the move rule."""
     states = tuple(enumerate_full(L, n))
     index = {w: j for j, w in enumerate(states)}
-    transitions = tuple(tuple(_transitions(w)) for w in states)
-    targets = tuple(tuple(index[t.target] for t in outs) for outs in transitions)
-    return SparseGenerator(L, n, states, MappingProxyType(index), transitions, targets)
+    arcs, records = array("q"), array("i")  # (source, target, rate) per arc; `displacements` rows
+    for j, w in enumerate(states):
+        for t in _transitions(w):
+            a = len(arcs) // 3
+            arcs.extend((j, index[t.target], t.row - 1 + (n if t.rate_symbol[0] == "q" else 0)))
+            swap = t.kind in (F1, B1)
+            for d in t.displacements:
+                if d.species == "bullet":
+                    channels = (d.label_from - 1, -1, -1)
+                elif d.jump:
+                    channels = (n, -1, -1)
+                else:
+                    channels = (n, n + d.label_from, 2 * n + d.label_from if swap else -1)
+                records.extend((a, d.pos_from, d.step, *channels))
+    columns = np.frombuffer(arcs, dtype=np.int64).reshape(-1, 3).T
+    return SparseGenerator(
+        L, n, states, MappingProxyType(index), Arcs(*(_frozen(c.copy()) for c in columns)),
+        _frozen(np.frombuffer(records, dtype=np.int32).reshape(-1, 6)),
+    )
 
 
 # -- excess and reachability -----------------------------------------------------
@@ -446,6 +437,14 @@ class ReachabilityReport:
     witness_path: list[Transition]
 
 
+def adjacency(num: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
+    """Per node 0 .. num - 1, the heads of the arcs (tail, head) leaving it,
+    in arc order."""
+    heads = head[np.argsort(tail, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(tail, minlength=num)).tolist()
+    return [heads[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def breadth_first(adjacency: list[list[int]], root: int) -> dict[int, int | None]:
     """Breadth-first search tree from root: the parent of each reached node
     (None for root), inserted in visiting order, so the last key is a
@@ -463,6 +462,14 @@ def breadth_first(adjacency: list[list[int]], root: int) -> dict[int, int | None
     return parent
 
 
+def _arc_transition(gen: SparseGenerator, a: int) -> Transition:
+    """Arc a as a `Transition`, rebuilt by the move rule: its rate index r
+    names the bullet, r mod n + 1, and the direction, forward for a p rate."""
+    w = gen.states[gen.arcs.source[a]]
+    r = int(gen.arcs.rate[a])
+    return _move(w, r % gen.n + 1, 1 if r < gen.n else -1, w.bullet_positions())
+
+
 def reachability_tau0(
     L: int, n: int, direction: str = "from", cap: int = DEFAULT_STATE_CAP
 ) -> ReachabilityReport:
@@ -471,14 +478,10 @@ def reachability_tau0(
     if direction not in ("from", "to"):
         raise ValueError("direction must be 'from' or 'to'")
     gen = build_generator(L, n, cap=cap)
-    adjacency = gen.targets
-    if direction == "to":
-        adjacency = [[] for _ in gen.states]
-        for j, targets in enumerate(gen.targets):
-            for k in targets:
-                adjacency[k].append(j)
+    source, target, _ = gen.arcs
+    tail, head = (source, target) if direction == "from" else (target, source)
     root = gen.index[tau_zero(L, n)]
-    parent = breadth_first(adjacency, root)
+    parent = breadth_first(adjacency(gen.num_states, tail, head), root)
     deepest = next(reversed(parent))
     path: list[Transition] = []
     node = deepest
@@ -486,7 +489,7 @@ def reachability_tau0(
         prev = parent[node]
         # the first arc realizing the tree edge, the one the search took
         src, dst = (prev, node) if direction == "from" else (node, prev)
-        path.append(next(t for t, k in zip(gen.transitions[src], gen.targets[src]) if k == dst))
+        path.append(_arc_transition(gen, int(np.flatnonzero((source == src) & (target == dst))[0])))
         node = prev
     if direction == "from":
         path.reverse()
@@ -540,20 +543,18 @@ def restrict_ta(
     if not all(isinstance(m, int) and 1 <= m <= n for m in zero_q):
         raise ValueError(f"zeroed labels must lie in 1..{n}")
     gen = build_generator(L, n, cap)
-    member = [ta_membership(w, zero_q) for w in gen.states]
-    vanishing = {("q", m) for m in zero_q}
-    violations, checked = [], 0
-    for w, keep, outs, targets in zip(gen.states, member, gen.transitions, gen.targets):
-        if keep:
-            arcs = [(t, k) for t, k in zip(outs, targets) if t.rate_symbol not in vanishing]
-            checked += len(arcs)
-            violations += [(w, t) for t, k in arcs if not member[k]]
+    member = np.array([ta_membership(w, zero_q) for w in gen.states], dtype=bool)
+    source, target, rate = gen.arcs
+    # The arcs that survive the zeroed q's from a member state: none may leave the set.
+    checked = member[source] & ~np.isin(rate, [n + m - 1 for m in zero_q])
+    leaving = np.flatnonzero(checked & ~member[target]).tolist()
+    violations = [(t.source, t) for t in (_arc_transition(gen, a) for a in leaving)]
     states = [w for w, keep in zip(gen.states, member) if keep]
     certificate = ClosureCertificate(
         ok=not violations,
         zero_q=zero_q,
         states_checked=len(states),
-        transitions_checked=checked,
+        transitions_checked=int(np.count_nonzero(checked)),
         violations=violations,
     )
     return states, certificate

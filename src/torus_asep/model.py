@@ -281,34 +281,6 @@ def partition_to_word(p: MarkedPartition) -> ColoredWord:
     return ColoredWord(len(p.blocks), tuple(letters))
 
 
-def word_torus_iso(x):
-    """Map a word to its grid view or back, whichever direction applies."""
-    if isinstance(x, ColoredWord):
-        return word_to_torus(x)
-    if isinstance(x, TorusConfig):
-        return torus_to_word(x)
-    raise TypeError(f"expected ColoredWord or TorusConfig, got {type(x).__name__}")
-
-
-def word_partition_iso(x):
-    """Map a word to its marked-partition view or back."""
-    if isinstance(x, ColoredWord):
-        return word_to_partition(x)
-    if isinstance(x, MarkedPartition):
-        return partition_to_word(x)
-    raise TypeError(f"expected ColoredWord or MarkedPartition, got {type(x).__name__}")
-
-
-def symmetry_transform(w: ColoredWord, kind: str, s: int = 1) -> ColoredWord:
-    """Apply a torus symmetry: kind 'rotate' (by s columns) or 'vertical_shift'."""
-    ensure_valid(w)
-    if kind == "rotate":
-        return w.rotate(s)
-    if kind == "vertical_shift":
-        return w.vertical_shift()
-    raise ValueError(f"unknown symmetry kind {kind!r}")
-
-
 # -- enumeration ---------------------------------------------------------------
 
 

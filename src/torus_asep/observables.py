@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .dynamics import build_generator
 from .model import _check_dims, iter_restricted
@@ -221,11 +222,20 @@ class _CommonDenominator:
         full_normalization(L, n)
         self.L = L
         self.dom = dom
-        self.closed = closed_forms(L, n, dom)
-        self.z = self.closed["bullet_density"]
+        self.forms = closed_forms(L, n)
+        self.values: dict = {}
+        self.z = self.closed("bullet_density")
         if self.z == 0:
             raise ValueError("all weights vanish at this rate point")
         self.lz = L * self.z
+
+    def closed(self, name: str):
+        """The closed-form numerator of family `name` in `dom`, evaluated on
+        first read; a family with rows gives a tuple by row."""
+        if name not in self.values:
+            form = self.forms[name]
+            self.values[name] = tuple(map(self.dom.value, form)) if isinstance(form, tuple) else self.dom.value(form)
+        return self.values[name]
 
     def entry(self, name: str, index: tuple[int, ...], closed, oracle, whole_row: bool = False) -> ObservableEntry:
         if whole_row:
@@ -238,8 +248,8 @@ class _CommonDenominator:
     def check(self, name: str, index: tuple[int, ...], oracle) -> ObservableEntry:
         """The entry of an oracle numerator against its closed form, which
         for a family with rows is the one of row index[0]."""
-        closed = self.closed[name]
-        if isinstance(closed, list):
+        closed = self.closed(name)
+        if isinstance(closed, tuple):
             closed = closed[index[0] - 1]
         return self.entry(name, index, closed, oracle, whole_row=name in WHOLE_ROW)
 
@@ -250,45 +260,47 @@ class _CommonDenominator:
 WHOLE_ROW = frozenset({"bullet_row_current", "box_vertical_up", "box_vertical_down", "box_vertical_net"})
 
 
-def closed_forms(L: int, n: int, dom: Domain) -> dict:
-    """Every closed-form numerator of (L, n) in `dom`, by observable name.
+@lru_cache(maxsize=None)
+def closed_forms(L: int, n: int) -> MappingProxyType:
+    """Every closed-form numerator of (L, n), by observable name, as a
+    polynomial in the 2n rates; built once per lattice.
 
-    A family that depends on the row maps to its list by row.  The bullet
+    A family that depends on the row maps to its tuple by row.  The bullet
     density 1/L is Z over L * Z.  Every current carries the drift times a
     quantity of the torus one column smaller, and vanishes for L = n, where
-    there is none.  Computed afresh on every call.
+    there is none.
     """
     _check_dims(L, n)
     if L > n:
-        z_prev = dom.value(partition_function(L - 1, n))
-        row = [dom.value(box_density_numerator(L - 1, n, i)) for i in range(1, n + 1)]
+        z_prev = partition_function(L - 1, n)
+        row = [box_density_numerator(L - 1, n, i) for i in range(1, n + 1)]
     else:
-        z_prev, row = dom.zero, [dom.zero] * n
-    p_all, q_all = (dom.value(rate_product(n, family).as_polynomial()) for family in "pq")
-    d = dom.value(drift(n))
-    return {
-        "bullet_density": dom.value(partition_function(L, n)),
-        "box_density": [dom.value(box_density_numerator(L, n, i)) for i in range(1, n + 1)],
+        z_prev, row = Polynomial.zero(n), [Polynomial.zero(n)] * n
+    p_all, q_all = (rate_product(n, family).as_polynomial() for family in "pq")
+    d = drift(n)
+    return MappingProxyType({
+        "bullet_density": partition_function(L, n),
+        "box_density": tuple(box_density_numerator(L, n, i) for i in range(1, n + 1)),
         "bullet_edge_current": d * z_prev,
         "bullet_row_current": d * z_prev,
         "box_column_current": -n * d * z_prev,
         "box_vertical_up": p_all * z_prev,
         "box_vertical_down": q_all * z_prev,
         "box_vertical_net": d * z_prev,
-        "box_row_current": [d * r for r in row],
-    }
+        "box_row_current": tuple(d * r for r in row),
+    })
 
 
 def _closed_values(L: int, n: int, rates: RatePoint) -> dict:
     """`closed_forms` divided out at a rate point, with no ensemble enumeration."""
-    table = closed_forms(L, n, Domain(n, rates))
-    z = table["bullet_density"]
+    table = closed_forms(L, n)
+    z = table["bullet_density"].evaluate(rates)
 
     def value(name, num):
-        return num / (z if name in WHOLE_ROW else L * z)
+        return num.evaluate(rates) / (z if name in WHOLE_ROW else L * z)
 
     return {
-        name: [value(name, x) for x in num] if isinstance(num, list) else value(name, num)
+        name: [value(name, x) for x in num] if isinstance(num, tuple) else value(name, num)
         for name, num in table.items()
     }
 

@@ -23,7 +23,7 @@ from operator import add
 
 import numpy as np
 
-from .dynamics import SparseGenerator, _expand, breadth_first, build_generator
+from .dynamics import SparseGenerator, _expand, adjacency, breadth_first, build_generator
 from .model import ColoredWord, box_gap_labels, ensure_valid
 from .symbolic import Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det, rate_product
 
@@ -179,11 +179,8 @@ def _closed_class(num: int, arcs: list[tuple[int, int, int]]) -> list[int]:
     reaches c; otherwise StationaryError.  On an irreducible chain this is
     one forward and one backward search from node 0.
     """
-    fwd: list[list[int]] = [[] for _ in range(num)]
-    bwd: list[list[int]] = [[] for _ in range(num)]
-    for u, v, _ in arcs:
-        fwd[u].append(v)
-        bwd[v].append(u)
+    tail, head = np.array([(u, v) for u, v, _ in arcs], dtype=np.int64).reshape(-1, 2).T
+    fwd, bwd = adjacency(num, tail, head), adjacency(num, head, tail)
     c: int | None = 0
     while c is not None:
         reach, back = breadth_first(fwd, c), breadth_first(bwd, c)

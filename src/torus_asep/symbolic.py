@@ -459,11 +459,6 @@ def rate_symbols(n: int) -> list[tuple[str, int]]:
     return [(family, k) for family in "pq" for k in range(1, n + 1)]
 
 
-def rate_symbol_poly(n: int, symbol: tuple[str, int]) -> Polynomial:
-    family, k = symbol
-    return p_var(n, k) if family == "p" else q_var(n, k)
-
-
 def rate_product(n: int, family: str) -> Monomial:
     """The monomial p_1..p_n (family 'p') or q_1..q_n (family 'q')."""
     off = 0 if family == "p" else n

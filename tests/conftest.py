@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torus_asep import ColoredWord, RatePoint, dynamics
@@ -39,3 +41,17 @@ def fresh_graphs():
     dynamics._graph.cache_clear()
     yield
     dynamics._graph.cache_clear()
+
+
+def arc_targets(gen) -> list[list[int]]:
+    """Per state, the target index of each of its arcs, in arc order."""
+    source, target, _ = gen.arcs
+    return [row.tolist() for row in np.split(target, np.searchsorted(source, np.arange(1, gen.num_states)))]
+
+
+def with_swapped_targets(gen, j: int):
+    """`gen` with the targets of the first two arcs of state j swapped."""
+    a = int(np.searchsorted(gen.arcs.source, j))
+    target = gen.arcs.target.copy()
+    target[[a, a + 1]] = target[[a + 1, a]]
+    return dataclasses.replace(gen, arcs=gen.arcs._replace(target=target))

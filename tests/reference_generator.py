@@ -2,12 +2,15 @@
 point and an explicit state subset: arcs whose rate vanishes at the point
 are left out, and an arc may leave the subset only if its rate vanishes.
 Kept as the reference that the differential tests of the full-space solve
-check against; nothing in the package imports it.
+check against; nothing in the package imports it.  The subset graph is
+only solved, so it carries no displacement records.
 """
 
 from __future__ import annotations
 
-from torus_asep.dynamics import DEFAULT_STATE_CAP, SparseGenerator, Transition, _transitions, check_state_cap
+import numpy as np
+
+from torus_asep.dynamics import DEFAULT_STATE_CAP, Arcs, SparseGenerator, Transition, _transitions, check_state_cap
 from torus_asep.model import ColoredWord, enumerate_full, ensure_valid
 from torus_asep.symbolic import RatePoint, rate_symbols
 
@@ -49,4 +52,14 @@ def build_generator(
             targets.append(k)
         all_transitions.append(outs)
         all_targets.append(targets)
-    return SparseGenerator(L, n, states, index, all_transitions, all_targets)
+    rate = {s: r for r, s in enumerate(rate_symbols(n))}
+    arcs = Arcs(
+        np.array([j for j, targets in enumerate(all_targets) for _ in targets], dtype=np.int64),
+        np.array([k for targets in all_targets for k in targets], dtype=np.int64),
+        np.array([rate[t.rate_symbol] for outs in all_transitions for t in outs], dtype=np.int64),
+    )
+    gen = SparseGenerator(L, n, tuple(states), index, arcs, np.zeros((0, 6), dtype=np.int32))
+    # The subset's own arcs, not the view of every arc of its states that
+    # the move rule would rebuild: the reference solver reads these.
+    gen.__dict__["transitions"] = tuple(map(tuple, all_transitions))
+    return gen

@@ -1,0 +1,97 @@
+"""The transition graph as it stood while it stored its arcs as objects:
+per state, a tuple of `Transition`s from the move rule and a tuple of
+their target indices, with the reachability certificate and the totally
+asymmetric restriction walking those tuples.  Kept as the reference that
+the differential tests in test_dynamics.py check the array graph against;
+nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from torus_asep.dynamics import (
+    ClosureCertificate,
+    ReachabilityReport,
+    Transition,
+    _transitions,
+    breadth_first,
+    ta_membership,
+    tau_zero,
+)
+from torus_asep.model import ColoredWord, enumerate_full
+
+
+@dataclass(frozen=True)
+class ObjectGraph:
+    L: int
+    n: int
+    states: tuple[ColoredWord, ...]
+    index: dict[ColoredWord, int]
+    transitions: tuple[tuple[Transition, ...], ...]
+    targets: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=2)
+def object_graph(L: int, n: int) -> ObjectGraph:
+    states = tuple(enumerate_full(L, n))
+    index = {w: j for j, w in enumerate(states)}
+    transitions = tuple(tuple(_transitions(w)) for w in states)
+    targets = tuple(tuple(index[t.target] for t in outs) for outs in transitions)
+    return ObjectGraph(L, n, states, index, transitions, targets)
+
+
+def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityReport:
+    gen = object_graph(L, n)
+    adjacency = gen.targets
+    if direction == "to":
+        adjacency = [[] for _ in gen.states]
+        for j, targets in enumerate(gen.targets):
+            for k in targets:
+                adjacency[k].append(j)
+    root = gen.index[tau_zero(L, n)]
+    parent = breadth_first(adjacency, root)
+    deepest = next(reversed(parent))
+    path: list[Transition] = []
+    node = deepest
+    while parent[node] is not None:
+        prev = parent[node]
+        src, dst = (prev, node) if direction == "from" else (node, prev)
+        path.append(next(t for t, k in zip(gen.transitions[src], gen.targets[src]) if k == dst))
+        node = prev
+    if direction == "from":
+        path.reverse()
+        start = gen.states[root]
+    else:
+        start = gen.states[deepest]
+    return ReachabilityReport(
+        ok=len(parent) == len(gen.states),
+        direction=direction,
+        num_states=len(gen.states),
+        num_reached=len(parent),
+        witness_start=start,
+        witness_path=path,
+    )
+
+
+def restrict_ta(L: int, n: int, zero_q) -> tuple[list[ColoredWord], ClosureCertificate]:
+    zero_q = frozenset(zero_q)
+    gen = object_graph(L, n)
+    member = [ta_membership(w, zero_q) for w in gen.states]
+    vanishing = {("q", m) for m in zero_q}
+    violations, checked = [], 0
+    for w, keep, outs, targets in zip(gen.states, member, gen.transitions, gen.targets):
+        if keep:
+            arcs = [(t, k) for t, k in zip(outs, targets) if t.rate_symbol not in vanishing]
+            checked += len(arcs)
+            violations += [(w, t) for t, k in arcs if not member[k]]
+    states = [w for w, keep in zip(gen.states, member) if keep]
+    certificate = ClosureCertificate(
+        ok=not violations,
+        zero_q=zero_q,
+        states_checked=len(states),
+        transitions_checked=checked,
+        violations=violations,
+    )
+    return states, certificate

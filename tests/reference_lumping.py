@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from torus_asep.stationary import LumpingReport, OneDimConfig, lump, total_box_weight
-from torus_asep.symbolic import Polynomial
+from torus_asep.symbolic import Polynomial, rate_symbols
 
 
 def reference_evans_product(gaps: tuple[int, ...], n: int) -> Polynomial:
@@ -29,11 +29,16 @@ def reference_lumping_report(gen) -> LumpingReport:
     for j, psi in enumerate(lumped):
         fibers.setdefault(psi, []).append(j)
 
+    arcs: list[list[tuple[int, int]]] = [[] for _ in gen.states]
+    for j, k, r in zip(*(column.tolist() for column in gen.arcs)):
+        arcs[j].append((k, r))
+    symbols = rate_symbols(n)
+
     rate_failures = []
     for psi, members in fibers.items():
         reference = None
         for j in members:
-            into = Counter((lumped[k], t.rate_symbol) for t, k in zip(gen.transitions[j], gen.targets[j]))
+            into = Counter((lumped[k], symbols[r]) for k, r in arcs[j])
             if reference is None:
                 reference = into
             elif into != reference:

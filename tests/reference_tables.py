@@ -23,7 +23,8 @@ def reference_balance(gen, rates: RatePoint | None = None) -> list:
     """Inflow minus outflow per state (`balance_rows`)."""
     dom = SummandDomain(gen.n, rates)
     net = dom.sums(gen.num_states, terms=True)
-    for j, (m, outs, targets) in enumerate(zip(gen.weights, gen.transitions, gen.targets)):
+    targets = iter(gen.arcs.target.tolist())
+    for j, (m, outs) in enumerate(zip(gen.weights, gen.transitions)):
         wv = dom.weight(m)
         for t, k in zip(outs, targets):
             flow = dom.term(wv, t.rate_symbol)

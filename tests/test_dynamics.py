@@ -19,7 +19,7 @@ from torus_asep.dynamics import (
     tau_zero,
 )
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate
-from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbol_poly, rate_symbols
+from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbols
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
 
@@ -182,7 +182,8 @@ def _reference_triplets(L, n, rates=None, states=None):
     diagonal = [zero] * len(states)
     for j, w in enumerate(states):
         for t in outgoing_transitions(w):
-            value = rate_symbol_poly(n, t.rate_symbol) if rates is None else rates.rate(t.rate_symbol)
+            family, k = t.rate_symbol
+            value = (p_var if family == "p" else q_var)(n, k) if rates is None else rates.rate(t.rate_symbol)
             if t.target not in index:
                 assert subset_mode and value == zero
                 continue
@@ -206,7 +207,7 @@ def _read_rate(text, n, symbolic):
         return Fraction(text)
     value = Polynomial.zero(n)
     for sign, coef, family, k in _LINEAR_TERM.findall(text):
-        term = int(coef or 1) * rate_symbol_poly(n, (family, int(k)))
+        term = int(coef or 1) * (p_var if family == "p" else q_var)(n, int(k))
         value = value - term if sign.strip() == "-" else value + term
     assert str(value) == text
     return value
@@ -330,15 +331,17 @@ def test_the_shared_graph_is_immutable(fresh_graphs):
     with pytest.raises(dataclasses.FrozenInstanceError):
         gen.states = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
+        gen.arcs = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
         gen.transitions = ()
     with pytest.raises(TypeError):
         gen.index[gen.states[0]] = 1
-    for table in (gen.states, gen.transitions, gen.targets, gen.weights):
+    for table in (gen.states, gen.transitions, gen.weights):
         assert isinstance(table, tuple)
-    for rows in (gen.transitions, gen.targets):
-        assert all(isinstance(row, tuple) for row in rows)
+    assert all(isinstance(row, tuple) for row in gen.transitions)
     tables = (gen.balance_rows, gen.density_rows, gen.occupation_rows, gen.crossings, gen.fiber_rows)
-    arrays = [gen.exponents, *gen.arcs] + [a for t in tables for a in (t.slot, t.state, t.rate, t.sign) if a is not None]
+    arrays = [gen.exponents, *gen.arcs, gen.displacements]
+    arrays += [a for t in tables for a in (t.slot, t.state, t.rate, t.sign) if a is not None]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
@@ -356,8 +359,8 @@ def test_crossing_table_matches_the_displacement_records(L):
         table = gen.crossings
         assert table.size == (3 * n + 1) * L
         rows = iter(zip(table.slot.tolist(), table.state.tolist(), table.rate.tolist(), table.sign.tolist()))
-        for j, outs in enumerate(gen.transitions):
-            for t in outs:
+        for j, w in enumerate(gen.states):
+            for t in outgoing_transitions(w):
                 expected = []
                 for d in t.displacements:
                     for boundary, sign in displacement_crossings(d, L):
@@ -375,6 +378,76 @@ def test_crossing_table_matches_the_displacement_records(L):
                         channel * L + boundary, j, t.rate_symbol, sign
                     )
         assert next(rows, None) is None
+
+
+LATTICES = [(L, n) for L in range(1, 7) for n in range(1, L + 1)]
+
+
+@pytest.mark.parametrize("L,n", LATTICES)
+def test_arcs_are_the_per_word_transitions(L, n):
+    """Arc for arc and in order, the arc arrays hold the target index and
+    the rate symbol of the separate forward and backward rules."""
+    from reference_transitions import reference_transitions
+
+    gen = build_generator(L, n)
+    expected = [
+        (j, gen.index[t.target], t.rate_symbol) for j, w in enumerate(gen.states) for t in reference_transitions(w)
+    ]
+    source, target, rate = (column.tolist() for column in gen.arcs)
+    assert list(zip(source, target, [rate_symbols(n)[r] for r in rate])) == expected
+
+
+@pytest.mark.parametrize("L,n", LATTICES)
+def test_graph_walks_match_the_object_graph(L, n):
+    """Reachability in both directions and the restriction for every zero
+    set equal, field for field, the walks over the stored `Transition`s."""
+    from itertools import combinations
+
+    import reference_graph
+
+    for direction in ("from", "to"):
+        assert reachability_tau0(L, n, direction) == reference_graph.reachability_tau0(L, n, direction)
+    for size in range(n + 1):
+        for zero_q in combinations(range(1, n + 1), size):
+            assert restrict_ta(L, n, zero_q) == reference_graph.restrict_ta(L, n, zero_q), zero_q
+
+
+def test_a_closure_violation_rebuilds_its_transition(monkeypatch):
+    """With membership wrongly granted to one non-member state, its arcs that
+    leave the set are reported, each with the `Transition` of its arc."""
+    import reference_graph
+
+    real = dynamics.ta_membership
+    outsider = next(w for w in enumerate_full(5, 3) if not real(w, frozenset({1})))
+    monkeypatch.setattr(dynamics, "ta_membership", lambda w, zero_q: w == outsider or real(w, zero_q))
+    monkeypatch.setattr(reference_graph, "ta_membership", dynamics.ta_membership)
+    states, cert = restrict_ta(5, 3, {1})
+    assert not cert.ok and {w for w, _ in cert.violations} == {outsider}
+    assert all(t.source == outsider and t in outgoing_transitions(outsider) for _, t in cert.violations)
+    assert (states, cert) == reference_graph.restrict_ta(5, 3, {1})
+
+
+def test_no_check_reads_the_transition_view(fresh_graphs):
+    """The checks read the arc arrays; the `Transition` view is never built."""
+    from torus_asep.observables import currents_exact, densities, scott_russell_check
+    from torus_asep.stationary import exact_stationary, lumping_report, verify_balance
+
+    gen = build_generator(4, 2)
+    rates = RatePoint.parse("1,2;0,5")
+    for point in (None, rates):
+        verify_balance(4, 2, point)
+        densities(4, 2, point)
+        currents_exact(4, 2, point)
+        gen.triplet_rows(point)
+    lumping_report(4, 2)
+    scott_russell_check(4, 2)
+    exact_stationary(gen, rates)
+    restrict_ta(4, 2, {1})
+    reachability_tau0(4, 2, "from")
+    reachability_tau0(4, 2, "to")
+    assert build_generator(4, 2) is gen
+    assert "transitions" not in vars(gen)
+    assert not {"transitions", "targets"} & {field.name for field in dataclasses.fields(gen)}
 
 
 def test_generator_triplet_export():

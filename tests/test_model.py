@@ -15,13 +15,12 @@ from torus_asep.model import (
     ensure_valid,
     iter_restricted,
     letter_sort_key,
+    partition_to_word,
     restricted_count,
-    symmetry_transform,
+    torus_to_word,
     validate,
-    word_partition_iso,
     word_to_partition,
     word_to_torus,
-    word_torus_iso,
 )
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
@@ -67,7 +66,7 @@ def test_degenerate_dimensions():
 
 
 def test_worked_example_torus_iso():
-    torus = word_torus_iso(TAU)
+    torus = word_to_torus(TAU)
     bullets = [
         (i + 1, j + 1)
         for i in range(4)
@@ -75,14 +74,14 @@ def test_worked_example_torus_iso():
         if torus.cells[i][j] == CellState.BULLET
     ]
     assert bullets == [(1, 1), (2, 5), (3, 7), (4, 9)]
-    assert word_torus_iso(torus) == TAU
+    assert torus_to_word(torus) == TAU
 
 
 def test_worked_example_partition_iso():
-    part = word_partition_iso(TAU)
+    part = word_to_partition(TAU)
     assert [sorted(b) for b in part.blocks] == [[1, 10], [5, 6], [2, 3, 7, 8], [4, 9]]
     assert part.marks == (1, 5, 7, 9)
-    assert word_partition_iso(part) == TAU
+    assert partition_to_word(part) == TAU
 
 
 def test_single_row_isos():
@@ -97,14 +96,14 @@ def test_round_trips_exhaustive_small():
     for L in range(1, 7):
         for n in range(1, L + 1):
             for w in iter_restricted(L, n):
-                assert word_torus_iso(word_torus_iso(w)) == w
-                assert word_partition_iso(word_partition_iso(w)) == w
+                assert torus_to_word(word_to_torus(w)) == w
+                assert partition_to_word(word_to_partition(w)) == w
 
 
 def test_rotate_examples():
     w = ColoredWord.from_text("B1 B2 b2 b2")
-    assert symmetry_transform(w, "rotate", 1).to_text() == "b2 B1 B2 b2"
-    assert symmetry_transform(w, "rotate", 4) == w
+    assert w.rotate(1).to_text() == "b2 B1 B2 b2"
+    assert w.rotate(4) == w
     for s in range(4):
         assert validate(w.rotate(s)) == []
 
@@ -182,8 +181,8 @@ def test_random_large_words_structural(rng):
         n = rng.randint(2, min(6, L))
         w = random_word(L, n, rng)
         assert validate(w) == []
-        assert word_torus_iso(word_torus_iso(w)) == w
-        assert word_partition_iso(word_partition_iso(w)) == w
+        assert torus_to_word(word_to_torus(w)) == w
+        assert partition_to_word(word_to_partition(w)) == w
         s = rng.randrange(L)
         assert validate(w.rotate(s)) == []
         assert w.rotate(s).rotate(L - s) == w

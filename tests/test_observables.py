@@ -336,8 +336,14 @@ def test_wrong_box_density_closed_form_raises(numeric, monkeypatch, rng):
     original = observables.box_density_numerator
     monkeypatch.setattr(observables, "box_density_numerator", lambda L, n, i: original(L, n, i) + 1)
     rp = random_rate_point(2, rng) if numeric else None
-    with pytest.raises(ObservableMismatch, match="box_density"):
-        densities(4, 2, rp)
+    # The closed forms are memoised per lattice: a table cached before the
+    # patch would hide it, and one cached under it must not outlive the test.
+    observables.closed_forms.cache_clear()
+    try:
+        with pytest.raises(ObservableMismatch, match="box_density"):
+            densities(4, 2, rp)
+    finally:
+        observables.closed_forms.cache_clear()
 
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])

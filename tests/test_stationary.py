@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import reference_generator
 from reference_lumping import reference_evans_product, reference_lumping_report
-from conftest import random_rate_point
-from torus_asep.dynamics import breadth_first, build_generator, restrict_ta
+from conftest import arc_targets, random_rate_point, with_swapped_targets
+from torus_asep.dynamics import Arcs, breadth_first, build_generator, restrict_ta
 from torus_asep.model import ColoredWord, ValidationError, iter_restricted
 from torus_asep import stationary
 from torus_asep.stationary import (
@@ -202,11 +202,8 @@ def test_exact_stationary_rejects_two_closed_classes(rng):
     """A graph edited so that states 0 and 1 keep no arc has two closed
     classes, and so no unique law; so has n = L, where nothing moves."""
     gen = build_generator(4, 2)
-    cut = dataclasses.replace(
-        gen,
-        transitions=[[] if j < 2 else outs for j, outs in enumerate(gen.transitions)],
-        targets=[[] if j < 2 else targets for j, targets in enumerate(gen.targets)],
-    )
+    keep = gen.arcs.source >= 2
+    cut = dataclasses.replace(gen, arcs=Arcs(*(column[keep] for column in gen.arcs)))
     with pytest.raises(StationaryError, match="more than one closed class"):
         exact_stationary(cut, random_rate_point(2, rng))
     with pytest.raises(StationaryError, match="more than one closed class"):
@@ -263,11 +260,10 @@ def test_balance_structure_of_adjacent_bullet_states():
         assert sorted(t.rate_symbol for t in outs) == [("p", 2), ("q", 1)]
         ins = incoming[j]
         assert len(ins) == 2
-        from torus_asep.symbolic import rate_symbol_poly
-
         inflow = Polynomial.zero(2)
         for t in ins:
-            inflow = inflow + weights[t.source] * rate_symbol_poly(2, t.rate_symbol)
+            family, k = t.rate_symbol
+            inflow = inflow + weights[t.source] * (p_var if family == "p" else q_var)(2, k)
         outflow = weights[w] * (q_var(2, 1) + p_var(2, 2))
         assert inflow == outflow
     assert checked == 4
@@ -367,12 +363,10 @@ def test_lumping_report_reads_the_arc_targets():
     gen = build_generator(4, 2)
     j = next(
         j
-        for j, targets in enumerate(gen.targets)
+        for j, targets in enumerate(arc_targets(gen))
         if len(targets) > 1 and lump(gen.states[targets[0]]) != lump(gen.states[targets[1]])
     )
-    targets = [list(t) for t in gen.targets]
-    targets[j][:2] = targets[j][1::-1]
-    report = lumping_report(4, 2, gen=dataclasses.replace(gen, targets=targets))
+    report = lumping_report(4, 2, gen=with_swapped_targets(gen, j))
     assert not report.lumpable and report.marginal_ok
 
 

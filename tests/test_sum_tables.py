@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import arc_targets, with_swapped_targets
 from reference_tables import REFERENCES
 from torus_asep import symbolic
 from torus_asep.dynamics import build_generator
@@ -118,17 +119,15 @@ def test_no_report_value_is_a_numpy_scalar(point):
     # Swapping the targets of two arcs of unequal flows breaks balance, so
     # the report carries residuals.
     value = (lambda s: s) if rates is None else rates.rate
-    targets = [list(t) for t in gen.targets]
     j = next(
         j
-        for j, (outs, t, m) in enumerate(zip(gen.transitions, targets, gen.weights))
+        for j, (outs, t, m) in enumerate(zip(gen.transitions, arc_targets(gen), gen.weights))
         if len(t) > 1
         and t[0] != t[1]
         and value(outs[0].rate_symbol) != value(outs[1].rate_symbol)
         and (rates is None or m.evaluate(rates))
     )
-    targets[j][:2] = targets[j][1::-1]
-    broken = dataclasses.replace(gen, targets=targets)
+    broken = with_swapped_targets(gen, j)
     reports = [
         verify_balance(4, 3, rates, gen=gen),
         verify_balance(4, 3, rates, gen=broken),
