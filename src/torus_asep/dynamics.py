@@ -195,6 +195,15 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
+def first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of a 2-d array numbered in order of first appearance: the
+    number of each row, and the index of the first row of each number."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse.ravel()], first[order]
+
+
 class Arcs(NamedTuple):
     """Every arc of a graph, by source and then in move-rule order, as
     read-only int64 arrays: its source and target state and the index of
@@ -217,10 +226,10 @@ class SparseGenerator:
     off-diagonal sum) is not stored: `triplet_rows` derives it from the arcs
     when it is exported.  The graph is immutable, since `build_generator`
     shares one per lattice; so are the tables derived from it on first read,
-    each in one pass: `weights` and their `exponents`, and one `SumTable` per
-    oracle, which holds the oracle's combinatorics and no rate point
-    (`balance_rows`, `density_rows`, `occupation_rows`, `crossings`,
-    `fiber_rows`).
+    each in one pass: the states' `letters`, their `weights` and the
+    weights' `exponents`, and one `SumTable` per oracle, which holds the
+    oracle's combinatorics and no rate point (`balance_rows`,
+    `density_rows`, `occupation_rows`, `crossings`, `fiber_rows`).
     """
 
     L: int
@@ -264,9 +273,10 @@ class SparseGenerator:
             np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
         )
 
-    def _letters(self) -> np.ndarray:
+    @cached_property
+    def letters(self) -> np.ndarray:
         """The letters of each state, one row per state."""
-        return np.array([w.letters for w in self.states], dtype=np.int64).reshape(self.num_states, self.L)
+        return _frozen(np.array([w.letters for w in self.states], dtype=np.int64).reshape(self.num_states, self.L))
 
     @cached_property
     def density_rows(self) -> SumTable:
@@ -274,7 +284,7 @@ class SparseGenerator:
         (k - 1) L + x for bullet k at column x, and (n + i - 1) L + x for a
         box of row i there."""
         L, n = self.L, self.n
-        letters = self._letters()
+        letters = self.letters
         slot = np.where(letters > 0, letters - 1, n - 1 - letters) * L + np.arange(L)
         return SumTable.build(2 * n * L, slot.ravel(), np.repeat(np.arange(self.num_states), L))
 
@@ -287,7 +297,7 @@ class SparseGenerator:
         and n L + n + i hold the same-row patterns that trigger the nonlocal
         moves of row i + 1: the box on the right (up) and on the left (down)."""
         L, n = self.L, self.n
-        letters = self._letters()
+        letters = self.letters
         state = np.broadcast_to(np.arange(self.num_states)[:, None], letters.shape)
         column = np.broadcast_to(np.arange(L), letters.shape)
         row = letters - 1
@@ -337,11 +347,8 @@ class SparseGenerator:
         """Weight sums over the fibers of the label-erasing projection, one
         row per state in state order, so slot[j] is the fiber of state j;
         fibers are numbered in order of their first state."""
-        lumped = np.maximum(self._letters(), 0)
-        _, first, inverse = np.unique(lumped, axis=0, return_index=True, return_inverse=True)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        return SumTable.build(len(first), rank[inverse.ravel()], np.arange(self.num_states))
+        fiber, first = first_seen(np.maximum(self.letters, 0))
+        return SumTable.build(len(first), fiber, np.arange(self.num_states))
 
     def triplet_rows(self, rates: RatePoint | None = None) -> list[tuple[int, int, str]]:
         """Sparse export at `rates` (None = symbolic): (source index, target
@@ -509,20 +516,11 @@ def reachability_tau0(
 # -- totally asymmetric restriction ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _vanishing_boxes(n: int, zero_q: frozenset[int]) -> frozenset[tuple[int, int]]:
-    """The (row, gap) pairs whose box weight has a factor q_m, m in zero_q."""
-    from .stationary import box_weight
-
-    pairs = ((i, g) for i in range(1, n + 1) for g in range(1, n + 1))
-    return frozenset((i, g) for i, g in pairs if box_weight(i, g, n).uses_q_label(zero_q))
-
-
 def ta_membership(w: ColoredWord, zero_q: frozenset[int]) -> bool:
-    """True if the stationary weight of w survives setting q_m = 0 for m in
-    the set, that is, if no box weight of w has a factor q_m."""
-    vanishing = _vanishing_boxes(w.n, frozenset(zero_q))
-    return not any((i, g) in vanishing for _, i, g in box_gap_labels(w))
+    """True if the stationary weight of w has no factor q_m, m in zero_q."""
+    from .stationary import _enumerated_weight
+
+    return not _enumerated_weight(w).uses_q_label(zero_q)
 
 
 @dataclass
@@ -543,10 +541,11 @@ def restrict_ta(
     if not all(isinstance(m, int) and 1 <= m <= n for m in zero_q):
         raise ValueError(f"zeroed labels must lie in 1..{n}")
     gen = build_generator(L, n, cap)
-    member = np.array([ta_membership(w, zero_q) for w in gen.states], dtype=bool)
+    zeroed = [n + m - 1 for m in zero_q]
+    member = ~gen.exponents[:, zeroed].any(axis=1)
     source, target, rate = gen.arcs
     # The arcs that survive the zeroed q's from a member state: none may leave the set.
-    checked = member[source] & ~np.isin(rate, [n + m - 1 for m in zero_q])
+    checked = member[source] & ~np.isin(rate, zeroed)
     leaving = np.flatnonzero(checked & ~member[target]).tolist()
     violations = [(t.source, t) for t in (_arc_transition(gen, a) for a in leaving)]
     states = [w for w, keep in zip(gen.states, member) if keep]

@@ -5,10 +5,10 @@ and Lebowitz 1975; Gillespie 1977).  The state lives in place: a mutable
 letter list, the bullet column of each label, and the occupancy cell of
 every column.  Each event scans the at most 2n candidate moves (per bullet,
 forward then backward, by label) into a bitmask of the enabled ones.  The
-moves, total rate and cumulative rates of a mask form its menu, built on
-the first event that meets the mask and kept in a table that is cleared
-once it holds `_MENU_LIMIT` menus.  The event draws an exponential holding
-time with parameter equal to the total rate, picks a move in proportion to
+moves, total rate (numpy's sum) and cumulative rates of a mask form its
+menu, built on the first event that meets the mask and kept in a table
+that is cleared once it holds `_MENU_LIMIT` menus.  The event draws an
+exponential holding time at the total rate, picks a move in proportion to
 its rate, and rewrites only the cells that move touches: two cells for a
 swap (F1, B1), the shifted gap block plus the bullet and the relabelled
 jumper for a nonlocal move (F2, B2).  The crossings are written straight
@@ -47,33 +47,6 @@ import numpy as np
 from .dynamics import block_move, tau_zero
 from .model import ColoredWord, ensure_valid
 from .symbolic import RatePoint
-
-
-def _rate_sum(v: list[float]) -> float:
-    """The sum of `v` exactly as `float(np.array(v).sum())` computes it.
-
-    numpy adds fewer than 8 terms in sequence; from 8 terms on it keeps
-    eight running partial sums, and above 128 terms it splits the range.
-    """
-    m = len(v)
-    if m < 8:
-        s = 0.0
-        for x in v:
-            s += x
-        return s
-    if m > 128:
-        h = m // 2
-        h -= h % 8
-        return _rate_sum(v[:h]) + _rate_sum(v[h:])
-    r = v[:8]
-    stop = m - m % 8
-    for i in range(8, stop, 8):
-        for j in range(8):
-            r[j] += v[i + j]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in v[stop:]:
-        s += x
-    return s
 
 
 _MENU_LIMIT = 4096  # menus kept per run; the table is cleared when it is full
@@ -251,7 +224,7 @@ def simulate(
         if menu is None:
             moves = [m for i, m in enumerate(candidates) if mask >> i & 1]
             move_rates = [m[2] for m in moves]
-            menu = (moves, _rate_sum(move_rates), list(accumulate(move_rates)))
+            menu = (moves, float(np.sum(move_rates)), list(accumulate(move_rates)))
             if len(menus) >= _MENU_LIMIT:
                 menus.clear()
             menus[mask] = menu

@@ -9,12 +9,15 @@ Three isomorphic encodings are supported:
   particle per column.
 * ``MarkedPartition``: an ordered set partition of the columns 1..L with one
   marked element per block, the marks cyclically increasing.
+
+One recursion enumerates the words in lexicographic letter order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterator
 
 
@@ -30,11 +33,6 @@ class CellState:
     EMPTY = "."
     BULLET = "*"
     BOX = "#"
-
-
-def letter_sort_key(letter: int) -> tuple[int, int]:
-    # Bullet(k) sorts before Box(k'), each family ordered by label.
-    return (0, letter) if letter > 0 else (1, -letter)
 
 
 def letter_text(letter: int) -> str:
@@ -112,6 +110,10 @@ class ColoredWord:
 
     def __str__(self) -> str:
         return self.to_text()
+
+    def __hash__(self) -> int:
+        # Doubled letters, since hash(-1) == hash(-2) would confuse box rows 1 and 2.
+        return hash(tuple([c + c for c in self.letters]))
 
 
 @dataclass(frozen=True)
@@ -295,27 +297,32 @@ def _check_dims(L: int, n: int) -> None:
         raise ValueError(f"need 1 <= n <= L, got n={n}, L={L}")
 
 
-def iter_restricted(L: int, n: int) -> Iterator[ColoredWord]:
-    """Restricted states in lexicographic letter order (bullets before boxes)."""
+def _lex_words(L: int, n: int) -> Iterator[ColoredWord]:
+    """Every state of (L, n) in lexicographic letter order, B1 < ... < Bn < b1
+    < ... < bn.  The first bullet's label fixes the others' cyclically; a box
+    fits while room remains for the bullets still to place."""
     _check_dims(L, n)
     word = [0] * L
 
-    def rec(pos: int, next_bullet: int) -> Iterator[ColoredWord]:
+    def rec(pos: int, placed: int, label: int) -> Iterator[ColoredWord]:
         if pos == L:
-            if next_bullet == n + 1:
-                yield ColoredWord(n, tuple(word))
+            yield ColoredWord(n, tuple(word))
             return
-        slots_left = L - pos
-        bullets_left = n + 1 - next_bullet
-        if next_bullet <= n:
-            word[pos] = next_bullet
-            yield from rec(pos + 1, next_bullet + 1)
-        if pos > 0 and slots_left - 1 >= bullets_left:
-            for label in range(1, n + 1):
-                word[pos] = -label
-                yield from rec(pos + 1, next_bullet)
+        if placed < n:
+            for k in range(1, n + 1) if placed == 0 else (label,):
+                word[pos] = k
+                yield from rec(pos + 1, placed + 1, k % n + 1)
+        if L - pos > n - placed:
+            for i in range(1, n + 1):
+                word[pos] = -i
+                yield from rec(pos + 1, placed, label)
 
-    yield from rec(0, 1)
+    yield from rec(0, 0, 0)
+
+
+def iter_restricted(L: int, n: int) -> Iterator[ColoredWord]:
+    """Restricted states, those opening with B1: the first block of `_lex_words`."""
+    return takewhile(ColoredWord.is_restricted, _lex_words(L, n))
 
 
 def enumerate_restricted(L: int, n: int) -> list[ColoredWord]:
@@ -323,10 +330,8 @@ def enumerate_restricted(L: int, n: int) -> list[ColoredWord]:
 
 
 def enumerate_full(L: int, n: int) -> list[ColoredWord]:
-    """All states (every rotation of every restricted state), lex sorted."""
-    words = [w.rotate(s) for w in iter_restricted(L, n) for s in range(L)]
-    words.sort(key=lambda w: tuple(letter_sort_key(c) for c in w.letters))
-    return words
+    """All states, every rotation of every restricted state, in letter order."""
+    return list(_lex_words(L, n))
 
 
 def box_gap_labels(w: ColoredWord) -> tuple[tuple[int, int, int], ...]:

@@ -23,7 +23,7 @@ from operator import add
 
 import numpy as np
 
-from .dynamics import SparseGenerator, _expand, adjacency, breadth_first, build_generator
+from .dynamics import SparseGenerator, _expand, adjacency, breadth_first, build_generator, first_seen
 from .model import ColoredWord, box_gap_labels, ensure_valid
 from .symbolic import Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det, rate_product
 
@@ -170,8 +170,8 @@ def weight_table(gen: SparseGenerator) -> StationaryTable:
 # -- exact stationary solve --------------------------------------------------------
 
 
-def _closed_class(num: int, arcs: list[tuple[int, int, int]]) -> list[int]:
-    """The states of the chain's one closed class, in index order.
+def _closed_class(num: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
+    """The one closed class of the arcs (tail, head), in index order.
 
     From node c, step to the deepest node that c reaches but that does not
     reach c, until there is none: every step shrinks the set c reaches, and
@@ -179,7 +179,6 @@ def _closed_class(num: int, arcs: list[tuple[int, int, int]]) -> list[int]:
     reaches c; otherwise StationaryError.  On an irreducible chain this is
     one forward and one backward search from node 0.
     """
-    tail, head = np.array([(u, v) for u, v, _ in arcs], dtype=np.int64).reshape(-1, 2).T
     fwd, bwd = adjacency(num, tail, head), adjacency(num, head, tail)
     c: int | None = 0
     while c is not None:
@@ -199,12 +198,12 @@ PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_
 _DENSE_FROM = 32
 
 
-def _integer_arcs(gen: SparseGenerator, rates: RatePoint) -> list[tuple[int, int, int]]:
-    """(source, target, rate) for every positive-rate arc, rates scaled to integers."""
+def _integer_arcs(gen: SparseGenerator, rates: RatePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The source, target and rate index of every positive-rate arc, and
+    the 2n rates scaled to integers."""
     values = rates.integer_scaling()[1]
-    source, target, rate = gen.arcs
-    live = np.flatnonzero(np.array([bool(x) for x in values])[rate])
-    return list(zip(source[live].tolist(), target[live].tolist(), [values[r] for r in rate[live].tolist()]))
+    live = np.flatnonzero(np.array([bool(x) for x in values])[gen.arcs.rate])
+    return *(column[live] for column in gen.arcs), values
 
 
 def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
@@ -354,23 +353,20 @@ def _reconstruct(x: list[int], modulus: int) -> list[int] | None:
     return [den] + [u * (den // d) for u, d in parts]
 
 
-def _rotation_orbits(gen: SparseGenerator, states: list[int]) -> tuple[list[int], list[int]]:
+def _rotation_orbits(gen: SparseGenerator, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Orbit number under rotation of each of the given states (-1 for any
-    other state), and the first member of each orbit.
+    other state), and the first member of each orbit, numbered in order of
+    first appearance in `states`.
 
     The word rotated to put B1 at column 0 names the orbit.  The states
     must be closed under rotation.
     """
-    orbit_of: dict[tuple[int, ...], int] = {}
-    orbit = [-1] * gen.num_states
-    for j in states:
-        letters = gen.states[j].letters
-        x = letters.index(1)
-        orbit[j] = orbit_of.setdefault(letters[x:] + letters[:x], len(orbit_of))
-    members = [-1] * len(orbit_of)
-    for j in reversed(states):
-        members[orbit[j]] = j
-    return orbit, members
+    letters = gen.letters[states]
+    shift = np.argmax(letters == 1, axis=1)
+    ids, first = first_seen(np.take_along_axis(letters, (shift[:, None] + np.arange(gen.L)) % gen.L, axis=1))
+    orbit = np.full(gen.num_states, -1)
+    orbit[states] = ids
+    return orbit, np.asarray(states)[first]
 
 
 def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
@@ -391,20 +387,19 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     """
     if rates.n != gen.n:
         raise ValueError("rate point has wrong number of rows")
-    arcs = _integer_arcs(gen, rates)
+    source, target, rate, scaled = _integer_arcs(gen, rates)
 
-    # Quotient generator: column o holds the outflows of one member of orbit
-    # o.  Deleting the redundant row and the anchored column 0 leaves the
-    # integer system A y = b, with A's entries kept per row and per column.
-    orbit, members = _rotation_orbits(gen, _closed_class(gen.num_states, arcs))
+    # Quotient generator: column o holds the outflows of the first member of
+    # orbit o.  Deleting the redundant row and the anchored column 0 leaves
+    # the integer system A y = b, with A's entries kept per row and per column.
+    orbit, members = _rotation_orbits(gen, _closed_class(gen.num_states, source, target))
     size = len(members) - 1
     rows: list[dict[int, int]] = [{} for _ in range(size + 1)]
-    for s, t, v in arcs:
-        o = orbit[s]
-        if o >= 0 and members[o] == s:
-            into, own = rows[orbit[t]], rows[o]
-            into[o] = into.get(o, 0) + v
-            own[o] = own.get(o, 0) - v
+    out = np.flatnonzero(np.isin(source, members))
+    for o, t, r in zip(orbit[source[out]].tolist(), orbit[target[out]].tolist(), rate[out].tolist()):
+        into, own = rows[t], rows[o]
+        into[o] = into.get(o, 0) + scaled[r]
+        own[o] = own.get(o, 0) - scaled[r]
     b = [-row.pop(0, 0) for row in rows[1:]]
     cols: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for i, row in enumerate(rows[1:]):
@@ -429,11 +424,11 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
         if values is not None and min(values) > 0:
             # orbit -1 reads the appended 0: the law vanishes off the class
             values.append(0)
-            full = [values[o] for o in orbit]
+            full = [values[o] for o in orbit.tolist()]
             if _is_null_vector(gen, rates, full):
                 total = sum(full)
                 probs = [Fraction(v, total) for v in values]
-                return StationaryTable(states=list(gen.states), probabilities=[probs[o] for o in orbit])
+                return StationaryTable(states=list(gen.states), probabilities=[probs[o] for o in orbit.tolist()])
         if modulus > past_bound:
             raise StationaryError("no exact positive null vector within the Hadamard bound")
 
@@ -467,17 +462,20 @@ def _is_null_vector(gen: SparseGenerator, rates: RatePoint, x: list[int]) -> boo
     return not any(integer_totals(gen.balance_rows, x, rates.integer_scaling()[1]))
 
 
-def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint, prime: int = 2_147_483_647) -> int:
-    """num_states - rank(M) computed modulo a prime, by the solver's sparse elimination.
+def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint) -> int:
+    """num_states - rank(M) computed modulo the solver's first prime, by its
+    sparse elimination.
 
     The rank modulo a prime never exceeds the rational rank, so a deficiency
     of 1 here, together with one exhibited null vector, proves the rational
     null space is exactly one-dimensional.
     """
+    prime = PRIMES[0]
+    source, target, rate, scaled = _integer_arcs(gen, rates)
     rows: list[dict[int, int]] = [{} for _ in range(gen.num_states)]
-    for s, t, v in _integer_arcs(gen, rates):
-        rows[t][s] = (rows[t].get(s, 0) + v) % prime
-        rows[s][s] = (rows[s].get(s, 0) - v) % prime
+    for s, t, r in zip(source.tolist(), target.tolist(), rate.tolist()):
+        rows[t][s] = (rows[t].get(s, 0) + scaled[r]) % prime
+        rows[s][s] = (rows[s].get(s, 0) - scaled[r]) % prime
     rank = len(_eliminate([{j: v for j, v in row.items() if v} for row in rows], prime))
     return gen.num_states - rank
 

@@ -522,12 +522,15 @@ def _frozen(values, dtype=np.int64) -> np.ndarray:
 def integer_totals(table: SumTable, weights, rates) -> list[int]:
     """The exact slot totals of `table` as Python ints, given the int
     weight of each state and the int value of each rate symbol.  The sums
-    run in int64 when a bound proves that no partial sum can overflow it,
-    and over Python ints otherwise."""
+    run in int64 when a bound proves that no weight, rate or partial sum
+    can overflow it, and over Python ints otherwise."""
     terms = table.rate is not None
-    top = max(map(abs, weights), default=0) * (max(map(abs, rates), default=0) if terms else 1)
-    dtype = np.int64 if max(table.depth, 1) * top < _INT64_LIMIT else object
-    return _scatter(table, np.array(weights, dtype=dtype), np.array(rates, dtype=dtype) if terms else None)
+    bound = max(table.depth, 1)
+    for values in (weights, rates) if terms else (weights,):
+        values = np.asarray(values)
+        bound *= max(int(values.max(initial=1)), -int(values.min(initial=0)))
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return _scatter(table, np.asarray(weights, dtype=dtype), np.asarray(rates, dtype=dtype) if terms else None)
 
 
 def _scatter(table: SumTable, weights: np.ndarray, rates: np.ndarray | None) -> list[int]:
@@ -586,9 +589,8 @@ class Domain:
     D * r, D the lcm of the rate denominators, which stands for that value
     over D^d.  The weights must share one degree d (a ValueError
     otherwise), so each total is one reduced Fraction over D^d, or over
-    D^(d+1) for a table with rates.  The ints are summed in int64 when the
-    table's depth times the largest weight-times-rate bound is below 2^63,
-    and as Python ints otherwise.
+    D^(d+1) for a table with rates.  The ints are summed by
+    `integer_totals`, which picks int64 or Python ints.
     """
 
     def __init__(self, n: int, rates: RatePoint | None = None):
@@ -611,18 +613,15 @@ class Domain:
         other = np.flatnonzero(degrees != d)
         if len(other):
             raise ValueError(f"weights of degrees {d} and {int(degrees[other[0]])} cannot share one denominator")
-        terms = table.rate is not None
-        top = max(self._values)
-        dtype = np.int64 if max(table.depth, 1) * top ** (d + terms) < _INT64_LIMIT else object
+        dtype = np.int64 if max(self._values) ** d < _INT64_LIMIT else object
         # weight values as products of rate powers, read from a power table
         powers = np.array([[x**e for e in range(d + 1)] for x in self._values], dtype=dtype)
         weights = np.ones(len(exponents), dtype=dtype)
         for row, column in zip(powers, exponents.T):
             if column.any():
                 weights = weights * row[column]
-        den = self._scale ** (d + terms)
-        rates = np.array(self._values, dtype=dtype) if terms else None
-        return [Fraction(total, den) for total in _scatter(table, weights, rates)]
+        den = self._scale ** (d + (table.rate is not None))
+        return [Fraction(total, den) for total in integer_totals(table, weights, self._values)]
 
     def _polynomial_totals(self, exponents: np.ndarray, table: SumTable) -> list[Polynomial]:
         if not len(table.slot):

@@ -1,9 +1,13 @@
 """The transition graph as it stood while it stored its arcs as objects:
 per state, a tuple of `Transition`s from the move rule and a tuple of
 their target indices, with the reachability certificate and the totally
-asymmetric restriction walking those tuples.  Kept as the reference that
-the differential tests in test_dynamics.py check the array graph against;
-nothing in the package imports it.
+asymmetric restriction walking those tuples.  Also the rules the package
+once stated a second time: the full state space as every rotation of every
+restricted word, sorted; the rotation orbits numbered by a dict loop; and
+membership in the totally asymmetric restriction read box by box from the
+(row, gap) pairs whose box weight has a zeroed q factor.  Kept as the
+reference that the differential tests check the package against; nothing
+in the package imports it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,50 @@ from torus_asep.dynamics import (
     Transition,
     _transitions,
     breadth_first,
-    ta_membership,
     tau_zero,
 )
-from torus_asep.model import ColoredWord, enumerate_full
+from torus_asep.model import ColoredWord, box_gap_labels, iter_restricted
+from torus_asep.stationary import box_weight
+
+
+def letter_sort_key(letter: int) -> tuple[int, int]:
+    # Bullet(k) sorts before Box(k'), each family ordered by label.
+    return (0, letter) if letter > 0 else (1, -letter)
+
+
+def enumerate_full(L: int, n: int) -> list[ColoredWord]:
+    """All states (every rotation of every restricted state), lex sorted."""
+    words = [w.rotate(s) for w in iter_restricted(L, n) for s in range(L)]
+    words.sort(key=lambda w: tuple(letter_sort_key(c) for c in w.letters))
+    return words
+
+
+def rotation_orbits(states: tuple[ColoredWord, ...], members: list[int]) -> tuple[list[int], list[int]]:
+    """Orbit number under rotation of each of the given state indices (-1
+    for any other state), and the first member of each orbit."""
+    orbit_of: dict[tuple[int, ...], int] = {}
+    orbit = [-1] * len(states)
+    for j in members:
+        letters = states[j].letters
+        x = letters.index(1)
+        orbit[j] = orbit_of.setdefault(letters[x:] + letters[:x], len(orbit_of))
+    first = [-1] * len(orbit_of)
+    for j in reversed(members):
+        first[orbit[j]] = j
+    return orbit, first
+
+
+@lru_cache(maxsize=None)
+def _vanishing_boxes(n: int, zero_q: frozenset[int]) -> frozenset[tuple[int, int]]:
+    """The (row, gap) pairs whose box weight has a factor q_m, m in zero_q."""
+    pairs = ((i, g) for i in range(1, n + 1) for g in range(1, n + 1))
+    return frozenset((i, g) for i, g in pairs if box_weight(i, g, n).uses_q_label(zero_q))
+
+
+def ta_membership(w: ColoredWord, zero_q: frozenset[int]) -> bool:
+    """True if no box weight of w has a factor q_m, m in the set."""
+    vanishing = _vanishing_boxes(w.n, frozenset(zero_q))
+    return not any((i, g) in vanishing for _, i, g in box_gap_labels(w))
 
 
 @dataclass(frozen=True)

@@ -417,10 +417,18 @@ def test_a_closure_violation_rebuilds_its_transition(monkeypatch):
     leave the set are reported, each with the `Transition` of its arc."""
     import reference_graph
 
-    real = dynamics.ta_membership
-    outsider = next(w for w in enumerate_full(5, 3) if not real(w, frozenset({1})))
-    monkeypatch.setattr(dynamics, "ta_membership", lambda w, zero_q: w == outsider or real(w, zero_q))
-    monkeypatch.setattr(reference_graph, "ta_membership", dynamics.ta_membership)
+    # Membership is read from the weights' exponents: erasing the q_1
+    # factor of the first state that has one grants that state membership.
+    gen = build_generator(5, 3)
+    j = next(j for j, row in enumerate(gen.exponents.tolist()) if row[gen.n])
+    outsider = gen.states[j]
+    exponents = gen.exponents.copy()
+    exponents[j, gen.n] = 0
+    forged = dataclasses.replace(gen)
+    forged.__dict__["exponents"] = exponents
+    monkeypatch.setattr(dynamics, "build_generator", lambda L, n, cap: forged)
+    real = reference_graph.ta_membership
+    monkeypatch.setattr(reference_graph, "ta_membership", lambda w, zero_q: w == outsider or real(w, zero_q))
     states, cert = restrict_ta(5, 3, {1})
     assert not cert.ok and {w for w, _ in cert.violations} == {outsider}
     assert all(t.source == outsider and t in outgoing_transitions(outsider) for _, t in cert.violations)
@@ -559,6 +567,22 @@ def test_ta_membership_matches_weight_support():
         weight = config_weight(w)
         for labels in ({1}, {2}, {1, 3}):
             assert ta_membership(w, frozenset(labels)) == (not weight.uses_q_label(labels))
+
+
+@pytest.mark.parametrize("L,n", LATTICES)
+def test_ta_membership_matches_the_box_by_box_reference(L, n):
+    """For every zero set, the restriction's states and `ta_membership`
+    equal the membership read box by box from the vanishing box weights."""
+    from itertools import combinations
+
+    import reference_graph
+
+    words = enumerate_full(L, n)
+    for size in range(n + 1):
+        for zero_q in map(frozenset, combinations(range(1, n + 1), size)):
+            expected = [w for w in words if reference_graph.ta_membership(w, zero_q)]
+            assert [w for w in words if ta_membership(w, zero_q)] == expected, zero_q
+            assert restrict_ta(L, n, zero_q)[0] == expected, zero_q
 
 
 def test_random_large_words_dynamics(rng):

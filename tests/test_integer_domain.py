@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from reference_polynomial import Polynomial as ReferencePolynomial
 from reference_sums import FractionSums, SummandDomain
-from torus_asep.symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, rate_symbols
+from torus_asep.symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, integer_totals, rate_symbols
 
 # Zero, small fractions with mixed denominators, and huge or tiny values.
 rates = st.one_of(
@@ -102,6 +102,15 @@ def test_integer_sums_match_reference_fraction_sums(case):
         got = dom.totals(exponents, table)
         assert all(type(x) is Fraction for x in got)
         assert got == ref.freeze() == sums.freeze()
+
+
+def test_zero_weights_with_a_rate_past_int64_sum_exactly():
+    """A rate that does not fit int64 takes the Python-int path even when
+    every weight is 0, and the bound on their product would read 0."""
+    table = SumTable.build(1, [0], [0], [0], [1])
+    assert integer_totals(table, [0], [2**70]) == [0]
+    assert integer_totals(table, [2**70], [0]) == [0]
+    assert integer_totals(table, [3], [2**62]) == [3 * 2**62]
 
 
 def test_weights_of_unequal_degree_in_one_sum_raise():

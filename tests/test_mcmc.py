@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from torus_asep import mcmc
 from torus_asep.dynamics import build_generator, displacement_crossings, outgoing_transitions, tau_zero
 from torus_asep.mcmc import (
-    _rate_sum,
     estimate_observables,
     run_manifest,
     simulate,
@@ -429,20 +428,6 @@ def test_kernel_matches_reference_past_the_menu_limit(monkeypatch, horizon):
     q = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5), Fraction(1, 2), Fraction(2))
     menus = _assert_matches_reference(12, 6, RatePoint(p, q), 5, **horizon)
     assert len(menus) > 2 * limit
-
-
-def test_rate_sum_is_numpy_sum_bitwise():
-    rng = np.random.default_rng(3)
-    differs_from_sequential = 0
-    for m in list(range(1, 21)) * 50 + [127, 128, 129, 200, 300]:
-        v = (rng.random(m) * rng.choice([1.0, 1e-3, 1e3], size=m)).tolist()
-        assert _rate_sum(v) == float(np.array(v).sum())
-        sequential = 0.0
-        for x in v:
-            sequential += x
-        differs_from_sequential += sequential != _rate_sum(v)
-    # the check can tell numpy's summation from plain left-to-right adding
-    assert differs_from_sequential > 0
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+import reference_graph
 from conftest import random_word
+from reference_graph import letter_sort_key
 from torus_asep.model import (
     CellState,
     ColoredWord,
@@ -14,7 +16,6 @@ from torus_asep.model import (
     enumerate_restricted,
     ensure_valid,
     iter_restricted,
-    letter_sort_key,
     partition_to_word,
     restricted_count,
     torus_to_word,
@@ -53,9 +54,23 @@ def test_count_10_4():
 
 def test_enumeration_is_lexicographic():
     for L, n in [(4, 2), (5, 3), (6, 2)]:
-        words = enumerate_restricted(L, n)
-        keys = [tuple(letter_sort_key(c) for c in w.letters) for w in words]
-        assert keys == sorted(keys)
+        for words in (enumerate_restricted(L, n), enumerate_full(L, n)):
+            keys = [tuple(letter_sort_key(c) for c in w.letters) for w in words]
+            assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 8) for n in range(1, L + 1)])
+def test_full_enumeration_matches_rotate_and_sort(L, n):
+    """The one recursion yields every rotation of every restricted word in
+    sorted order, and the restricted words are its first block."""
+    words = enumerate_full(L, n)
+    assert words == reference_graph.enumerate_full(L, n)
+    assert words[: restricted_count(L, n)] == enumerate_restricted(L, n)
+
+
+def test_word_hashes_tell_box_rows_apart():
+    words = enumerate_full(7, 3)
+    assert len({hash(w) for w in words}) == len(words) == 8505
 
 
 def test_degenerate_dimensions():

@@ -740,12 +740,35 @@ def test_no_certified_vector_raises_past_the_hadamard_bound(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("L,n", [(L, n) for L in range(2, 6) for n in range(1, L)])
-def test_rank_deficiency_matches_dense_reference(L, n, rng):
+def test_rank_deficiency_matches_dense_reference(L, n, rng, monkeypatch):
+    """The rank is taken modulo the solver's first prime; with 7 put first,
+    modulo 7."""
     gen = _generator(L, n)
     rates = random_rate_point(n, rng)
     for prime in (2_147_483_647, 7):
-        assert generator_rank_deficiency(gen, rates, prime) == _reference_rank_deficiency(gen, rates, prime)
+        with monkeypatch.context() as patch:
+            patch.setattr(stationary, "PRIMES", (prime,))
+            assert generator_rank_deficiency(gen, rates) == _reference_rank_deficiency(gen, rates, prime)
     assert generator_rank_deficiency(gen, rates) == 1
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 7) for n in range(1, L + 1)])
+def test_rotation_orbits_match_the_dict_reference(L, n):
+    """On the full space, and on the closed class at a positive point and
+    at a point with q_1 = 0 (with n = L nothing moves, and there is no one
+    closed class), the orbit numbers and first members equal the dict loop's."""
+    import reference_graph
+
+    gen = _generator(L, n)
+    positive = RatePoint(tuple(Fraction(k) for k in range(1, n + 1)), (Fraction(1, 2),) * n)
+    zero_q = RatePoint(positive.p, (Fraction(0),) + positive.q[1:])
+    classes = [list(range(gen.num_states))]
+    for rates in (positive, zero_q) if n < L else ():
+        source, target, _, _ = stationary._integer_arcs(gen, rates)
+        classes.append(stationary._closed_class(gen.num_states, source, target))
+    for members in classes:
+        orbit, first = stationary._rotation_orbits(gen, members)
+        assert (orbit.tolist(), first.tolist()) == reference_graph.rotation_orbits(gen.states, members)
 
 
 def test_rank_deficiency_of_reducible_full_space():

@@ -8,6 +8,7 @@ included; on both sides of the int64 bound of the numeric kernel; and where
 the symbolic sort keys need more than one int64 column.
 """
 
+import copy
 import dataclasses
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import arc_targets, with_swapped_targets
 from reference_tables import REFERENCES
-from torus_asep import symbolic
+from torus_asep import stationary, symbolic
 from torus_asep.dynamics import build_generator
 from torus_asep.observables import currents_exact, densities, scott_russell_check
 from torus_asep.stationary import _integer_arcs, exact_stationary, lumping_report, verify_balance
@@ -113,8 +114,15 @@ def _numpy_free(value) -> bool:
 
 
 @pytest.mark.parametrize("point", [None, "1,3/2,2;1/2,1/3,1/5", f"{10**12},1,2;3,{10**12 - 1}/3,0"])
-def test_no_report_value_is_a_numpy_scalar(point):
+def test_no_report_value_is_a_numpy_scalar(point, monkeypatch):
     rates = None if point is None else RatePoint.parse(point)
+    # The solver's integer arithmetic: the rows handed to the elimination,
+    # and the columns and right-hand side handed to the lifting.
+    solver_inputs = []
+    eliminate, dixon = stationary._eliminate, stationary._dixon
+    record = lambda value, result: solver_inputs.append(value) or result
+    monkeypatch.setattr(stationary, "_eliminate", lambda rows, p: record(copy.deepcopy(rows), eliminate)(rows, p))
+    monkeypatch.setattr(stationary, "_dixon", lambda steps, cols, b, p: record((cols, b), dixon)(steps, cols, b, p))
     gen = build_generator(4, 3)
     # Swapping the targets of two arcs of unequal flows breaks balance, so
     # the report carries residuals.
@@ -139,7 +147,9 @@ def test_no_report_value_is_a_numpy_scalar(point):
     if rates is None:
         reports += [lumping_report(4, 3, gen=gen), lumping_report(4, 3, gen=broken), scott_russell_check(4, 3)]
     else:
-        reports += [_integer_arcs(gen, rates), exact_stationary(gen, rates)]
+        reports += [_integer_arcs(gen, rates)[3], exact_stationary(gen, rates)]
+        assert len(solver_inputs) >= 2
+        reports += solver_inputs
     for name in REFERENCES:
         reports.append(Domain(3, rates).totals(gen.exponents, getattr(gen, name)))
     for report in reports:
