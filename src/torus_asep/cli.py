@@ -23,12 +23,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import observables as obs
-from .dynamics import DEFAULT_STATE_CAP, ResourceCapError, build_generator, check_state_cap, restrict_ta
+from .dynamics import ResourceCapError, build_generator, check_state_cap, restrict_ta
 from .mcmc import estimate_observables, run_manifest, simulate
 from .model import enumerate_restricted
 from .stationary import (
@@ -46,18 +45,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-STATE_CAP_ENV = "TORUS_ASEP_STATE_CAP"
-
-
-def _state_cap() -> int:
-    raw = os.environ.get(STATE_CAP_ENV)
-    if not raw:
-        return DEFAULT_STATE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, rates: bool = False) -> None:
@@ -100,7 +87,7 @@ def _emit(args, payload, csv_rows=None) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    check_state_cap(args.L, args.n, _state_cap())
+    check_state_cap(args.L, args.n)
     states = enumerate_restricted(args.L, args.n)
     payload = {
         "L": args.L,
@@ -115,7 +102,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_weights(args) -> int:
     rp = _parse_rates(args, args.n)
-    check_state_cap(args.L, args.n, _state_cap())
+    check_state_cap(args.L, args.n)
     states = enumerate_restricted(args.L, args.n)
     records = StationaryTable(states, weights=[_enumerated_weight(w) for w in states]).to_json_rows(rp)
     payload = {"L": args.L, "n": args.n, "weights": records}
@@ -129,7 +116,7 @@ def _cmd_stationary(args) -> int:
     rp = _parse_rates(args, args.n)
     if rp is None:
         raise ValueError("stationary requires --rates or --rates-file")
-    gen = build_generator(args.L, args.n, cap=_state_cap())
+    gen = build_generator(args.L, args.n)
     table = exact_stationary(gen, rp)
     table.weights = gen.weights
     records = table.to_json_rows(rp)
@@ -151,20 +138,14 @@ def _cmd_stationary(args) -> int:
 
 def _cmd_verify(args) -> int:
     rp = _parse_rates(args, args.n)
-    mode = args.mode or ("numeric" if rp is not None else "symbolic")
-    checks = []
-    gen = build_generator(args.L, args.n, cap=_state_cap())
-    if mode == "symbolic":
-        balance = verify_balance(args.L, args.n, gen=gen)
-        checks.append(("balance_symbolic", balance.ok, f"{balance.num_states} states"))
+    gen = build_generator(args.L, args.n)
+    balance = verify_balance(args.L, args.n, rates=rp, gen=gen)
+    checks = [(f"balance_{balance.mode}", balance.ok, f"{balance.num_states} states")]
+    if rp is None:
         lumping = lumping_report(args.L, args.n, gen=gen)
         checks.append(("lumping_fiber_rates", lumping.lumpable, f"{lumping.num_fibers} fibers"))
         checks.append(("lumping_marginals", lumping.marginal_ok, "product form"))
     else:
-        if rp is None:
-            raise ValueError("numeric verify requires --rates or --rates-file")
-        balance = verify_balance(args.L, args.n, rates=rp, gen=gen)
-        checks.append(("balance_numeric", balance.ok, f"{balance.num_states} states"))
         table = exact_stationary(gen, rp)
         weights = [m.evaluate(rp) for m in gen.weights]
         total = sum(weights)
@@ -179,7 +160,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "L": args.L,
         "n": args.n,
-        "mode": mode,
+        "mode": balance.mode,
         "checks": [{"name": name, "ok": flag, "detail": detail} for name, flag, detail in checks],
         "ok": ok,
     }
@@ -190,14 +171,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_observables(args) -> int:
     rp = _parse_rates(args, args.n)
-    mode = args.mode or ("numeric" if rp is not None else "symbolic")
-    if mode == "numeric" and rp is None:
-        raise ValueError("numeric observables require --rates or --rates-file")
-    rates = rp if mode == "numeric" else None
-    check_state_cap(args.L, args.n, _state_cap())
     try:
-        density_report = obs.densities(args.L, args.n, rates)
-        current_report = obs.currents_exact(args.L, args.n, rates)
+        density_report = obs.densities(args.L, args.n, rp)
+        current_report = obs.currents_exact(args.L, args.n, rp)
         ok = density_report.ok and current_report.ok
         detail = None
     except obs.ObservableMismatch as exc:
@@ -207,7 +183,7 @@ def _cmd_observables(args) -> int:
     payload = {
         "L": args.L,
         "n": args.n,
-        "mode": mode,
+        "mode": "symbolic" if rp is None else "numeric",
         "ok": ok,
     }
     rows = None
@@ -277,7 +253,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ta(args) -> int:
     zero_q = frozenset(int(tok) for tok in args.set.split(",") if tok.strip()) if args.set else frozenset()
-    states, certificate = restrict_ta(args.L, args.n, zero_q, cap=_state_cap())
+    states, certificate = restrict_ta(args.L, args.n, zero_q)
     payload = {
         "L": args.L,
         "n": args.n,
@@ -316,12 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="balance equations, weight identities, lumping")
     _add_common(p, rates=True)
-    p.add_argument("--mode", choices=("symbolic", "numeric"), default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("observables", help="densities and currents vs oracles")
     _add_common(p, rates=True)
-    p.add_argument("--mode", choices=("symbolic", "numeric"), default=None)
     p.set_defaults(func=_cmd_observables)
 
     p = sub.add_parser("special", help="special-case partition function certificates")

@@ -30,6 +30,7 @@ arrays, and every graph search walks one `adjacency` of them.
 
 from __future__ import annotations
 
+import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -181,9 +182,21 @@ def replay_displacements(t: Transition) -> ColoredWord:
 # -- generator -----------------------------------------------------------------
 
 
-def check_state_cap(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> None:
-    """Raise ResourceCapError if the full (L, n) state space exceeds `cap`."""
-    count = L * restricted_count(L, n)
+def state_cap() -> int:
+    """The most states a graph may have: `TORUS_ASEP_STATE_CAP`, read on
+    every call, or `DEFAULT_STATE_CAP` when it is unset or empty."""
+    raw = os.environ.get("TORUS_ASEP_STATE_CAP")
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"TORUS_ASEP_STATE_CAP must be an integer, got {raw!r}") from None
+
+
+def check_state_cap(L: int, n: int) -> None:
+    """Raise ResourceCapError if the full (L, n) state space exceeds `state_cap()`."""
+    count, cap = L * restricted_count(L, n), state_cap()
     if count > cap:
         raise ResourceCapError(count, cap)
 
@@ -375,15 +388,16 @@ class SparseGenerator:
         return [(j, w.to_text()) for j, w in enumerate(self.states)]
 
 
-def build_generator(L: int, n: int, cap: int = DEFAULT_STATE_CAP) -> SparseGenerator:
+def build_generator(L: int, n: int) -> SparseGenerator:
     """The transition graph over the full state space of (L, n), every arc
     included.
 
-    The cap is checked on every call.  The graph is built once per lattice
-    and shared: the two most recent lattices are kept, since a check runs
-    on one lattice at a time and the graph grows like the state space.
+    The cap, `state_cap()`, is checked on every call.  The graph is built
+    once per lattice and shared: the two most recent lattices are kept,
+    since a check runs on one lattice at a time and the graph grows like
+    the state space.
     """
-    check_state_cap(L, n, cap)
+    check_state_cap(L, n)
     return _graph(L, n)
 
 
@@ -477,14 +491,12 @@ def _arc_transition(gen: SparseGenerator, a: int) -> Transition:
     return _move(w, r % gen.n + 1, 1 if r < gen.n else -1, w.bullet_positions())
 
 
-def reachability_tau0(
-    L: int, n: int, direction: str = "from", cap: int = DEFAULT_STATE_CAP
-) -> ReachabilityReport:
+def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityReport:
     """BFS certificate that tau0 reaches (direction 'from') or is reached by
     (direction 'to') every state; the witness path realizes the deepest state."""
     if direction not in ("from", "to"):
         raise ValueError("direction must be 'from' or 'to'")
-    gen = build_generator(L, n, cap=cap)
+    gen = build_generator(L, n)
     source, target, _ = gen.arcs
     tail, head = (source, target) if direction == "from" else (target, source)
     root = gen.index[tau_zero(L, n)]
@@ -532,15 +544,13 @@ class ClosureCertificate:
     violations: list[tuple[ColoredWord, Transition]]
 
 
-def restrict_ta(
-    L: int, n: int, zero_q, cap: int = DEFAULT_STATE_CAP
-) -> tuple[list[ColoredWord], ClosureCertificate]:
+def restrict_ta(L: int, n: int, zero_q) -> tuple[list[ColoredWord], ClosureCertificate]:
     """States with nonvanishing weight when q_m = 0 for m in zero_q, plus a
     certificate that the surviving dynamics never leaves the set."""
     zero_q = frozenset(zero_q)
     if not all(isinstance(m, int) and 1 <= m <= n for m in zero_q):
         raise ValueError(f"zeroed labels must lie in 1..{n}")
-    gen = build_generator(L, n, cap)
+    gen = build_generator(L, n)
     zeroed = [n + m - 1 for m in zero_q]
     member = ~gen.exponents[:, zeroed].any(axis=1)
     source, target, rate = gen.arcs

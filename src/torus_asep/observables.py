@@ -224,18 +224,19 @@ class _CommonDenominator:
         self.dom = dom
         self.forms = closed_forms(L, n)
         self.values: dict = {}
-        self.z = self.closed("bullet_density")
+        self.z = self.value(self.forms["bullet_density"])
         if self.z == 0:
             raise ValueError("all weights vanish at this rate point")
         self.lz = L * self.z
 
-    def closed(self, name: str):
-        """The closed-form numerator of family `name` in `dom`, evaluated on
-        first read; a family with rows gives a tuple by row."""
-        if name not in self.values:
-            form = self.forms[name]
-            self.values[name] = tuple(map(self.dom.value, form)) if isinstance(form, tuple) else self.dom.value(form)
-        return self.values[name]
+    def value(self, form: Polynomial):
+        """A closed-form numerator in `dom`, evaluated once per polynomial
+        object, so families that share one form share its value (`forms`
+        keeps every keyed object alive)."""
+        key = id(form)
+        if key not in self.values:
+            self.values[key] = self.dom.value(form)
+        return self.values[key]
 
     def entry(self, name: str, index: tuple[int, ...], closed, oracle, whole_row: bool = False) -> ObservableEntry:
         if whole_row:
@@ -248,10 +249,10 @@ class _CommonDenominator:
     def check(self, name: str, index: tuple[int, ...], oracle) -> ObservableEntry:
         """The entry of an oracle numerator against its closed form, which
         for a family with rows is the one of row index[0]."""
-        closed = self.closed(name)
-        if isinstance(closed, tuple):
-            closed = closed[index[0] - 1]
-        return self.entry(name, index, closed, oracle, whole_row=name in WHOLE_ROW)
+        form = self.forms[name]
+        if isinstance(form, tuple):
+            form = form[index[0] - 1]
+        return self.entry(name, index, self.value(form), oracle, whole_row=name in WHOLE_ROW)
 
 
 # -- closed forms -------------------------------------------------------------------
@@ -268,7 +269,7 @@ def closed_forms(L: int, n: int) -> MappingProxyType:
     A family that depends on the row maps to its tuple by row.  The bullet
     density 1/L is Z over L * Z.  Every current carries the drift times a
     quantity of the torus one column smaller, and vanishes for L = n, where
-    there is none.
+    there is none; the families equal to d * Z(L - 1, n) share one object.
     """
     _check_dims(L, n)
     if L > n:
@@ -278,15 +279,16 @@ def closed_forms(L: int, n: int) -> MappingProxyType:
         z_prev, row = Polynomial.zero(n), [Polynomial.zero(n)] * n
     p_all, q_all = (rate_product(n, family).as_polynomial() for family in "pq")
     d = drift(n)
+    net = d * z_prev
     return MappingProxyType({
         "bullet_density": partition_function(L, n),
         "box_density": tuple(box_density_numerator(L, n, i) for i in range(1, n + 1)),
-        "bullet_edge_current": d * z_prev,
-        "bullet_row_current": d * z_prev,
-        "box_column_current": -n * d * z_prev,
+        "bullet_edge_current": net,
+        "bullet_row_current": net,
+        "box_column_current": -n * net,
         "box_vertical_up": p_all * z_prev,
         "box_vertical_down": q_all * z_prev,
-        "box_vertical_net": d * z_prev,
+        "box_vertical_net": net,
         "box_row_current": tuple(d * r for r in row),
     })
 

@@ -142,11 +142,6 @@ class StationaryTable:
     weights: list[Monomial] | None = None
     normalization: Polynomial | None = None
 
-    def probability_of(self, w: ColoredWord) -> Fraction:
-        if self.probabilities is None:
-            raise StationaryError("table is symbolic; no numeric probabilities")
-        return self.probabilities[self.states.index(w)]
-
     def to_json_rows(self, rates: RatePoint | None = None) -> list[dict]:
         rows = []
         for j, w in enumerate(self.states):
@@ -592,7 +587,7 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     table = gen.fiber_rows
     fiber = table.slot
     first = np.unique(fiber, return_index=True)[1]
-    fibers = [OneDimConfig(n, tuple(max(c, 0) for c in gen.states[j].letters)) for j in first.tolist()]
+    fibers = [lump(gen.states[j]) for j in first.tolist()]
 
     # Per state, its (target fiber, rate symbol) pairs as sorted codes,
     # padded to the 2n moves a state can have, against its fiber's first member.

@@ -92,16 +92,6 @@ class RatePoint:
         scale = math.lcm(*(x.denominator for x in rates))
         return scale, tuple(x.numerator * (scale // x.denominator) for x in rates)
 
-    def scaled_to_integers(self) -> "RatePoint":
-        """Multiply all rates by the lcm of their denominators.
-
-        The generator is homogeneous of degree one in the rates, so this
-        rescaling changes neither the stationary distribution nor any
-        rate ratio.
-        """
-        values = self.integer_scaling()[1]
-        return RatePoint(values[: self.n], values[self.n :])
-
     def as_floats(self) -> tuple[list[float], list[float]]:
         """The rates as floats; raises ValueError for a rate that overflows
         a float or a positive rate that rounds to zero."""
@@ -390,29 +380,7 @@ class Polynomial:
         n = self.n
         return Polynomial._trusted(n, {e: c for e, c in self._terms.items() if not any(e[n:])})
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {
-                    "p": list(exps[: self.n]),
-                    "q": list(exps[self.n :]),
-                    "coef": str(coef),
-                }
-                for exps, coef in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Polynomial":
-        n = int(data["n"])
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for term in data["terms"]:
-            exps = tuple(int(x) for x in term["p"]) + tuple(int(x) for x in term["q"])
-            terms[exps] = parse_fraction(str(term["coef"]))
-        return cls(n, terms)
+    # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:

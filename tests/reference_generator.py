@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from torus_asep.dynamics import DEFAULT_STATE_CAP, Arcs, SparseGenerator, Transition, _transitions, check_state_cap
+from torus_asep.dynamics import Arcs, SparseGenerator, Transition, _transitions, check_state_cap
 from torus_asep.model import ColoredWord, enumerate_full, ensure_valid
 from torus_asep.symbolic import RatePoint, rate_symbols
 
@@ -19,14 +19,13 @@ def build_generator(
     L: int,
     n: int,
     rates: RatePoint | None = None,
-    cap: int = DEFAULT_STATE_CAP,
     states: list[ColoredWord] | None = None,
 ) -> SparseGenerator:
     """The transition graph at `rates` over the full state space or a given
     subset, which must be closed under the positive-rate dynamics."""
     subset_mode = states is not None
     if states is None:
-        check_state_cap(L, n, cap)
+        check_state_cap(L, n)
         states = enumerate_full(L, n)
     else:
         for w in states:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from torus_asep.symbolic import Monomial, RatePoint, parse_fraction
+from torus_asep.symbolic import Monomial, RatePoint
 
 
 def _as_fraction(x) -> Fraction:
@@ -194,30 +194,6 @@ class Polynomial:
         n = self.n
         terms = {e: c for e, c in self._terms.items() if not any(e[n:])}
         return Polynomial(n, terms)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {
-                    "p": list(exps[: self.n]),
-                    "q": list(exps[self.n :]),
-                    "coef": str(coef),
-                }
-                for exps, coef in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Polynomial":
-        n = int(data["n"])
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for term in data["terms"]:
-            exps = tuple(int(x) for x in term["p"]) + tuple(int(x) for x in term["q"])
-            terms[exps] = parse_fraction(str(term["coef"]))
-        return cls(n, terms)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -61,10 +61,10 @@ def eval_frac(text):
 
 
 def test_verify_symbolic(capsys):
-    code, out, _ = run(["verify", "--L", "4", "--n", "2", "--mode", "symbolic"], capsys)
+    code, out, _ = run(["verify", "--L", "4", "--n", "2"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["ok"]
+    assert payload["ok"] and payload["mode"] == "symbolic"
     names = {c["name"] for c in payload["checks"]}
     assert {"balance_symbolic", "lumping_fiber_rates", "weight_determinant"} <= names
 
@@ -110,7 +110,7 @@ def test_observables_numeric(capsys):
 
 
 def test_observables_symbolic(capsys):
-    code, out, _ = run(["observables", "--L", "3", "--n", "2", "--mode", "symbolic"], capsys)
+    code, out, _ = run(["observables", "--L", "3", "--n", "2"], capsys)
     assert code == 0
     assert json.loads(out)["ok"]
 
@@ -194,6 +194,23 @@ def test_state_cap_applies_to_every_state_space_command(command, monkeypatch, ca
     monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "many")
     code, out, err = run(args, capsys)
     assert code == 2 and "TORUS_ASEP_STATE_CAP" in err and out == ""
+
+
+def test_a_raised_cap_reaches_observables(monkeypatch):
+    """(11,3) has 3,247,695 states, above the default cap: raised, the cap
+    lets `observables` go on to build the graph, which a stub stops."""
+    from torus_asep import dynamics
+
+    class GraphBuilt(Exception):
+        pass
+
+    def stub(L, n):
+        raise GraphBuilt
+
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "5000000")
+    monkeypatch.setattr(dynamics, "_graph", stub)
+    with pytest.raises(GraphBuilt):
+        main(["observables", "--L", "11", "--n", "3", "--rates", "1,2,3;1,1,1"])
 
 
 def test_usage_error_from_argparse():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from torus_asep import dynamics
+from torus_asep import currents_exact, densities, dynamics, lumping_report, scott_russell_check, verify_balance
 from torus_asep.cli import main
 from torus_asep.dynamics import (
     ResourceCapError,
@@ -286,26 +286,52 @@ def test_triplet_rows_match_per_arc_assembly_on_ta_subset(zero_q):
     assert rows == _reference_triplets(5, 3, rates, states)
 
 
-def test_generator_cap():
+def test_generator_cap(monkeypatch):
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "100")
     with pytest.raises(ResourceCapError) as err:
-        build_generator(6, 3, cap=100)
+        build_generator(6, 3)
     assert err.value.count == 1620
 
 
 # -- the per-process graph memo --------------------------------------------------
 
 
-def test_a_repeat_build_returns_the_same_graph(fresh_graphs):
+def test_a_repeat_build_returns_the_same_graph(fresh_graphs, monkeypatch):
     gen = build_generator(4, 2)
     assert build_generator(4, 2) is gen
-    assert build_generator(4, 2, cap=gen.num_states) is gen
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", str(gen.num_states))
+    assert build_generator(4, 2) is gen
     assert gen.weights is build_generator(4, 2).weights
 
 
-def test_the_cap_is_checked_on_a_cached_lattice(fresh_graphs):
+def test_the_cap_is_checked_on_a_cached_lattice(fresh_graphs, monkeypatch):
     gen = build_generator(5, 3)
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", str(gen.num_states - 1))
     with pytest.raises(ResourceCapError) as err:
-        build_generator(5, 3, cap=gen.num_states - 1)
+        build_generator(5, 3)
+    assert err.value.count == 270
+
+
+LIBRARY_CHECKS = {
+    "build_generator": build_generator,
+    "densities": densities,
+    "currents_exact": currents_exact,
+    "scott_russell_check": scott_russell_check,
+    "verify_balance": verify_balance,
+    "lumping_report": lumping_report,
+    "reachability_tau0": reachability_tau0,
+    "restrict_ta": lambda L, n: restrict_ta(L, n, {1}),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_CHECKS)
+def test_every_library_check_obeys_the_cap(name, monkeypatch):
+    """The cap set in the environment holds for the library as well as the
+    command line, on a cached lattice too."""
+    build_generator(5, 3)
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "100")
+    with pytest.raises(ResourceCapError) as err:
+        LIBRARY_CHECKS[name](5, 3)
     assert err.value.count == 270
 
 
@@ -426,7 +452,7 @@ def test_a_closure_violation_rebuilds_its_transition(monkeypatch):
     exponents[j, gen.n] = 0
     forged = dataclasses.replace(gen)
     forged.__dict__["exponents"] = exponents
-    monkeypatch.setattr(dynamics, "build_generator", lambda L, n, cap: forged)
+    monkeypatch.setattr(dynamics, "build_generator", lambda L, n: forged)
     real = reference_graph.ta_membership
     monkeypatch.setattr(reference_graph, "ta_membership", lambda w, zero_q: w == outsider or real(w, zero_q))
     states, cert = restrict_ta(5, 3, {1})

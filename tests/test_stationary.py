@@ -195,7 +195,7 @@ def test_exact_stationary_on_ta_restriction():
     assert [w for w, p in zip(table.states, table.probabilities) if p] == states
     weights = [config_weight(w).evaluate(rp) for w in states]
     total = sum(weights)
-    assert all(table.probability_of(w) * total == wv for w, wv in zip(states, weights))
+    assert all(table.probabilities[table.states.index(w)] * total == wv for w, wv in zip(states, weights))
 
 
 def test_exact_stationary_rejects_two_closed_classes(rng):
@@ -315,7 +315,7 @@ def test_stationary_table_export_and_lookup():
     assert sum(Fraction(row["probability"]) for row in rows) == 1
     word = ColoredWord.from_text("B1 B2 b1")
     # q2 / (L * Z) at these rates: 5 / (3 * 11)
-    assert table.probability_of(word) == Fraction(5, 33)
+    assert table.probabilities[table.states.index(word)] == Fraction(5, 33)
 
 
 def test_lump_gap_vector_example():
@@ -494,7 +494,8 @@ def _strongly_connected(num, edges):
 
 
 def _reference_exact_stationary(gen, rates):
-    scaled = rates.scaled_to_integers()
+    values = rates.integer_scaling()[1]
+    scaled = RatePoint(values[: rates.n], values[rates.n :])
     num = gen.num_states
     arcs = []
     for j, outs in enumerate(gen.transitions):
@@ -544,7 +545,8 @@ def _reference_exact_stationary(gen, rates):
 
 
 def _reference_rank_deficiency(gen, rates, prime=2_147_483_647):
-    scaled = rates.scaled_to_integers()
+    values = rates.integer_scaling()[1]
+    scaled = RatePoint(values[: rates.n], values[rates.n :])
     num = gen.num_states
     M = np.zeros((num, num), dtype=np.int64)
     for j, outs in enumerate(gen.transitions):
