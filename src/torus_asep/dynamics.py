@@ -48,10 +48,11 @@ F1, F2, B1, B2 = "F1", "F2", "B1", "B2"
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when a requested state space exceeds the configured cap."""
+    """Raised when a requested state space, or a simulator run's ledger,
+    exceeds the configured cap."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"state space has {count} states, above the cap {cap}")
+    def __init__(self, count: int, cap: int, counted: str = "state space has {} states"):
+        super().__init__(f"{counted.format(count)}, above the cap {cap}")
         self.count = count
         self.cap = cap
 
@@ -84,18 +85,6 @@ class Transition:
     row: int
     rate_symbol: tuple[str, int]
     displacements: tuple[Displacement, ...]
-
-
-def displacement_crossings(d: Displacement, L: int) -> list[tuple[int, int]]:
-    """Signed boundary crossings: boundary j sits between columns j and j+1 mod L."""
-    out = []
-    if d.step > 0:
-        for t in range(d.step):
-            out.append(((d.pos_from + t) % L, 1))
-    else:
-        for t in range(-d.step):
-            out.append(((d.pos_from - 1 - t) % L, -1))
-    return out
 
 
 def block_move(pos: Sequence[int], k: int, step: int, L: int) -> tuple[int, int, int, int]:
@@ -162,21 +151,6 @@ def _transitions(w: ColoredWord) -> list[Transition]:
     """`outgoing_transitions` of a word already known to be valid."""
     pos = w.bullet_positions()
     return [t for k in range(1, w.n + 1) for d in (1, -1) if (t := _move(w, k, d, pos)) is not None]
-
-
-def replay_displacements(t: Transition) -> ColoredWord:
-    """Rebuild the target from the source plus the displacement records."""
-    L = t.source.length
-    new: list[int | None] = list(t.source.letters)
-    for d in t.displacements:
-        assert (d.pos_from + d.step) % L == d.pos_to, "step does not reach the target position"
-        new[d.pos_from] = None
-    for d in t.displacements:
-        sign = 1 if d.species == "bullet" else -1
-        assert new[d.pos_to] is None, "two particles land on one cell"
-        new[d.pos_to] = sign * d.label_to
-    assert all(c is not None for c in new), "a vacated cell was never refilled"
-    return ColoredWord(t.source.n, tuple(new))  # type: ignore[arg-type]
 
 
 # -- generator -----------------------------------------------------------------
@@ -343,8 +317,8 @@ class SparseGenerator:
         L, n = self.L, self.n
         arc, start, step = self.displacements[:, :3].T
         channels = self.displacements[:, 3:]
-        # Each record's |step| crossings, as `displacement_crossings` walks
-        # them, then one row per crossing and channel.
+        # Each record's |step| crossings, walked from pos_from in the
+        # direction of the step, then one row per crossing and channel.
         record, walked = _expand(np.abs(step))
         forward = step[record] > 0
         boundary = np.where(forward, start[record] + walked, start[record] - 1 - walked) % L

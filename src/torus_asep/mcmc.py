@@ -2,9 +2,11 @@
 
 The event loop is Gillespie sampling in the n-fold-way form (Bortz, Kalos
 and Lebowitz 1975; Gillespie 1977).  The state lives in place: a mutable
-letter list, the bullet column of each label, and the occupancy cell of
-every column.  Each event scans the at most 2n candidate moves (per bullet,
-forward then backward, by label) into a bitmask of the enabled ones.  The
+letter list, the bullet column of each label, and the n gap lengths (the
+boxes between bullet j and bullet j + 1).  Bullet j's forward move and
+bullet j + 1's backward move are enabled exactly when gap j is not empty,
+so the bitmask of enabled moves (per bullet, forward then backward, by
+label) changes only in the two gaps next to the bullet that moved.  The
 moves, total rate (numpy's sum) and cumulative rates of a mask form its
 menu, built on the first event that meets the mask and kept in a table
 that is cleared once it holds `_MENU_LIMIT` menus.  The event draws an
@@ -18,20 +20,26 @@ from that geometry into a ledger of signed column-boundary crossings:
 * label-preserving box crossings, per (row, boundary) - these are the swap
   moves and the shifting blocks, whose row is well defined;
 * label-changing box crossings (the relabelled jumper), per boundary only,
-  since the jumper changes row mid-transition;
+  since the jumper changes row mid-transition: one range add on a doubled
+  difference row per batch, folded at the end of the run;
 * per-row counts of the nonlocal forward moves (box row k -> k-1, "up") and
   backward moves (box row k -> k+1, "down").
 
-An event costs O(n + gap length) interpreted steps plus one vectorised
-occupancy add over the L columns; no per-state object is built or cached,
-so a run's memory does not grow with its length.  Only a run made with
-`record_states=True` keeps the time spent in each visited state
-(`state_time`, read by `empirical_distribution` and `tv_distance`); that
-record grows with the number of distinct states visited.  Column currents
-use all box crossings; per-row horizontal currents use only the
-label-preserving ones, matching the exact-observable conventions.  Runs
-are reproducible: a fixed (seed, parameters) pair yields an identical event
-sequence, ledger, and occupancy record.
+The occupancy is logged: each holding-time segment with its batch, and
+each letter as it leaves its column.  Every `_FLUSH_SEGMENTS` segments one
+`np.add.at` adds each segment to the cell of each column in time order,
+the same float adds as one add per event.  An event costs O(1) interpreted
+steps plus the shifted block, and O(L) array work per segment at a flush;
+no per-state object is built or cached, so a run's memory does not grow
+with its length.  A ledger of more cells than `dynamics.state_cap()` is
+refused before it is allocated.  Only a run made with `record_states=True`
+keeps the time spent in each visited state (`state_time`, read by
+`empirical_distribution` and `tv_distance`); that record grows with the
+number of distinct states visited.  Column currents use all box crossings;
+per-row horizontal currents use only the label-preserving ones, matching
+the exact-observable conventions.  Runs are reproducible: a fixed (seed,
+parameters) pair yields an identical event sequence, ledger, and occupancy
+record.
 """
 
 from __future__ import annotations
@@ -44,12 +52,19 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dynamics import block_move, tau_zero
+from .dynamics import ResourceCapError, _expand, block_move, state_cap, tau_zero
 from .model import ColoredWord, ensure_valid
 from .symbolic import RatePoint
 
 
 _MENU_LIMIT = 4096  # menus kept per run; the table is cleared when it is full
+_FLUSH_SEGMENTS = 256  # holding-time segments logged between occupancy flushes
+
+
+def _gap_lengths(pos: list[int], L: int) -> list[int]:
+    """Boxes between bullet j and bullet j + 1 (cyclically), by 0-based j."""
+    n = len(pos)
+    return [(pos[(j + 1) % n] - pos[j] - 1) % L for j in range(n)]
 
 
 @dataclass
@@ -149,13 +164,22 @@ def simulate(
         raise ValueError(
             f"start word has length {start.length} and {start.n} rows, expected {L} and {n}"
         )
+    cells, cap = batches * ((4 * n + 1) * L + 2 * n + 1), state_cap()
+    if cells > cap:  # checked before anything of that size is allocated
+        raise ResourceCapError(cells, cap, "the run's ledger has {} cells")
     p, q = rates.as_floats()
     # The candidate moves in transition order: per bullet, forward then backward.
     candidates = [(k, d, r) for k in range(n) for d, r in ((1, p[k]), (-1, q[k])) if r > 0.0]
-    scan = [(1 << i, k, d) for i, (k, d, _) in enumerate(candidates)]
+    # Gap j gates bullet j's forward move and bullet j + 1's backward move.
+    gate = [0] * n
+    for i, (k, d, _) in enumerate(candidates):
+        gate[k if d > 0 else k - 1] |= 1 << i
+    keep = [~(gate[k] | gate[k - 1]) for k in range(n)]
     menus: dict[int, tuple[list, float, list[float]]] = {}  # enabled mask -> menu
     letters = list(start.letters)
     pos = list(start.bullet_positions())
+    gaps = _gap_lengths(pos, L)
+    mask = sum(g for g, gap in zip(gate, gaps) if gap)  # no two gates share a bit
     nL = n * L
     # Cell of letter c in column x, flat over one batch of `occupancy`, is
     # base[c] + x: bullets c > 0 first, then boxes, which index from the end.
@@ -163,88 +187,76 @@ def simulate(
     for c in range(1, n + 1):
         base[c] = (c - 1) * L
         base[-c] = nL + (c - 1) * L
-    cells = np.array([base[c] + x for x, c in enumerate(letters)], dtype=np.intp)
     rng = np.random.Generator(np.random.PCG64(seed))
     occupancy = np.zeros((batches, 2, n, L), dtype=np.float64)
-    occ = list(occupancy.reshape(batches, 2 * nL))  # one flat view per batch
     bullet_edge = [0] * (batches * nL)
     box_edge = [0] * (batches * nL)
-    box_jump = [0] * (batches * L)
+    jump = [0] * (batches * 2 * L)  # differences of the jumper crossings, two laps per batch
     row_up = [0] * (batches * n)
     row_down = [0] * (batches * n)
     batch_time = [0.0] * batches
     state_time: dict[tuple[int, ...], float] | None = {} if record_states else None
+    # The occupancy log since the last flush: each holding-time segment's
+    # duration and batch offset, and one entry per letter that has left its
+    # column, e * stride + cell for its cell and the segment e it left at.
+    # A column's letters follow one another, so each entry's run of
+    # segments starts where the column's previous entry ended.
+    stride = 2 * nL
+    seg_dt: list[float] = []
+    seg_at: list[int] = []
+    runs: list[int] = []
 
-    def move(k: int, d: int, b: int) -> None:
-        """Apply bullet k's move by d = +1 (F1/F2) or -1 (B1/B2) in place and
-        record its crossings in batch b."""
-        x0 = pos[k]
-        x1 = (x0 + d) % L
-        edge = x0 if d > 0 else x1  # the boundary the bullet crosses
-        bullet_edge[b * nL + k * L + edge] += d
-        i = -letters[x1]
-        if i != k + 1:  # F1/B1: the box swaps back across the same boundary
-            letters[x0] = -i
-            cells[x0] = base[-i] + x0
-            box_edge[b * nL + (i - 1) * L + edge] -= d
-        else:  # F2/B2
-            first, length, landing, label = block_move(pos, k + 1, d, L)
-            # Each block box crosses one boundary in its own row; walk the
-            # block from its leading end so no cell is overwritten unread.
-            for t in range(length - 1, -1, -1) if d > 0 else range(length):
-                x = (first + t) % L
-                y = (x + d) % L
-                c = letters[x]
-                letters[y] = c
-                cells[y] = base[c] + y
-                box_edge[b * nL + (-c - 1) * L + (x if d > 0 else y)] += d
-            letters[landing] = -label
-            cells[landing] = base[-label] + landing
-            # The jumper walks against d from x1 to its landing cell.
-            for t in range((x1 - landing) * d % L):
-                box_jump[b * L + (edge - d * t) % L] -= d
-            (row_up if d > 0 else row_down)[b * n + k] += 1
-        letters[x1] = k + 1
-        cells[x1] = base[k + 1] + x1
-        pos[k] = x1
+    def flush() -> None:
+        """Add every logged segment to the occupancy of each cell it held,
+        column by column in time order, as one add per segment and column."""
+        segments = len(seg_dt)
+        runs.extend(segments * stride + base[c] + x for x, c in enumerate(letters))
+        end, cell = np.divmod(np.array(runs, dtype=np.int64), stride)
+        order = np.argsort(cell % L, kind="stable")
+        cell = cell[order]
+        # Each column's runs tile its segments: a run's length is its end
+        # less the previous end in the column, or 0 at the column's start.
+        spans = np.diff(cell % L * segments + end[order], prepend=0)
+        np.add.at(
+            occupancy.reshape(-1),
+            np.repeat(cell, spans) + np.tile(np.array(seg_at, dtype=np.int64), L),
+            np.tile(np.array(seg_dt), L),
+        )
+        seg_dt.clear()
+        seg_at.clear()
+        runs.clear()
 
     t = 0.0
     ev = 0
     slab_len = (time_horizon / batches) if time_horizon is not None else None
 
-    while True:
-        # A move is enabled when the cell it steps into holds a box.
-        mask = 0
-        for bit, k, d in scan:
-            if letters[(pos[k] + d) % L] < 0:
-                mask |= bit
-        if not mask:
-            break
+    exponential, uniform = rng.exponential, rng.random
+    full = _FLUSH_SEGMENTS * stride
+    while mask:
         menu = menus.get(mask)
         if menu is None:
             moves = [m for i, m in enumerate(candidates) if mask >> i & 1]
             move_rates = [m[2] for m in moves]
-            menu = (moves, float(np.sum(move_rates)), list(accumulate(move_rates)))
+            # The last move repeats: a draw at or past the last cumulative
+            # rate, which float round-off allows, picks it.
+            menu = (moves + moves[-1:], float(np.sum(move_rates)), list(accumulate(move_rates)))
             if len(menus) >= _MENU_LIMIT:
                 menus.clear()
             menus[mask] = menu
         moves, total, cumulative = menu
-        dt = rng.exponential(1.0 / total)
-        u = rng.random() * total
-        k, d, _ = moves[min(bisect_right(cumulative, u), len(moves) - 1)]
+        dt = exponential(1.0 / total)
+        u = uniform() * total
+        k, d, _ = moves[bisect_right(cumulative, u)]
 
         if events is not None:
             b = ev * batches // events
-            occ[b][cells] += dt
+            seg_dt.append(dt)
+            seg_at.append(b * stride)
             batch_time[b] += dt
             if state_time is not None:
                 word = tuple(letters)
                 state_time[word] = state_time.get(word, 0.0) + dt
             t += dt
-            move(k, d, b)
-            ev += 1
-            if ev == events:
-                break
         else:
             t_new = t + dt
             t_stop = min(t_new, time_horizon)
@@ -260,15 +272,63 @@ def simulate(
                     b = min(b + 1, batches - 1)
                     edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
                 seg_end = min(t_stop, edge)
-                occ[b][cells] += seg_end - t0
+                seg_dt.append(seg_end - t0)
+                seg_at.append(b * stride)
                 batch_time[b] += seg_end - t0
                 t0 = seg_end
             if t_new >= time_horizon:
                 t = time_horizon
                 break
-            move(k, d, min(int(t_new / slab_len), batches - 1))
-            ev += 1
+            b = min(int(t_new / slab_len), batches - 1)
             t = t_new
+
+        # Bullet k moves by d = +1 (F1/F2) or -1 (B1/B2); its crossings go
+        # to batch b, and each column whose letter changes logs that letter.
+        now = len(seg_dt) * stride
+        x0 = pos[k]
+        x1 = (x0 + d) % L
+        edge = x0 if d > 0 else x1  # the boundary the bullet crosses
+        bullet_edge[b * nL + k * L + edge] += d
+        c = letters[x1]
+        runs.append(now + base[c] + x1)
+        if c != -k - 1:  # F1/B1: the box swaps back across the same boundary
+            runs.append(now + base[k + 1] + x0)
+            letters[x0] = c
+            box_edge[b * nL + (-c - 1) * L + edge] -= d
+        else:  # F2/B2
+            first, length, landing, label = block_move(pos, k + 1, d, L)
+            at = b * nL - nL  # at + base[c] + x: box c's crossing of boundary x
+            # Each block box crosses one boundary in its own row; walk the
+            # block from its leading end so no cell is overwritten unread.
+            for i in range(length - 1, -1, -1) if d > 0 else range(length):
+                x = (first + i) % L
+                y = (x + d) % L
+                c = letters[x]
+                if letters[y] != c:
+                    runs.append(now + base[letters[y]] + y)
+                    letters[y] = c
+                box_edge[at + base[c] + (x if d > 0 else y)] += d
+            if letters[landing] != -label:
+                runs.append(now + base[letters[landing]] + landing)
+                letters[landing] = -label
+            # The jumper walks against d from x1 to its landing cell, across
+            # the boundaries from the lower end of its walk on.
+            lower = b * 2 * L + (landing if d > 0 else x1)
+            jump[lower] -= d
+            jump[lower + (x1 - landing) * d % L] += d
+            (row_up if d > 0 else row_down)[b * n + k] += 1
+        letters[x1] = k + 1
+        pos[k] = x1
+        gaps[k] -= d
+        gaps[k - 1] += d
+        mask = mask & keep[k] | (gaps[k] and gate[k]) | (gaps[k - 1] and gate[k - 1])
+        ev += 1
+        if ev == events:
+            break
+        if now >= full:
+            flush()
+    flush()
+    laps = np.array(jump, dtype=np.int64).reshape(batches, 2 * L).cumsum(axis=1)
 
     ledger = CrossingLedger(
         L=L,
@@ -276,7 +336,7 @@ def simulate(
         batches=batches,
         bullet_edge=np.array(bullet_edge, dtype=np.int64).reshape(batches, n, L),
         box_edge=np.array(box_edge, dtype=np.int64).reshape(batches, n, L),
-        box_jump=np.array(box_jump, dtype=np.int64).reshape(batches, L),
+        box_jump=laps[:, :L] + laps[:, L:],
         row_up=np.array(row_up, dtype=np.int64).reshape(batches, n),
         row_down=np.array(row_down, dtype=np.int64).reshape(batches, n),
         batch_time=np.array(batch_time, dtype=np.float64),

@@ -8,13 +8,14 @@ against; nothing in the package imports it.
 
 from __future__ import annotations
 
-from torus_asep.dynamics import build_generator, displacement_crossings
+from torus_asep.dynamics import build_generator
 from torus_asep.model import _check_dims
 from torus_asep.observables import ObservableMismatch, ObservableReport, _CommonDenominator
 from torus_asep.symbolic import Domain, RatePoint
 
 from reference_sums import SummandDomain
 from reference_tables import reference_occupation_currents
+from reference_transitions import displacement_crossings
 
 
 def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:

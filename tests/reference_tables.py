@@ -9,10 +9,11 @@ the package imports this module.
 
 from __future__ import annotations
 
-from torus_asep.dynamics import F1, B1, Transition, displacement_crossings
+from torus_asep.dynamics import F1, B1, Transition
 from torus_asep.symbolic import RatePoint
 
 from reference_sums import SummandDomain
+from reference_transitions import displacement_crossings
 
 
 def _flat(groups) -> list:

@@ -4,6 +4,10 @@ backward rule (B1, B2), written out separately, together with the geometry
 of the nonlocal move they share.  Kept as the reference that the
 differential test in test_dynamics.py checks `outgoing_transitions`
 against; nothing in the package imports it.
+
+Also the two readings of a transition's displacement records that only the
+tests use: the signed boundary crossings of one record, and the target
+word rebuilt from the source and the records.
 """
 
 from __future__ import annotations
@@ -96,3 +100,30 @@ def reference_transitions(w: ColoredWord) -> list[Transition]:
             if t is not None:
                 out.append(t)
     return out
+
+
+def displacement_crossings(d: Displacement, L: int) -> list[tuple[int, int]]:
+    """Signed boundary crossings: boundary j sits between columns j and j+1 mod L."""
+    out = []
+    if d.step > 0:
+        for t in range(d.step):
+            out.append(((d.pos_from + t) % L, 1))
+    else:
+        for t in range(-d.step):
+            out.append(((d.pos_from - 1 - t) % L, -1))
+    return out
+
+
+def replay_displacements(t: Transition) -> ColoredWord:
+    """Rebuild the target from the source plus the displacement records."""
+    L = t.source.length
+    new: list[int | None] = list(t.source.letters)
+    for d in t.displacements:
+        assert (d.pos_from + d.step) % L == d.pos_to, "step does not reach the target position"
+        new[d.pos_from] = None
+    for d in t.displacements:
+        sign = 1 if d.species == "bullet" else -1
+        assert new[d.pos_to] is None, "two particles land on one cell"
+        new[d.pos_to] = sign * d.label_to
+    assert all(c is not None for c in new), "a vacated cell was never refilled"
+    return ColoredWord(t.source.n, tuple(new))  # type: ignore[arg-type]

@@ -226,6 +226,24 @@ def test_simulate_requires_one_horizon(capsys):
     assert code == 2
 
 
+def test_simulate_ledger_above_the_cap_exits_3_before_allocating(tmp_path, monkeypatch, capsys):
+    """10^8 batches would need billions of ledger cells: the run is refused
+    with exit 3 before any array or list of that size is made."""
+    from torus_asep import mcmc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ledger was allocated")
+
+    monkeypatch.setattr(mcmc.np, "zeros", refuse)
+    code, out, err = run(
+        ["simulate", "--L", "4", "--n", "2", "--rates", "1,2;3,5", "--time", "5",
+         "--batches", "100000000", "--output", str(tmp_path)], capsys
+    )
+    assert code == 3 and out == ""
+    assert err == "error: the run's ledger has 4100000000 cells, above the cap 2000000\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_report_outputs_are_byte_identical(tmp_path):
     out = tmp_path / "report.json"
     args = ["verify", "--L", "3", "--n", "2", "--rates", "1,2;3,5", "--output", str(out)]

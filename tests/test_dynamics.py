@@ -9,17 +9,17 @@ from torus_asep.cli import main
 from torus_asep.dynamics import (
     ResourceCapError,
     build_generator,
-    displacement_crossings,
     excess,
     outgoing_transitions,
     reachability_tau0,
-    replay_displacements,
     restrict_ta,
     ta_membership,
     tau_zero,
 )
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate
 from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbols
+
+from reference_transitions import displacement_crossings, replay_displacements
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
 

@@ -7,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_asep import mcmc
-from torus_asep.dynamics import build_generator, displacement_crossings, outgoing_transitions, tau_zero
+from torus_asep.dynamics import build_generator, outgoing_transitions, tau_zero
 from torus_asep.mcmc import (
     estimate_observables,
     run_manifest,
     simulate,
     tv_distance,
 )
-from torus_asep.model import ColoredWord, iter_restricted
+from torus_asep.model import ColoredWord, enumerate_full, iter_restricted
 from torus_asep.observables import closed_box_density, closed_currents
 from torus_asep.stationary import exact_stationary
 from torus_asep.symbolic import RatePoint
+
+from reference_transitions import displacement_crossings
 
 RP42 = RatePoint((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
 
@@ -94,6 +96,17 @@ def test_time_mode_batches_are_equal_slabs():
     assert state.elapsed == 50.0
     assert ledger.batch_time == pytest.approx(np.full(10, 5.0))
     assert state.occupancy.sum() == pytest.approx(4 * 50.0)  # one particle per column
+
+
+def test_ledger_cells_obey_the_state_cap(monkeypatch):
+    """(4,2) in 10 batches keeps 10 * (9 * 4 + 5) = 410 ledger cells."""
+    from torus_asep.dynamics import ResourceCapError
+
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "410")
+    simulate(4, 2, RP42, seed=1, events=100, batches=10)
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "409")
+    with pytest.raises(ResourceCapError, match="the run's ledger has 410 cells, above the cap 409"):
+        simulate(4, 2, RP42, seed=1, events=100, batches=10)
 
 
 def test_tv_distance_decreases_with_run_length():
@@ -428,6 +441,61 @@ def test_kernel_matches_reference_past_the_menu_limit(monkeypatch, horizon):
     q = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5), Fraction(1, 2), Fraction(2))
     menus = _assert_matches_reference(12, 6, RatePoint(p, q), 5, **horizon)
     assert len(menus) > 2 * limit
+
+
+_P6 = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 4), Fraction(1), Fraction(7, 3))
+_Q6 = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5), Fraction(1, 2), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "L,n,horizon",
+    [
+        (6, 3, {"events": 500, "batches": 20}),
+        # slabs shorter than a holding time: one event logs several segments
+        (6, 3, {"time_horizon": 30.0, "batches": 200}),
+        (9, 4, {"time_horizon": 25.0, "batches": 7}),
+        (6, 1, {"events": 400, "batches": 9}),
+        (6, 1, {"time_horizon": 60.0, "batches": 40}),
+        (2, 1, {"events": 50, "batches": 3}),
+    ],
+    ids=["events", "time-split-slabs", "time", "n1-events", "n1-time", "L2-n1"],
+)
+@pytest.mark.parametrize("chunk", [1, 3, 17])
+def test_kernel_matches_reference_past_the_flush_chunk(monkeypatch, L, n, horizon, chunk):
+    """Runs far longer than the occupancy log's flush chunk, with slab
+    splits and letter runs spanning flushes, match the reference byte for
+    byte."""
+    monkeypatch.setattr(mcmc, "_FLUSH_SEGMENTS", chunk)
+    _assert_matches_reference(L, n, RatePoint(_P6[:n], _Q6[:n]), 23, **horizon)
+
+
+def test_the_split_slab_case_has_more_slabs_than_events():
+    """The "time-split-slabs" case above has fewer events than slabs, so
+    most slab edges fall inside a holding time: its segments, one per slab,
+    are logged by one event before any flush."""
+    state, _ = simulate(6, 3, RatePoint(_P6[:3], _Q6[:3]), 23, time_horizon=30.0, batches=200)
+    assert 0 < state.events < 200
+
+
+def test_kernel_matches_reference_at_40_5_over_many_flushes():
+    """5000 events at (40,5), about twenty flushes of the default chunk."""
+    assert 5000 > 10 * mcmc._FLUSH_SEGMENTS
+    _assert_matches_reference(40, 5, RatePoint(_P6[:5], _Q6[:5]), 2026, events=5000, batches=20)
+
+
+def test_gap_counts_give_the_enabled_moves_of_every_small_word():
+    """Bullet k's forward move is enabled exactly when the gap after it
+    holds a box, and its backward move when the gap before it does; n = 1
+    included, on every word with L <= 7."""
+    for L in range(1, 8):
+        for n in range(1, L + 1):
+            for w in enumerate_full(L, n):
+                gaps = mcmc._gap_lengths(list(w.bullet_positions()), L)
+                expected = {("p", k + 1) for k in range(n) if gaps[k]} | {
+                    ("q", k + 1) for k in range(n) if gaps[k - 1]
+                }
+                assert {t.rate_symbol for t in outgoing_transitions(w)} == expected, w.to_text()
+                assert sum(gaps) == L - n
 
 
 @pytest.mark.parametrize(
