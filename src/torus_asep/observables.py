@@ -16,10 +16,13 @@ Every oracle and closed-form numerator lives over the common denominator
 L * Z(L, n), which `full_normalization` proves equal to the sum of the
 weights, so an entry is decided by comparing bare numerators, with no
 cross-multiplication.  Whole-row closed forms are reported over Z(L, n) and
-scaled by L for the comparison.  Every closed form is read from one table,
-`closed_forms`, which the oracle checks and the rate-point values
-(`closed_currents`, `closed_box_density`) share.  Densities and currents
-share one report type, `ObservableReport`.
+scaled by L for the comparison.  Every closed form comes from one
+function, `closed_numerators`, which runs the recurrences of the partition
+function, the box densities and the currents in a `Domain`'s ring: as
+polynomials in `closed_forms`, built once per lattice for the symbolic
+checks, and as exact values at a rate point, computed afresh by the
+numeric checks and `closed_currents`.  Densities and currents share one
+report type, `ObservableReport`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from types import MappingProxyType
 
 from .dynamics import build_generator
 from .model import _check_dims, iter_restricted
-from .stationary import _enumerated_weight, box_weight, drift, total_box_weight, weight_table
+from .stationary import _enumerated_weight, box_weight, weight_table
 from .symbolic import (
     Domain,
     Monomial,
@@ -52,24 +55,15 @@ class ObservableMismatch(AssertionError):
     """A closed form disagrees with its brute-force oracle."""
 
 
-@lru_cache(maxsize=None)
 def partition_function(L: int, n: int) -> Polynomial:
     """Restricted partition function: sum over gap compositions (c_1..c_n)
     of L - n of the product of total_box_weight(k)^{c_k}, homogeneous of
     degree (L-n)(n-1).
 
     That sum is the complete homogeneous symmetric polynomial h_{L-n} in the
-    n total box weights W_k, built by h_c(W_1..W_k) = h_c(W_1..W_{k-1}) +
-    W_k h_{c-1}(W_1..W_k).
+    n total box weights, read from the recurrence of `closed_numerators`.
     """
-    _check_dims(L, n)
-    m = L - n
-    h = [Polynomial.one(n)] + [Polynomial.zero(n)] * m
-    for k in range(1, n + 1):
-        w = total_box_weight(k, n)
-        for c in range(1, m + 1):
-            h[c] = h[c] + w * h[c - 1]
-    return h[m]
+    return closed_forms(L, n)["bullet_density"]
 
 
 def brute_force_partition_function(L: int, n: int) -> Polynomial:
@@ -222,21 +216,11 @@ class _CommonDenominator:
         full_normalization(L, n)
         self.L = L
         self.dom = dom
-        self.forms = closed_forms(L, n)
-        self.values: dict = {}
-        self.z = self.value(self.forms["bullet_density"])
+        self.forms = closed_forms(L, n) if dom.rates is None else closed_numerators(L, n, dom)
+        self.z = self.forms["bullet_density"]
         if self.z == 0:
             raise ValueError("all weights vanish at this rate point")
         self.lz = L * self.z
-
-    def value(self, form: Polynomial):
-        """A closed-form numerator in `dom`, evaluated once per polynomial
-        object, so families that share one form share its value (`forms`
-        keeps every keyed object alive)."""
-        key = id(form)
-        if key not in self.values:
-            self.values[key] = self.dom.value(form)
-        return self.values[key]
 
     def entry(self, name: str, index: tuple[int, ...], closed, oracle, whole_row: bool = False) -> ObservableEntry:
         if whole_row:
@@ -252,7 +236,7 @@ class _CommonDenominator:
         form = self.forms[name]
         if isinstance(form, tuple):
             form = form[index[0] - 1]
-        return self.entry(name, index, self.value(form), oracle, whole_row=name in WHOLE_ROW)
+        return self.entry(name, index, form, oracle, whole_row=name in WHOLE_ROW)
 
 
 # -- closed forms -------------------------------------------------------------------
@@ -261,77 +245,77 @@ class _CommonDenominator:
 WHOLE_ROW = frozenset({"bullet_row_current", "box_vertical_up", "box_vertical_down", "box_vertical_net"})
 
 
-@lru_cache(maxsize=None)
-def closed_forms(L: int, n: int) -> MappingProxyType:
-    """Every closed-form numerator of (L, n), by observable name, as a
-    polynomial in the 2n rates; built once per lattice.
+def closed_numerators(L: int, n: int, dom: Domain) -> MappingProxyType:
+    """Every closed-form numerator of (L, n), by observable name, in the
+    ring of `dom`: polynomials in the 2n rates when symbolic, Fractions at
+    the rate point when numeric.
 
-    A family that depends on the row maps to its tuple by row.  The bullet
-    density 1/L is Z over L * Z.  Every current carries the drift times a
-    quantity of the torus one column smaller, and vanishes for L = n, where
-    there is none; the families equal to d * Z(L - 1, n) share one object.
+    A family that depends on the row maps to its tuple by row.  Each comes
+    from the box weights w(i, k) and their column sums, the total box
+    weights W_k.  The complete homogeneous sums h_c of the W_k give
+    Z(n + c, n) for every c <= L - n; the bullet density 1/L is Z(L, n) over
+    L * Z.  The box density of row i is the renewal sum over the distance j
+    to the nearest bullet on the left, sum_a w(i, a) S_a, with S_a =
+    sum_{j=1}^{L-n} W_a^{j-1} Z(L - j, n) per gap label a.  Every current
+    carries the drift times a quantity of the torus one column smaller, and
+    vanishes for L = n, where there is none; the families equal to
+    d * Z(L - 1, n) share one value.
     """
     _check_dims(L, n)
-    if L > n:
-        z_prev = partition_function(L - 1, n)
-        row = [box_density_numerator(L - 1, n, i) for i in range(1, n + 1)]
-    else:
-        z_prev, row = Polynomial.zero(n), [Polynomial.zero(n)] * n
-    p_all, q_all = (rate_product(n, family).as_polynomial() for family in "pq")
-    d = drift(n)
+    m = L - n
+    zero = dom.zero
+    w = [[dom.monomial(box_weight(i, k, n)) for k in range(1, n + 1)] for i in range(1, n + 1)]
+    totals = [sum((row[k] for row in w), zero) for k in range(n)]
+    # h_c(W_1..W_k) = h_c(W_1..W_{k-1}) + W_k h_{c-1}(W_1..W_k)
+    h = [dom.one] + [zero] * m
+    for wk in totals:
+        for c in range(1, m + 1):
+            h[c] = h[c] + wk * h[c - 1]
+    # S_a by Horner's rule; its last step is S_a(L) = Z(L - 1, n) + W_a S_a(L - 1)
+    here, smaller = [], []
+    for wa in totals:
+        before, s = zero, zero
+        for c in range(m):
+            before, s = s, h[c] + wa * s
+        here.append(s)
+        smaller.append(before)
+
+    def rows(sums: list) -> tuple:
+        return tuple(sum((wi[a] * sums[a] for a in range(n)), zero) for wi in w)
+
+    z_prev = h[m - 1] if m else zero
+    p_all, q_all = (dom.monomial(rate_product(n, family)) for family in "pq")
+    d = p_all - q_all
     net = d * z_prev
     return MappingProxyType({
-        "bullet_density": partition_function(L, n),
-        "box_density": tuple(box_density_numerator(L, n, i) for i in range(1, n + 1)),
+        "bullet_density": h[m],
+        "box_density": rows(here),
         "bullet_edge_current": net,
         "bullet_row_current": net,
         "box_column_current": -n * net,
         "box_vertical_up": p_all * z_prev,
         "box_vertical_down": q_all * z_prev,
         "box_vertical_net": net,
-        "box_row_current": tuple(d * r for r in row),
+        "box_row_current": tuple(d * r for r in rows(smaller)),
     })
 
 
-def _closed_values(L: int, n: int, rates: RatePoint) -> dict:
-    """`closed_forms` divided out at a rate point, with no ensemble enumeration."""
-    table = closed_forms(L, n)
-    z = table["bullet_density"].evaluate(rates)
-
-    def value(name, num):
-        return num.evaluate(rates) / (z if name in WHOLE_ROW else L * z)
-
-    return {
-        name: [value(name, x) for x in num] if isinstance(num, tuple) else value(name, num)
-        for name, num in table.items()
-    }
+@lru_cache(maxsize=None)
+def closed_forms(L: int, n: int) -> MappingProxyType:
+    """`closed_numerators` as polynomials, built once per lattice."""
+    return closed_numerators(L, n, Domain(n))
 
 
 # -- densities ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def box_density_numerator(L: int, n: int, i: int) -> Polynomial:
-    """Numerator of the box density at row i (any column) over L * Z(L, n).
-
-    Row 1 uses the renewal sum over the distance to the nearest bullet on
-    the left; deeper rows follow by the cyclic rate relabelling p_j -> p_{j+1},
-    q_j -> q_{j+1} per row step.
-    """
+    """Numerator of the box density at row i (any column) over L * Z(L, n),
+    read from `closed_forms`."""
     _check_dims(L, n)
     if not 1 <= i <= n:
         raise ValueError(f"row {i} out of range 1..{n}")
-    if i > 1:
-        return box_density_numerator(L, n, 1).shift_rows(i - 1)
-    total = Polynomial.zero(n)
-    for a in range(1, n + 1):
-        # sum over j = 1..L-n of W_a^{j-1} Z(L-j, n), by Horner's rule
-        wa = total_box_weight(a, n)
-        inner = Polynomial.zero(n)
-        for j in range(L - n, 0, -1):
-            inner = partition_function(L - j, n) + wa * inner
-        total = total + inner * box_weight(1, a, n)
-    return total
+    return closed_forms(L, n)["box_density"][i - 1]
 
 
 def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
@@ -430,17 +414,23 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
 def closed_currents(L: int, n: int, rates: RatePoint) -> dict[str, Fraction | list[Fraction]]:
     """Closed-form current values at a rate point, no ensemble enumeration.
 
-    Cheap enough for lattices beyond exact-oracle reach; per-row horizontal
-    box currents come back as a list indexed by row.
+    The numerators of `closed_numerators` at the rate point, divided by
+    L * Z(L, n), or by Z(L, n) for a whole-row total.  No polynomial is
+    built, so lattices far beyond exact-oracle reach are cheap: (40, 5)
+    takes milliseconds.  Per-row horizontal box currents come back as a
+    list indexed by row.
     """
-    return {name: v for name, v in _closed_values(L, n, rates).items() if not name.endswith("density")}
+    table = closed_numerators(L, n, Domain(n, rates))
+    z = table["bullet_density"]
 
+    def value(name, num):
+        return num / (z if name in WHOLE_ROW else L * z)
 
-def closed_box_density(L: int, n: int, i: int, rates: RatePoint) -> Fraction:
-    """Closed-form box density of row i at a rate point."""
-    if not 1 <= i <= n:
-        raise ValueError(f"row {i} out of range 1..{n}")
-    return _closed_values(L, n, rates)["box_density"][i - 1]
+    return {
+        name: [value(name, x) for x in num] if isinstance(num, tuple) else value(name, num)
+        for name, num in table.items()
+        if not name.endswith("density")
+    }
 
 
 @dataclass

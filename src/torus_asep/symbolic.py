@@ -79,12 +79,6 @@ class RatePoint:
         """Row labels k (1-based) with q_k = 0."""
         return frozenset(k + 1 for k, x in enumerate(self.q) if x == 0)
 
-    def rate(self, symbol: tuple[str, int]) -> Fraction:
-        """Value of a rate symbol ('p', k) or ('q', k), k 1-based."""
-        family, k = symbol
-        vec = self.p if family == "p" else self.q
-        return vec[k - 1]
-
     def integer_scaling(self) -> tuple[int, tuple[int, ...]]:
         """D, the lcm of the rate denominators, and the 2n integers
         D*p_1..D*p_n, D*q_1..D*q_n."""
@@ -414,19 +408,6 @@ def _render_term(n: int, exps: tuple[int, ...], coef: Fraction, lead: bool) -> s
     return f"+ {core}" if coef >= 0 else f"- {core}"
 
 
-def p_var(n: int, k: int) -> Polynomial:
-    return Monomial.p(n, k).as_polynomial()
-
-
-def q_var(n: int, k: int) -> Polynomial:
-    return Monomial.q(n, k).as_polynomial()
-
-
-def rate_symbols(n: int) -> list[tuple[str, int]]:
-    """The rate symbols ('p', 1)..('p', n), ('q', 1)..('q', n), in exponent order."""
-    return [(family, k) for family in "pq" for k in range(1, n + 1)]
-
-
 def rate_product(n: int, family: str) -> Monomial:
     """The monomial p_1..p_n (family 'p') or q_1..q_n (family 'q')."""
     off = 0 if family == "p" else n
@@ -559,6 +540,8 @@ class Domain:
     otherwise), so each total is one reduced Fraction over D^d, or over
     D^(d+1) for a table with rates.  The ints are summed by
     `integer_totals`, which picks int64 or Python ints.
+    `zero`, `one` and `monomial` are the domain's ring elements, polynomials
+    or Fractions at the rate point, so a recurrence is written once for both.
     """
 
     def __init__(self, n: int, rates: RatePoint | None = None):
@@ -568,6 +551,7 @@ class Domain:
         self.rates = rates
         self.mode = "symbolic" if rates is None else "numeric"
         self.zero = Polynomial.zero(n) if rates is None else Fraction(0)
+        self.one = Polynomial.one(n) if rates is None else Fraction(1)
         if rates is not None:
             self._scale, self._values = rates.integer_scaling()
 
@@ -619,8 +603,9 @@ class Domain:
             terms[slot] = dict(zip(monomials[a:b], counts[a:b]))
         return [Polynomial._trusted(self.n, t) for t in terms]
 
-    def value(self, poly: Polynomial):
-        return poly if self.rates is None else poly.evaluate(self.rates)
+    def monomial(self, m: Monomial):
+        """A monomial in the domain's ring: a polynomial, or its Fraction at the rate point."""
+        return m.as_polynomial() if self.rates is None else m.evaluate(self.rates)
 
     def ratio(self, num, den):
         """num / den for display: a RationalValue, or a reduced Fraction."""

@@ -6,12 +6,21 @@ import numpy as np
 import pytest
 
 from torus_asep import ColoredWord, RatePoint, dynamics
+from torus_asep.observables import closed_numerators
+from torus_asep.symbolic import Domain
 
 
 def random_rate_point(n: int, rng: random.Random, denominator: int = 10) -> RatePoint:
     """Random strictly positive rationals with a shared small denominator."""
     draw = lambda: Fraction(rng.randint(1, 9 * denominator), denominator)
     return RatePoint(tuple(draw() for _ in range(n)), tuple(draw() for _ in range(n)))
+
+
+def closed_box_densities(L: int, n: int, rates: RatePoint) -> list[Fraction]:
+    """The closed-form box density of each row at a rate point: its
+    numerator over L * Z(L, n)."""
+    table = closed_numerators(L, n, Domain(n, rates))
+    return [num / (L * table["bullet_density"]) for num in table["box_density"]]
 
 
 def random_word(L: int, n: int, rng: random.Random) -> ColoredWord:

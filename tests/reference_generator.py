@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from rate_symbols import rate_symbols, rate_value
 from torus_asep.dynamics import Arcs, SparseGenerator, Transition, _transitions, check_state_cap
 from torus_asep.model import ColoredWord, enumerate_full, ensure_valid
-from torus_asep.symbolic import RatePoint, rate_symbols
+from torus_asep.symbolic import RatePoint
 
 
 def build_generator(
@@ -31,7 +32,7 @@ def build_generator(
         for w in states:
             ensure_valid(w)
     index = {w: j for j, w in enumerate(states)}
-    vanishing = set() if rates is None else {s for s in rate_symbols(n) if rates.rate(s) == 0}
+    vanishing = set() if rates is None else {s for s in rate_symbols(n) if rate_value(rates, s) == 0}
     all_transitions: list[list[Transition]] = []
     all_targets: list[list[int]] = []
     for w in states:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+from rate_symbols import rate_symbols
 from torus_asep.stationary import LumpingReport, OneDimConfig, lump, total_box_weight
-from torus_asep.symbolic import Polynomial, rate_symbols
+from torus_asep.symbolic import Polynomial
 
 
 def reference_evans_product(gaps: tuple[int, ...], n: int) -> Polynomial:

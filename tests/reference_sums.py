@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from torus_asep.symbolic import Monomial, Polynomial, RatePoint, _monomial_value, rate_symbols
+from rate_symbols import rate_symbols
+from torus_asep.symbolic import Monomial, Polynomial, RatePoint, _monomial_value
 
 
 class SummandDomain:

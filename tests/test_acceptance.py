@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_rate_point
+from rate_symbols import p_var, q_var
 from torus_asep.dynamics import build_generator, outgoing_transitions, restrict_ta
 from torus_asep.mcmc import estimate_observables, simulate, tv_distance
 from torus_asep.model import ColoredWord, enumerate_restricted, validate
@@ -19,13 +20,13 @@ from torus_asep.observables import (
     closed_currents,
     currents_exact,
     densities,
-    drift,
     partition_function,
     partition_function_special,
     scott_russell_check,
 )
 from torus_asep.stationary import (
     config_weight,
+    drift,
     evans_product,
     exact_stationary,
     lump,
@@ -35,7 +36,7 @@ from torus_asep.stationary import (
     verify_balance,
     weight_identities,
 )
-from torus_asep.symbolic import Monomial, Polynomial, RatePoint, p_var, q_var
+from torus_asep.symbolic import Monomial, Polynomial, RatePoint
 
 
 def test_c01_state_counts():

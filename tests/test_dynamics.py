@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rate_symbols import p_var, q_var, rate_symbols, rate_value
 from torus_asep import currents_exact, densities, dynamics, lumping_report, scott_russell_check, verify_balance
 from torus_asep.cli import main
 from torus_asep.dynamics import (
@@ -17,7 +18,7 @@ from torus_asep.dynamics import (
     tau_zero,
 )
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate
-from torus_asep.symbolic import Polynomial, RatePoint, p_var, q_var, rate_symbols
+from torus_asep.symbolic import Polynomial, RatePoint
 
 from reference_transitions import displacement_crossings, replay_displacements
 
@@ -183,7 +184,7 @@ def _reference_triplets(L, n, rates=None, states=None):
     for j, w in enumerate(states):
         for t in outgoing_transitions(w):
             family, k = t.rate_symbol
-            value = (p_var if family == "p" else q_var)(n, k) if rates is None else rates.rate(t.rate_symbol)
+            value = (p_var if family == "p" else q_var)(n, k) if rates is None else rate_value(rates, t.rate_symbol)
             if t.target not in index:
                 assert subset_mode and value == zero
                 continue

@@ -15,10 +15,11 @@ from torus_asep.mcmc import (
     tv_distance,
 )
 from torus_asep.model import ColoredWord, enumerate_full, iter_restricted
-from torus_asep.observables import closed_box_density, closed_currents
+from torus_asep.observables import closed_currents
 from torus_asep.stationary import exact_stationary
 from torus_asep.symbolic import RatePoint
 
+from conftest import closed_box_densities
 from reference_transitions import displacement_crossings
 
 RP42 = RatePoint((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
@@ -141,8 +142,8 @@ def test_estimates_match_closed_forms_4_2():
     assert report.current("box_vertical_net", 1).within(float(closed["box_vertical_net"]), 4.0)
     assert report.current("box_column_current", 2).within(float(closed["box_column_current"]), 4.0)
     assert report.current("box_row_current", 1).within(float(closed["box_row_current"][0]), 4.0)
-    for i in (1, 2):
-        ref = float(closed_box_density(4, 2, i, RP42))
+    for i, density in enumerate(closed_box_densities(4, 2, RP42), 1):
+        ref = float(density)
         for k in (1, 2, 3, 4):
             assert report.density("box_density", i, k).within(ref, 3.0)
     bullet = report.density("bullet_density", 2, 3)

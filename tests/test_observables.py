@@ -1,28 +1,32 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_closed_forms
 import reference_currents
-from conftest import random_rate_point
+from conftest import closed_box_densities, random_rate_point
+from rate_symbols import p_var, q_var
 from torus_asep.observables import (
     box_density_numerator,
     brute_force_partition_function,
-    closed_box_density,
     closed_currents,
+    closed_forms,
+    closed_numerators,
     currents_exact,
     densities,
-    drift,
     partition_function,
     partition_function_special,
     scott_russell_check,
 )
+from torus_asep.stationary import drift
 from torus_asep.symbolic import (
+    Domain,
     Monomial,
     Polynomial,
     RatePoint,
-    p_var,
     pq_integer,
-    q_var,
     rect_schur,
 )
 
@@ -149,7 +153,7 @@ def test_density_numeric_matches_formula(rng):
     report = densities(5, 3, rp)
     assert report.ok
     assert report.entry("bullet_density", 2, 3).closed == Fraction(1, 5)
-    assert report.entry("box_density", 1, 1).closed == closed_box_density(5, 3, 1, rp)
+    assert report.entry("box_density", 1, 1).closed == closed_box_densities(5, 3, rp)[0]
 
 
 @pytest.mark.parametrize("L,n", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (3, 3)])
@@ -222,15 +226,68 @@ def test_currents_numeric_matches_closed(rng):
 def test_closed_values_match_the_separately_written_formulas(L):
     import random
 
-    import reference_closed_forms as reference
-
     for n in range(1, L + 1):
         rng = random.Random(100 * L + n)
         for _ in range(3):
             rp = random_rate_point(n, rng)
-            assert closed_currents(L, n, rp) == reference.closed_currents(L, n, rp)
-            for i in range(1, n + 1):
-                assert closed_box_density(L, n, i, rp) == reference.closed_box_density(L, n, i, rp)
+            reference = reference_closed_forms.closed_values(L, n, rp)
+            assert closed_currents(L, n, rp) == {k: v for k, v in reference.items() if not k.endswith("density")}
+            assert closed_box_densities(L, n, rp) == reference["box_density"]
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 8) for n in range(1, L + 1)])
+def test_symbolic_table_matches_the_polynomial_reference(L, n):
+    assert dict(closed_forms(L, n)) == reference_closed_forms.closed_forms(L, n)
+
+
+@st.composite
+def _lattice_and_rates(draw):
+    """A lattice with L <= 7 and a rate point of positive rationals, with
+    p_1 or q_1 set to zero in a third of the draws each."""
+    L = draw(st.integers(1, 7))
+    n = draw(st.integers(1, L))
+    rate = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+    p = [draw(rate) for _ in range(n)]
+    q = [draw(rate) for _ in range(n)]
+    zeroed = draw(st.sampled_from([None, p, q]))
+    if zeroed is not None:
+        zeroed[0] = Fraction(0)
+    return L, n, RatePoint(tuple(p), tuple(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_and_rates())
+def test_value_table_matches_the_polynomial_reference_at_a_rate_point(case):
+    L, n, rates = case
+    assert dict(closed_numerators(L, n, Domain(n, rates))) == reference_closed_forms.closed_numerators(L, n, rates)
+
+
+# (40, 5) at the rates of the simulator benchmark: beyond every oracle and
+# every polynomial table, so only the exact identities among the values check it.
+RATES_40_5 = RatePoint(
+    (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 4), Fraction(1)),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5), Fraction(1, 2)),
+)
+
+
+def test_box_densities_at_40_5_fill_the_free_sites():
+    assert sum(closed_box_densities(40, 5, RATES_40_5)) == Fraction(40 - 5, 40)
+
+
+def test_column_and_vertical_currents_at_40_5():
+    values = closed_currents(40, 5, RATES_40_5)
+    assert values["bullet_edge_current"] > 0
+    assert values["box_column_current"] == -5 * values["bullet_edge_current"]
+    # Scott Russell: the net vertical box current is the row's bullet current
+    assert values["bullet_row_current"] == values["box_vertical_net"]
+    assert values["box_vertical_net"] == values["box_vertical_up"] - values["box_vertical_down"]
+
+
+def test_rate_point_of_another_width_is_refused():
+    with pytest.raises(ValueError, match="wrong number of rows"):
+        closed_currents(40, 5, RatePoint(RATES_40_5.p[:4], RATES_40_5.q[:4]))
+    with pytest.raises(ValueError, match="wrong number of rows"):
+        closed_currents(5, 3, RATES_40_5)
 
 
 def test_currents_no_boxes_all_zero():
@@ -333,10 +390,16 @@ def test_wrong_box_density_closed_form_raises(numeric, monkeypatch, rng):
     from torus_asep import observables
     from torus_asep.observables import ObservableMismatch
 
-    original = observables.box_density_numerator
-    monkeypatch.setattr(observables, "box_density_numerator", lambda L, n, i: original(L, n, i) + 1)
+    original = observables.closed_numerators
+
+    def wrong(L, n, dom):
+        table = dict(original(L, n, dom))
+        table["box_density"] = tuple(num + dom.one for num in table["box_density"])
+        return table
+
+    monkeypatch.setattr(observables, "closed_numerators", wrong)
     rp = random_rate_point(2, rng) if numeric else None
-    # The closed forms are memoised per lattice: a table cached before the
+    # The symbolic table is memoised per lattice: a table cached before the
     # patch would hide it, and one cached under it must not outlive the test.
     observables.closed_forms.cache_clear()
     try:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import reference_generator
 from reference_lumping import reference_evans_product, reference_lumping_report
 from conftest import arc_targets, random_rate_point, with_swapped_targets
+from rate_symbols import p_var, q_var, rate_value
 from torus_asep.dynamics import Arcs, breadth_first, build_generator, restrict_ta
 from torus_asep.model import ColoredWord, ValidationError, iter_restricted
 from torus_asep import stationary
@@ -30,7 +31,7 @@ from torus_asep.stationary import (
     weight_identities,
     weight_table,
 )
-from torus_asep.symbolic import Monomial, Polynomial, RatePoint, p_var, q_var
+from torus_asep.symbolic import Monomial, Polynomial, RatePoint
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
 
@@ -140,7 +141,7 @@ def _gth_stationary(gen, rp):
     rate = [[Fraction(0)] * size for _ in range(size)]
     for j, outs in enumerate(gen.transitions):
         for t in outs:
-            rate[j][gen.index[t.target]] += rp.rate(t.rate_symbol)
+            rate[j][gen.index[t.target]] += rate_value(rp, t.rate_symbol)
     for s in range(size - 1, 0, -1):
         out_total = sum(rate[s][:s])
         for i in range(s):
@@ -500,7 +501,7 @@ def _reference_exact_stationary(gen, rates):
     arcs = []
     for j, outs in enumerate(gen.transitions):
         for t in outs:
-            value = scaled.rate(t.rate_symbol)
+            value = rate_value(scaled, t.rate_symbol)
             if value:
                 arcs.append((j, gen.index[t.target], value))
     if not arcs:
@@ -551,7 +552,7 @@ def _reference_rank_deficiency(gen, rates, prime=2_147_483_647):
     M = np.zeros((num, num), dtype=np.int64)
     for j, outs in enumerate(gen.transitions):
         for t in outs:
-            v = scaled.rate(t.rate_symbol)
+            v = rate_value(scaled, t.rate_symbol)
             M[gen.index[t.target], j] = (M[gen.index[t.target], j] + v.numerator) % prime
             M[j, j] = (M[j, j] - v.numerator) % prime
     rank = 0
@@ -617,7 +618,7 @@ def _assert_solves_like_reference(gen, rates):
         # conditioned rate points (e.g. p = (5762, 5762, 1), q = (1, 1, 1) at
         # (5,3)).  There the chain must be irreducible and the new table its
         # exact positive null vector, which is unique.
-        arcs = [(j, gen.index[t.target], rates.rate(t.rate_symbol)) for j, outs in enumerate(gen.transitions) for t in outs]
+        arcs = [(j, gen.index[t.target], rate_value(rates, t.rate_symbol)) for j, outs in enumerate(gen.transitions) for t in outs]
         assert _strongly_connected(gen.num_states, [(s, t) for s, t, v in arcs if v])
         assert _reference_is_null_vector(gen.num_states, arcs, new) and min(new) > 0 and sum(new) == 1
     elif isinstance(ref, StationaryError):

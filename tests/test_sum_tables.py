@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import arc_targets, with_swapped_targets
+from rate_symbols import rate_value
 from reference_tables import REFERENCES
 from torus_asep import stationary, symbolic
 from torus_asep.dynamics import build_generator
@@ -126,7 +127,7 @@ def test_no_report_value_is_a_numpy_scalar(point, monkeypatch):
     gen = build_generator(4, 3)
     # Swapping the targets of two arcs of unequal flows breaks balance, so
     # the report carries residuals.
-    value = (lambda s: s) if rates is None else rates.rate
+    value = (lambda s: s) if rates is None else (lambda s: rate_value(rates, s))
     j = next(
         j
         for j, (outs, t, m) in enumerate(zip(gen.transitions, arc_targets(gen), gen.weights))
