@@ -20,12 +20,14 @@ Every transition carries per-particle displacement records; the signed step
 of each record determines exactly which column boundaries the particle
 crossed, which feeds the current estimators.
 
-`build_generator` hands out the package's one transition graph of a lattice:
-the states, their index, and int arrays of the arcs (source, target, rate
-index) and of their displacement records, written in one pass over the move
-rule with no `Transition` kept.  The exact solver, the checks, the
-reachability certificate and the totally asymmetric restriction read the
-arrays, and every graph search walks one `adjacency` of them.
+`build_generator` hands out the package's one transition graph of a lattice,
+one state per rotation orbit: the move rule commutes with rotation and the
+weights are rotation invariant, so it keeps the restricted states (B1 at
+column 0) and int arrays of their arcs (source, target, rate index, shift)
+and of the arcs' displacement records, written in one pass over the move
+rule with no `Transition` kept.  The exact solver and the checks read the
+arrays; the outputs that list full states expand the rotations when they
+are written, and every graph search walks one `adjacency` of the arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ColoredWord, box_gap_labels, enumerate_full, ensure_valid, restricted_count
+from .model import ColoredWord, box_gap_labels, ensure_valid, iter_restricted, restricted_count
 from .symbolic import Domain, Monomial, RatePoint, SumTable, _frozen
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -193,42 +195,65 @@ def first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Arcs(NamedTuple):
     """Every arc of a graph, by source and then in move-rule order, as
-    read-only int64 arrays: its source and target state and the index of
-    its rate symbol (its position in an exponent tuple)."""
+    read-only int64 arrays: its source and target state, the index of its
+    rate symbol (its position in an exponent tuple) and its shift, the
+    steps B1 moves mod L."""
 
     source: np.ndarray
     target: np.ndarray
     rate: np.ndarray
+    shift: np.ndarray
 
 
 @dataclass(frozen=True)
 class SparseGenerator:
-    """The transition graph of the chain over the full state space of (L, n).
+    """The transition graph of (L, n), one state per rotation orbit.
 
-    `arcs` holds every arc, and `displacements` one int32 row per record of
-    every arc, arc by arc: (arc, start column, signed step, three crossing
-    channels or -1; see `crossings`).  No rate point is attached: a check
-    that is given one reads the arcs at it.  The rate matrix (column j holds
-    the outflows of state j, its diagonal entry minus the column's
-    off-diagonal sum) is not stored: `triplet_rows` derives it from the arcs
-    when it is exported.  The graph is immutable, since `build_generator`
-    shares one per lattice; so are the tables derived from it on first read,
-    each in one pass: the states' `letters`, their `weights` and the
-    weights' `exponents`, and one `SumTable` per oracle, which holds the
-    oracle's combinatorics and no rate point (`balance_rows`,
-    `density_rows`, `occupation_rows`, `crossings`, `fiber_rows`).
+    Each state is one of the `representatives`, the restricted states in
+    letter order, rotated by a shift s; B1 is unique, so each orbit has L
+    states.  `arcs` holds the arcs of the representatives: a move's target
+    is its arc's target representative rotated by its shift.
+    `displacements` holds one int32 row per record of every arc, arc by
+    arc: (arc, signed step, three crossing channels or -1; see
+    `crossings`).  No rate point is attached.  The graph is immutable, since
+    `build_generator` shares one per lattice; so are the tables derived
+    from it on first read, each in one pass over the representatives: their
+    `letters` and weight `exponents`, and one `SumTable` per oracle, which
+    holds its combinatorics and no rate point (`balance_rows`, and, one
+    total over all columns that by rotation equals the full-space sum at
+    every column, `density_rows`, `occupation_rows` and `crossings`; and
+    `fiber_rows`).  The full state space is a lazy view for the outputs
+    that list it: `orbit` maps full states, in letter order, to
+    (representative, shift), and `states`, `index`, `weights`,
+    `transitions` and `full_arcs` expand the rotations.
     """
 
     L: int
     n: int
-    states: tuple[ColoredWord, ...]
-    index: Mapping[ColoredWord, int]
+    representatives: tuple[ColoredWord, ...]
     arcs: Arcs
     displacements: np.ndarray
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return self.L * len(self.representatives)
+
+    @cached_property
+    def orbit(self) -> tuple[np.ndarray, np.ndarray]:
+        """The representative and shift of each full state, in letter order
+        (B1 < ... < Bn < b1 < ... < bn)."""
+        L, code = self.L, np.where(self.letters > 0, self.letters - 1, self.n - 1 - self.letters)
+        rotated = code.astype(np.min_scalar_type(2 * self.n))[:, (np.arange(L) - np.arange(L)[:, None]) % L]
+        pair = np.lexsort(rotated.reshape(-1, L).T[::-1])  # row r L + s: representative r rotated by s
+        return _frozen(pair // L), _frozen(pair % L)
+
+    @cached_property
+    def states(self) -> tuple[ColoredWord, ...]:
+        return tuple(self.representatives[r].rotate(s) for r, s in zip(*(a.tolist() for a in self.orbit)))
+
+    @cached_property
+    def index(self) -> Mapping[ColoredWord, int]:
+        return MappingProxyType({w: j for j, w in enumerate(self.states)})
 
     @cached_property
     def transitions(self) -> tuple[tuple[Transition, ...], ...]:
@@ -238,64 +263,74 @@ class SparseGenerator:
 
     @cached_property
     def weights(self) -> tuple[Monomial, ...]:
-        """The stationary weight monomial of each state, computed on first
-        read; the exact solver never reads it."""
-        from .stationary import _enumerated_weight
+        """The stationary weight monomial of each state; the exact solver never reads it."""
+        monomials = [Monomial(self.n, tuple(e)) for e in self.exponents.tolist()]
+        return tuple(monomials[r] for r in self.orbit[0].tolist())
 
-        return tuple(_enumerated_weight(w) for w in self.states)
+    @cached_property
+    def full_arcs(self) -> Arcs:
+        """The arcs of the full state space, each arc of `arcs` from every
+        rotation of its source, by source and then in move-rule order."""
+        source, target, rate, shift = self.arcs
+        L, s, rank = self.L, np.arange(self.L), np.empty(self.num_states, dtype=np.int64)
+        rank[self.orbit[0] * L + self.orbit[1]] = np.arange(self.num_states)  # of representative r rotated by s: r L + s
+        full = rank[source[:, None] * L + s].ravel(), rank[target[:, None] * L + (s + shift[:, None]) % L].ravel()
+        order = np.argsort(full[0], kind="stable")
+        return Arcs(*(_frozen(c[order]) for c in (*full, np.repeat(rate, L), np.repeat(shift, L))))
 
     @cached_property
     def exponents(self) -> np.ndarray:
-        """The exponent tuple of each state's weight, one row per state."""
-        return _frozen(np.array([m.exponents for m in self.weights], dtype=np.int64).reshape(-1, 2 * self.n))
+        """The exponent tuple of each representative's weight, one row per representative."""
+        from .stationary import weight_exponents
+
+        return _frozen(weight_exponents(self.letters, self.n))
 
     @cached_property
     def balance_rows(self) -> SumTable:
-        """Inflow minus outflow per state: each arc's flow, its source's
-        weight times its rate, added to its target and taken from its source."""
-        source, target, rate = self.arcs
+        """Inflow minus outflow per representative, which each of its
+        rotations shares: each arc's flow, its source's weight times its
+        rate, added to its target and taken from its source."""
+        source, target, rate, _ = self.arcs
         ones = np.ones(len(source), dtype=np.int64)
         return SumTable.build(
-            self.num_states, np.concatenate([target, source]), np.concatenate([source, source]),
+            len(self.representatives), np.concatenate([target, source]), np.concatenate([source, source]),
             np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
         )
 
     @cached_property
     def letters(self) -> np.ndarray:
-        """The letters of each state, one row per state."""
-        return _frozen(np.array([w.letters for w in self.states], dtype=np.int64).reshape(self.num_states, self.L))
+        """The letters of each representative, one row per representative."""
+        return _frozen(np.array([w.letters for w in self.representatives], dtype=np.int64).reshape(-1, self.L))
 
     @cached_property
     def density_rows(self) -> SumTable:
-        """Occupation sums: per state and column, its weight added to slot
-        (k - 1) L + x for bullet k at column x, and (n + i - 1) L + x for a
-        box of row i there."""
-        L, n = self.L, self.n
+        """Occupation totals over all columns: per representative and cell,
+        its weight added to slot k - 1 for bullet k, and n + i - 1 for a box
+        of row i."""
         letters = self.letters
-        slot = np.where(letters > 0, letters - 1, n - 1 - letters) * L + np.arange(L)
-        return SumTable.build(2 * n * L, slot.ravel(), np.repeat(np.arange(self.num_states), L))
+        slot = np.where(letters > 0, letters - 1, self.n - 1 - letters)
+        return SumTable.build(2 * self.n, slot.ravel(), np.repeat(np.arange(len(letters)), self.L))
 
     @cached_property
     def occupation_rows(self) -> SumTable:
-        """Rate-weighted occupation sums of the bullet moves.  Slot i L + x
-        is the bullet edge current of row i + 1 across boundary x: bullet
-        i + 1 at x with a box on its right, at rate p_{i+1}, minus bullet
-        i + 1 at x + 1 with a box on its left, at rate q_{i+1}.  Slots n L + i
-        and n L + n + i hold the same-row patterns that trigger the nonlocal
-        moves of row i + 1: the box on the right (up) and on the left (down)."""
-        L, n = self.L, self.n
+        """Rate-weighted occupation totals of the bullet moves over all
+        columns.  Slot i is the bullet edge current of row i + 1: bullet
+        i + 1 with a box on its right, at rate p_{i+1}, minus bullet i + 1
+        with a box on its left, at rate q_{i+1}.  Slots n + i and 2n + i hold
+        the same-row patterns that trigger the nonlocal moves of row i + 1:
+        the box on the right (up) and on the left (down)."""
+        n = self.n
         letters = self.letters
-        state = np.broadcast_to(np.arange(self.num_states)[:, None], letters.shape)
-        column = np.broadcast_to(np.arange(L), letters.shape)
+        state = np.broadcast_to(np.arange(len(letters))[:, None], letters.shape)
         row = letters - 1
         groups = []  # (mask, slot, rate index, sign)
-        for step, rate in ((1, row), (-1, row + n)):
+        for step, rate, vertical in ((1, row, n + row), (-1, row + n, 2 * n + row)):
             beside = np.roll(letters, -step, axis=1)
             bullet_box = (letters > 0) & (beside < 0)
-            groups.append((bullet_box, row * L + (column + min(step, 0)) % L, rate, step))
-            groups.append((bullet_box & (beside == -letters), n * L + (step < 0) * n + row, rate, 1))
+            groups.append((bullet_box, row, rate, step))
+            groups.append((bullet_box & (beside == -letters), vertical, rate, 1))
         return SumTable.build(
-            n * L + 2 * n,
+            3 * n,
             np.concatenate([slot[mask] for mask, slot, _, _ in groups]),
             np.concatenate([state[mask] for mask, _, _, _ in groups]),
             np.concatenate([rate[mask] for mask, _, rate, _ in groups]),
@@ -305,45 +340,41 @@ class SparseGenerator:
     @cached_property
     def crossings(self) -> SumTable:
         """The signed boundary crossings of every arc's displacement
-        records, arc by arc and in record order: a crossing of boundary b
-        on channel c adds the arc's flow, its source's weight times its
-        rate, to slot c L + b with its sign.
+        records, totalled over all boundaries, arc by arc and in record
+        order: a record of signed step s crosses |s| boundaries on each of
+        its channels, each crossing adding the arc's flow, its source's
+        weight times its rate, to the channel's slot with the sign of s.
 
         A bullet of row i crosses on channel i - 1.  A box crosses on
         channel n, the box column total; unless it is the relabelled jumper,
         also on channel n + i for its row i, and, if the arc is a swap (F1
         or B1), on channel 2n + i.
         """
-        L, n = self.L, self.n
-        arc, start, step = self.displacements[:, :3].T
-        channels = self.displacements[:, 3:]
-        # Each record's |step| crossings, walked from pos_from in the
-        # direction of the step, then one row per crossing and channel.
-        record, walked = _expand(np.abs(step))
-        forward = step[record] > 0
-        boundary = np.where(forward, start[record] + walked, start[record] - 1 - walked) % L
+        arc, step = self.displacements[:, :2].T
+        channels = self.displacements[:, 2:]
+        record, _ = _expand(np.abs(step))
         crossing, k = _expand(np.count_nonzero(channels >= 0, axis=1)[record])
         row = record[crossing]
         return SumTable.build(
-            (3 * n + 1) * L, channels[row, k] * L + boundary[crossing], self.arcs.source[arc[row]],
-            self.arcs.rate[arc[row]], np.where(forward, 1, -1)[crossing],
+            3 * self.n + 1, channels[row, k], self.arcs.source[arc[row]], self.arcs.rate[arc[row]], np.sign(step[row]),
         )
 
     @cached_property
     def fiber_rows(self) -> SumTable:
-        """Weight sums over the fibers of the label-erasing projection, one
-        row per state in state order, so slot[j] is the fiber of state j;
-        fibers are numbered in order of their first state."""
+        """Weight sums over the fibers of the label-erasing projection with
+        B1 at column 0, one row per representative, so slot[j] is the fiber
+        of representative j; fibers are numbered in order of their first
+        representative."""
         fiber, first = first_seen(np.maximum(self.letters, 0))
-        return SumTable.build(len(first), fiber, np.arange(self.num_states))
+        return SumTable.build(len(first), fiber, np.arange(len(self.representatives)))
 
     def triplet_rows(self, rates: RatePoint | None = None) -> list[tuple[int, int, str]]:
         """Sparse export at `rates` (None = symbolic): (source index, target
-        index, rate string), the summed off-diagonal entries by (source,
-        target), then the diagonal.  An arc whose rate vanishes at `rates`
-        is left out."""
+        index, rate string) over the full state space, the summed
+        off-diagonal entries by (source, target), then the diagonal.  An arc
+        whose rate vanishes at `rates` is left out."""
         num = self.num_states
-        source, target, rate = self.arcs
+        source, target, rate, _ = self.full_arcs
         if rates is not None:
             live = np.flatnonzero(np.array([bool(x) for x in rates.p + rates.q])[rate])
             source, target, rate = source[live], target[live], rate[live]
@@ -363,13 +394,13 @@ class SparseGenerator:
 
 
 def build_generator(L: int, n: int) -> SparseGenerator:
-    """The transition graph over the full state space of (L, n), every arc
-    included.
+    """The transition graph of (L, n), one state per rotation orbit.
 
-    The cap, `state_cap()`, is checked on every call.  The graph is built
-    once per lattice and shared: the two most recent lattices are kept,
-    since a check runs on one lattice at a time and the graph grows like
-    the state space.
+    The cap, `state_cap()`, counts the full state space, L times the
+    representatives built, since the outputs that list full states expand
+    them; it is checked on every call.  The graph is built once per lattice
+    and shared: the two most recent lattices are kept, since a check runs
+    on one lattice at a time and the graph grows like the state space.
     """
     check_state_cap(L, n)
     return _graph(L, n)
@@ -378,14 +409,16 @@ def build_generator(L: int, n: int) -> SparseGenerator:
 @lru_cache(maxsize=2)
 def _graph(L: int, n: int) -> SparseGenerator:
     """`build_generator` without the cap; the enumerated states are valid by
-    construction, and their arcs come from the move rule."""
-    states = tuple(enumerate_full(L, n))
-    index = {w: j for j, w in enumerate(states)}
-    arcs, records = array("q"), array("i")  # (source, target, rate) per arc; `displacements` rows
-    for j, w in enumerate(states):
+    construction, and their arcs come from the move rule, each target
+    rotated back to its representative by the column of its B1."""
+    representatives = tuple(iter_restricted(L, n))
+    index = {w: j for j, w in enumerate(representatives)}
+    arcs, records = array("q"), array("i")  # (source, target, rate, shift) per arc; `displacements` rows
+    for j, w in enumerate(representatives):
         for t in _transitions(w):
-            a = len(arcs) // 3
-            arcs.extend((j, index[t.target], t.row - 1 + (n if t.rate_symbol[0] == "q" else 0)))
+            a = len(arcs) // 4
+            shift = t.target.letters.index(1)
+            arcs.extend((j, index[t.target.rotate(-shift)], t.row - 1 + (n if t.rate_symbol[0] == "q" else 0), shift))
             swap = t.kind in (F1, B1)
             for d in t.displacements:
                 if d.species == "bullet":
@@ -394,11 +427,11 @@ def _graph(L: int, n: int) -> SparseGenerator:
                     channels = (n, -1, -1)
                 else:
                     channels = (n, n + d.label_from, 2 * n + d.label_from if swap else -1)
-                records.extend((a, d.pos_from, d.step, *channels))
-    columns = np.frombuffer(arcs, dtype=np.int64).reshape(-1, 3).T
+                records.extend((a, d.step, *channels))
+    columns = np.frombuffer(arcs, dtype=np.int64).reshape(-1, 4).T
     return SparseGenerator(
-        L, n, states, MappingProxyType(index), Arcs(*(_frozen(c.copy()) for c in columns)),
-        _frozen(np.frombuffer(records, dtype=np.int32).reshape(-1, 6)),
+        L, n, representatives, Arcs(*(_frozen(c.copy()) for c in columns)),
+        _frozen(np.frombuffer(records, dtype=np.int32).reshape(-1, 5)),
     )
 
 
@@ -457,21 +490,20 @@ def breadth_first(adjacency: list[list[int]], root: int) -> dict[int, int | None
     return parent
 
 
-def _arc_transition(gen: SparseGenerator, a: int) -> Transition:
-    """Arc a as a `Transition`, rebuilt by the move rule: its rate index r
-    names the bullet, r mod n + 1, and the direction, forward for a p rate."""
-    w = gen.states[gen.arcs.source[a]]
-    r = int(gen.arcs.rate[a])
-    return _move(w, r % gen.n + 1, 1 if r < gen.n else -1, w.bullet_positions())
+def _arc_transition(w: ColoredWord, r: int) -> Transition:
+    """The arc of rate index r from w, rebuilt by the move rule: bullet
+    r mod n + 1, forward for a p rate."""
+    return _move(w, r % w.n + 1, 1 if r < w.n else -1, w.bullet_positions())
 
 
 def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityReport:
     """BFS certificate that tau0 reaches (direction 'from') or is reached by
-    (direction 'to') every state; the witness path realizes the deepest state."""
+    (direction 'to') every full state, walking the full arcs; the witness
+    path realizes the deepest state."""
     if direction not in ("from", "to"):
         raise ValueError("direction must be 'from' or 'to'")
     gen = build_generator(L, n)
-    source, target, _ = gen.arcs
+    source, target, rate, _ = gen.full_arcs
     tail, head = (source, target) if direction == "from" else (target, source)
     root = gen.index[tau_zero(L, n)]
     parent = breadth_first(adjacency(gen.num_states, tail, head), root)
@@ -482,7 +514,8 @@ def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityRe
         prev = parent[node]
         # the first arc realizing the tree edge, the one the search took
         src, dst = (prev, node) if direction == "from" else (node, prev)
-        path.append(_arc_transition(gen, int(np.flatnonzero((source == src) & (target == dst))[0])))
+        a = np.flatnonzero((source == src) & (target == dst))[0]
+        path.append(_arc_transition(gen.states[src], int(rate[a])))
         node = prev
     if direction == "from":
         path.reverse()
@@ -526,12 +559,12 @@ def restrict_ta(L: int, n: int, zero_q) -> tuple[list[ColoredWord], ClosureCerti
         raise ValueError(f"zeroed labels must lie in 1..{n}")
     gen = build_generator(L, n)
     zeroed = [n + m - 1 for m in zero_q]
-    member = ~gen.exponents[:, zeroed].any(axis=1)
-    source, target, rate = gen.arcs
+    member = ~gen.exponents[:, zeroed].any(axis=1)[gen.orbit[0]]  # per state, read from its representative
+    source, target, rate, _ = gen.full_arcs
     # The arcs that survive the zeroed q's from a member state: none may leave the set.
     checked = member[source] & ~np.isin(rate, zeroed)
     leaving = np.flatnonzero(checked & ~member[target]).tolist()
-    violations = [(t.source, t) for t in (_arc_transition(gen, a) for a in leaving)]
+    violations = [(t.source, t) for t in (_arc_transition(gen.states[source[a]], int(rate[a])) for a in leaving)]
     states = [w for w, keep in zip(gen.states, member) if keep]
     certificate = ClosureCertificate(
         ok=not violations,

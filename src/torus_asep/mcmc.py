@@ -419,37 +419,32 @@ def estimate_observables(ledger: CrossingLedger, state: SimState) -> EstimateRep
     Each point estimate is total/elapsed; its standard error comes from
     batch means over the run's slabs, doubled when fewer than 20 slabs
     have positive duration.  Every entry is computed from one (entries x
-    batches) array.
+    batches) array, stacked from whole blocks of the ledger.
     """
     if state.elapsed <= 0:
         raise ValueError("simulation has zero elapsed time")
     L, n = ledger.L, ledger.n
     T = state.elapsed
     bt = ledger.batch_time
-    # (group, name, index, per-batch counts), in report order
-    rows: list[tuple[str, str, tuple[int, ...], np.ndarray]] = []
-
-    def current(name: str, index: tuple[int, ...], counts: np.ndarray) -> None:
-        rows.append(("current", name, index, counts))
-
-    for i in range(n):
-        for j in range(L):
-            current("bullet_edge_current", (i + 1, j + 1), ledger.bullet_edge[:, i, j])
-        current("bullet_row_current", (i + 1,), ledger.bullet_edge[:, i, :].sum(axis=1))
-        current("box_vertical_up", (i + 1,), ledger.row_up[:, i])
-        current("box_vertical_down", (i + 1,), ledger.row_down[:, i])
-        current("box_vertical_net", (i + 1,), ledger.row_up[:, i] - ledger.row_down[:, i])
-        current("box_row_current", (i + 1,), ledger.box_edge[:, i, :].sum(axis=1) / L)
-    for j in range(L):
-        current(
-            "box_column_current", (j + 1,), ledger.box_edge[:, :, j].sum(axis=1) + ledger.box_jump[:, j]
-        )
-    for species, name in ((0, "bullet_density"), (1, "box_density")):
-        for i in range(n):
-            for j in range(L):
-                rows.append(("density", name, (i + 1, j + 1), state.occupancy[:, species, i, j]))
-
-    counts = np.array([row[3] for row in rows], dtype=np.float64)
+    up, down = ledger.row_up.T, ledger.row_down.T
+    edge = ledger.bullet_edge.transpose(1, 2, 0)  # (row, boundary, batch)
+    # Per row: its L edge currents, its row total, the three vertical
+    # currents and its box row current.
+    per_row = [edge, np.stack([edge.sum(axis=1), up, down, up - down, ledger.box_edge.sum(axis=2).T / L], axis=1)]
+    # (entries x batches) in report order: the rows, the box columns, the
+    # densities.  In C order, as if stacked row by row, so that the row sums
+    # below add the same floats in the same order.
+    columns = (ledger.box_edge.sum(axis=1) + ledger.box_jump).T
+    blocks = [np.concatenate(per_row, axis=1), columns, state.occupancy.transpose(1, 2, 3, 0)]
+    counts = np.ascontiguousarray(np.concatenate([b.reshape(-1, len(bt)) for b in blocks]), dtype=np.float64)
+    row_names = ("bullet_row_current", "box_vertical_up", "box_vertical_down", "box_vertical_net", "box_row_current")
+    keys = []  # (group, name, index) of each row of `counts`
+    for i in range(1, n + 1):
+        keys += [("current", "bullet_edge_current", (i, j)) for j in range(1, L + 1)]
+        keys += [("current", name, (i,)) for name in row_names]
+    keys += [("current", "box_column_current", (j,)) for j in range(1, L + 1)]
+    sites = [(i, j) for i in range(1, n + 1) for j in range(1, L + 1)]
+    keys += [("density", name, site) for name in ("bullet_density", "box_density") for site in sites]
     values = counts.sum(axis=1) / T
     valid = bt > 0
     num_valid = int(valid.sum())
@@ -459,13 +454,13 @@ def estimate_observables(ledger: CrossingLedger, state: SimState) -> EstimateRep
         batch_rates = np.ascontiguousarray(counts[:, valid]) / bt[valid]
         stderrs = np.std(batch_rates, axis=1, ddof=1) / math.sqrt(num_valid)
     else:
-        stderrs = np.full(len(rows), np.inf)
+        stderrs = np.full(len(keys), np.inf)
     low = num_valid < 20
     if low:
         stderrs[np.isfinite(stderrs)] *= 2.0
     currents: dict[tuple[str, tuple[int, ...]], EstimatedValue] = {}
     densities: dict[tuple[str, tuple[int, ...]], EstimatedValue] = {}
-    for (group, name, index, _), value, stderr in zip(rows, values.tolist(), stderrs.tolist()):
+    for (group, name, index), value, stderr in zip(keys, values.tolist(), stderrs.tolist()):
         table = currents if group == "current" else densities
         table[(name, index)] = EstimatedValue(value, stderr, low)
     return EstimateReport(L, n, T, state.batches, currents, densities)

@@ -5,18 +5,19 @@ the stationary ensemble: densities from occupation sums, currents from the
 defining rate-weighted expectation (including, for box currents, the
 crossing bookkeeping of the nonlocal moves via the displacement records).
 Each oracle is one integer table of the lattice's transition graph from
-`build_generator`, evaluated by one `Domain.totals` call over the weights'
-exponent matrix: symbolic mode proves the check as a polynomial identity
-in the 2n rates, numeric mode at one exact rate point.  The tables are
-`density_rows` (occupation per state and column), `occupation_rows` (the
+`build_generator`, evaluated by one `Domain.totals` call over the
+representatives' exponent matrix: symbolic mode proves the check as a
+polynomial identity in the 2n rates, numeric mode at one exact rate point.
+The tables are `density_rows` (occupation), `occupation_rows` (the
 rate-weighted bullet moves) and `crossings` (the signed boundary
-crossings of each arc's displacement records).
+crossings of each arc's displacement records), each one total over all
+columns, which by rotation is every column's full-space sum.
 
 Every oracle and closed-form numerator lives over the common denominator
 L * Z(L, n), which `full_normalization` proves equal to the sum of the
 weights, so an entry is decided by comparing bare numerators, with no
-cross-multiplication.  Whole-row closed forms are reported over Z(L, n) and
-scaled by L for the comparison.  Every closed form comes from one
+cross-multiplication.  Whole-row closed forms are reported over Z(L, n),
+their oracles as L times the total.  Every closed form comes from one
 function, `closed_numerators`, which runs the recurrences of the partition
 function, the box densities and the currents in a `Domain`'s ring: as
 polynomials in `closed_forms`, built once per lattice for the symbolic
@@ -29,14 +30,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 from .dynamics import build_generator
 from .model import _check_dims, iter_restricted
-from .stationary import _enumerated_weight, box_weight, weight_table
+from .stationary import _enumerated_weight, box_weight
 from .symbolic import (
     Domain,
     Monomial,
@@ -134,11 +135,13 @@ def _first_difference(a: Polynomial, b: Polynomial) -> str:
 
 @lru_cache(maxsize=None)
 def full_normalization(L: int, n: int) -> Polynomial:
-    """L times the restricted partition function, verified against the brute sum.
+    """L times the restricted partition function, verified against the brute
+    sum of the weights, L times their sum over the representatives.
 
     Cached per (L, n) once it passes; a mismatch raises, so it is never cached.
     """
-    total = weight_table(build_generator(L, n)).normalization
+    gen = build_generator(L, n)
+    total = L * Polynomial(n, Counter(map(tuple, gen.exponents.tolist())))
     expected = L * partition_function(L, n)
     if total != expected:
         raise ObservableMismatch(f"sum of weights differs from L*Z at ({L},{n})")
@@ -206,10 +209,11 @@ class ObservableReport:
 class _CommonDenominator:
     """Entries whose numerators all sit over L * Z(L, n).
 
-    Oracle numerators sum over all L rotations, so they sit over L * Z, and
-    so do the closed forms, except whole-row totals, which sit over Z and are
-    scaled by L before the comparison.  Comparing bare numerators is sound
-    because full_normalization proves the weights sum to L * Z first.
+    An oracle is a total over the representatives, and every column's
+    full-space numerator over L * Z equals it, by rotation.  A whole-row
+    total's full-space numerator is L times it, and its closed form sits
+    over Z.  Comparing bare numerators is sound because full_normalization
+    proves the weights sum to L * Z first.
     """
 
     def __init__(self, L: int, n: int, dom: Domain):
@@ -222,21 +226,21 @@ class _CommonDenominator:
             raise ValueError("all weights vanish at this rate point")
         self.lz = L * self.z
 
-    def entry(self, name: str, index: tuple[int, ...], closed, oracle, whole_row: bool = False) -> ObservableEntry:
-        if whole_row:
-            closed_den, equal = self.z, self.L * closed == oracle
-        else:
-            closed_den, equal = self.lz, closed == oracle
-        ratio = self.dom.ratio
-        return ObservableEntry(name, index, ratio(closed, closed_den), ratio(oracle, self.lz), equal)
-
     def check(self, name: str, index: tuple[int, ...], oracle) -> ObservableEntry:
-        """The entry of an oracle numerator against its closed form, which
-        for a family with rows is the one of row index[0]."""
+        """The entry of an oracle total against its closed form, which for a
+        family with rows is the one of row index[0]."""
         form = self.forms[name]
         if isinstance(form, tuple):
             form = form[index[0] - 1]
-        return self.entry(name, index, form, oracle, whole_row=name in WHOLE_ROW)
+        whole, ratio = name in WHOLE_ROW, self.dom.ratio
+        shown = ratio(self.L * oracle if whole else oracle, self.lz)
+        return ObservableEntry(name, index, ratio(form, self.z if whole else self.lz), shown, form == oracle)
+
+    def columns(self, name: str, index: tuple[int, ...], oracle) -> list[ObservableEntry]:
+        """The entry of every column 1..L, each appended to `index`: one
+        comparison, since every column's numerator is the oracle total."""
+        entry = self.check(name, index, oracle)
+        return [replace(entry, index=index + (j,)) for j in range(1, self.L + 1)]
 
 
 # -- closed forms -------------------------------------------------------------------
@@ -248,7 +252,8 @@ WHOLE_ROW = frozenset({"bullet_row_current", "box_vertical_up", "box_vertical_do
 def closed_numerators(L: int, n: int, dom: Domain) -> MappingProxyType:
     """Every closed-form numerator of (L, n), by observable name, in the
     ring of `dom`: polynomials in the 2n rates when symbolic, Fractions at
-    the rate point when numeric.
+    the rate point when numeric, each made once from the int value at the
+    integer-scaled rate point, since every numerator is homogeneous.
 
     A family that depends on the row maps to its tuple by row.  Each comes
     from the box weights w(i, k) and their column sums, the total box
@@ -286,17 +291,19 @@ def closed_numerators(L: int, n: int, dom: Domain) -> MappingProxyType:
     z_prev = h[m - 1] if m else zero
     p_all, q_all = (dom.monomial(rate_product(n, family)) for family in "pq")
     d = p_all - q_all
-    net = d * z_prev
+    # the degrees of Z(L, n), and of d * Z(L - 1, n) and every current
+    density, current = (lambda x: dom.unscaled(x, m * (n - 1))), (lambda x: dom.unscaled(x, n + (m - 1) * (n - 1)))
+    net = current(d * z_prev)
     return MappingProxyType({
-        "bullet_density": h[m],
-        "box_density": rows(here),
+        "bullet_density": density(h[m]),
+        "box_density": tuple(map(density, rows(here))),
         "bullet_edge_current": net,
         "bullet_row_current": net,
         "box_column_current": -n * net,
-        "box_vertical_up": p_all * z_prev,
-        "box_vertical_down": q_all * z_prev,
+        "box_vertical_up": current(p_all * z_prev),
+        "box_vertical_down": current(q_all * z_prev),
         "box_vertical_net": net,
-        "box_row_current": tuple(d * r for r in rows(smaller)),
+        "box_row_current": tuple(current(d * r) for r in rows(smaller)),
     })
 
 
@@ -330,14 +337,11 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
     over = _CommonDenominator(L, n, dom)
     gen = build_generator(L, n)
     totals = dom.totals(gen.exponents, gen.density_rows)
-    bullet_num = [totals[i * L : (i + 1) * L] for i in range(n)]
-    box_num = [totals[(n + i) * L : (n + i + 1) * L] for i in range(n)]
-
     entries = []
     for i in range(n):
-        for j in range(L):
-            entries.append(over.check("bullet_density", (i + 1, j + 1), bullet_num[i][j]))
-            entries.append(over.check("box_density", (i + 1, j + 1), box_num[i][j]))
+        bullet = over.columns("bullet_density", (i + 1,), totals[i])
+        box = over.columns("box_density", (i + 1,), totals[n + i])
+        entries += [e for pair in zip(bullet, box) for e in pair]
     return ObservableReport(L, n, dom.mode, entries).require_ok("density")
 
 
@@ -345,13 +349,13 @@ def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableRepor
 
 
 def _occupation_currents(L: int, n: int, dom: Domain):
-    """Rate-weighted occupation sums: the bullet edge current numerator per
-    (row, boundary), and per row the same-row bullet-box patterns that
-    trigger the nonlocal moves, up (box to the right) and down (to the left)."""
+    """Rate-weighted occupation totals over all columns, per row: the bullet
+    edge current numerator, and the same-row bullet-box patterns that
+    trigger the nonlocal moves, up (box to the right) and down (to the
+    left)."""
     gen = build_generator(L, n)
     totals = dom.totals(gen.exponents, gen.occupation_rows)
-    edge = [totals[i * L : (i + 1) * L] for i in range(n)]
-    return edge, totals[n * L : n * L + n], totals[n * L + n :]
+    return totals[:n], totals[n : 2 * n], totals[2 * n :]
 
 
 def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
@@ -362,6 +366,8 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     nonlocal moves, and both horizontal box currents from the signed
     boundary crossings of the displacement records (the per-row version
     counts only label-preserving crossings, whose row is well defined).
+    Each is one total over all columns, equal to the sum at every single
+    boundary, so each identity below is checked once for every boundary.
     Raises ObservableMismatch on any disagreement.
     """
     _check_dims(L, n)
@@ -369,45 +375,32 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     zero = dom.zero
     over = _CommonDenominator(L, n, dom)
     gen = build_generator(L, n)
-    bullet_edge_num, v_up_num, v_down_num = _occupation_currents(L, n, dom)
+    edge, up, down = _occupation_currents(L, n, dom)
 
     # Crossing-sum oracles from the displacement records, by crossing channel.
     crossed = dom.totals(gen.exponents, gen.crossings)
-    crossed_num = [crossed[c * L : (c + 1) * L] for c in range(3 * n + 1)]
-    bullet_edge_cross = crossed_num[:n]
-    box_col_num = crossed_num[n]
-    box_row_num = crossed_num[n + 1 : 2 * n + 1]
-    box_swap_num = crossed_num[2 * n + 1 :]
+    bullet_cross, box_col, box_row, box_swap = crossed[:n], crossed[n], crossed[n + 1 : 2 * n + 1], crossed[2 * n + 1 :]
 
     # The label-preserving swap part alone carries no net current; the whole
     # per-row horizontal box current comes from the shifting blocks.
     for i in range(n):
-        for j in range(L):
-            if box_swap_num[i][j] != zero:
-                raise ObservableMismatch(
-                    f"swap-only box crossings do not cancel at row {i + 1}, boundary {j + 1}"
-                )
-            if bullet_edge_cross[i][j] != bullet_edge_num[i][j]:
-                raise ObservableMismatch(
-                    f"bullet crossing rate differs from occupation oracle at ({i + 1},{j + 1})"
-                )
+        if box_swap[i] != zero:
+            raise ObservableMismatch(f"swap-only box crossings do not cancel at row {i + 1}, boundary 1")
+        if bullet_cross[i] != edge[i]:
+            raise ObservableMismatch(f"bullet crossing rate differs from occupation oracle at ({i + 1},1)")
 
-    entries = [over.check("bullet_edge_current", (i + 1, j + 1), bullet_edge_num[i][j]) for i in range(n) for j in range(L)]
-    entries += [over.check("bullet_row_current", (i + 1,), sum(bullet_edge_num[i], zero)) for i in range(n)]
-    entries += [over.check("box_column_current", (j + 1,), box_col_num[j]) for j in range(L)]
-    for i in range(n):
-        up, down = v_up_num[i], v_down_num[i]
-        entries.append(over.check("box_vertical_up", (i + 1,), up))
-        entries.append(over.check("box_vertical_down", (i + 1,), down))
-        entries.append(over.check("box_vertical_net", (i + 1,), up - down))
-    entries += [over.check("box_row_current", (i + 1, j + 1), box_row_num[i][j]) for i in range(n) for j in range(L)]
+    entries = [e for i in range(n) for e in over.columns("bullet_edge_current", (i + 1,), edge[i])]
+    entries += [over.check("bullet_row_current", (i + 1,), edge[i]) for i in range(n)]
+    entries += over.columns("box_column_current", (), box_col)
+    vertical = [(("up", up[i]), ("down", down[i]), ("net", up[i] - down[i])) for i in range(n)]
+    entries += [over.check(f"box_vertical_{k}", (i + 1,), v) for i in range(n) for k, v in vertical[i]]
+    entries += [e for i in range(n) for e in over.columns("box_row_current", (i + 1,), box_row[i])]
     report = ObservableReport(L, n, dom.mode, entries).require_ok("current")
 
     # Particle conservation across each column boundary: bullets and boxes
     # carry opposite net horizontal transport.
-    for j in range(L):
-        if box_col_num[j] + sum((bullet_edge_num[i][j] for i in range(n)), zero) != zero:
-            raise ObservableMismatch(f"flux balance fails across boundary {j + 1}")
+    if box_col + sum(edge, zero) != zero:
+        raise ObservableMismatch("flux balance fails across boundary 1")
     return report
 
 
@@ -449,7 +442,6 @@ def scott_russell_check(L: int, n: int) -> ScottRussellCertificate:
     equals the total horizontal bullet current of the row, both computed
     from their defining expectations (not from the closed forms)."""
     _check_dims(L, n)
-    dom = Domain(n)
-    edge, up, down = _occupation_currents(L, n, dom)
-    rows = [(i + 1, up[i] - down[i] == sum(edge[i], dom.zero)) for i in range(n)]
+    edge, up, down = _occupation_currents(L, n, Domain(n))
+    rows = [(i + 1, up[i] - down[i] == edge[i]) for i in range(n)]
     return ScottRussellCertificate(L, n, rows)

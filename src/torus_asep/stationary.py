@@ -23,7 +23,7 @@ from operator import add
 
 import numpy as np
 
-from .dynamics import SparseGenerator, _expand, adjacency, breadth_first, build_generator, first_seen
+from .dynamics import Arcs, SparseGenerator, _expand, adjacency, breadth_first, build_generator
 from .model import ColoredWord, box_gap_labels, ensure_valid
 from .symbolic import Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det, rate_product
 
@@ -81,6 +81,20 @@ def _enumerated_weight(w: ColoredWord) -> Monomial:
     for _, i, g in box_gap_labels(w):
         total = tuple(map(add, total, box_weight(i, g, n).exponents))
     return Monomial(n, total)
+
+
+def weight_exponents(letters: np.ndarray, n: int) -> np.ndarray:
+    """The weight's exponent row of each valid word, given as the rows of a
+    letter matrix, in one array pass: each box adds `box_weight` at its row
+    and its gap label, the last bullet at or before it along the row, read
+    cyclically (before the row's first bullet, its last one)."""
+    size, L = letters.shape
+    last = np.maximum.accumulate(np.where(letters > 0, np.arange(L), -1), axis=1)
+    gap = np.take_along_axis(letters, np.where(last < 0, last[:, -1:], last), axis=1)
+    box = letters < 0
+    pairs = np.bincount(np.flatnonzero(box) // L * n * n + (-letters[box] - 1) * n + gap[box] - 1, minlength=size * n * n)
+    table = [box_weight(i, k, n).exponents for i in range(1, n + 1) for k in range(1, n + 1)]
+    return pairs.reshape(size, n * n) @ np.array(table, dtype=np.int64)
 
 
 def drift(n: int) -> Polynomial:
@@ -157,8 +171,9 @@ class StationaryTable:
 
 
 def weight_table(gen: SparseGenerator) -> StationaryTable:
-    """Symbolic stationary table of a generator's states: their weights plus their sum."""
-    total = Polynomial(gen.n, Counter(m.exponents for m in gen.weights))
+    """Symbolic stationary table of a generator's states: their weights plus
+    their sum, L times the sum over the representatives."""
+    total = gen.L * Polynomial(gen.n, Counter(map(tuple, gen.exponents.tolist())))
     return StationaryTable(states=gen.states, weights=gen.weights, normalization=total)
 
 
@@ -193,12 +208,11 @@ PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_
 _DENSE_FROM = 32
 
 
-def _integer_arcs(gen: SparseGenerator, rates: RatePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The source, target and rate index of every positive-rate arc, and
-    the 2n rates scaled to integers."""
+def _integer_arcs(arcs: Arcs, rates: RatePoint) -> tuple[Arcs, tuple[int, ...]]:
+    """The positive-rate arcs among `arcs`, and the 2n rates scaled to integers."""
     values = rates.integer_scaling()[1]
-    live = np.flatnonzero(np.array([bool(x) for x in values])[gen.arcs.rate])
-    return *(column[live] for column in gen.arcs), values
+    live = np.flatnonzero(np.array([bool(x) for x in values])[arcs.rate])
+    return Arcs(*(column[live] for column in arcs)), values
 
 
 def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
@@ -348,49 +362,45 @@ def _reconstruct(x: list[int], modulus: int) -> list[int] | None:
     return [den] + [u * (den // d) for u, d in parts]
 
 
-def _rotation_orbits(gen: SparseGenerator, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit number under rotation of each of the given states (-1 for any
-    other state), and the first member of each orbit, numbered in order of
-    first appearance in `states`.
-
-    The word rotated to put B1 at column 0 names the orbit.  The states
-    must be closed under rotation.
-    """
-    letters = gen.letters[states]
-    shift = np.argmax(letters == 1, axis=1)
-    ids, first = first_seen(np.take_along_axis(letters, (shift[:, None] + np.arange(gen.L)) % gen.L, axis=1))
-    orbit = np.full(gen.num_states, -1)
-    orbit[states] = ids
-    return orbit, np.asarray(states)[first]
-
-
 def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     """Exact stationary distribution of the generator at the given rates.
 
-    The positive-rate transition graph must have one closed class, found
-    and certified here; the law is zero off it and unique (a finite chain
-    with one closed class has a one-dimensional null space).  The dynamics
-    commute with rotation, so the one class is closed under rotation, and
-    the law is constant on rotation orbits and solves the lumped chain on
-    the orbits of the class.  That chain, anchored at x = 1 on the orbit of
-    the class's first state, is factored once by sparse elimination modulo
-    a prime, lifted p-adically (Dixon) and rationally reconstructed (Wang)
-    at doubling precision.  A candidate is accepted only if it is strictly
+    The dynamics commute with rotation, so the law is constant on rotation
+    orbits and solves the chain of the orbits, whose states are the
+    representatives and whose arcs are the graph's.  That chain's
+    positive-rate graph must have one closed class, found here; it is
+    certified to be the orbits of one closed class of the full chain when
+    its first representative, unshifted, reaches every (representative,
+    shift) pair over it.  The law is then zero off the class and unique (a
+    finite chain with one closed class has a one-dimensional null space).
+    The orbit chain on the class, anchored at x = 1 on the class's first
+    representative, is factored once by sparse elimination modulo a prime,
+    lifted p-adically (Dixon) and rationally reconstructed (Wang) at
+    doubling precision.  A candidate is accepted only if it is strictly
     positive on the class and, extended by zero, annihilated exactly, in
-    integers, by every arc of the full generator; past the Hadamard bound
-    of the quotient matrix there is none.
+    integers, by every arc of the orbit chain, which is the full generator's
+    balance at every rotation; past the Hadamard bound of the quotient
+    matrix there is none.
     """
     if rates.n != gen.n:
         raise ValueError("rate point has wrong number of rows")
-    source, target, rate, scaled = _integer_arcs(gen, rates)
+    (source, target, rate, shift), scaled = _integer_arcs(gen.arcs, rates)
+    num, L = len(gen.representatives), gen.L
+    members = _closed_class(num, source, target)
+    inside = np.isin(source, members)
+    tail = (source[inside, None] * L + np.arange(L)).ravel()
+    head = (target[inside, None] * L + (np.arange(L) + shift[inside, None]) % L).ravel()
+    if len(breadth_first(adjacency(num * L, tail, head), members[0] * L)) < len(members) * L:
+        raise StationaryError("chain has more than one closed class: its stationary law is not unique")
 
-    # Quotient generator: column o holds the outflows of the first member of
-    # orbit o.  Deleting the redundant row and the anchored column 0 leaves
-    # the integer system A y = b, with A's entries kept per row and per column.
-    orbit, members = _rotation_orbits(gen, _closed_class(gen.num_states, source, target))
+    # Quotient generator: column o holds the outflows of member o.  Deleting
+    # the redundant row and the anchored column 0 leaves the integer system
+    # A y = b, with A's entries kept per row and per column.
+    orbit = np.full(num, -1)
+    orbit[members] = np.arange(len(members))
     size = len(members) - 1
     rows: list[dict[int, int]] = [{} for _ in range(size + 1)]
-    out = np.flatnonzero(np.isin(source, members))
+    out = np.flatnonzero(inside)
     for o, t, r in zip(orbit[source[out]].tolist(), orbit[target[out]].tolist(), rate[out].tolist()):
         into, own = rows[t], rows[o]
         into[o] = into.get(o, 0) + scaled[r]
@@ -419,11 +429,12 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
         if values is not None and min(values) > 0:
             # orbit -1 reads the appended 0: the law vanishes off the class
             values.append(0)
-            full = [values[o] for o in orbit.tolist()]
-            if _is_null_vector(gen, rates, full):
-                total = sum(full)
-                probs = [Fraction(v, total) for v in values]
-                return StationaryTable(states=list(gen.states), probabilities=[probs[o] for o in orbit.tolist()])
+            per_representative = [values[o] for o in orbit.tolist()]
+            # inflow equals outflow at every representative, exactly, at the integer-scaled rates
+            if not any(integer_totals(gen.balance_rows, per_representative, scaled)):
+                total = L * sum(values)
+                probs = [Fraction(v, total) for v in per_representative]
+                return StationaryTable(states=list(gen.states), probabilities=[probs[r] for r in gen.orbit[0].tolist()])
         if modulus > past_bound:
             raise StationaryError("no exact positive null vector within the Hadamard bound")
 
@@ -451,12 +462,6 @@ def _dixon(steps: list[tuple], cols: list[list[tuple[int, int]]], b: list[int], 
         target *= 2
 
 
-def _is_null_vector(gen: SparseGenerator, rates: RatePoint, x: list[int]) -> bool:
-    """Inflow equals outflow at every state, exactly, for the state values
-    x at the integer-scaled rates."""
-    return not any(integer_totals(gen.balance_rows, x, rates.integer_scaling()[1]))
-
-
 def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint) -> int:
     """num_states - rank(M) computed modulo the solver's first prime, by its
     sparse elimination.
@@ -466,7 +471,7 @@ def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint) -> int:
     null space is exactly one-dimensional.
     """
     prime = PRIMES[0]
-    source, target, rate, scaled = _integer_arcs(gen, rates)
+    (source, target, rate, _), scaled = _integer_arcs(gen.full_arcs, rates)
     rows: list[dict[int, int]] = [{} for _ in range(gen.num_states)]
     for s, t, r in zip(source.tolist(), target.tolist(), rate.tolist()):
         rows[t][s] = (rows[t].get(s, 0) + scaled[r]) % prime
@@ -480,6 +485,8 @@ def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint) -> int:
 
 @dataclass
 class BalanceReport:
+    """`num_states` counts full states; a failure names a representative."""
+
     L: int
     n: int
     mode: str
@@ -501,15 +508,16 @@ def _lattice_generator(L: int, n: int, gen: SparseGenerator | None) -> SparseGen
 
 
 def verify_balance(L: int, n: int, rates: RatePoint | None = None, gen: SparseGenerator | None = None) -> BalanceReport:
-    """Weighted inflow equals weighted outflow at every state, exactly.
+    """Weighted inflow equals weighted outflow at every state, exactly,
+    checked at the representatives, whose rotations share their balance.
 
     Symbolic mode (rates None) proves the identity as polynomials in all
     2n rates; numeric mode checks it at one exact rate point.
     """
     gen = _lattice_generator(L, n, gen)
     dom = Domain(n, rates)
-    net = dom.totals(gen.exponents, gen.balance_rows)  # inflow minus outflow per state
-    failures = [(w, residual) for w, residual in zip(gen.states, net) if residual]
+    net = dom.totals(gen.exponents, gen.balance_rows)  # inflow minus outflow per representative
+    failures = [(w, residual) for w, residual in zip(gen.representatives, net) if residual]
     return BalanceReport(L, n, dom.mode, gen.num_states, failures)
 
 
@@ -578,28 +586,32 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     lumpability), and (2) the sum of weights over a fiber equals the product
     over gaps of total_box_weight(k)^{c_k}.  Every rate is a distinct
     variable, so (1) holds exactly when every member of a fiber has the same
-    multiset of (target fiber, rate symbol) over its arcs.  Fibers are
-    numbered in order of their first state, a multiset is compared as a
-    sorted row of codes, and the sums of (2) are the generator's
-    `fiber_rows`.
+    multiset of (target fiber, rate symbol) over its arcs.  Both commute
+    with rotation, so they are checked on the fibers with B1 at column 0,
+    whose members are the representatives; a target fiber is one of those
+    rotated by its arc's shift.  Fibers are numbered in order of their
+    first representative, a multiset is compared as a sorted row of codes,
+    and the sums of (2) are the generator's `fiber_rows`.  `num_fibers`
+    counts every rotation; each failure names a fiber with B1 at column 0.
     """
     gen = _lattice_generator(L, n, gen)
     table = gen.fiber_rows
     fiber = table.slot
     first = np.unique(fiber, return_index=True)[1]
-    fibers = [lump(gen.states[j]) for j in first.tolist()]
+    fibers = [lump(gen.representatives[j]) for j in first.tolist()]
 
-    # Per state, its (target fiber, rate symbol) pairs as sorted codes,
-    # padded to the 2n moves a state can have, against its fiber's first member.
-    source, target, rate = gen.arcs
-    width = 2 * n
-    _, move = _expand(np.bincount(source, minlength=gen.num_states))  # arcs are in source order
-    into = np.full((gen.num_states, width), -1, dtype=np.int64)
-    into[source, move] = fiber[target] * width + rate
+    # Per representative, its (target fiber, shift, rate symbol) triples as
+    # sorted codes, padded to the 2n moves a state can have, against its
+    # fiber's first member.
+    source, target, rate, shift = gen.arcs
+    num, width = len(gen.representatives), 2 * n
+    _, move = _expand(np.bincount(source, minlength=num))  # arcs are in source order
+    into = np.full((num, width), -1, dtype=np.int64)
+    into[source, move] = (fiber[target] * L + shift) * width + rate
     into.sort(axis=1)
     differs = np.flatnonzero((into != into[first[fiber]]).any(axis=1))
     differs = differs[np.argsort(fiber[differs], kind="stable")]
-    rate_failures = [(fibers[f], gen.states[j]) for f, j in zip(fiber[differs].tolist(), differs.tolist())]
+    rate_failures = [(fibers[f], gen.representatives[j]) for f, j in zip(fiber[differs].tolist(), differs.tolist())]
 
     marginal_failures = [
         psi
@@ -610,7 +622,7 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     return LumpingReport(
         L=L,
         n=n,
-        num_fibers=len(fibers),
+        num_fibers=L * len(fibers),
         lumpable=not rate_failures,
         fiber_rate_failures=rate_failures,
         marginal_ok=not marginal_failures,

@@ -540,8 +540,10 @@ class Domain:
     otherwise), so each total is one reduced Fraction over D^d, or over
     D^(d+1) for a table with rates.  The ints are summed by
     `integer_totals`, which picks int64 or Python ints.
-    `zero`, `one` and `monomial` are the domain's ring elements, polynomials
-    or Fractions at the rate point, so a recurrence is written once for both.
+    `zero`, `one` and `monomial` are the domain's ring elements, so a
+    recurrence is written once for both: polynomials, or ints at D * r,
+    where an element of degree e stands for its value over D^e, and
+    `unscaled` gives that value.
     """
 
     def __init__(self, n: int, rates: RatePoint | None = None):
@@ -550,8 +552,8 @@ class Domain:
         self.n = n
         self.rates = rates
         self.mode = "symbolic" if rates is None else "numeric"
-        self.zero = Polynomial.zero(n) if rates is None else Fraction(0)
-        self.one = Polynomial.one(n) if rates is None else Fraction(1)
+        self.zero = Polynomial.zero(n) if rates is None else 0
+        self.one = Polynomial.one(n) if rates is None else 1
         if rates is not None:
             self._scale, self._values = rates.integer_scaling()
 
@@ -604,8 +606,13 @@ class Domain:
         return [Polynomial._trusted(self.n, t) for t in terms]
 
     def monomial(self, m: Monomial):
-        """A monomial in the domain's ring: a polynomial, or its Fraction at the rate point."""
-        return m.as_polynomial() if self.rates is None else m.evaluate(self.rates)
+        """A monomial in the domain's ring: a polynomial, or its int value at D * r."""
+        return m.as_polynomial() if self.rates is None else _monomial_value(self._values, m.exponents, 1)
+
+    def unscaled(self, x, degree: int):
+        """The value of a ring element homogeneous of the given degree: the
+        polynomial itself, or the reduced Fraction x / D^degree."""
+        return x if self.rates is None else Fraction(x, self._scale**degree)
 
     def ratio(self, num, den):
         """num / den for display: a RationalValue, or a reduced Fraction."""

@@ -52,15 +52,20 @@ def fresh_graphs():
     dynamics._graph.cache_clear()
 
 
-def arc_targets(gen) -> list[list[int]]:
-    """Per state, the target index of each of its arcs, in arc order."""
-    source, target, _ = gen.arcs
-    return [row.tolist() for row in np.split(target, np.searchsorted(source, np.arange(1, gen.num_states)))]
+def arc_targets(gen) -> list[list[tuple[int, int]]]:
+    """Per representative, the (target representative, shift) of each of
+    its arcs, in arc order."""
+    source, target, _, shift = gen.arcs
+    pairs = list(zip(target.tolist(), shift.tolist()))
+    cuts = np.searchsorted(source, np.arange(len(gen.representatives) + 1)).tolist()
+    return [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def with_swapped_targets(gen, j: int):
-    """`gen` with the targets of the first two arcs of state j swapped."""
+    """`gen` with the targets, and their shifts, of the first two arcs of
+    representative j swapped."""
     a = int(np.searchsorted(gen.arcs.source, j))
-    target = gen.arcs.target.copy()
+    target, shift = gen.arcs.target.copy(), gen.arcs.shift.copy()
     target[[a, a + 1]] = target[[a + 1, a]]
-    return dataclasses.replace(gen, arcs=gen.arcs._replace(target=target))
+    shift[[a, a + 1]] = shift[[a + 1, a]]
+    return dataclasses.replace(gen, arcs=gen.arcs._replace(target=target, shift=shift))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from torus_asep.dynamics import build_generator
 from torus_asep.model import _check_dims
-from torus_asep.observables import ObservableMismatch, ObservableReport, _CommonDenominator
+from torus_asep.observables import WHOLE_ROW, ObservableEntry, ObservableMismatch, ObservableReport, _CommonDenominator
 from torus_asep.symbolic import Domain, RatePoint
 
 from reference_sums import SummandDomain
@@ -26,6 +26,17 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
     dom = SummandDomain(n, rates)
     zero = dom.zero
     over = _CommonDenominator(L, n, Domain(n, rates))
+
+    def check(name, index, oracle):
+        """A full-space numerator over L * Z against its closed form; a
+        whole-row closed form sits over Z and is scaled by L."""
+        form = over.forms[name]
+        if isinstance(form, tuple):
+            form = form[index[0] - 1]
+        whole = name in WHOLE_ROW
+        closed, equal = over.dom.ratio(form, over.z if whole else over.lz), (L * form if whole else form) == oracle
+        return ObservableEntry(name, index, closed, over.dom.ratio(oracle, over.lz), equal)
+
     gen = build_generator(L, n)
     wvals = [dom.weight(m) for m in gen.weights]
     occupation = reference_occupation_currents(gen, rates)
@@ -66,15 +77,15 @@ def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> Observable
                     f"bullet crossing rate differs from occupation oracle at ({i + 1},{j + 1})"
                 )
 
-    entries = [over.check("bullet_edge_current", (i + 1, j + 1), bullet_edge_num[i][j]) for i in range(n) for j in range(L)]
-    entries += [over.check("bullet_row_current", (i + 1,), sum(bullet_edge_num[i], zero)) for i in range(n)]
-    entries += [over.check("box_column_current", (j + 1,), box_col_num[j]) for j in range(L)]
+    entries = [check("bullet_edge_current", (i + 1, j + 1), bullet_edge_num[i][j]) for i in range(n) for j in range(L)]
+    entries += [check("bullet_row_current", (i + 1,), sum(bullet_edge_num[i], zero)) for i in range(n)]
+    entries += [check("box_column_current", (j + 1,), box_col_num[j]) for j in range(L)]
     for i in range(n):
         up, down = v_up_num[i], v_down_num[i]
-        entries.append(over.check("box_vertical_up", (i + 1,), up))
-        entries.append(over.check("box_vertical_down", (i + 1,), down))
-        entries.append(over.check("box_vertical_net", (i + 1,), up - down))
-    entries += [over.check("box_row_current", (i + 1, j + 1), box_row_num[i][j]) for i in range(n) for j in range(L)]
+        entries.append(check("box_vertical_up", (i + 1,), up))
+        entries.append(check("box_vertical_down", (i + 1,), down))
+        entries.append(check("box_vertical_net", (i + 1,), up - down))
+    entries += [check("box_row_current", (i + 1, j + 1), box_row_num[i][j]) for i in range(n) for j in range(L)]
     report = ObservableReport(L, n, over.dom.mode, entries).require_ok("current")
 
     for j in range(L):

@@ -3,7 +3,9 @@ point and an explicit state subset: arcs whose rate vanishes at the point
 are left out, and an arc may leave the subset only if its rate vanishes.
 Kept as the reference that the differential tests of the full-space solve
 check against; nothing in the package imports it.  The subset graph is
-only solved, so it carries no displacement records.
+only solved, so it carries no displacement records.  The subset is closed
+under rotation, so its graph is kept, as the package's, on the restricted
+states.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ def build_generator(
     states: list[ColoredWord] | None = None,
 ) -> SparseGenerator:
     """The transition graph at `rates` over the full state space or a given
-    subset, which must be closed under the positive-rate dynamics."""
+    subset, which must be closed under the positive-rate dynamics and under
+    rotation, and given in letter order.  As the package's graph, it keeps
+    one state per rotation orbit: the arcs of the subset's restricted
+    states, each target rotated back to its representative."""
     subset_mode = states is not None
     if states is None:
         check_state_cap(L, n)
@@ -31,34 +36,34 @@ def build_generator(
     else:
         for w in states:
             ensure_valid(w)
-    index = {w: j for j, w in enumerate(states)}
+    member = set(states)
     vanishing = set() if rates is None else {s for s in rate_symbols(n) if rate_value(rates, s) == 0}
     all_transitions: list[list[Transition]] = []
-    all_targets: list[list[int]] = []
     for w in states:
-        outs, targets = [], []
+        outs = []
         for t in _transitions(w):
-            k = index.get(t.target)
-            if k is None:
+            if t.target not in member:
                 if not subset_mode or t.rate_symbol not in vanishing:
                     raise ValueError(
                         "state set is not closed under the positive-rate dynamics: "
                         f"{w.to_text()} -> {t.target.to_text()}"
                     )
                 continue
-            if t.rate_symbol in vanishing:
-                continue
-            outs.append(t)
-            targets.append(k)
+            if t.rate_symbol not in vanishing:
+                outs.append(t)
         all_transitions.append(outs)
-        all_targets.append(targets)
+    representatives = tuple(w for w in states if w.is_restricted())
+    index = {w: j for j, w in enumerate(representatives)}
     rate = {s: r for r, s in enumerate(rate_symbols(n))}
-    arcs = Arcs(
-        np.array([j for j, targets in enumerate(all_targets) for _ in targets], dtype=np.int64),
-        np.array([k for targets in all_targets for k in targets], dtype=np.int64),
-        np.array([rate[t.rate_symbol] for outs in all_transitions for t in outs], dtype=np.int64),
-    )
-    gen = SparseGenerator(L, n, tuple(states), index, arcs, np.zeros((0, 6), dtype=np.int32))
+    arcs = [
+        (index[t.source], index[t.target.rotate(-t.target.letters.index(1))], rate[t.rate_symbol], t.target.letters.index(1))
+        for outs in all_transitions
+        for t in outs
+        if t.source.is_restricted()
+    ]
+    columns = np.array(arcs, dtype=np.int64).reshape(-1, 4).T
+    gen = SparseGenerator(L, n, representatives, Arcs(*columns), np.zeros((0, 5), dtype=np.int32))
+    assert gen.states == tuple(states), "the subset is not closed under rotation"
     # The subset's own arcs, not the view of every arc of its states that
     # the move rule would rebuild: the reference solver reads these.
     gen.__dict__["transitions"] = tuple(map(tuple, all_transitions))

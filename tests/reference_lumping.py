@@ -1,5 +1,5 @@
-"""The lumping certificate as it stood before fibers were keyed by int ids:
-each state lumped to a `OneDimConfig`, each state's arcs compared as a
+"""The lumping certificate as it stood before fibers were keyed by int ids,
+over the full state space that the graph expands to: each state lumped to a `OneDimConfig`, each state's arcs compared as a
 `Counter` of (target fiber, rate symbol), each fiber's weights summed as a
 `Polynomial` and its product form rebuilt per fiber.  Kept as the slow
 reference that test_stationary.py checks `lumping_report` against; nothing
@@ -31,7 +31,7 @@ def reference_lumping_report(gen) -> LumpingReport:
         fibers.setdefault(psi, []).append(j)
 
     arcs: list[list[tuple[int, int]]] = [[] for _ in gen.states]
-    for j, k, r in zip(*(column.tolist() for column in gen.arcs)):
+    for j, k, r, _ in zip(*(column.tolist() for column in gen.full_arcs)):
         arcs[j].append((k, r))
     symbols = rate_symbols(n)
 

@@ -1,10 +1,11 @@
 """The oracle sums as they stood before they became the generator's integer
-tables: one Python loop per oracle over the states or arcs of the graph,
-adding one summand at a time to the running sums of a `SummandDomain`.
-Each function returns the frozen sums as one flat list, slot for slot in
-the layout of the generator table it is the reference of, so the
-differential tests compare `Domain.totals` with it directly.  Nothing in
-the package imports this module.
+tables: one Python loop per oracle over the full states or arcs that the
+graph expands to, adding one summand at a time to the running sums of a
+`SummandDomain`.  Each function returns the frozen sums as one flat list,
+slot for slot in the full-space layout of the generator table it is the
+reference of (per state, per column or per boundary), so the differential
+tests compare `Domain.totals`, expanded over the rotations, with it.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def reference_balance(gen, rates: RatePoint | None = None) -> list:
     """Inflow minus outflow per state (`balance_rows`)."""
     dom = SummandDomain(gen.n, rates)
     net = dom.sums(gen.num_states, terms=True)
-    targets = iter(gen.arcs.target.tolist())
+    targets = iter(gen.full_arcs.target.tolist())
     for j, (m, outs) in enumerate(zip(gen.weights, gen.transitions)):
         wv = dom.weight(m)
         for t, k in zip(outs, targets):

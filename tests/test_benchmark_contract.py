@@ -2,7 +2,10 @@
 
 A change to the report types, entry counts or call signatures that would
 make a benchmark op fail its gate fails here first, on the small (4,2)
-lattice.
+lattice and at each workload's own lattice, (5,3) or (40,5).  The graph
+keeps one state per rotation orbit, and the counts the workloads gate on
+and report (`gen.states`, `gen.num_states`, the `gen.transitions` arcs)
+keep their full-space values.
 """
 
 import importlib
@@ -39,3 +42,32 @@ def test_simulator_workload_op_passes_its_gate_and_replays(bench):
     work.replay_check(seed, digest)
     with pytest.raises(workloads.GateFailure):
         work.replay_check(seed, digest, fault=True)
+
+
+DEFAULT_LATTICES = {"exact_numeric": (5, 3), "exact_symbolic": (5, 3), "mc_transient": (40, 5)}
+
+
+@pytest.mark.parametrize("name", DEFAULT_LATTICES)
+def test_each_workload_op_passes_its_gate_at_its_default_lattice(bench, name):
+    workloads, tracing = bench
+    work = workloads.make_workload(name)
+    assert (work.L, work.n) == DEFAULT_LATTICES[name]
+    item = work.draw_input(random.Random(7))
+    tracer = tracing.Tracer(True)
+    events, digest = work.op(item, tracer)
+    counts = {key: value for _, key, value in tracer.counts}
+    if name == "mc_transient":
+        assert events == work.events == counts["mcmc.events"]
+        work.replay_check(item, digest)
+        return
+    import reference_graph
+    from torus_asep import build_generator
+
+    full = reference_graph.object_graph(work.L, work.n)
+    arcs = sum(len(targets) for targets in full.targets)
+    gen = build_generator(work.L, work.n)
+    assert (events, digest) == (0, None)
+    assert gen.states == full.states and gen.num_states == len(full.states) == counts["dynamics.states"] == 270
+    assert sum(len(outs) for outs in gen.transitions) == arcs == counts["dynamics.arcs"]
+    with pytest.raises(workloads.GateFailure):
+        work.op(item, tracing.Tracer(False), fault=True)

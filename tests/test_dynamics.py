@@ -17,7 +17,7 @@ from torus_asep.dynamics import (
     ta_membership,
     tau_zero,
 )
-from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate
+from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, restricted_count, validate
 from torus_asep.symbolic import Polynomial, RatePoint
 
 from reference_transitions import displacement_crossings, replay_displacements
@@ -313,6 +313,20 @@ def test_the_cap_is_checked_on_a_cached_lattice(fresh_graphs, monkeypatch):
     assert err.value.count == 270
 
 
+def test_the_cap_counts_full_states_not_representatives(fresh_graphs, monkeypatch):
+    """The cap counts the full state space, L times the representatives
+    that are built, since the outputs that list full states expand them: a
+    cap at the representatives' count refuses the lattice, one at the full
+    count admits it."""
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", str(restricted_count(5, 3)))
+    with pytest.raises(ResourceCapError, match="state space has 270 states, above the cap 54") as err:
+        build_generator(5, 3)
+    assert err.value.count == 270
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "270")
+    gen = build_generator(5, 3)
+    assert len(gen.representatives) == 54 and gen.num_states == 270
+
+
 LIBRARY_CHECKS = {
     "build_generator": build_generator,
     "densities": densities,
@@ -378,15 +392,16 @@ def test_the_shared_graph_is_immutable(fresh_graphs):
 
 @pytest.mark.parametrize("L", range(1, 7))
 def test_crossing_table_matches_the_displacement_records(L):
-    """Arc for arc and in order, the crossing rows hold each arc's source,
-    its rate symbol and the `displacement_crossings` of its records, on
-    their channels."""
+    """Arc for arc and in order, the crossing rows hold each arc's source
+    representative, its rate symbol and the signs of the
+    `displacement_crossings` of its records, on their channels, the
+    boundaries totalled."""
     for n in range(1, L + 1):
         gen = build_generator(L, n)
         table = gen.crossings
-        assert table.size == (3 * n + 1) * L
+        assert table.size == 3 * n + 1
         rows = iter(zip(table.slot.tolist(), table.state.tolist(), table.rate.tolist(), table.sign.tolist()))
-        for j, w in enumerate(gen.states):
+        for j, w in enumerate(gen.representatives):
             for t in outgoing_transitions(w):
                 expected = []
                 for d in t.displacements:
@@ -401,9 +416,7 @@ def test_crossing_table_matches_the_displacement_records(L):
                                 expected.append((2 * n + d.label_from, boundary, sign))
                 for channel, boundary, sign in expected:
                     slot, state, rate, row_sign = next(rows)
-                    assert (slot, state, rate_symbols(n)[rate], row_sign) == (
-                        channel * L + boundary, j, t.rate_symbol, sign
-                    )
+                    assert (slot, state, rate_symbols(n)[rate], row_sign) == (channel, j, t.rate_symbol, sign)
         assert next(rows, None) is None
 
 
@@ -412,16 +425,51 @@ LATTICES = [(L, n) for L in range(1, 7) for n in range(1, L + 1)]
 
 @pytest.mark.parametrize("L,n", LATTICES)
 def test_arcs_are_the_per_word_transitions(L, n):
-    """Arc for arc and in order, the arc arrays hold the target index and
-    the rate symbol of the separate forward and backward rules."""
+    """Arc for arc and in order, the arc arrays hold, per representative,
+    the rate symbol of the separate forward and backward rules and their
+    target: the target representative rotated by the arc's shift."""
     from reference_transitions import reference_transitions
 
     gen = build_generator(L, n)
-    expected = [
-        (j, gen.index[t.target], t.rate_symbol) for j, w in enumerate(gen.states) for t in reference_transitions(w)
-    ]
-    source, target, rate = (column.tolist() for column in gen.arcs)
-    assert list(zip(source, target, [rate_symbols(n)[r] for r in rate])) == expected
+    expected = [(j, t.target, t.rate_symbol) for j, w in enumerate(gen.representatives) for t in reference_transitions(w)]
+    source, target, rate, shift = (column.tolist() for column in gen.arcs)
+    targets = [gen.representatives[k].rotate(s) for k, s in zip(target, shift)]
+    assert list(zip(source, targets, [rate_symbols(n)[r] for r in rate])) == expected
+    assert all(w.is_restricted() for w in gen.representatives) and len(gen.representatives) == restricted_count(L, n)
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 8) for n in range(1, L + 1)])
+def test_expanded_arcs_are_the_object_graph(L, n):
+    """Expanded over the L rotations, the graph is the full-space object
+    graph, state for state and arc for arc in order."""
+    import reference_graph
+
+    gen, full = build_generator(L, n), reference_graph.object_graph(L, n)
+    assert gen.states == full.states and gen.num_states == len(full.states)
+    assert dict(gen.index) == full.index
+    source, target, rate, shift = (column.tolist() for column in gen.full_arcs)
+    symbols = rate_symbols(n)
+    expected = [(j, k, t.rate_symbol) for j, (outs, targets) in enumerate(zip(full.transitions, full.targets)) for t, k in zip(outs, targets)]
+    assert list(zip(source, target, [symbols[r] for r in rate])) == expected
+    assert shift == [(full.states[k].letters.index(1) - full.states[j].letters.index(1)) % L for j, k, _ in expected]
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_the_move_rule_commutes_with_rotation(L):
+    """On every state with L <= 7, each a restricted word rotated by some s,
+    the moves are the restricted word's moves rotated by s, arc for arc:
+    the same kind, rate and displacement records, each column moved by s."""
+
+    def rotated(d, s):
+        return dataclasses.replace(d, pos_from=(d.pos_from + s) % L, pos_to=(d.pos_to + s) % L)
+
+    for n in range(1, L + 1):
+        for w in iter_restricted(L, n):
+            moves = outgoing_transitions(w)
+            for s in range(L):
+                for t, u in zip(moves, outgoing_transitions(w.rotate(s)), strict=True):
+                    assert (u.kind, u.rate_symbol, u.target) == (t.kind, t.rate_symbol, t.target.rotate(s))
+                    assert u.displacements == tuple(rotated(d, s) for d in t.displacements)
 
 
 @pytest.mark.parametrize("L,n", LATTICES)
@@ -445,20 +493,21 @@ def test_a_closure_violation_rebuilds_its_transition(monkeypatch):
     import reference_graph
 
     # Membership is read from the weights' exponents: erasing the q_1
-    # factor of the first state that has one grants that state membership.
+    # factor of the first representative that has one grants it, and so
+    # every rotation of it, membership.
     gen = build_generator(5, 3)
     j = next(j for j, row in enumerate(gen.exponents.tolist()) if row[gen.n])
-    outsider = gen.states[j]
+    outsiders = {gen.representatives[j].rotate(s) for s in range(5)}
     exponents = gen.exponents.copy()
     exponents[j, gen.n] = 0
     forged = dataclasses.replace(gen)
     forged.__dict__["exponents"] = exponents
     monkeypatch.setattr(dynamics, "build_generator", lambda L, n: forged)
     real = reference_graph.ta_membership
-    monkeypatch.setattr(reference_graph, "ta_membership", lambda w, zero_q: w == outsider or real(w, zero_q))
+    monkeypatch.setattr(reference_graph, "ta_membership", lambda w, zero_q: w in outsiders or real(w, zero_q))
     states, cert = restrict_ta(5, 3, {1})
-    assert not cert.ok and {w for w, _ in cert.violations} == {outsider}
-    assert all(t.source == outsider and t in outgoing_transitions(outsider) for _, t in cert.violations)
+    assert not cert.ok and {w for w, _ in cert.violations} == outsiders
+    assert all(t in outgoing_transitions(w) for w, t in cert.violations)
     assert (states, cert) == reference_graph.restrict_ta(5, 3, {1})
 
 

@@ -153,3 +153,40 @@ def test_evaluate_matches_reference(case):
     for exps in terms:
         value = Monomial(n, exps).evaluate(point)
         assert type(value) is Fraction and value == ReferencePolynomial(n, {exps: 1}).evaluate(point)
+
+
+class FractionDomain(Domain):
+    """The numeric ring of the closed forms as it stood before their int
+    path: every element an exact Fraction at the rate point, every
+    operation a reduced Fraction operation."""
+
+    def __init__(self, n, rates):
+        super().__init__(n, rates)
+        self.zero, self.one = Fraction(0), Fraction(1)
+
+    def monomial(self, m):
+        return m.evaluate(self.rates)
+
+    def unscaled(self, x, degree):
+        return x
+
+
+@st.composite
+def closed_form_points(draw):
+    L = draw(st.integers(1, 9))
+    n = draw(st.integers(1, min(L, 5)))
+    return L, n, draw(rate_points(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_form_points())
+def test_closed_numerators_in_ints_equal_the_fraction_path(case):
+    """The numeric closed forms, summed in ints at D * r with one Fraction
+    made per entry, equal the same recurrence run in Fractions."""
+    from torus_asep.observables import closed_numerators
+
+    L, n, point = case
+    table = closed_numerators(L, n, Domain(n, point))
+    assert table == closed_numerators(L, n, FractionDomain(n, point))
+    values = [v for x in table.values() for v in (x if isinstance(x, tuple) else (x,))]
+    assert all(type(v) is Fraction for v in values)

@@ -507,3 +507,58 @@ def test_gap_counts_give_the_enabled_moves_of_every_small_word():
 def test_start_word_must_fit_the_lattice(start):
     with pytest.raises(ValueError):
         simulate(4, 2, RP42, seed=1, events=50, start=start)
+
+
+def _reference_estimates(ledger, state):
+    """`estimate_observables` as it stood while it built its (entries x
+    batches) array one ledger slice at a time."""
+    L, n, bt = ledger.L, ledger.n, ledger.batch_time
+    rows = []
+    for i in range(n):
+        for j in range(L):
+            rows.append(("current", "bullet_edge_current", (i + 1, j + 1), ledger.bullet_edge[:, i, j]))
+        rows.append(("current", "bullet_row_current", (i + 1,), ledger.bullet_edge[:, i, :].sum(axis=1)))
+        rows.append(("current", "box_vertical_up", (i + 1,), ledger.row_up[:, i]))
+        rows.append(("current", "box_vertical_down", (i + 1,), ledger.row_down[:, i]))
+        rows.append(("current", "box_vertical_net", (i + 1,), ledger.row_up[:, i] - ledger.row_down[:, i]))
+        rows.append(("current", "box_row_current", (i + 1,), ledger.box_edge[:, i, :].sum(axis=1) / L))
+    for j in range(L):
+        rows.append(("current", "box_column_current", (j + 1,), ledger.box_edge[:, :, j].sum(axis=1) + ledger.box_jump[:, j]))
+    for species, name in ((0, "bullet_density"), (1, "box_density")):
+        for i in range(n):
+            for j in range(L):
+                rows.append(("density", name, (i + 1, j + 1), state.occupancy[:, species, i, j]))
+    counts = np.array([row[3] for row in rows], dtype=np.float64)
+    values = counts.sum(axis=1) / state.elapsed
+    valid = bt > 0
+    num_valid = int(valid.sum())
+    if num_valid >= 2:
+        stderrs = np.std(np.ascontiguousarray(counts[:, valid]) / bt[valid], axis=1, ddof=1) / math.sqrt(num_valid)
+    else:
+        stderrs = np.full(len(rows), np.inf)
+    low = num_valid < 20
+    if low:
+        stderrs[np.isfinite(stderrs)] *= 2.0
+    tables = {"current": {}, "density": {}}
+    for (group, name, index, _), value, stderr in zip(rows, values.tolist(), stderrs.tolist()):
+        tables[group][(name, index)] = mcmc.EstimatedValue(value, stderr, low)
+    return mcmc.EstimateReport(L, n, state.elapsed, state.batches, tables["current"], tables["density"])
+
+
+@pytest.mark.parametrize(
+    "L,n,rates,horizon,batches",
+    [
+        (40, 5, "1,3/2,2,5/4,1;1/2,1/4,1/3,1/5,1/2", {"events": 2000}, 20),
+        (6, 3, "1,3/2,2;1/2,1/3,1/5", {"events": 3000}, 7),
+        (5, 1, "2;1", {"time_horizon": 5.0}, 3),
+        (9, 4, "1,2,3,4;4,3,2,1", {"time_horizon": 3.0}, 40),
+        (4, 2, "1,2;0,3", {"events": 50}, 50),
+        (7, 3, "1,1,1;1,1,1", {"events": 100}, 1),
+    ],
+)
+def test_estimates_from_ledger_blocks_equal_the_slice_by_slice_build(L, n, rates, horizon, batches):
+    """Float for float, in value, error and flag, on runs with fewer than
+    two, fewer than 20 and at least 20 slabs."""
+    for seed in range(3):
+        state, ledger = simulate(L, n, RatePoint.parse(rates), seed=seed, batches=batches, **horizon)
+        assert estimate_observables(ledger, state) == _reference_estimates(ledger, state)

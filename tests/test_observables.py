@@ -376,13 +376,12 @@ def test_whole_row_closed_form_needs_the_factor_L(numeric, rng):
     rp = random_rate_point(2, rng) if numeric else None
     over = _CommonDenominator(4, 2, Domain(2, rp))
     e = currents_exact(4, 2, rp).entry("box_vertical_up", 1)
-    if numeric:
-        closed_over_z, oracle_num = e.closed * over.z, e.oracle * over.lz
-    else:
-        closed_over_z, oracle_num = e.closed.num, e.oracle.num
+    # the full-space numerator over L * Z, L times the total over the representatives
+    oracle_num = e.oracle * over.lz if numeric else e.oracle.num
+    if not numeric:
         assert e.closed.den == partition_function(4, 2)
-    assert over.entry("box_vertical_up", (1,), closed_over_z, oracle_num, whole_row=True).equal
-    assert not over.entry("box_vertical_up", (1,), closed_over_z, oracle_num).equal
+    assert over.check("box_vertical_up", (1,), oracle_num * Fraction(1, 4)).equal
+    assert not over.check("box_vertical_up", (1,), oracle_num).equal
 
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
@@ -453,3 +452,29 @@ def test_currents_match_the_displacement_record_reference(L, n, rng):
         report, reference = currents_exact(L, n, rates), reference_currents.currents_exact(L, n, rates)
         assert report.entries == reference.entries
         assert report.to_json_rows() == reference.to_json_rows()
+
+
+@pytest.mark.parametrize(
+    "channel,message",
+    [
+        (2 * 2 + 1, "swap-only box crossings do not cancel at row 1, boundary 1"),
+        (0, r"bullet crossing rate differs from occupation oracle at \(1,1\)"),
+    ],
+)
+def test_a_broken_crossing_total_raises_once_for_every_boundary(channel, message, fresh_graphs):
+    """One more crossing on the swap channel, or on the bullet channel, of
+    row 1 breaks a check that every boundary shares; it is reported at
+    boundary 1, where the full-space loop met it first."""
+    import numpy as np
+
+    from torus_asep.dynamics import build_generator
+    from torus_asep.observables import ObservableMismatch
+    from torus_asep.symbolic import SumTable
+
+    gen = build_generator(4, 2)
+    table = gen.crossings
+    columns = (table.slot, table.state, table.rate, table.sign)
+    gen.__dict__["crossings"] = SumTable.build(table.size, *(np.append(c, v) for c, v in zip(columns, (channel, 0, 0, 1))))
+    for rates in (None, RatePoint.parse("1,2;3,5")):
+        with pytest.raises(ObservableMismatch, match=message):
+            currents_exact(4, 2, rates)

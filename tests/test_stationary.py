@@ -14,7 +14,7 @@ from reference_lumping import reference_evans_product, reference_lumping_report
 from conftest import arc_targets, random_rate_point, with_swapped_targets
 from rate_symbols import p_var, q_var, rate_value
 from torus_asep.dynamics import Arcs, breadth_first, build_generator, restrict_ta
-from torus_asep.model import ColoredWord, ValidationError, iter_restricted
+from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted
 from torus_asep import stationary
 from torus_asep.stationary import (
     StationaryError,
@@ -28,6 +28,7 @@ from torus_asep.stationary import (
     lumping_report,
     total_box_weight,
     verify_balance,
+    weight_exponents,
     weight_identities,
     weight_table,
 )
@@ -184,8 +185,8 @@ def test_exact_stationary_solves_reducible_full_space():
     assert all(p * total == wv for p, wv in zip(table.probabilities, weights))
     support = [j for j, p in enumerate(table.probabilities) if p]
     assert 0 < len(support) < gen.num_states
-    # the class is closed under rotation, each orbit of size L
-    assert len(stationary._rotation_orbits(gen, support)[1]) == len(support) // gen.L
+    # the class is closed under rotation: each of its representatives stands for L of its states
+    assert len(set(gen.orbit[0][support].tolist())) == len(support) // gen.L
 
 
 def test_exact_stationary_on_ta_restriction():
@@ -303,8 +304,27 @@ def test_weights_are_computed_once_per_generator(monkeypatch, fresh_graphs):
     assert verify_balance(5, 3, gen=gen).ok
     assert verify_balance(5, 3, rates=RatePoint.parse("1,2,3;4,5,6"), gen=gen).ok
     assert lumping_report(5, 3, gen=gen).ok
+    # the checks read the exponents, one array pass over the representatives
+    assert "weights" not in vars(gen) and calls == []
+    exponents = gen.exponents
     assert weight_table(gen).weights is gen.weights
-    assert calls == list(gen.states)
+    assert gen.exponents is exponents and calls == []
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_weight_exponents_match_the_box_gap_labels_path(L):
+    """On every state with L <= 7, the array pass, which reads each box's
+    gap label as the running last bullet along the row with the wrap, gives
+    the weight that `box_gap_labels` gives box by box; the graph's
+    `exponents` and `weights` are read from it."""
+    for n in range(1, L + 1):
+        words = enumerate_full(L, n)
+        expected = [stationary._enumerated_weight(w) for w in words]
+        letters = np.array([w.letters for w in words], dtype=np.int64)
+        assert weight_exponents(letters, n).tolist() == [list(m.exponents) for m in expected]
+        gen = build_generator(L, n)
+        assert gen.weights == tuple(expected)
+        assert gen.exponents.tolist() == [list(config_weight(w).exponents) for w in gen.representatives]
 
 
 def test_stationary_table_export_and_lookup():
@@ -362,36 +382,45 @@ def test_lumping_report_reads_the_arc_targets():
     # Swap the targets of two arcs that lead into different fibers: the
     # state's (target fiber, rate symbol) multiset no longer matches its fiber.
     gen = build_generator(4, 2)
-    j = next(
-        j
-        for j, targets in enumerate(arc_targets(gen))
-        if len(targets) > 1 and lump(gen.states[targets[0]]) != lump(gen.states[targets[1]])
-    )
+    words = [[gen.representatives[t].rotate(s) for t, s in targets] for targets in arc_targets(gen)]
+    j = next(j for j, targets in enumerate(words) if len(targets) > 1 and lump(targets[0]) != lump(targets[1]))
     report = lumping_report(4, 2, gen=with_swapped_targets(gen, j))
     assert not report.lumpable and report.marginal_ok
+
+
+def _on_representatives(report):
+    """A full-space lumping report with its failures cut to the states and
+    fibers with B1 at column 0, the ones the package's report names."""
+    return dataclasses.replace(
+        report,
+        fiber_rate_failures=[(psi, w) for psi, w in report.fiber_rate_failures if w.is_restricted()],
+        marginal_failures=[psi for psi in report.marginal_failures if psi.letters[0] == 1],
+    )
 
 
 @pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 7) for n in range(1, L + 1)])
 def test_lumping_report_matches_reference(L, n):
     gen = build_generator(L, n)
-    assert lumping_report(L, n, gen=gen) == reference_lumping_report(gen)
+    assert lumping_report(L, n, gen=gen) == _on_representatives(reference_lumping_report(gen))
 
 
 def test_lumping_report_failures_match_reference():
-    # Swap two states of different fibers: their arcs no longer lead where
-    # the fibers' other members' arcs lead.  Then swap two weights of
-    # different fibers back, so the fiber sums break as well.
+    # Swap the arcs of two representatives of different fibers: they no
+    # longer lead where the fibers' other members' arcs lead.  Swap their
+    # weights too, so the fiber sums break as well.  The reference walks
+    # the full space that the broken graph expands to.
     gen = build_generator(5, 2)
-    states = list(gen.states)
+    states = gen.representatives
     j = next(j for j, w in enumerate(states) if lump(w) != lump(states[0]))
-    states[0], states[j] = states[j], states[0]
-    broken = dataclasses.replace(gen, states=tuple(states))
-    weights = list(broken.weights)
-    weights[0], weights[j] = weights[j], weights[0]
-    broken.__dict__["weights"] = tuple(weights)  # the table read on first access
+    source = np.choose((gen.arcs.source == 0) + 2 * (gen.arcs.source == j), [gen.arcs.source, j, 0])
+    order = np.argsort(source, kind="stable")
+    broken = dataclasses.replace(gen, arcs=Arcs(*(column[order] for column in (source, *gen.arcs[1:]))))
+    exponents = gen.exponents.copy()
+    exponents[[0, j]] = exponents[[j, 0]]
+    broken.__dict__["exponents"] = exponents  # the table read on first access
     report = lumping_report(5, 2, gen=broken)
     assert not report.lumpable and not report.marginal_ok
-    assert report == reference_lumping_report(broken)
+    assert report == _on_representatives(reference_lumping_report(broken))
 
 
 def test_evans_product_is_memoised_and_matches_reference():
@@ -757,21 +786,34 @@ def test_rank_deficiency_matches_dense_reference(L, n, rng, monkeypatch):
 
 @pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 7) for n in range(1, L + 1)])
 def test_rotation_orbits_match_the_dict_reference(L, n):
-    """On the full space, and on the closed class at a positive point and
-    at a point with q_1 = 0 (with n = L nothing moves, and there is no one
-    closed class), the orbit numbers and first members equal the dict loop's."""
+    """Each full state is its representative rotated by its shift.  On the full space, and on the full
+    chain's closed class at a positive point and at a point with q_1 = 0
+    (with n = L nothing moves, and there is no one closed class), the
+    dict loop numbers the orbits by the representatives in order, first
+    met at the representative itself; on a closed class, those are the
+    closed class of the orbit chain that the solver assembles."""
     import reference_graph
 
     gen = _generator(L, n)
+    rep, shift = (a.tolist() for a in gen.orbit)
+    assert [gen.representatives[r].rotate(s) for r, s in zip(rep, shift)] == list(gen.states)
+    assert [gen.index[gen.representatives[r].rotate(s)] for r, s in zip(rep, shift)] == list(range(gen.num_states))
     positive = RatePoint(tuple(Fraction(k) for k in range(1, n + 1)), (Fraction(1, 2),) * n)
     zero_q = RatePoint(positive.p, (Fraction(0),) + positive.q[1:])
-    classes = [list(range(gen.num_states))]
+    classes = [(list(range(gen.num_states)), list(range(len(gen.representatives))))]
     for rates in (positive, zero_q) if n < L else ():
-        source, target, _, _ = stationary._integer_arcs(gen, rates)
-        classes.append(stationary._closed_class(gen.num_states, source, target))
-    for members in classes:
-        orbit, first = stationary._rotation_orbits(gen, members)
-        assert (orbit.tolist(), first.tolist()) == reference_graph.rotation_orbits(gen.states, members)
+        (source, target, _, _), _ = stationary._integer_arcs(gen.full_arcs, rates)
+        (rsource, rtarget, _, _), _ = stationary._integer_arcs(gen.arcs, rates)
+        classes.append(
+            (
+                stationary._closed_class(gen.num_states, source, target),
+                stationary._closed_class(len(gen.representatives), rsource, rtarget),
+            )
+        )
+    for members, representatives in classes:
+        orbit, first = reference_graph.rotation_orbits(gen.states, members)
+        assert [orbit[j] for j in members] == [representatives.index(rep[j]) for j in members]
+        assert first == representatives == [gen.index[gen.representatives[r]] for r in representatives]
 
 
 def test_rank_deficiency_of_reducible_full_space():
