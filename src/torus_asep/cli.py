@@ -187,12 +187,13 @@ def _cmd_observables(args) -> int:
         "ok": ok,
     }
     rows = None
-    if ok:
-        payload["densities"] = density_report.to_json_rows()
-        payload["currents"] = current_report.to_json_rows()
+    if not ok:
+        payload["error"] = detail
+    elif args.format == "csv":
         rows = density_report.to_csv_rows() + current_report.to_csv_rows()[1:]
     else:
-        payload["error"] = detail
+        payload["densities"] = density_report.to_json_rows()
+        payload["currents"] = current_report.to_json_rows()
     _emit(args, payload, rows)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

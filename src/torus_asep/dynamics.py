@@ -23,8 +23,8 @@ crossed, which feeds the current estimators.
 `build_generator` hands out the package's one transition graph of a lattice,
 one state per rotation orbit: the move rule commutes with rotation and the
 weights are rotation invariant, so it keeps the restricted states (B1 at
-column 0) and int arrays of their arcs (source, target, rate index, shift)
-and of the arcs' displacement records, written in one pass over the move
+column 0), int arrays of their arcs (source, target, rate index, shift) and
+the table of the arcs' boundary crossings, written in one pass over the move
 rule with no `Transition` kept.  The exact solver and the checks read the
 arrays; the outputs that list full states expand the rotations when they
 are written, and every graph search walks one `adjacency` of the arrays.
@@ -177,13 +177,6 @@ def check_state_cap(L: int, n: int) -> None:
         raise ResourceCapError(count, cap)
 
 
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each index i repeated counts[i] times, and the rank 0, 1, ... of
-    each copy among those of its index."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-
-
 def first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows of a 2-d array numbered in order of first appearance: the
     number of each row, and the index of the first row of each number."""
@@ -213,15 +206,25 @@ class SparseGenerator:
     letter order, rotated by a shift s; B1 is unique, so each orbit has L
     states.  `arcs` holds the arcs of the representatives: a move's target
     is its arc's target representative rotated by its shift.
-    `displacements` holds one int32 row per record of every arc, arc by
-    arc: (arc, signed step, three crossing channels or -1; see
-    `crossings`).  No rate point is attached.  The graph is immutable, since
+
+    `crossings` totals the signed boundary crossings of every arc's
+    displacement records over all boundaries, which by rotation equals the
+    full-space sum at every boundary.  A record of signed step s crosses
+    |s| boundaries on each of its channels with the sign of s, each
+    crossing adding the arc's flow, its source's weight times its rate, so
+    the table holds one row per record and channel, arc by arc and in
+    record order, counted by s.  A bullet of row i crosses on channel
+    i - 1.  A box crosses on channel n, the box column total; unless it is
+    the relabelled jumper, also on channel n + i for its row i, and, if the
+    arc is a swap (F1 or B1), on channel 2n + i.
+
+    No rate point is attached.  The graph is immutable, since
     `build_generator` shares one per lattice; so are the tables derived
     from it on first read, each in one pass over the representatives: their
     `letters` and weight `exponents`, and one `SumTable` per oracle, which
     holds its combinatorics and no rate point (`balance_rows`, and, one
     total over all columns that by rotation equals the full-space sum at
-    every column, `density_rows`, `occupation_rows` and `crossings`; and
+    every column, `density_rows` and `occupation_rows`; and
     `fiber_rows`).  The full state space is a lazy view for the outputs
     that list it: `orbit` maps full states, in letter order, to
     (representative, shift), and `states`, `index`, `weights`,
@@ -232,7 +235,7 @@ class SparseGenerator:
     n: int
     representatives: tuple[ColoredWord, ...]
     arcs: Arcs
-    displacements: np.ndarray
+    crossings: SumTable
 
     @property
     def num_states(self) -> int:
@@ -338,28 +341,6 @@ class SparseGenerator:
         )
 
     @cached_property
-    def crossings(self) -> SumTable:
-        """The signed boundary crossings of every arc's displacement
-        records, totalled over all boundaries, arc by arc and in record
-        order: a record of signed step s crosses |s| boundaries on each of
-        its channels, each crossing adding the arc's flow, its source's
-        weight times its rate, to the channel's slot with the sign of s.
-
-        A bullet of row i crosses on channel i - 1.  A box crosses on
-        channel n, the box column total; unless it is the relabelled jumper,
-        also on channel n + i for its row i, and, if the arc is a swap (F1
-        or B1), on channel 2n + i.
-        """
-        arc, step = self.displacements[:, :2].T
-        channels = self.displacements[:, 2:]
-        record, _ = _expand(np.abs(step))
-        crossing, k = _expand(np.count_nonzero(channels >= 0, axis=1)[record])
-        row = record[crossing]
-        return SumTable.build(
-            3 * self.n + 1, channels[row, k], self.arcs.source[arc[row]], self.arcs.rate[arc[row]], np.sign(step[row]),
-        )
-
-    @cached_property
     def fiber_rows(self) -> SumTable:
         """Weight sums over the fibers of the label-erasing projection with
         B1 at column 0, one row per representative, so slot[j] is the fiber
@@ -413,25 +394,27 @@ def _graph(L: int, n: int) -> SparseGenerator:
     rotated back to its representative by the column of its B1."""
     representatives = tuple(iter_restricted(L, n))
     index = {w: j for j, w in enumerate(representatives)}
-    arcs, records = array("q"), array("i")  # (source, target, rate, shift) per arc; `displacements` rows
+    arcs, crossed = array("q"), array("i")  # (source, target, rate, shift) per arc; (channel, source, rate, step) rows
     for j, w in enumerate(representatives):
         for t in _transitions(w):
-            a = len(arcs) // 4
             shift = t.target.letters.index(1)
-            arcs.extend((j, index[t.target.rotate(-shift)], t.row - 1 + (n if t.rate_symbol[0] == "q" else 0), shift))
+            rate = t.row - 1 + (n if t.rate_symbol[0] == "q" else 0)
+            arcs.extend((j, index[t.target.rotate(-shift)], rate, shift))
             swap = t.kind in (F1, B1)
             for d in t.displacements:
+                row = (j, rate, d.step)
                 if d.species == "bullet":
-                    channels = (d.label_from - 1, -1, -1)
+                    crossed.extend((d.label_from - 1, *row))
                 elif d.jump:
-                    channels = (n, -1, -1)
+                    crossed.extend((n, *row))
+                elif swap:
+                    crossed.extend((n, *row, n + d.label_from, *row, 2 * n + d.label_from, *row))
                 else:
-                    channels = (n, n + d.label_from, 2 * n + d.label_from if swap else -1)
-                records.extend((a, d.step, *channels))
+                    crossed.extend((n, *row, n + d.label_from, *row))
     columns = np.frombuffer(arcs, dtype=np.int64).reshape(-1, 4).T
     return SparseGenerator(
         L, n, representatives, Arcs(*(_frozen(c.copy()) for c in columns)),
-        _frozen(np.frombuffer(records, dtype=np.int32).reshape(-1, 5)),
+        SumTable.build(3 * n + 1, *(c.copy() for c in np.frombuffer(crossed, dtype=np.int32).reshape(-1, 4).T)),
     )
 
 
@@ -533,13 +516,6 @@ def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityRe
 
 
 # -- totally asymmetric restriction ---------------------------------------------
-
-
-def ta_membership(w: ColoredWord, zero_q: frozenset[int]) -> bool:
-    """True if the stationary weight of w has no factor q_m, m in zero_q."""
-    from .stationary import _enumerated_weight
-
-    return not _enumerated_weight(w).uses_q_label(zero_q)
 
 
 @dataclass

@@ -52,19 +52,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dynamics import ResourceCapError, _expand, block_move, state_cap, tau_zero
-from .model import ColoredWord, ensure_valid
+from .dynamics import ResourceCapError, block_move, state_cap, tau_zero
+from .model import ColoredWord, ensure_valid, gap_lengths
 from .symbolic import RatePoint
 
 
 _MENU_LIMIT = 4096  # menus kept per run; the table is cleared when it is full
 _FLUSH_SEGMENTS = 256  # holding-time segments logged between occupancy flushes
-
-
-def _gap_lengths(pos: list[int], L: int) -> list[int]:
-    """Boxes between bullet j and bullet j + 1 (cyclically), by 0-based j."""
-    n = len(pos)
-    return [(pos[(j + 1) % n] - pos[j] - 1) % L for j in range(n)]
 
 
 @dataclass
@@ -178,7 +172,7 @@ def simulate(
     menus: dict[int, tuple[list, float, list[float]]] = {}  # enabled mask -> menu
     letters = list(start.letters)
     pos = list(start.bullet_positions())
-    gaps = _gap_lengths(pos, L)
+    gaps = gap_lengths(pos, L)
     mask = sum(g for g, gap in zip(gate, gaps) if gap)  # no two gates share a bit
     nL = n * L
     # Cell of letter c in column x, flat over one batch of `occupancy`, is

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -334,23 +334,27 @@ def enumerate_full(L: int, n: int) -> list[ColoredWord]:
     return list(_lex_words(L, n))
 
 
+def gap_lengths(pos: Sequence[int], L: int) -> list[int]:
+    """Boxes between bullet k and bullet k + 1 (cyclically), by 0-based k,
+    given the 0-based bullet columns by label."""
+    n = len(pos)
+    return [(pos[(k + 1) % n] - pos[k] - 1) % L for k in range(n)]
+
+
 def box_gap_labels(w: ColoredWord) -> tuple[tuple[int, int, int], ...]:
     """For every box: (position 0-based, box label, gap label).
 
     The gap label of a box is the label of the nearest bullet to its left,
     cyclically; a box immediately right of bullet k belongs to gap k even
-    across the wrap-around seam.
+    across the wrap-around seam.  One walk in column order gives them, the
+    boxes before the first bullet taking the last bullet's label.
     """
-    L = w.length
     letters = w.letters
-    start = next(x for x, c in enumerate(letters) if c > 0)
+    current = next(c for c in reversed(letters) if c > 0)
     out = []
-    current = letters[start]
-    for step in range(1, L + 1):
-        x = (start + step) % L
-        c = letters[x]
+    for x, c in enumerate(letters):
         if c > 0:
             current = c
         else:
             out.append((x, -c, current))
-    return tuple(sorted(out))
+    return tuple(out)

@@ -19,12 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 import numpy as np
 
-from .dynamics import Arcs, SparseGenerator, _expand, adjacency, breadth_first, build_generator
-from .model import ColoredWord, box_gap_labels, ensure_valid
+from .dynamics import Arcs, SparseGenerator, adjacency, breadth_first, build_generator
+from .model import ColoredWord, box_gap_labels, ensure_valid, gap_lengths
 from .symbolic import Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det, rate_product
 
 
@@ -77,10 +76,11 @@ def _enumerated_weight(w: ColoredWord) -> Monomial:
     """`config_weight` of a word already known to be valid, as every word
     the package enumerates is."""
     n = w.n
-    total = (0,) * (2 * n)
+    total = [0] * (2 * n)
     for _, i, g in box_gap_labels(w):
-        total = tuple(map(add, total, box_weight(i, g, n).exponents))
-    return Monomial(n, total)
+        for j, e in enumerate(box_weight(i, g, n).exponents):
+            total[j] += e
+    return Monomial(n, tuple(total))
 
 
 def weight_exponents(letters: np.ndarray, n: int) -> np.ndarray:
@@ -533,16 +533,11 @@ class OneDimConfig:
 
     def gap_vector(self) -> tuple[int, ...]:
         """Vacancy counts between consecutive bullets, c_k after bullet k."""
-        L = len(self.letters)
         pos = [0] * self.n
         for x, c in enumerate(self.letters):
             if c:
                 pos[c - 1] = x
-        gaps = []
-        for k in range(self.n):
-            nxt = pos[(k + 1) % self.n]
-            gaps.append((nxt - pos[k] - 1) % L)
-        return tuple(gaps)
+        return tuple(gap_lengths(pos, len(self.letters)))
 
     def to_text(self) -> str:
         return " ".join(f"B{c}" if c else "." for c in self.letters)
@@ -605,7 +600,7 @@ def lumping_report(L: int, n: int, gen: SparseGenerator | None = None) -> Lumpin
     # fiber's first member.
     source, target, rate, shift = gen.arcs
     num, width = len(gen.representatives), 2 * n
-    _, move = _expand(np.bincount(source, minlength=num))  # arcs are in source order
+    move = np.arange(len(source)) - np.searchsorted(source, source)  # arcs are in source order
     into = np.full((num, width), -1, dtype=np.int64)
     into[source, move] = (fiber[target] * L + shift) * width + rate
     into.sort(axis=1)

@@ -161,9 +161,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def q_exponent(self, k: int) -> int:
-        return self.exponents[self.n + k - 1]
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.n != other.n:
             raise ValueError("monomials over different variable sets")
@@ -178,9 +175,6 @@ class Monomial:
                 num *= x.numerator**e
                 den *= x.denominator**e
         return Fraction(num, den)
-
-    def uses_q_label(self, labels) -> bool:
-        return any(self.q_exponent(k) > 0 for k in labels)
 
     def as_polynomial(self) -> "Polynomial":
         return Polynomial._trusted(self.n, {self.exponents: 1})
@@ -210,13 +204,18 @@ def _monomial_value(values: tuple[int, ...], exps: tuple[int, ...], coef: int) -
 
 
 class Polynomial:
-    """Multivariate polynomial in p_1..p_n, q_1..q_n with exact coefficients."""
+    """Multivariate polynomial in p_1..p_n, q_1..q_n with exact coefficients.
 
-    __slots__ = ("n", "_terms")
+    A polynomial is never changed once built, so its text is rendered once,
+    on the first `str`, and kept.
+    """
+
+    __slots__ = ("n", "_terms", "_text")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], int | Fraction] | None = None):
         self.n = n
         self._terms = _clean({tuple(e): _as_fraction(c) for e, c in (terms or {}).items()})
+        self._text = None
         if any(len(e) != 2 * n for e in self._terms):
             raise ValueError("exponent tuple has wrong length")
 
@@ -227,6 +226,7 @@ class Polynomial:
         poly = object.__new__(cls)
         poly.n = n
         poly._terms = terms
+        poly._text = None
         return poly
 
     # -- constructors ----------------------------------------------------
@@ -377,12 +377,10 @@ class Polynomial:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (exps, coef) in enumerate(self.sorted_terms()):
-            parts.append(_render_term(self.n, exps, coef, lead=(i == 0)))
-        return " ".join(parts)
+        if self._text is None:
+            parts = [_render_term(self.n, exps, coef, lead=(i == 0)) for i, (exps, coef) in enumerate(self.sorted_terms())]
+            self._text = " ".join(parts) if parts else "0"
+        return self._text
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -436,12 +434,12 @@ _CHUNK = 1 << 16
 class SumTable:
     """The combinatorics of `size` sums over a state ensemble, as rows.
 
-    Row r adds sign[r] times the weight of state[r] to slot[r], times the
-    rate symbol of index rate[r] (its position in an exponent tuple) when
-    the table has rates, which it has for every row or for none.  A table
-    holds structure only, no rate point and no value: `Domain.totals`
-    evaluates it.  Its arrays are read-only, int32 and the signs int8;
-    `depth` is the most rows any one slot receives.
+    Row r adds sign[r], a signed count, times the weight of state[r] to
+    slot[r], times the rate symbol of index rate[r] (its position in an
+    exponent tuple) when the table has rates, which it has for every row or
+    for none.  A table holds structure only, no rate point and no value:
+    `Domain.totals` evaluates it.  Its arrays are read-only int32; `depth`
+    is the largest sum of |sign| over the rows of any one slot.
     """
 
     size: int
@@ -456,8 +454,8 @@ class SumTable:
         if size > np.iinfo(np.int32).max:
             raise ValueError(f"a table of {size} slots does not fit int32 rows")
         slot, state = _frozen(slot, np.int32), _frozen(state, np.int32)
-        sign = _frozen(np.ones(len(slot)) if sign is None else sign, np.int8)
-        depth = int(np.bincount(slot, minlength=1).max()) if len(slot) else 0
+        sign = _frozen(np.ones(len(slot)) if sign is None else sign, np.int32)
+        depth = int(np.bincount(slot, np.abs(sign), minlength=1).max()) if len(slot) else 0
         return cls(size, slot, state, None if rate is None else _frozen(rate, np.int32), sign, depth)
 
 

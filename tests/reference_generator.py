@@ -3,7 +3,7 @@ point and an explicit state subset: arcs whose rate vanishes at the point
 are left out, and an arc may leave the subset only if its rate vanishes.
 Kept as the reference that the differential tests of the full-space solve
 check against; nothing in the package imports it.  The subset graph is
-only solved, so it carries no displacement records.  The subset is closed
+only solved, so its crossing table is empty.  The subset is closed
 under rotation, so its graph is kept, as the package's, on the restricted
 states.
 """
@@ -15,7 +15,7 @@ import numpy as np
 from rate_symbols import rate_symbols, rate_value
 from torus_asep.dynamics import Arcs, SparseGenerator, Transition, _transitions, check_state_cap
 from torus_asep.model import ColoredWord, enumerate_full, ensure_valid
-from torus_asep.symbolic import RatePoint
+from torus_asep.symbolic import RatePoint, SumTable
 
 
 def build_generator(
@@ -62,7 +62,7 @@ def build_generator(
         if t.source.is_restricted()
     ]
     columns = np.array(arcs, dtype=np.int64).reshape(-1, 4).T
-    gen = SparseGenerator(L, n, representatives, Arcs(*columns), np.zeros((0, 5), dtype=np.int32))
+    gen = SparseGenerator(L, n, representatives, Arcs(*columns), SumTable.build(3 * n + 1, [], [], [], []))
     assert gen.states == tuple(states), "the subset is not closed under rotation"
     # The subset's own arcs, not the view of every arc of its states that
     # the move rule would rebuild: the reference solver reads these.

@@ -3,9 +3,11 @@ per state, a tuple of `Transition`s from the move rule and a tuple of
 their target indices, with the reachability certificate and the totally
 asymmetric restriction walking those tuples.  Also the rules the package
 once stated a second time: the full state space as every rotation of every
-restricted word, sorted; the rotation orbits numbered by a dict loop; and
-membership in the totally asymmetric restriction read box by box from the
-(row, gap) pairs whose box weight has a zeroed q factor.  Kept as the
+restricted word, sorted; the rotation orbits numbered by a dict loop; the
+gap labels of a word's boxes found by a cyclic walk from its first bullet,
+then sorted by column; and membership in the totally asymmetric
+restriction read box by box from the (row, gap) pairs whose box weight has
+a zeroed q factor.  Kept as the
 reference that the differential tests check the package against; nothing
 in the package imports it.
 """
@@ -54,11 +56,29 @@ def rotation_orbits(states: tuple[ColoredWord, ...], members: list[int]) -> tupl
     return orbit, first
 
 
+def box_gap_labels_walk_and_sort(w: ColoredWord) -> tuple[tuple[int, int, int], ...]:
+    """(column, box label, gap label) of every box: walked cyclically from
+    the first bullet, then sorted by column."""
+    L = w.length
+    letters = w.letters
+    start = next(x for x, c in enumerate(letters) if c > 0)
+    out = []
+    current = letters[start]
+    for step in range(1, L + 1):
+        x = (start + step) % L
+        c = letters[x]
+        if c > 0:
+            current = c
+        else:
+            out.append((x, -c, current))
+    return tuple(sorted(out))
+
+
 @lru_cache(maxsize=None)
 def _vanishing_boxes(n: int, zero_q: frozenset[int]) -> frozenset[tuple[int, int]]:
     """The (row, gap) pairs whose box weight has a factor q_m, m in zero_q."""
     pairs = ((i, g) for i in range(1, n + 1) for g in range(1, n + 1))
-    return frozenset((i, g) for i, g in pairs if box_weight(i, g, n).uses_q_label(zero_q))
+    return frozenset((i, g) for i, g in pairs if any(box_weight(i, g, n).exponents[n + m - 1] for m in zero_q))
 
 
 def ta_membership(w: ColoredWord, zero_q: frozenset[int]) -> bool:

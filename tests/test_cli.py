@@ -115,6 +115,19 @@ def test_observables_symbolic(capsys):
     assert json.loads(out)["ok"]
 
 
+def test_a_json_observables_run_builds_no_csv_rows(monkeypatch, capsys):
+    """A JSON run writes the JSON rows only; the CSV rows are never built."""
+    from torus_asep.observables import ObservableReport
+
+    def refuse(self):
+        raise AssertionError("a JSON run built the CSV rows")
+
+    monkeypatch.setattr(ObservableReport, "to_csv_rows", refuse)
+    for rates in ([], ["--rates", "1,2;3,5"]):
+        code, out, _ = run(["observables", "--L", "4", "--n", "2", *rates], capsys)
+        assert code == 0 and json.loads(out)["ok"]
+
+
 def test_special(capsys):
     code, out, _ = run(["special", "--L", "4", "--n", "2"], capsys)
     assert code == 0

@@ -14,7 +14,6 @@ from torus_asep.dynamics import (
     outgoing_transitions,
     reachability_tau0,
     restrict_ta,
-    ta_membership,
     tau_zero,
 )
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, restricted_count, validate
@@ -381,7 +380,7 @@ def test_the_shared_graph_is_immutable(fresh_graphs):
         assert isinstance(table, tuple)
     assert all(isinstance(row, tuple) for row in gen.transitions)
     tables = (gen.balance_rows, gen.density_rows, gen.occupation_rows, gen.crossings, gen.fiber_rows)
-    arrays = [gen.exponents, *gen.arcs, gen.displacements]
+    arrays = [gen.exponents, *gen.arcs]
     arrays += [a for t in tables for a in (t.slot, t.state, t.rate, t.sign) if a is not None]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -392,10 +391,10 @@ def test_the_shared_graph_is_immutable(fresh_graphs):
 
 @pytest.mark.parametrize("L", range(1, 7))
 def test_crossing_table_matches_the_displacement_records(L):
-    """Arc for arc and in order, the crossing rows hold each arc's source
-    representative, its rate symbol and the signs of the
-    `displacement_crossings` of its records, on their channels, the
-    boundaries totalled."""
+    """Arc for arc and in record order, the crossing rows hold one row per
+    displacement record and channel: the arc's source representative, its
+    rate symbol, and the summed signs of the record's
+    `displacement_crossings`, the boundaries totalled."""
     for n in range(1, L + 1):
         gen = build_generator(L, n)
         table = gen.crossings
@@ -403,20 +402,17 @@ def test_crossing_table_matches_the_displacement_records(L):
         rows = iter(zip(table.slot.tolist(), table.state.tolist(), table.rate.tolist(), table.sign.tolist()))
         for j, w in enumerate(gen.representatives):
             for t in outgoing_transitions(w):
-                expected = []
                 for d in t.displacements:
-                    for boundary, sign in displacement_crossings(d, L):
-                        if d.species == "bullet":
-                            expected.append((d.label_from - 1, boundary, sign))
-                            continue
-                        expected.append((n, boundary, sign))
-                        if not d.jump:
-                            expected.append((n + d.label_from, boundary, sign))
-                            if t.kind in ("F1", "B1"):
-                                expected.append((2 * n + d.label_from, boundary, sign))
-                for channel, boundary, sign in expected:
-                    slot, state, rate, row_sign = next(rows)
-                    assert (slot, state, rate_symbols(n)[rate], row_sign) == (channel, j, t.rate_symbol, sign)
+                    if d.species == "bullet":
+                        channels = [d.label_from - 1]
+                    elif d.jump:
+                        channels = [n]
+                    else:
+                        channels = [n, n + d.label_from] + ([2 * n + d.label_from] if t.kind in ("F1", "B1") else [])
+                    count = sum(sign for _, sign in displacement_crossings(d, L))
+                    for channel in channels:
+                        slot, state, rate, row_count = next(rows)
+                        assert (slot, state, rate_symbols(n)[rate], row_count) == (channel, j, t.rate_symbol, count)
         assert next(rows, None) is None
 
 
@@ -637,18 +633,21 @@ def test_restrict_ta_rejects_bad_labels():
 
 
 def test_ta_membership_matches_weight_support():
+    """A state survives the restriction exactly when its weight has no
+    factor q_m, m in the zero set."""
     from torus_asep.stationary import config_weight
 
-    for w in enumerate_full(5, 3):
-        weight = config_weight(w)
-        for labels in ({1}, {2}, {1, 3}):
-            assert ta_membership(w, frozenset(labels)) == (not weight.uses_q_label(labels))
+    for labels in ({1}, {2}, {1, 3}):
+        members = set(restrict_ta(5, 3, labels)[0])
+        for w in enumerate_full(5, 3):
+            exponents = config_weight(w).exponents
+            assert (w in members) == (not any(exponents[3 + m - 1] for m in labels))
 
 
 @pytest.mark.parametrize("L,n", LATTICES)
 def test_ta_membership_matches_the_box_by_box_reference(L, n):
-    """For every zero set, the restriction's states and `ta_membership`
-    equal the membership read box by box from the vanishing box weights."""
+    """For every zero set, the restriction's states equal the membership
+    read box by box from the vanishing box weights."""
     from itertools import combinations
 
     import reference_graph
@@ -657,7 +656,6 @@ def test_ta_membership_matches_the_box_by_box_reference(L, n):
     for size in range(n + 1):
         for zero_q in map(frozenset, combinations(range(1, n + 1), size)):
             expected = [w for w in words if reference_graph.ta_membership(w, zero_q)]
-            assert [w for w in words if ta_membership(w, zero_q)] == expected, zero_q
             assert restrict_ta(L, n, zero_q)[0] == expected, zero_q
 
 

@@ -182,6 +182,15 @@ def test_box_gap_labels_worked_example():
     }
 
 
+@pytest.mark.parametrize("L", range(1, 8))
+def test_box_gap_labels_match_the_walk_and_sort_reference(L):
+    """On every word with L <= 7, the one pass in column order gives the
+    cyclic walk from the first bullet, sorted by column."""
+    for n in range(1, L + 1):
+        for w in enumerate_full(L, n):
+            assert box_gap_labels(w) == reference_graph.box_gap_labels_walk_and_sort(w), w.to_text()
+
+
 def test_enumerate_full_counts():
     for L, n in [(4, 2), (5, 3), (3, 1)]:
         full = enumerate_full(L, n)

@@ -158,6 +158,21 @@ def test_canonical_term_order():
     assert str(poly) == "q2 - 3*p2*q1 + 2*p1^2"
 
 
+def test_a_polynomial_is_rendered_once(monkeypatch):
+    """The text is rendered on the first `str` and kept; a new polynomial
+    built from it is rendered anew."""
+    from torus_asep import symbolic
+
+    rendered = []
+    render = symbolic._render_term
+    monkeypatch.setattr(symbolic, "_render_term", lambda *args, **kw: rendered.append(args) or render(*args, **kw))
+    poly = 2 * p_var(2, 1) ** 2 + q_var(2, 2) - 3 * p_var(2, 2) * q_var(2, 1)
+    assert str(poly) == str(poly) == "q2 - 3*p2*q1 + 2*p1^2"
+    assert len(rendered) == 3
+    assert str(poly + 1) == "1 + q2 - 3*p2*q1 + 2*p1^2"
+    assert len(rendered) == 7
+
+
 def test_rate_point_parsing_and_validation():
     rp = RatePoint.parse("1/2,2;3,5/7")
     assert rp.p == (Fraction(1, 2), Fraction(2)) and rp.q == (Fraction(3), Fraction(5, 7))
