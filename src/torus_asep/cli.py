@@ -47,11 +47,15 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, rates: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, rates: bool = False, directory: bool = False) -> None:
+    """The lattice, the output (a file in a --format, or a `directory`) and, with `rates`, the rate flags."""
     parser.add_argument("--L", type=int, required=True, help="number of columns")
     parser.add_argument("--n", type=int, required=True, help="number of rows")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--output", type=Path, default=None, help="output file (default stdout)")
+    if directory:
+        parser.add_argument("--output", type=Path, default=Path("."), help="output directory (default .)")
+    else:
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
+        parser.add_argument("--output", type=Path, default=None, help="output file (default stdout)")
     if rates:
         parser.add_argument("--rates", help="inline rates 'p1,..,pn;q1,..,qn' (a/b or decimals)")
         parser.add_argument("--rates-file", type=Path, help="JSON file with fields p and q")
@@ -171,31 +175,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_observables(args) -> int:
     rp = _parse_rates(args, args.n)
+    payload = {"L": args.L, "n": args.n, "mode": "symbolic" if rp is None else "numeric", "ok": True}
+    rows = None
+    # Each oracle raises ObservableMismatch on any unequal entry, so a
+    # report that returns is all equal.
     try:
         density_report = obs.densities(args.L, args.n, rp)
         current_report = obs.currents_exact(args.L, args.n, rp)
-        ok = density_report.ok and current_report.ok
-        detail = None
     except obs.ObservableMismatch as exc:
-        ok = False
-        detail = str(exc)
-        density_report = current_report = None
-    payload = {
-        "L": args.L,
-        "n": args.n,
-        "mode": "symbolic" if rp is None else "numeric",
-        "ok": ok,
-    }
-    rows = None
-    if not ok:
-        payload["error"] = detail
-    elif args.format == "csv":
-        rows = density_report.to_csv_rows() + current_report.to_csv_rows()[1:]
+        payload.update(ok=False, error=str(exc))
     else:
-        payload["densities"] = density_report.to_json_rows()
-        payload["currents"] = current_report.to_json_rows()
+        if args.format == "csv":
+            rows = density_report.to_csv_rows() + current_report.to_csv_rows()[1:]
+        else:
+            payload["densities"] = density_report.to_json_rows()
+            payload["currents"] = current_report.to_json_rows()
     _emit(args, payload, rows)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_special(args) -> int:
@@ -238,7 +234,7 @@ def _cmd_simulate(args) -> int:
         batches=args.batches,
     )
     report = estimate_observables(ledger, state)
-    outdir = args.output or Path(".")
+    outdir = args.output
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = run_manifest(state, ledger)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -252,8 +248,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _row_labels(text: str, n: int) -> frozenset[int]:
+    """The labels of a comma-separated `--set` list, each in 1..n."""
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    for token in tokens:
+        if not (token.isdecimal() and 1 <= int(token) <= n):
+            raise ValueError(f"--set takes comma-separated row labels in 1..{n}, got {token!r}")
+    return frozenset(map(int, tokens))
+
+
 def _cmd_ta(args) -> int:
-    zero_q = frozenset(int(tok) for tok in args.set.split(",") if tok.strip()) if args.set else frozenset()
+    zero_q = _row_labels(args.set, args.n)
     states, certificate = restrict_ta(args.L, args.n, zero_q)
     payload = {
         "L": args.L,
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_special)
 
     p = sub.add_parser("simulate", help="continuous-time Monte Carlo run")
-    _add_common(p, rates=True)
+    _add_common(p, rates=True, directory=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=None)
     p.add_argument("--time", type=float, default=None)

@@ -36,8 +36,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,8 +226,9 @@ class SparseGenerator:
     every column, `density_rows` and `occupation_rows`; and
     `fiber_rows`).  The full state space is a lazy view for the outputs
     that list it: `orbit` maps full states, in letter order, to
-    (representative, shift), and `states`, `index`, `weights`,
-    `transitions` and `full_arcs` expand the rotations.
+    (representative, shift), and `states`, `weights`, `transitions` and
+    `full_arcs` expand the rotations.  No state-to-index map is kept: a
+    caller that needs one builds it from `states`.
     """
 
     L: int
@@ -253,10 +253,6 @@ class SparseGenerator:
     @cached_property
     def states(self) -> tuple[ColoredWord, ...]:
         return tuple(self.representatives[r].rotate(s) for r, s in zip(*(a.tolist() for a in self.orbit)))
-
-    @cached_property
-    def index(self) -> Mapping[ColoredWord, int]:
-        return MappingProxyType({w: j for j, w in enumerate(self.states)})
 
     @cached_property
     def transitions(self) -> tuple[tuple[Transition, ...], ...]:
@@ -488,7 +484,7 @@ def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityRe
     gen = build_generator(L, n)
     source, target, rate, _ = gen.full_arcs
     tail, head = (source, target) if direction == "from" else (target, source)
-    root = gen.index[tau_zero(L, n)]
+    root = gen.states.index(tau_zero(L, n))  # near the front of the letter order
     parent = breadth_first(adjacency(gen.num_states, tail, head), root)
     deepest = next(reversed(parent))
     path: list[Transition] = []

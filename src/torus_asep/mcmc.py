@@ -53,7 +53,7 @@ from itertools import accumulate
 import numpy as np
 
 from .dynamics import ResourceCapError, block_move, state_cap, tau_zero
-from .model import ColoredWord, ensure_valid, gap_lengths
+from .model import ColoredWord, _check_dims, gap_lengths
 from .symbolic import RatePoint
 
 
@@ -74,10 +74,6 @@ class CrossingLedger:
     row_up: np.ndarray  # (batches, n)
     row_down: np.ndarray  # (batches, n)
     batch_time: np.ndarray  # (batches,)
-
-    def box_column(self, j: int) -> int:
-        """Total signed box crossings of boundary j|j+1 (1-based), all rows."""
-        return int(self.box_edge[:, :, j - 1].sum() + self.box_jump[:, j - 1].sum())
 
     def to_csv_rows(self) -> list[list[str]]:
         rows = [["channel", "row", "boundary", "count"]]
@@ -124,20 +120,18 @@ def simulate(
     events: int | None = None,
     time_horizon: float | None = None,
     batches: int = 20,
-    start: ColoredWord | None = None,
     record_states: bool = False,
 ) -> tuple[SimState, CrossingLedger]:
-    """Run the chain from `start` (default: the reference basic state).
+    """Run the chain from the reference basic state `tau_zero(L, n)`.
 
     Exactly one of `events` (at least 1 and at least `batches`) and a
     finite positive `time_horizon` sets the run length.  With a time
     horizon the batches are equal time slabs; with an event horizon they
     are equal event counts and the recorded slab durations feed the
-    batch-means errors.  `start` must be a valid word of length L with n
-    rows.  With `record_states` the run also keeps the time spent in each
-    visited state as `SimState.state_time`, which grows with the number of
-    distinct states visited; otherwise `state_time` is None.  The setting
-    changes no other output.
+    batch-means errors.  With `record_states` the run also keeps the time
+    spent in each visited state as `SimState.state_time`, which grows with
+    the number of distinct states visited; otherwise `state_time` is None.
+    The setting changes no other output.
     """
     if (events is None) == (time_horizon is None):
         raise ValueError("specify exactly one of events= or time_horizon=")
@@ -151,13 +145,7 @@ def simulate(
         raise ValueError(f"more batches ({batches}) than events ({events})")
     if time_horizon is not None and not (math.isfinite(time_horizon) and time_horizon > 0):
         raise ValueError(f"time horizon must be finite and positive, got {time_horizon}")
-    if start is None:
-        start = tau_zero(L, n)
-    ensure_valid(start)
-    if (start.length, start.n) != (L, n):
-        raise ValueError(
-            f"start word has length {start.length} and {start.n} rows, expected {L} and {n}"
-        )
+    _check_dims(L, n)
     cells, cap = batches * ((4 * n + 1) * L + 2 * n + 1), state_cap()
     if cells > cap:  # checked before anything of that size is allocated
         raise ResourceCapError(cells, cap, "the run's ledger has {} cells")
@@ -170,8 +158,8 @@ def simulate(
         gate[k if d > 0 else k - 1] |= 1 << i
     keep = [~(gate[k] | gate[k - 1]) for k in range(n)]
     menus: dict[int, tuple[list, float, list[float]]] = {}  # enabled mask -> menu
-    letters = list(start.letters)
-    pos = list(start.bullet_positions())
+    letters = list(tau_zero(L, n).letters)
+    pos = list(range(n))  # tau_zero's bullets fill columns 0 .. n - 1
     gaps = gap_lengths(pos, L)
     mask = sum(g for g, gap in zip(gate, gaps) if gap)  # no two gates share a bit
     nL = n * L

@@ -316,15 +316,6 @@ def closed_forms(L: int, n: int) -> MappingProxyType:
 # -- densities ----------------------------------------------------------------------
 
 
-def box_density_numerator(L: int, n: int, i: int) -> Polynomial:
-    """Numerator of the box density at row i (any column) over L * Z(L, n),
-    read from `closed_forms`."""
-    _check_dims(L, n)
-    if not 1 <= i <= n:
-        raise ValueError(f"row {i} out of range 1..{n}")
-    return closed_forms(L, n)["box_density"][i - 1]
-
-
 def densities(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:
     """Bullet and box densities, closed form against occupation oracle.
 

@@ -143,18 +143,13 @@ def weight_identities(n: int) -> WeightIdentityReport:
 
 @dataclass
 class StationaryTable:
-    """Stationary data over an enumerated state list.
-
-    Numeric mode carries exact probabilities summing to one; symbolic mode
-    carries the monomial weights together with their polynomial sum (the
-    normalization, equal to L times the restricted partition function when
-    the list is the full state space).
-    """
+    """Stationary data over an enumerated state list: the exact
+    probabilities, summing to one, that `exact_stationary` gives, the weight
+    monomials, or both; `to_json_rows` writes one row per state."""
 
     states: list[ColoredWord]
     probabilities: list[Fraction] | None = None
     weights: list[Monomial] | None = None
-    normalization: Polynomial | None = None
 
     def to_json_rows(self, rates: RatePoint | None = None) -> list[dict]:
         rows = []
@@ -168,13 +163,6 @@ class StationaryTable:
                 row["probability"] = str(self.probabilities[j])
             rows.append(row)
         return rows
-
-
-def weight_table(gen: SparseGenerator) -> StationaryTable:
-    """Symbolic stationary table of a generator's states: their weights plus
-    their sum, L times the sum over the representatives."""
-    total = gen.L * Polynomial(gen.n, Counter(map(tuple, gen.exponents.tolist())))
-    return StationaryTable(states=gen.states, weights=gen.weights, normalization=total)
 
 
 # -- exact stationary solve --------------------------------------------------------

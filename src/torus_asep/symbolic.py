@@ -75,10 +75,6 @@ class RatePoint:
     def n(self) -> int:
         return len(self.p)
 
-    def zero_q_labels(self) -> frozenset[int]:
-        """Row labels k (1-based) with q_k = 0."""
-        return frozenset(k + 1 for k, x in enumerate(self.q) if x == 0)
-
     def integer_scaling(self) -> tuple[int, tuple[int, ...]]:
         """D, the lcm of the rate denominators, and the 2n integers
         D*p_1..D*p_n, D*q_1..D*q_n."""
@@ -257,14 +253,6 @@ class Polynomial:
 
     def degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
-
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        degs = {sum(e) for e in self._terms}
-        if not degs:
-            return True
-        if d is None:
-            return len(degs) == 1
-        return degs == {d}
 
     # -- ring operations --------------------------------------------------
 

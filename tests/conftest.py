@@ -52,6 +52,12 @@ def fresh_graphs():
     dynamics._graph.cache_clear()
 
 
+def state_index(gen) -> dict:
+    """The number of each full state of `gen`, its position in `states`;
+    build it once per test, not once per lookup."""
+    return {w: j for j, w in enumerate(gen.states)}
+
+
 def arc_targets(gen) -> list[list[tuple[int, int]]]:
     """Per representative, the (target representative, shift) of each of
     its arcs, in arc order."""

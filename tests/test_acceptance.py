@@ -15,9 +15,9 @@ from torus_asep.dynamics import build_generator, outgoing_transitions, restrict_
 from torus_asep.mcmc import estimate_observables, simulate, tv_distance
 from torus_asep.model import ColoredWord, enumerate_restricted, validate
 from torus_asep.observables import (
-    box_density_numerator,
     brute_force_partition_function,
     closed_currents,
+    closed_forms,
     currents_exact,
     densities,
     partition_function,
@@ -174,7 +174,7 @@ def test_c08_densities_and_currents():
             exps[int(key[1]) - 1 + (0 if key[0] == "p" else 2)] = val
         return Monomial(2, tuple(exps)).as_polynomial()
 
-    assert box_density_numerator(4, 2, 1) == (
+    assert closed_forms(4, 2)["box_density"][0] == (
         2 * mono(p2=2) + 2 * mono(p1=1, q2=1) + 2 * mono(p2=1, q1=1)
         + 2 * mono(p2=1, q2=1) + 2 * mono(q2=2) + mono(p1=1, p2=1) + mono(q1=1, q2=1)
     )

@@ -142,6 +142,13 @@ def test_ta_listing(capsys):
     assert payload["closed"] and payload["restricted_count"] == 15
 
 
+@pytest.mark.parametrize("labels,token", [("a", "a"), ("1,x", "x"), ("3", "3"), ("0", "0"), ("1.0", "1.0")])
+def test_ta_set_names_a_bad_token(labels, token, capsys):
+    code, out, err = run(["ta", "--L", "5", "--n", "2", "--set", labels], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --set takes comma-separated row labels in 1..2, got '{token}'\n"
+
+
 def test_simulate_writes_artifacts(tmp_path):
     out_dir = tmp_path / "run"
     args = [
@@ -237,6 +244,18 @@ def test_simulate_requires_one_horizon(capsys):
         ["simulate", "--L", "4", "--n", "2", "--rates", "1,2;3,5", "--seed", "1"], capsys
     )
     assert code == 2
+
+
+def test_simulate_writes_to_the_output_directory_and_takes_no_format(tmp_path, monkeypatch, capsys):
+    args = ["simulate", "--L", "4", "--n", "2", "--rates", "1,2;3,5", "--events", "200"]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(args, capsys)
+    assert code == 0 and out == "wrote manifest.json, ledger.csv, estimates.json to .\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["estimates.json", "ledger.csv", "manifest.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_simulate_ledger_above_the_cap_exits_3_before_allocating(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ import reference_currents
 from conftest import closed_box_densities, random_rate_point
 from rate_symbols import p_var, q_var
 from torus_asep.observables import (
-    box_density_numerator,
     brute_force_partition_function,
     closed_currents,
     closed_forms,
@@ -45,7 +44,7 @@ def test_partition_function_displays():
 
 def test_partition_function_degree_and_generating_series():
     z = partition_function(6, 3)
-    assert z.is_homogeneous(3 * 2)
+    assert {sum(e) for e, _ in z.sorted_terms()} == {3 * 2}
     # at unit rates every total box weight is n, and there are C(5, 2) = 10
     # gap compositions of L - n = 3 into n = 3 parts
     ones = RatePoint((Fraction(1),) * 3, (Fraction(1),) * 3)
@@ -105,7 +104,7 @@ def test_box_density_numerator_display_4_2():
         + mono(p1=1, p2=1)
         + mono(q1=1, q2=1)
     )
-    assert box_density_numerator(4, 2, 1) == expected
+    assert closed_forms(4, 2)["box_density"][0] == expected
     # and the same value from the recursion the closed form uses
     z32 = partition_function(3, 2)
     direct = (p_var(2, 2) + q_var(2, 2)) * z32 + (
@@ -144,8 +143,9 @@ def test_density_normalization_per_column_symbolic():
 
 def test_density_row_shift_covariance():
     # pushing every rate label down one row moves the density one row up
-    for i in (1, 2):
-        assert box_density_numerator(5, 3, i).shift_rows(1) == box_density_numerator(5, 3, i + 1)
+    box_density = closed_forms(5, 3)["box_density"]
+    for i in (0, 1):
+        assert box_density[i].shift_rows(1) == box_density[i + 1]
 
 
 def test_density_numeric_matches_formula(rng):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_generator
 from reference_lumping import reference_evans_product, reference_lumping_report
-from conftest import arc_targets, random_rate_point, with_swapped_targets
+from conftest import arc_targets, random_rate_point, state_index, with_swapped_targets
 from rate_symbols import p_var, q_var, rate_value
 from torus_asep.dynamics import Arcs, breadth_first, build_generator, restrict_ta
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted
@@ -30,7 +30,6 @@ from torus_asep.stationary import (
     verify_balance,
     weight_exponents,
     weight_identities,
-    weight_table,
 )
 from torus_asep.symbolic import Monomial, Polynomial, RatePoint
 
@@ -140,9 +139,10 @@ def _gth_stationary(gen, rp):
     substitution.  Dense Fractions; only usable for small chains."""
     size = gen.num_states
     rate = [[Fraction(0)] * size for _ in range(size)]
+    index = state_index(gen)
     for j, outs in enumerate(gen.transitions):
         for t in outs:
-            rate[j][gen.index[t.target]] += rate_value(rp, t.rate_symbol)
+            rate[j][index[t.target]] += rate_value(rp, t.rate_symbol)
     for s in range(size - 1, 0, -1):
         out_total = sum(rate[s][:s])
         for i in range(s):
@@ -249,9 +249,10 @@ def test_balance_structure_of_adjacent_bullet_states():
     transitions, and their weighted inflow balances the (q1 + p2) outflow."""
     gen = build_generator(4, 2)
     incoming = {j: [] for j in range(gen.num_states)}
+    index = state_index(gen)
     for j, outs in enumerate(gen.transitions):
         for t in outs:
-            incoming[gen.index[t.target]].append(t)
+            incoming[index[t.target]].append(t)
     weights = {w: config_weight(w).as_polynomial() for w in gen.states}
     checked = 0
     for j, w in enumerate(gen.states):
@@ -269,15 +270,6 @@ def test_balance_structure_of_adjacent_bullet_states():
         outflow = weights[w] * (q_var(2, 1) + p_var(2, 2))
         assert inflow == outflow
     assert checked == 4
-
-
-def test_weight_table_normalization():
-    table = weight_table(build_generator(4, 2))
-    from torus_asep.observables import partition_function
-
-    assert table.normalization == 4 * partition_function(4, 2)
-    rows = table.to_json_rows()
-    assert len(rows) == 48 and "weight" in rows[0]
 
 
 def test_exact_stationary_never_reads_the_weights(monkeypatch):
@@ -307,7 +299,7 @@ def test_weights_are_computed_once_per_generator(monkeypatch, fresh_graphs):
     # the checks read the exponents, one array pass over the representatives
     assert "weights" not in vars(gen) and calls == []
     exponents = gen.exponents
-    assert weight_table(gen).weights is gen.weights
+    assert len(gen.weights) == gen.num_states
     assert gen.exponents is exponents and calls == []
 
 
@@ -442,8 +434,7 @@ def test_lumped_marginals_match_product_form():
 
 
 def test_single_lumped_state_when_no_boxes():
-    table = weight_table(build_generator(3, 3))
-    fibers = {lump(w) for w in table.states}
+    fibers = {lump(w) for w in build_generator(3, 3).states}
     assert len(fibers) == 3  # one per rotation; each fiber is a singleton
     report = lumping_report(3, 3)
     assert report.ok
@@ -528,11 +519,12 @@ def _reference_exact_stationary(gen, rates):
     scaled = RatePoint(values[: rates.n], values[rates.n :])
     num = gen.num_states
     arcs = []
+    index = state_index(gen)
     for j, outs in enumerate(gen.transitions):
         for t in outs:
             value = rate_value(scaled, t.rate_symbol)
             if value:
-                arcs.append((j, gen.index[t.target], value))
+                arcs.append((j, index[t.target], value))
     if not arcs:
         raise StationaryError("chain has no transitions")
     if not _strongly_connected(num, [(u, v) for u, v, _ in arcs]):
@@ -579,10 +571,11 @@ def _reference_rank_deficiency(gen, rates, prime=2_147_483_647):
     scaled = RatePoint(values[: rates.n], values[rates.n :])
     num = gen.num_states
     M = np.zeros((num, num), dtype=np.int64)
+    index = state_index(gen)
     for j, outs in enumerate(gen.transitions):
         for t in outs:
             v = rate_value(scaled, t.rate_symbol)
-            M[gen.index[t.target], j] = (M[gen.index[t.target], j] + v.numerator) % prime
+            M[index[t.target], j] = (M[index[t.target], j] + v.numerator) % prime
             M[j, j] = (M[j, j] - v.numerator) % prime
     rank = 0
     row = 0
@@ -623,8 +616,9 @@ def _assert_same_as_subset_reference(gen, rates):
     that support is the restrict_ta set."""
     probabilities = exact_stationary(gen, rates).probabilities
     support = [w for w, p in zip(gen.states, probabilities) if p]
-    if rates.zero_q_labels():
-        states, cert = restrict_ta(gen.L, gen.n, rates.zero_q_labels())
+    zero_q = {k + 1 for k, x in enumerate(rates.q) if x == 0}
+    if zero_q:
+        states, cert = restrict_ta(gen.L, gen.n, zero_q)
         assert cert.ok and support == states
     subset = reference_generator.build_generator(gen.L, gen.n, rates=rates, states=support)
     expected = dict(zip(support, _assert_solves_like_reference(subset, rates)))
@@ -647,7 +641,8 @@ def _assert_solves_like_reference(gen, rates):
         # conditioned rate points (e.g. p = (5762, 5762, 1), q = (1, 1, 1) at
         # (5,3)).  There the chain must be irreducible and the new table its
         # exact positive null vector, which is unique.
-        arcs = [(j, gen.index[t.target], rate_value(rates, t.rate_symbol)) for j, outs in enumerate(gen.transitions) for t in outs]
+        index = state_index(gen)
+        arcs = [(j, index[t.target], rate_value(rates, t.rate_symbol)) for j, outs in enumerate(gen.transitions) for t in outs]
         assert _strongly_connected(gen.num_states, [(s, t) for s, t, v in arcs if v])
         assert _reference_is_null_vector(gen.num_states, arcs, new) and min(new) > 0 and sum(new) == 1
     elif isinstance(ref, StationaryError):
@@ -797,7 +792,8 @@ def test_rotation_orbits_match_the_dict_reference(L, n):
     gen = _generator(L, n)
     rep, shift = (a.tolist() for a in gen.orbit)
     assert [gen.representatives[r].rotate(s) for r, s in zip(rep, shift)] == list(gen.states)
-    assert [gen.index[gen.representatives[r].rotate(s)] for r, s in zip(rep, shift)] == list(range(gen.num_states))
+    index = state_index(gen)
+    assert [index[gen.representatives[r].rotate(s)] for r, s in zip(rep, shift)] == list(range(gen.num_states))
     positive = RatePoint(tuple(Fraction(k) for k in range(1, n + 1)), (Fraction(1, 2),) * n)
     zero_q = RatePoint(positive.p, (Fraction(0),) + positive.q[1:])
     classes = [(list(range(gen.num_states)), list(range(len(gen.representatives))))]
@@ -813,7 +809,7 @@ def test_rotation_orbits_match_the_dict_reference(L, n):
     for members, representatives in classes:
         orbit, first = reference_graph.rotation_orbits(gen.states, members)
         assert [orbit[j] for j in members] == [representatives.index(rep[j]) for j in members]
-        assert first == representatives == [gen.index[gen.representatives[r]] for r in representatives]
+        assert first == representatives == [index[gen.representatives[r]] for r in representatives]
 
 
 def test_rank_deficiency_of_reducible_full_space():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import arc_targets, with_swapped_targets
+from conftest import arc_targets, state_index, with_swapped_targets
 from rate_symbols import rate_value
 from reference_tables import REFERENCES
 from torus_asep import stationary, symbolic
@@ -149,7 +149,8 @@ def test_no_report_value_is_a_numpy_scalar(point, monkeypatch):
     # the report carries residuals.
     value = (lambda s: s) if rates is None else (lambda s: rate_value(rates, s))
     outgoing = [outgoing_transitions(w) for w in gen.representatives]
-    weights = [gen.weights[gen.index[w]] for w in gen.representatives]
+    index = state_index(gen)
+    weights = [gen.weights[index[w]] for w in gen.representatives]
     j = next(
         j
         for j, (outs, t, m) in enumerate(zip(outgoing, arc_targets(gen), weights))

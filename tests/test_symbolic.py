@@ -187,7 +187,6 @@ def test_rate_point_parsing_and_validation():
 
 def test_rate_point_scaling_and_labels():
     rp = RatePoint((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(5, 4)))
-    assert rp.zero_q_labels() == frozenset({1})
     scale, values = rp.integer_scaling()
     assert scale == 4 and values == (2, 12, 0, 5)
     assert all(v == scale * x for v, x in zip(values, rp.p + rp.q))
