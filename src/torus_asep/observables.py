@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -217,14 +217,15 @@ class _CommonDenominator:
     """
 
     def __init__(self, L: int, n: int, dom: Domain):
-        full_normalization(L, n)
+        lz = full_normalization(L, n)
         self.L = L
         self.dom = dom
         self.forms = closed_forms(L, n) if dom.rates is None else closed_numerators(L, n, dom)
         self.z = self.forms["bullet_density"]
         if self.z == 0:
             raise ValueError("all weights vanish at this rate point")
-        self.lz = L * self.z
+        self.lz = lz if dom.rates is None else L * self.z
+        self._scaled = {}
 
     def check(self, name: str, index: tuple[int, ...], oracle) -> ObservableEntry:
         """The entry of an oracle total against its closed form, which for a
@@ -232,15 +233,25 @@ class _CommonDenominator:
         form = self.forms[name]
         if isinstance(form, tuple):
             form = form[index[0] - 1]
-        whole, ratio = name in WHOLE_ROW, self.dom.ratio
-        shown = ratio(self.L * oracle if whole else oracle, self.lz)
-        return ObservableEntry(name, index, ratio(form, self.z if whole else self.lz), shown, form == oracle)
+        whole, ratio, equal = name in WHOLE_ROW, self.dom.ratio, form == oracle
+        if equal:
+            # shown through the closed form's objects, so each value renders once
+            oracle = self._whole(form) if whole else form
+        elif whole:
+            oracle = self.L * oracle
+        return ObservableEntry(name, index, ratio(form, self.z if whole else self.lz), ratio(oracle, self.lz), equal)
+
+    def _whole(self, form):
+        """L * form, made once per closed form: whole-row families share them."""
+        if id(form) not in self._scaled:
+            self._scaled[id(form)] = self.L * form
+        return self._scaled[id(form)]
 
     def columns(self, name: str, index: tuple[int, ...], oracle) -> list[ObservableEntry]:
         """The entry of every column 1..L, each appended to `index`: one
         comparison, since every column's numerator is the oracle total."""
-        entry = self.check(name, index, oracle)
-        return [replace(entry, index=index + (j,)) for j in range(1, self.L + 1)]
+        e = self.check(name, index, oracle)
+        return [ObservableEntry(name, index + (j,), e.closed, e.oracle, e.equal) for j in range(1, self.L + 1)]
 
 
 # -- closed forms -------------------------------------------------------------------

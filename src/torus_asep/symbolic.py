@@ -235,10 +235,6 @@ class Polynomial:
     def one(cls, n: int) -> "Polynomial":
         return cls._trusted(n, {(0,) * (2 * n): 1})
 
-    @classmethod
-    def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {(0,) * (2 * n): c})
-
     # -- inspection -------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -255,21 +251,38 @@ class Polynomial:
         return max((sum(e) for e in self._terms), default=0)
 
     # -- ring operations --------------------------------------------------
+    # A scalar, a Monomial or a one-term polynomial operand is read as its
+    # terms, never built into a polynomial: a sum merges the shorter term
+    # list into a copy of the longer, and a product with one term maps the
+    # keys, since adding a fixed exponent tuple is injective.
 
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Monomial):
-            other = other.as_polynomial()
-        if isinstance(other, Polynomial):
+    def _items(self, other):
+        """The (exponent tuple, coefficient) terms of `other`, an int, a
+        Fraction, a Monomial or a Polynomial over the same variables."""
+        if isinstance(other, (Polynomial, Monomial)):
             if other.n != self.n:
                 raise ValueError("polynomials over different variable sets")
-            return other
-        return Polynomial.constant(self.n, other)
+            return other._terms.items() if isinstance(other, Polynomial) else ((other.exponents, 1),)
+        c = other if type(other) is int else _exact(_as_fraction(other))
+        return (((0,) * (2 * self.n), c),) if c else ()
+
+    def _plus(self, items) -> "Polynomial":
+        """self plus clean terms: a coefficient that cancels is dropped, an
+        integral one stored as an int."""
+        a = self._terms.items()
+        if len(a) < len(items):
+            a, items = items, a
+        terms = dict(a)
+        for e, c in items:
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = _exact(c)
+            else:
+                del terms[e]
+        return Polynomial._trusted(self.n, terms)
 
     def __add__(self, other) -> "Polynomial":
-        terms = dict(self._terms)
-        for exps, coef in self._coerce(other)._terms.items():
-            terms[exps] = terms.get(exps, 0) + coef
-        return Polynomial._trusted(self.n, _clean(terms))
+        return self._plus(self._items(other))
 
     __radd__ = __add__
 
@@ -277,16 +290,23 @@ class Polynomial:
         return Polynomial._trusted(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        return self._plus([(e, -c) for e, c in self._items(other)])
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
+        a, b = self._terms.items(), self._items(other)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            ((shift, c),) = b
+            if any(shift):
+                a = ((tuple(map(add, e, shift)), v) for e, v in a)
+            return Polynomial._trusted(self.n, dict(a) if c == 1 else {e: _exact(v * c) for e, v in a})
         terms: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial._trusted(self.n, _clean(terms))
@@ -306,14 +326,15 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Monomial)):
-            try:
-                other = self._coerce(other)
-            except ValueError:
-                return False
-        if not isinstance(other, Polynomial):
+        if isinstance(other, Polynomial):
+            return self.n == other.n and self._terms == other._terms
+        if not isinstance(other, (int, Fraction, Monomial)):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        try:
+            items = self._items(other)
+        except ValueError:
+            return False
+        return len(items) == len(self._terms) and all(self._terms.get(e) == c for e, c in items)
 
     # -- evaluation and substitution ---------------------------------------
 
@@ -612,7 +633,7 @@ def elementary_symmetric(n: int, k: int) -> Polynomial:
     """e_k(p_1,..,p_n), 1 <= k <= n."""
     if not 1 <= k <= n:
         raise ValueError(f"elementary symmetric degree {k} out of range 1..{n}")
-    return Polynomial(n, {_counts(2 * n, c): 1 for c in itertools.combinations(range(n), k)})
+    return Polynomial._trusted(n, {_counts(2 * n, c): 1 for c in itertools.combinations(range(n), k)})
 
 
 def homogeneous_symmetric(n: int, k: int) -> Polynomial:
@@ -620,14 +641,14 @@ def homogeneous_symmetric(n: int, k: int) -> Polynomial:
     if k < 0:
         raise ValueError("homogeneous symmetric degree must be >= 0")
     combos = itertools.combinations_with_replacement(range(n), k)
-    return Polynomial(n, {_counts(2 * n, c): 1 for c in combos})
+    return Polynomial._trusted(n, {_counts(2 * n, c): 1 for c in combos})
 
 
 def pq_integer(n: int) -> Polynomial:
     """The two-variable quantum integer p^{n-1} + p^{n-2} q + .. + q^{n-1}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return Polynomial(1, {(n - 1 - i, i): 1 for i in range(n)})
+    return Polynomial._trusted(1, {(n - 1 - i, i): 1 for i in range(n)})
 
 
 def reflected_homogeneous(n: int, m: int) -> Polynomial:
@@ -642,7 +663,10 @@ def reflected_homogeneous(n: int, m: int) -> Polynomial:
 
 
 def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square matrix of polynomials (Laplace expansion)."""
+    """Determinant of a square matrix of polynomials, by Laplace expansion
+    along the first row.  A zero entry is skipped with its minor, so a
+    banded matrix, such as either Jacobi-Trudi form of `rect_schur`, expands
+    only the minors of its nonzero entries."""
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
@@ -657,8 +681,9 @@ def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
         r = rows[0]
         rest = rows[1:]
         for idx, c in enumerate(cols):
-            sub = expand(rest, cols[:idx] + cols[idx + 1 :])
-            term = matrix[r][c] * sub
+            if not matrix[r][c]:
+                continue
+            term = matrix[r][c] * expand(rest, cols[:idx] + cols[idx + 1 :])
             total = total + term if idx % 2 == 0 else total - term
         return total
 
@@ -668,18 +693,27 @@ def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
 def rect_schur(L: int, n: int) -> Polynomial:
     """Schur polynomial for the rectangle with n-1 rows of length L-n, in p_1..p_n.
 
-    Computed from the determinant of the band of homogeneous symmetric
-    polynomials h_{(L-n) - i + j}.
+    Computed from the smaller of its two Jacobi-Trudi determinants
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3): the
+    (n-1) x (n-1) band of homogeneous symmetric polynomials h_{(L-n) - i + j},
+    or the dual (L-n) x (L-n) band of elementary symmetric polynomials
+    e_{(n-1) - i + j} of the conjugate rectangle, taken on a tie since e_k
+    has fewer terms than h_k.  Both bands vanish below index 0, and the
+    e-band above index n too, which `poly_det` skips.
     """
     if not 1 <= n <= L:
         raise ValueError("need 1 <= n <= L")
     m = L - n
-    rows = n - 1
-    if rows == 0 or m == 0:
+    if n == 1 or m == 0:
         return Polynomial.one(n)
+
+    def e(k: int) -> Polynomial:
+        if k == 0:
+            return Polynomial.one(n)
+        return elementary_symmetric(n, k) if 0 < k <= n else Polynomial.zero(n)
 
     def h(k: int) -> Polynomial:
         return homogeneous_symmetric(n, k) if k >= 0 else Polynomial.zero(n)
 
-    matrix = [[h(m - i + j) for j in range(rows)] for i in range(rows)]
-    return poly_det(matrix)
+    entry, top, size = (e, n - 1, m) if m <= n - 1 else (h, m, n - 1)
+    return poly_det([[entry(top - i + j) for j in range(size)] for i in range(size)])

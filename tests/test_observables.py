@@ -384,6 +384,23 @@ def test_whole_row_closed_form_needs_the_factor_L(numeric, rng):
     assert not over.check("box_vertical_up", (1,), oracle_num).equal
 
 
+def test_an_equal_oracle_is_shown_through_the_closed_form_objects():
+    """Each distinct value is then rendered once; an unequal oracle keeps its own."""
+    from torus_asep.observables import _CommonDenominator
+    from torus_asep.symbolic import Domain
+
+    over = _CommonDenominator(4, 2, Domain(2))
+    form, whole = closed_forms(4, 2)["box_density"][0], closed_forms(4, 2)["box_vertical_up"]
+    same = over.check("box_density", (1,), form * 1)
+    assert same.equal and same.oracle.num is same.closed.num is form
+    first, second = (over.check("box_vertical_up", (i,), whole * 1) for i in (1, 2))
+    assert first.oracle.num is second.oracle.num and first.oracle.num == 4 * whole
+    wrong = over.check("box_density", (1,), form + 1)
+    assert not wrong.equal and wrong.oracle.num == form + 1
+    wrong = over.check("box_vertical_up", (1,), whole + 1)
+    assert not wrong.equal and wrong.oracle.num == 4 * whole + 4
+
+
 @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
 def test_wrong_box_density_closed_form_raises(numeric, monkeypatch, rng):
     from torus_asep import observables

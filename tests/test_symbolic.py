@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -104,9 +105,32 @@ def test_pq_integer():
     assert len(pq_integer(5)) == 5
 
 
-@pytest.mark.parametrize("L,n", [(4, 2), (5, 3)])
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 11) for n in range(1, L + 1)])
 def test_rect_schur_matches_reciprocal_homogeneous(L, n):
     assert rect_schur(L, n) == reflected_homogeneous(n, L - n)
+
+
+def _jacobi_trudi(basis, top: int, size: int) -> Polynomial:
+    return poly_det([[basis(top - i + j) for j in range(size)] for i in range(size)])
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_both_jacobi_trudi_determinants_agree(L):
+    """The h-band of size n - 1, the form `rect_schur` used before it took
+    the smaller determinant, is the slow reference for the dual e-band of
+    size L - n."""
+    for n in range(2, L):
+        m = L - n
+        zero, one = Polynomial.zero(n), Polynomial.one(n)
+
+        def h(k):
+            return homogeneous_symmetric(n, k) if k >= 0 else zero
+
+        def e(k):
+            return one if k == 0 else elementary_symmetric(n, k) if 0 < k <= n else zero
+
+        h_band = _jacobi_trudi(h, m, n - 1)
+        assert h_band == _jacobi_trudi(e, n - 1, m) == rect_schur(L, n), (L, n)
 
 
 def test_rect_schur_trivial_cases():
@@ -248,6 +272,79 @@ def test_polynomial_matches_reference(ta, tb, k, c, point, shift):
     _same(a.subs_identical(), ra.subs_identical())
     _same(a.subs_symmetric(), ra.subs_symmetric())
     _same(a.subs_zero_q(), ra.subs_zero_q())
+
+
+# The operands the ring operations take without building a polynomial.
+edge_scalars = st.sampled_from([0, 1, -1, Fraction(0), Fraction(4, 2), Fraction(-3, 3), Fraction(1, 2), Fraction(-5, 3)])
+nonzero_coeff = exact_coeff.filter(bool)
+ring_operands = st.one_of(
+    st.one_of(edge_scalars, scalars).map(lambda c: (c, c)),
+    nonzero_coeff.map(lambda c: (Polynomial(2, {(0,) * 4: c}), ReferencePolynomial(2, {(0,) * 4: c}))),
+    small_exps.map(lambda e: (Monomial(2, e), Monomial(2, e))),
+    st.tuples(small_exps, nonzero_coeff).map(lambda t: (Polynomial(2, {t[0]: t[1]}), ReferencePolynomial(2, {t[0]: t[1]}))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, ring_operands)
+def test_scalar_and_one_term_operations_match_reference(ta, operand):
+    """`*`, `+`, `-` and `==` with a scalar, a constant, a Monomial or a
+    one-term polynomial on either side give the reference's terms, stored
+    by the rule: no zero term, an int for every integral coefficient."""
+    x, rx = operand
+    a, ra = Polynomial(2, ta), ReferencePolynomial(2, ta)
+    _same(a * x, ra * rx)
+    _same(a + x, ra + rx)
+    _same(x + a, rx + ra)
+    _same(a - x, ra - rx)
+    _same(x - a, rx - ra)
+    if not isinstance(x, Monomial):
+        _same(x * a, rx * ra)
+    assert (a == x) == (ra == rx)
+    assert (a + x) - x == a
+
+
+def test_scalar_operations_keep_the_storage_rule():
+    p = Polynomial(2, {(1, 0, 0, 0): 3, (0, 0, 0, 0): Fraction(1, 2)})
+    doubled = p * Fraction(4, 2)
+    assert doubled._terms == {(1, 0, 0, 0): 6, (0, 0, 0, 0): 1}
+    assert all(type(c) is int for c in doubled._terms.values())
+    assert not p * 0 and not p * Fraction(0) and (p * 0) == 0
+    assert (p + Fraction(-1, 2))._terms == {(1, 0, 0, 0): 3}
+    assert p * 1 == p and p * -1 == -p and p * Fraction(2, 3) == Fraction(2, 3) * p
+    assert p * Monomial.q(2, 1) == Polynomial(2, {(1, 0, 1, 0): 3, (0, 0, 1, 0): Fraction(1, 2)})
+    assert Polynomial(2, {(0, 0, 0, 0): Fraction(6, 3)}) == 2 == Polynomial.one(2) * 2
+    assert p != p * 2 and (p == Monomial.p(3, 1)) is False
+
+
+band_entries = st.dictionaries(small_exps, exact_coeff, max_size=2)
+
+
+def _leibniz(matrix: list[list[ReferencePolynomial]]) -> ReferencePolynomial:
+    """The determinant as the full sum over permutations, zero products included."""
+    size = len(matrix)
+    total = ReferencePolynomial.zero(matrix[0][0].n)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = ReferencePolynomial.one(total.n)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2), st.lists(band_entries, min_size=25, max_size=25))
+def test_poly_det_of_a_banded_matrix_matches_full_expansion(size, below, above, entries):
+    """Entries outside the band i - below <= j <= i + above are zero, and
+    some inside it are too; skipping them leaves the determinant unchanged."""
+
+    def entry(i, j):
+        return entries[i * 5 + j] if -below <= j - i <= above else {}
+
+    matrix = [[Polynomial(2, entry(i, j)) for j in range(size)] for i in range(size)]
+    reference = [[ReferencePolynomial(2, entry(i, j)) for j in range(size)] for i in range(size)]
+    _same(poly_det(matrix), _leibniz(reference))
 
 
 def _summands(exps):
