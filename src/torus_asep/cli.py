@@ -33,7 +33,7 @@ from .model import enumerate_restricted
 from .stationary import (
     StationaryError,
     StationaryTable,
-    _enumerated_weight,
+    config_weight,
     exact_stationary,
     lumping_report,
     verify_balance,
@@ -108,7 +108,7 @@ def _cmd_weights(args) -> int:
     rp = _parse_rates(args, args.n)
     check_state_cap(args.L, args.n)
     states = enumerate_restricted(args.L, args.n)
-    records = StationaryTable(states, weights=[_enumerated_weight(w) for w in states]).to_json_rows(rp)
+    records = StationaryTable(states, weights=[config_weight(w) for w in states]).to_json_rows(rp)
     payload = {"L": args.L, "n": args.n, "weights": records}
     header = ["state", "weight"] + (["weight_value"] if rp is not None else [])
     rows = [header] + [[r[h] for h in header] for r in records]

@@ -228,7 +228,10 @@ class SparseGenerator:
     that list it: `orbit` maps full states, in letter order, to
     (representative, shift), and `states`, `weights`, `transitions` and
     `full_arcs` expand the rotations.  No state-to-index map is kept: a
-    caller that needs one builds it from `states`.
+    caller that needs one builds it from `states`.  The one memo filled in
+    from outside is `solver_structure`, the exact solver's structure per
+    pattern of positive rates, which depends on the arcs and that pattern
+    only.
     """
 
     L: int
@@ -295,6 +298,15 @@ class SparseGenerator:
             len(self.representatives), np.concatenate([target, source]), np.concatenate([source, source]),
             np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
         )
+
+    @cached_property
+    def solver_structure(self) -> dict:
+        """The exact solver's structure per pattern of positive rates (a
+        tuple of 2n bools), filled in by `exact_stationary` on its first
+        solve of each pattern and dropped with the graph; it holds no rate
+        value.  At most 2^(n+1) - 1 patterns occur, since no rate point has
+        both a zero p_k and a zero q_k."""
+        return {}
 
     @cached_property
     def letters(self) -> np.ndarray:

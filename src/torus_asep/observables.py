@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 from .dynamics import build_generator
 from .model import _check_dims, iter_restricted
-from .stationary import _enumerated_weight, box_weight
+from .stationary import box_weight, config_weight
 from .symbolic import (
     Domain,
     Monomial,
@@ -69,7 +69,7 @@ def partition_function(L: int, n: int) -> Polynomial:
 
 def brute_force_partition_function(L: int, n: int) -> Polynomial:
     """Independent oracle: sum of config weights over the restricted states."""
-    return Polynomial(n, Counter(_enumerated_weight(w).exponents for w in iter_restricted(L, n)))
+    return Polynomial(n, Counter(config_weight(w).exponents for w in iter_restricted(L, n)))
 
 
 # -- special-case partition functions ------------------------------------------

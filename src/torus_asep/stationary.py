@@ -19,12 +19,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import Arcs, SparseGenerator, adjacency, breadth_first, build_generator
-from .model import ColoredWord, box_gap_labels, ensure_valid, gap_lengths
-from .symbolic import Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det, rate_product
+from .model import ColoredWord, ensure_valid, gap_lengths
+from .symbolic import _INT64_LIMIT, Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det
 
 
 class StationaryError(RuntimeError):
@@ -35,52 +37,61 @@ class StationaryError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
+def box_exponents(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The exponent tuple of every box weight w(i, k), at [i - 1][k - 1]."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+
+    def row(i: int, k: int) -> tuple[int, ...]:
+        rows = range(1, n + 1)
+        if i <= k:
+            return tuple(int(not i <= j <= k) for j in rows) + tuple(int(i < j <= k) for j in rows)
+        return tuple(int(k < j < i) for j in rows) + tuple(int(not k < j <= i) for j in rows)
+
+    return tuple(tuple(row(i, k) for k in range(1, n + 1)) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
 def box_weight(i: int, k: int, n: int) -> Monomial:
     """Weight of a box at row i sitting in gap k; total degree n - 1."""
     if not (1 <= i <= n and 1 <= k <= n):
         raise ValueError(f"row {i} or gap {k} out of range 1..{n}")
-    e = [0] * (2 * n)
-
-    def take_p(lo: int, hi: int) -> None:
-        for j in range(lo, hi + 1):
-            e[j - 1] += 1
-
-    def take_q(lo: int, hi: int) -> None:
-        for j in range(lo, hi + 1):
-            e[n + j - 1] += 1
-
-    if i <= k:
-        take_p(1, i - 1)
-        take_q(i + 1, k)
-        take_p(k + 1, n)
-    else:
-        take_q(1, k)
-        take_p(k + 1, i - 1)
-        take_q(i + 1, n)
-    return Monomial(n, tuple(e))
+    return Monomial(n, box_exponents(n)[i - 1][k - 1])
 
 
 @lru_cache(maxsize=None)
 def total_box_weight(k: int, n: int) -> Polynomial:
     """Sum of box_weight(i, k) over all rows i; n terms of degree n - 1."""
-    return Polynomial(n, Counter(box_weight(i, k, n).exponents for i in range(1, n + 1)))
+    return Polynomial(n, Counter(row[k - 1] for row in box_exponents(n)))
 
 
 def config_weight(w: ColoredWord) -> Monomial:
-    """Product of box weights over all boxes of the state."""
+    """Product of box weights over all boxes of the state.
+
+    One walk validates the word and sums its boxes' exponent rows.  It
+    starts at bullet 1, so that each box follows the bullet of its gap,
+    and reads the bullets 1, 2, ..., n in turn; a word whose bullets are
+    not a rotation of 1..n, or with a letter outside +-1..n, goes to
+    `ensure_valid`, which raises its `ValidationError`.
+    """
+    n, letters = w.n, w.letters
+    if n >= 1 and 1 in letters:
+        table = box_exponents(n)
+        start = letters.index(1)
+        total = (0,) * (2 * n)
+        bullet = 0
+        for c in letters[start:] + letters[:start]:
+            if c == bullet + 1 <= n:
+                bullet = c
+            elif -n <= c < 0:
+                total = tuple(map(add, total, table[-c - 1][bullet - 1]))
+            else:
+                break
+        else:
+            if bullet == n:
+                return Monomial(n, total)
     ensure_valid(w)
-    return _enumerated_weight(w)
-
-
-def _enumerated_weight(w: ColoredWord) -> Monomial:
-    """`config_weight` of a word already known to be valid, as every word
-    the package enumerates is."""
-    n = w.n
-    total = [0] * (2 * n)
-    for _, i, g in box_gap_labels(w):
-        for j, e in enumerate(box_weight(i, g, n).exponents):
-            total[j] += e
-    return Monomial(n, tuple(total))
+    raise AssertionError(f"{w} is valid but was not weighed")
 
 
 def weight_exponents(letters: np.ndarray, n: int) -> np.ndarray:
@@ -93,13 +104,18 @@ def weight_exponents(letters: np.ndarray, n: int) -> np.ndarray:
     gap = np.take_along_axis(letters, np.where(last < 0, last[:, -1:], last), axis=1)
     box = letters < 0
     pairs = np.bincount(np.flatnonzero(box) // L * n * n + (-letters[box] - 1) * n + gap[box] - 1, minlength=size * n * n)
-    table = [box_weight(i, k, n).exponents for i in range(1, n + 1) for k in range(1, n + 1)]
-    return pairs.reshape(size, n * n) @ np.array(table, dtype=np.int64)
+    return pairs.reshape(size, n * n) @ np.array(box_exponents(n), dtype=np.int64).reshape(n * n, 2 * n)
+
+
+def _rate_products(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exponent tuples of p_1..p_n and of q_1..q_n."""
+    return (1,) * n + (0,) * n, (0,) * n + (1,) * n
 
 
 def drift(n: int) -> Polynomial:
     """p_1..p_n - q_1..q_n: the weight determinant's factor, carried by every current."""
-    return rate_product(n, "p").as_polynomial() - rate_product(n, "q").as_polynomial()
+    top, bottom = _rate_products(n)
+    return Polynomial._trusted(n, {top: 1, bottom: -1})
 
 
 @dataclass
@@ -116,26 +132,29 @@ class WeightIdentityReport:
 
 def weight_identities(n: int) -> WeightIdentityReport:
     """Check det(w(i,k)) = (p_1..p_n - q_1..q_n)^(n-1) and the telescoping
-    relation p_k w(i,k) - q_k w(i,k-1) = [i=k] (p_1..p_n - q_1..q_n)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    d = drift(n)
-    matrix = [
-        [box_weight(i, k, n).as_polynomial() for k in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    determinant_ok = poly_det(matrix) == d ** (n - 1)
+    relation p_k w(i,k) - q_k w(i,k-1) = [i=k] (p_1..p_n - q_1..q_n).
+
+    Both sides of the relation are a difference of two monomials, each a
+    row of `box_exponents` with one exponent raised, so it holds exactly
+    when the two are equal, or for i = k, when they are p_1..p_n and
+    q_1..q_n."""
+    table = box_exponents(n)
+    matrix = [[Polynomial._trusted(n, {e: 1}) for e in row] for row in table]
+    determinant_ok = poly_det(matrix) == drift(n) ** (n - 1)
+    top, bottom = _rate_products(n)
     failures = []
-    for i in range(1, n + 1):
+    for i, row in enumerate(table, start=1):
         for k in range(1, n + 1):
-            k_prev = k - 1 if k > 1 else n
-            lhs = (
-                Monomial.p(n, k) * box_weight(i, k, n)
-            ).as_polynomial() - (Monomial.q(n, k) * box_weight(i, k_prev, n)).as_polynomial()
-            expected = d if i == k else Polynomial.zero(n)
-            if lhs != expected:
+            up = _raised(row[k - 1], k - 1)  # p_k w(i, k)
+            down = _raised(row[k - 2], n + k - 1)  # q_k w(i, k - 1); row[-1] is gap n
+            if (up, down) != (top, bottom) if i == k else up != down:
                 failures.append((i, k))
     return WeightIdentityReport(n, determinant_ok, not failures, failures)
+
+
+def _raised(exponents: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """`exponents` with its entry j raised by one."""
+    return exponents[:j] + (exponents[j] + 1,) + exponents[j + 1 :]
 
 
 # -- stationary tables ------------------------------------------------------------
@@ -196,11 +215,16 @@ PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_
 _DENSE_FROM = 32
 
 
+def _live_arcs(arcs: Arcs, live: tuple[bool, ...]) -> Arcs:
+    """The arcs among `arcs` whose rate symbol is marked in `live`."""
+    keep = np.flatnonzero(np.array(live)[arcs.rate])
+    return Arcs(*(column[keep] for column in arcs))
+
+
 def _integer_arcs(arcs: Arcs, rates: RatePoint) -> tuple[Arcs, tuple[int, ...]]:
     """The positive-rate arcs among `arcs`, and the 2n rates scaled to integers."""
     values = rates.integer_scaling()[1]
-    live = np.flatnonzero(np.array([bool(x) for x in values])[arcs.rate])
-    return Arcs(*(column[live] for column in arcs)), values
+    return _live_arcs(arcs, tuple(x > 0 for x in values)), values
 
 
 def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
@@ -350,6 +374,68 @@ def _reconstruct(x: list[int], modulus: int) -> list[int] | None:
     return [den] + [u * (den // d) for u, d in parts]
 
 
+class _Quotient(NamedTuple):
+    """What `exact_stationary` needs of a generator at one pattern of
+    positive rates, none of it a rate value: the orbit chain's closed
+    class, certified, and its quotient system A y = b as index arrays.
+
+    `orbit` numbers each representative's orbit in the class, -1 off it.
+    A's entries are listed by row, then column, in `row` and `col`, and
+    each row's run ends at its `row_ends`; b's nonzero entries follow A's
+    in `counts` and sit at rows `b_row`.
+    `counts` holds, per entry, the signed number of arcs of each rate
+    symbol that it sums, and `depth` is the largest sum of |count| over one
+    entry, which bounds an entry by depth times the largest rate.
+    """
+
+    orbit: list[int]
+    row: list[int]
+    col: list[int]
+    row_ends: list[int]
+    b_row: list[int]
+    counts: np.ndarray
+    depth: int
+
+
+def _quotient(gen: SparseGenerator, live: tuple[bool, ...]) -> _Quotient:
+    """The `_Quotient` of `gen` when exactly the rates marked in `live` are
+    positive; StationaryError if the chain has more than one closed class."""
+    source, target, rate, shift = _live_arcs(gen.arcs, live)
+    num, L = len(gen.representatives), gen.L
+    members = _closed_class(num, source, target)
+    inside = np.isin(source, members)
+    tail = (source[inside, None] * L + np.arange(L)).ravel()
+    head = (target[inside, None] * L + (np.arange(L) + shift[inside, None]) % L).ravel()
+    if len(breadth_first(adjacency(num * L, tail, head), members[0] * L)) < len(members) * L:
+        raise StationaryError("chain has more than one closed class: its stationary law is not unique")
+
+    # Quotient generator: column o holds the outflows of member o, each arc
+    # adding its rate at (target, o) and taking it at (o, o); an arc that
+    # stays in its orbit does both at one place.
+    m = len(members)
+    orbit = np.full(num, -1)
+    orbit[members] = np.arange(m)
+    o, t, r = orbit[source[inside]], orbit[target[inside]], rate[inside]
+    moves = o != t
+    o, t, r = o[moves], t[moves], r[moves]
+    keys, entry = np.unique(np.concatenate([t * m + o, o * m + o]), return_inverse=True)
+    counts = np.zeros((len(keys), 2 * gen.n), dtype=np.int64)
+    np.add.at(counts, (entry.ravel(), np.concatenate([r, r])), np.repeat([1, -1], len(r)))
+    row, col = np.divmod(keys, m)
+    # Deleting the redundant row 0 and the anchored column 0 leaves A y = b,
+    # with b = -(column 0).
+    a, rhs = (row > 0) & (col > 0), (row > 0) & (col == 0)
+    return _Quotient(
+        orbit.tolist(),
+        (row[a] - 1).tolist(),
+        (col[a] - 1).tolist(),
+        np.searchsorted(row[a], np.arange(2, m + 1)).tolist(),
+        (row[rhs] - 1).tolist(),
+        np.concatenate([counts[a], -counts[rhs]]),
+        int(np.abs(counts).sum(axis=1).max(initial=0)),
+    )
+
+
 def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     """Exact stationary distribution of the generator at the given rates.
 
@@ -361,6 +447,11 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     its first representative, unshifted, reaches every (representative,
     shift) pair over it.  The law is then zero off the class and unique (a
     finite chain with one closed class has a one-dimensional null space).
+    The class, its certificate and the index arrays of the orbit chain's
+    quotient system depend only on which rates are positive, so they are
+    found on the first solve of each such pattern and kept on the
+    generator (`SparseGenerator.solver_structure`); a solve at a later
+    rate point of the pattern only scatters its integer-scaled rates.
     The orbit chain on the class, anchored at x = 1 on the class's first
     representative, is factored once by sparse elimination modulo a prime,
     lifted p-adically (Dixon) and rationally reconstructed (Wang) at
@@ -372,52 +463,44 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     """
     if rates.n != gen.n:
         raise ValueError("rate point has wrong number of rows")
-    (source, target, rate, shift), scaled = _integer_arcs(gen.arcs, rates)
-    num, L = len(gen.representatives), gen.L
-    members = _closed_class(num, source, target)
-    inside = np.isin(source, members)
-    tail = (source[inside, None] * L + np.arange(L)).ravel()
-    head = (target[inside, None] * L + (np.arange(L) + shift[inside, None]) % L).ravel()
-    if len(breadth_first(adjacency(num * L, tail, head), members[0] * L)) < len(members) * L:
-        raise StationaryError("chain has more than one closed class: its stationary law is not unique")
+    scaled = rates.integer_scaling()[1]
+    live = tuple(x > 0 for x in scaled)
+    quotient = gen.solver_structure.get(live)
+    if quotient is None:
+        quotient = gen.solver_structure[live] = _quotient(gen, live)
 
-    # Quotient generator: column o holds the outflows of member o.  Deleting
-    # the redundant row and the anchored column 0 leaves the integer system
-    # A y = b, with A's entries kept per row and per column.
-    orbit = np.full(num, -1)
-    orbit[members] = np.arange(len(members))
-    size = len(members) - 1
-    rows: list[dict[int, int]] = [{} for _ in range(size + 1)]
-    out = np.flatnonzero(inside)
-    for o, t, r in zip(orbit[source[out]].tolist(), orbit[target[out]].tolist(), rate[out].tolist()):
-        into, own = rows[t], rows[o]
-        into[o] = into.get(o, 0) + scaled[r]
-        own[o] = own.get(o, 0) - scaled[r]
-    b = [-row.pop(0, 0) for row in rows[1:]]
+    dtype = np.int64 if max(quotient.depth, 1) * max(scaled) < _INT64_LIMIT else object
+    values = (quotient.counts.astype(dtype) @ np.array(scaled, dtype=dtype)).tolist()
+    size, nnz = len(quotient.row_ends), len(quotient.row)
+    b = [0] * size
+    for i, v in zip(quotient.b_row, values[nnz:]):
+        b[i] = v
+    # A by column, for the lifting and the Hadamard bound
     cols: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for i, row in enumerate(rows[1:]):
-        for j, v in row.items():
-            if v:
-                cols[j - 1].append((i, v))
+    for i, j, v in zip(quotient.row, quotient.col, values):
+        cols[j].append((i, v))
     # Hadamard: every Cramer determinant of A y = b is at most the product
     # of the column norms of [A | b], so past 2 H^2 the reconstruction is
     # unique and a failing candidate means there is no exact solution.
     h2 = math.prod(max(sum(v * v for _, v in c), 1) for c in cols) * max(sum(v * v for v in b), 1)
     past_bound = 2 * h2
 
+    ends = quotient.row_ends
     for p in PRIMES:
-        steps = _eliminate([{j - 1: v % p for j, v in row.items() if v % p} for row in rows[1:]], p)
+        entries = list(zip(quotient.col, [v % p for v in values[:nnz]]))
+        steps = _eliminate([{j: v for j, v in entries[lo:hi] if v} for lo, hi in zip([0, *ends], ends)], p)
         if len(steps) == size:
             break
     else:
         raise StationaryError("quotient matrix is singular modulo every prime tried")
 
+    orbit, L = quotient.orbit, gen.L
     for x, modulus in _dixon(steps, cols, b, p):
         values = _reconstruct(x, modulus)
         if values is not None and min(values) > 0:
             # orbit -1 reads the appended 0: the law vanishes off the class
             values.append(0)
-            per_representative = [values[o] for o in orbit.tolist()]
+            per_representative = [values[o] for o in orbit]
             # inflow equals outflow at every representative, exactly, at the integer-scaled rates
             if not any(integer_totals(gen.balance_rows, per_representative, scaled)):
                 total = L * sum(values)

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from operator import add
 
 import numpy as np
@@ -77,7 +78,11 @@ class RatePoint:
 
     def integer_scaling(self) -> tuple[int, tuple[int, ...]]:
         """D, the lcm of the rate denominators, and the 2n integers
-        D*p_1..D*p_n, D*q_1..D*q_n."""
+        D*p_1..D*p_n, D*q_1..D*q_n; worked out once per rate point."""
+        return self._integer_scaling
+
+    @cached_property
+    def _integer_scaling(self) -> tuple[int, tuple[int, ...]]:
         rates = self.p + self.q
         scale = math.lcm(*(x.denominator for x in rates))
         return scale, tuple(x.numerator * (scale // x.denominator) for x in rates)
@@ -163,14 +168,12 @@ class Monomial:
         return Monomial(self.n, tuple(map(add, self.exponents, other.exponents)))
 
     def evaluate(self, rates: RatePoint) -> Fraction:
+        """The value at a rate point: the monomial at the integer-scaled
+        point D * r over D^degree."""
         if rates.n != self.n:
             raise ValueError("rate point has wrong number of rows")
-        num = den = 1
-        for x, e in zip(rates.p + rates.q, self.exponents):
-            if e:
-                num *= x.numerator**e
-                den *= x.denominator**e
-        return Fraction(num, den)
+        scale, values = rates.integer_scaling()
+        return Fraction(_monomial_value(values, self.exponents, 1), scale ** sum(self.exponents))
 
     def as_polynomial(self) -> "Polynomial":
         return Polynomial._trusted(self.n, {self.exponents: 1})
@@ -693,13 +696,15 @@ def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
 def rect_schur(L: int, n: int) -> Polynomial:
     """Schur polynomial for the rectangle with n-1 rows of length L-n, in p_1..p_n.
 
-    Computed from the smaller of its two Jacobi-Trudi determinants
+    Computed from the cheaper of its two Jacobi-Trudi determinants
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3): the
     (n-1) x (n-1) band of homogeneous symmetric polynomials h_{(L-n) - i + j},
     or the dual (L-n) x (L-n) band of elementary symmetric polynomials
-    e_{(n-1) - i + j} of the conjugate rectangle, taken on a tie since e_k
-    has fewer terms than h_k.  Both bands vanish below index 0, and the
-    e-band above index n too, which `poly_det` skips.
+    e_{(n-1) - i + j} of the conjugate rectangle.  Both bands vanish below
+    index 0, and the e-band above index n too, which `poly_det` skips.
+    The e-band is taken when it is no larger, since e_k has fewer terms
+    than h_k; otherwise the band that `_expansion_cost` rates cheaper, the
+    e-band on a tie.
     """
     if not 1 <= n <= L:
         raise ValueError("need 1 <= n <= L")
@@ -715,5 +720,42 @@ def rect_schur(L: int, n: int) -> Polynomial:
     def h(k: int) -> Polynomial:
         return homogeneous_symmetric(n, k) if k >= 0 else Polynomial.zero(n)
 
-    entry, top, size = (e, n - 1, m) if m <= n - 1 else (h, m, n - 1)
+    def e_terms(k: int) -> int:
+        return math.comb(n, k) if 0 <= k <= n else 0
+
+    def h_terms(k: int) -> int:
+        return math.comb(n + k - 1, k) if k >= 0 else 0
+
+    if m <= n - 1 or _expansion_cost(m, n - 1, e_terms, n) <= _expansion_cost(n - 1, m, h_terms, n):
+        entry, top, size = e, n - 1, m
+    else:
+        entry, top, size = h, m, n - 1
     return poly_det([[entry(top - i + j) for j in range(size)] for i in range(size)])
+
+
+def _expansion_cost(size: int, top: int, terms, n: int) -> int:
+    """An estimate of the work of `poly_det` on the size x size band whose
+    entry (i, j) has degree top - i + j and terms(top - i + j) terms in n
+    variables: over every step of the Laplace expansion, the entry's term
+    count times its minor's.  A minor's term count is bounded by the
+    products its own expansion forms and by the monomials of its degree.
+    A minor is named by the set of columns taken by the rows above it."""
+
+    @lru_cache(maxsize=None)
+    def minor(taken: int) -> tuple[int, int]:  # (term bound, work)
+        r = taken.bit_count()
+        if r == size:
+            return 1, 0
+        degree = (size - r) * top - sum(range(r, size)) + sum(j for j in range(size) if not taken >> j & 1)
+        products = work = 0
+        for c in range(size):
+            t = terms(top - r + c)
+            if t and not taken >> c & 1:
+                bound, below = minor(taken | 1 << c)
+                if bound:  # a minor with a term has degree >= 0
+                    bound = min(bound, math.comb(degree - (top - r + c) + n - 1, n - 1))
+                products += t * bound
+                work += t * bound + below
+        return products, work
+
+    return minor(0)[1]

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_generator
+import reference_weights
 from reference_lumping import reference_evans_product, reference_lumping_report
 from conftest import arc_targets, random_rate_point, state_index, with_swapped_targets
 from rate_symbols import p_var, q_var, rate_value
 from torus_asep.dynamics import Arcs, breadth_first, build_generator, restrict_ta
-from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted
+from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate_word
 from torus_asep import stationary
 from torus_asep.stationary import (
     StationaryError,
+    box_exponents,
     box_weight,
     config_weight,
     evans_product,
@@ -285,13 +287,13 @@ def test_exact_stationary_never_reads_the_weights(monkeypatch):
 
 def test_weights_are_computed_once_per_generator(monkeypatch, fresh_graphs):
     calls = []
-    original = stationary._enumerated_weight
+    original = stationary.config_weight
 
     def counting(w):
         calls.append(w)
         return original(w)
 
-    monkeypatch.setattr(stationary, "_enumerated_weight", counting)
+    monkeypatch.setattr(stationary, "config_weight", counting)
     gen = build_generator(5, 3)
     assert verify_balance(5, 3, gen=gen).ok
     assert verify_balance(5, 3, rates=RatePoint.parse("1,2,3;4,5,6"), gen=gen).ok
@@ -311,12 +313,85 @@ def test_weight_exponents_match_the_box_gap_labels_path(L):
     `exponents` and `weights` are read from it."""
     for n in range(1, L + 1):
         words = enumerate_full(L, n)
-        expected = [stationary._enumerated_weight(w) for w in words]
+        expected = [reference_weights.config_weight(w) for w in words]
         letters = np.array([w.letters for w in words], dtype=np.int64)
         assert weight_exponents(letters, n).tolist() == [list(m.exponents) for m in expected]
         gen = build_generator(L, n)
         assert gen.weights == tuple(expected)
         assert gen.exponents.tolist() == [list(config_weight(w).exponents) for w in gen.representatives]
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_config_weight_matches_the_box_gap_labels_reference(L):
+    """The one-pass walk from bullet 1 weighs every word of every n <= L as
+    the box-by-box reference does."""
+    for n in range(1, L + 1):
+        for w in enumerate_full(L, n):
+            assert config_weight(w) == reference_weights.config_weight(w), w.to_text()
+
+
+@st.composite
+def _words(draw):
+    """A valid word, or one broken in one of the ways a word can be: a
+    letter 0 or past n, a bullet missing, repeated or out of cyclic order,
+    n below 1, or the word emptied or cut short; or any list of letters."""
+    n = draw(st.integers(1, 5))
+    L = draw(st.integers(n, 8))
+    labels = draw(st.integers(0, n - 1))
+    positions = sorted(draw(st.lists(st.integers(0, L - 1), min_size=n, max_size=n, unique=True)))
+    letters = [-draw(st.integers(1, n)) for _ in range(L)]
+    for x, label in zip(positions, range(n)):
+        letters[x] = (label + labels) % n + 1
+    flaw = draw(st.sampled_from(("none", "zero", "past_n", "missing", "repeated", "order", "rows", "empty", "short", "any")))
+    x = draw(st.integers(0, L - 1))
+    if flaw == "zero":
+        letters[x] = 0
+    elif flaw == "past_n":
+        letters[x] = draw(st.sampled_from((1, -1))) * draw(st.integers(n + 1, n + 3))
+    elif flaw == "missing":
+        letters[positions[x % n]] = -draw(st.integers(1, n))
+    elif flaw == "repeated":
+        letters[x] = draw(st.integers(1, n))
+    elif flaw == "order" and n >= 2:
+        a, b = draw(st.lists(st.sampled_from(positions), min_size=2, max_size=2, unique=True))
+        letters[a], letters[b] = letters[b], letters[a]
+    elif flaw == "rows":
+        n = draw(st.integers(-2, 0))
+    elif flaw == "empty":
+        letters = []
+    elif flaw == "short":
+        letters = letters[: draw(st.integers(0, n - 1))]
+    elif flaw == "any":
+        letters = draw(st.lists(st.integers(-n - 2, n + 2), max_size=8))
+    return ColoredWord(n, tuple(letters))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_words())
+def test_config_weight_raises_the_violations_of_ensure_valid(w):
+    """A malformed word gets the same `ValidationError` from the one-pass
+    walk as from `ensure_valid`; a valid one gets the reference weight."""
+    violations = validate_word(w)
+    if not violations:
+        assert config_weight(w) == reference_weights.config_weight(w)
+        return
+    with pytest.raises(ValidationError) as raised:
+        config_weight(w)
+    assert raised.value.violations == violations
+
+
+def test_weight_identities_match_the_monomial_reference(monkeypatch):
+    """The table-read identities give the reference's report on every
+    n <= 6, and, on a table with two box weights swapped, the same failures."""
+    for n in range(1, 7):
+        assert weight_identities(n) == reference_weights.weight_identities(n)
+    n = 3
+    table = [list(row) for row in box_exponents(n)]
+    table[0][1], table[1][0] = table[1][0], table[0][1]
+    monkeypatch.setattr(stationary, "box_exponents", lambda _: table)
+    broken = weight_identities(n)
+    assert not broken.ok and not broken.determinant_ok
+    assert broken == reference_weights.weight_identities(n, lambda i, k, _: Monomial(n, table[i - 1][k - 1]))
 
 
 def test_stationary_table_export_and_lookup():
@@ -677,6 +752,8 @@ def _solver_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_solver_cases())
+# one state and no arc to scatter, with a scaled rate just past int64
+@example((2, 1, RatePoint((Fraction(1, 3036988439),), (Fraction(3037012561),))))
 def test_exact_stationary_matches_full_space_reference(case):
     L, n, rates = case
     _assert_same_as_reference(_generator(L, n), rates)
@@ -716,6 +793,32 @@ def test_full_space_solve_matches_subset_reference_at_every_zero_set(L, n):
     gen = _generator(L, n)
     for rates in _zero_rate_points(n):
         _assert_same_as_subset_reference(gen, rates)
+
+
+def test_solver_structure_is_kept_per_positive_rate_pattern():
+    """One generator solves at points whose zero patterns interleave: all
+    positive, a zero p_k, a zero q_k, all positive again.  Each table is a
+    fresh generator's and the full-space reference's; the structure is
+    built once per pattern, and equals the one a fresh generator builds at
+    another point of the pattern."""
+    gen = dataclasses.replace(_generator(5, 3))
+    points = [
+        RatePoint.parse("1,3/2,2;1/2,1/3,1/5"),
+        RatePoint.parse("1,0,2;1/2,1/3,1/5"),
+        RatePoint.parse("1,3/2,2;1/2,1/3,0"),
+        RatePoint.parse("7/3,1/2,5;2,9,1/7"),
+    ]
+    kept = []
+    for rates in points:
+        table = exact_stationary(gen, rates).probabilities
+        assert table == exact_stationary(dataclasses.replace(gen), rates).probabilities
+        assert table == _assert_same_as_reference(gen, rates)
+        kept.append(gen.solver_structure[tuple(x > 0 for x in rates.p + rates.q)])
+    assert len(gen.solver_structure) == 3 and kept[3] is kept[0]
+    fresh = dataclasses.replace(gen)
+    exact_stationary(fresh, points[3])
+    (structure,) = fresh.solver_structure.values()
+    assert all(np.array_equal(a, b) for a, b in zip(structure, kept[0]))
 
 
 def test_small_primes_still_give_the_exact_table(monkeypatch, rng):

