@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .model import ColoredWord, box_gap_labels, ensure_valid, iter_restricted, restricted_count
-from .symbolic import Domain, Monomial, RatePoint, SumTable, _frozen
+from .symbolic import Domain, Monomial, SumTable, _frozen
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -357,23 +357,19 @@ class SparseGenerator:
         fiber, first = first_seen(np.maximum(self.letters, 0))
         return SumTable.build(len(first), fiber, np.arange(len(self.representatives)))
 
-    def triplet_rows(self, rates: RatePoint | None = None) -> list[tuple[int, int, str]]:
-        """Sparse export at `rates` (None = symbolic): (source index, target
-        index, rate string) over the full state space, the summed
-        off-diagonal entries by (source, target), then the diagonal.  An arc
-        whose rate vanishes at `rates` is left out."""
+    def triplet_rows(self) -> list[tuple[int, int, str]]:
+        """Sparse symbolic export: (source index, target index, rate string)
+        over the full state space, the summed off-diagonal entries by
+        (source, target), then the diagonal."""
         num = self.num_states
         source, target, rate, _ = self.full_arcs
-        if rates is not None:
-            live = np.flatnonzero(np.array([bool(x) for x in rates.p + rates.q])[rate])
-            source, target, rate = source[live], target[live], rate[live]
         pairs, pair = np.unique(source * num + target, return_inverse=True)
         ones = np.ones(len(source), dtype=np.int64)
         table = SumTable.build(
             len(pairs) + num, np.concatenate([pair.ravel(), len(pairs) + source]), np.zeros(2 * len(source), dtype=np.int32),
             np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
         )
-        values = Domain(self.n, rates).totals(np.zeros((1, 2 * self.n), dtype=np.int64), table)
+        values = Domain(self.n).totals(np.zeros((1, 2 * self.n), dtype=np.int64), table)
         rows = [(j, k, str(v)) for j, k, v in zip((pairs // num).tolist(), (pairs % num).tolist(), values)]
         rows.extend((j, j, str(v)) for j, v in enumerate(values[len(pairs) :]))
         return rows

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import Arcs, SparseGenerator, adjacency, breadth_first, build_generator
 from .model import ColoredWord, ensure_valid, gap_lengths
-from .symbolic import _INT64_LIMIT, Domain, Monomial, Polynomial, RatePoint, integer_totals, poly_det
+from .symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, integer_totals, poly_det
 
 
 class StationaryError(RuntimeError):
@@ -382,10 +382,9 @@ class _Quotient(NamedTuple):
     `orbit` numbers each representative's orbit in the class, -1 off it.
     A's entries are listed by row, then column, in `row` and `col`, and
     each row's run ends at its `row_ends`; b's nonzero entries follow A's
-    in `counts` and sit at rows `b_row`.
-    `counts` holds, per entry, the signed number of arcs of each rate
-    symbol that it sums, and `depth` is the largest sum of |count| over one
-    entry, which bounds an entry by depth times the largest rate.
+    and sit at rows `b_row`.  `entries` holds them as the slots of a
+    `SumTable` over one state of weight 1: a row per entry and rate
+    symbol, signed by the count of the entry's arcs of that rate.
     """
 
     orbit: list[int]
@@ -393,8 +392,7 @@ class _Quotient(NamedTuple):
     col: list[int]
     row_ends: list[int]
     b_row: list[int]
-    counts: np.ndarray
-    depth: int
+    entries: SumTable
 
 
 def _quotient(gen: SparseGenerator, live: tuple[bool, ...]) -> _Quotient:
@@ -425,14 +423,15 @@ def _quotient(gen: SparseGenerator, live: tuple[bool, ...]) -> _Quotient:
     # Deleting the redundant row 0 and the anchored column 0 leaves A y = b,
     # with b = -(column 0).
     a, rhs = (row > 0) & (col > 0), (row > 0) & (col == 0)
+    counts = np.concatenate([counts[a], -counts[rhs]])
+    slot, symbol = np.nonzero(counts)
     return _Quotient(
         orbit.tolist(),
         (row[a] - 1).tolist(),
         (col[a] - 1).tolist(),
         np.searchsorted(row[a], np.arange(2, m + 1)).tolist(),
         (row[rhs] - 1).tolist(),
-        np.concatenate([counts[a], -counts[rhs]]),
-        int(np.abs(counts).sum(axis=1).max(initial=0)),
+        SumTable.build(len(counts), slot, np.zeros_like(slot), symbol, counts[slot, symbol]),
     )
 
 
@@ -469,8 +468,7 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     if quotient is None:
         quotient = gen.solver_structure[live] = _quotient(gen, live)
 
-    dtype = np.int64 if max(quotient.depth, 1) * max(scaled) < _INT64_LIMIT else object
-    values = (quotient.counts.astype(dtype) @ np.array(scaled, dtype=dtype)).tolist()
+    values = integer_totals(quotient.entries, [1], scaled)
     size, nnz = len(quotient.row_ends), len(quotient.row)
     b = [0] * size
     for i, v in zip(quotient.b_row, values[nnz:]):

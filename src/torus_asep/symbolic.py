@@ -667,9 +667,11 @@ def reflected_homogeneous(n: int, m: int) -> Polynomial:
 
 def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
     """Determinant of a square matrix of polynomials, by Laplace expansion
-    along the first row.  A zero entry is skipped with its minor, so a
-    banded matrix, such as either Jacobi-Trudi form of `rect_schur`, expands
-    only the minors of its nonzero entries."""
+    along the first row.  A minor is named by its columns, its rows being
+    the last ones, and is expanded once, so the expansion forms at most
+    size * 2^(size - 1) products.  A zero entry is skipped with its minor,
+    so a banded matrix, such as the Jacobi-Trudi band of `rect_schur`,
+    reaches only the minors of its nonzero entries."""
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
@@ -677,85 +679,38 @@ def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix is not square")
 
-    def expand(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-        if len(rows) == 1:
-            return matrix[rows[0]][cols[0]]
+    @lru_cache(maxsize=None)
+    def expand(cols: tuple[int, ...]) -> Polynomial:
+        r = size - len(cols)
+        if len(cols) == 1:
+            return matrix[r][cols[0]]
         total = Polynomial.zero(n)
-        r = rows[0]
-        rest = rows[1:]
         for idx, c in enumerate(cols):
-            if not matrix[r][c]:
-                continue
-            term = matrix[r][c] * expand(rest, cols[:idx] + cols[idx + 1 :])
-            total = total + term if idx % 2 == 0 else total - term
+            if matrix[r][c]:
+                term = matrix[r][c] * expand(cols[:idx] + cols[idx + 1 :])
+                total = total + term if idx % 2 == 0 else total - term
         return total
 
-    return expand(tuple(range(size)), tuple(range(size)))
+    det = expand(tuple(range(size)))
+    expand.cache_clear()  # the recursive closure is a reference cycle: free its minors now
+    return det
 
 
 def rect_schur(L: int, n: int) -> Polynomial:
     """Schur polynomial for the rectangle with n-1 rows of length L-n, in p_1..p_n.
 
-    Computed from the cheaper of its two Jacobi-Trudi determinants
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3): the
-    (n-1) x (n-1) band of homogeneous symmetric polynomials h_{(L-n) - i + j},
-    or the dual (L-n) x (L-n) band of elementary symmetric polynomials
-    e_{(n-1) - i + j} of the conjugate rectangle.  Both bands vanish below
-    index 0, and the e-band above index n too, which `poly_det` skips.
-    The e-band is taken when it is no larger, since e_k has fewer terms
-    than h_k; otherwise the band that `_expansion_cost` rates cheaper, the
-    e-band on a tie.
+    Computed as the dual Jacobi-Trudi determinant (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.3): the (L-n) x (L-n) band of
+    elementary symmetric polynomials e_{(n-1) - i + j} of the conjugate
+    rectangle.  e_k vanishes below 0 and above n, so the band is lower
+    Hessenberg with n + 1 nonzero diagonals, and `poly_det` reaches only
+    O((L-n) n) of its minors.
     """
     if not 1 <= n <= L:
         raise ValueError("need 1 <= n <= L")
     m = L - n
     if n == 1 or m == 0:
         return Polynomial.one(n)
-
-    def e(k: int) -> Polynomial:
-        if k == 0:
-            return Polynomial.one(n)
-        return elementary_symmetric(n, k) if 0 < k <= n else Polynomial.zero(n)
-
-    def h(k: int) -> Polynomial:
-        return homogeneous_symmetric(n, k) if k >= 0 else Polynomial.zero(n)
-
-    def e_terms(k: int) -> int:
-        return math.comb(n, k) if 0 <= k <= n else 0
-
-    def h_terms(k: int) -> int:
-        return math.comb(n + k - 1, k) if k >= 0 else 0
-
-    if m <= n - 1 or _expansion_cost(m, n - 1, e_terms, n) <= _expansion_cost(n - 1, m, h_terms, n):
-        entry, top, size = e, n - 1, m
-    else:
-        entry, top, size = h, m, n - 1
-    return poly_det([[entry(top - i + j) for j in range(size)] for i in range(size)])
-
-
-def _expansion_cost(size: int, top: int, terms, n: int) -> int:
-    """An estimate of the work of `poly_det` on the size x size band whose
-    entry (i, j) has degree top - i + j and terms(top - i + j) terms in n
-    variables: over every step of the Laplace expansion, the entry's term
-    count times its minor's.  A minor's term count is bounded by the
-    products its own expansion forms and by the monomials of its degree.
-    A minor is named by the set of columns taken by the rows above it."""
-
-    @lru_cache(maxsize=None)
-    def minor(taken: int) -> tuple[int, int]:  # (term bound, work)
-        r = taken.bit_count()
-        if r == size:
-            return 1, 0
-        degree = (size - r) * top - sum(range(r, size)) + sum(j for j in range(size) if not taken >> j & 1)
-        products = work = 0
-        for c in range(size):
-            t = terms(top - r + c)
-            if t and not taken >> c & 1:
-                bound, below = minor(taken | 1 << c)
-                if bound:  # a minor with a term has degree >= 0
-                    bound = min(bound, math.comb(degree - (top - r + c) + n - 1, n - 1))
-                products += t * bound
-                work += t * bound + below
-        return products, work
-
-    return minor(0)[1]
+    e = {k: elementary_symmetric(n, k) if k else Polynomial.one(n) for k in range(n + 1)}
+    zero = Polynomial.zero(n)
+    return poly_det([[e.get(n - 1 - i + j, zero) for j in range(m)] for i in range(m)])

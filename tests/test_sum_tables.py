@@ -165,7 +165,7 @@ def test_no_report_value_is_a_numpy_scalar(point, monkeypatch):
         verify_balance(4, 3, rates, gen=broken),
         densities(4, 3, rates),
         currents_exact(4, 3, rates),
-        gen.triplet_rows(rates),
+        gen.triplet_rows(),
     ]
     assert reports[1].failures
     if rates is None:
