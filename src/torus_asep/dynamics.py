@@ -28,6 +28,8 @@ the table of the arcs' boundary crossings, written in one pass over the move
 rule with no `Transition` kept.  The exact solver and the checks read the
 arrays; the outputs that list full states expand the rotations when they
 are written, and every graph search walks one `adjacency` of the arrays.
+The rule of the generator M, an arc's two signed ends, is written once in
+`generator_ends`, and every table of M reads it.
 """
 
 from __future__ import annotations
@@ -197,6 +199,34 @@ class Arcs(NamedTuple):
     shift: np.ndarray
 
 
+def rotated_pairs(arcs: Arcs, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tail and head of each arc of `arcs` from every rotation s of its
+    source, arc by arc, each state numbered r L + s: representative r
+    rotated by s."""
+    s = np.arange(L)
+    return (arcs.source[:, None] * L + s).ravel(), (arcs.target[:, None] * L + (s + arcs.shift[:, None]) % L).ravel()
+
+
+def generator_ends(tail: np.ndarray, head: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rule of the generator M = inflow - outflow: an arc tail -> head
+    of rate r adds r at (head, tail) and takes r at (tail, tail).  Returns
+    the two ends of each arc as (row, column, rate, sign) arrays, the added
+    ends first; an arc whose head is its tail adds and takes at one place,
+    and is dropped."""
+    moves = tail != head
+    tail, head, rate = tail[moves], head[moves], rate[moves]
+    return np.concatenate([head, tail]), np.concatenate([tail, tail]), np.concatenate([rate, rate]), np.repeat([1, -1], len(tail))
+
+
+def generator_entries(num: int, tail: np.ndarray, head: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray, SumTable]:
+    """The entries of M over states 0 .. num - 1 that some arc reaches, by
+    row and then column: their rows, their columns, and a `SumTable` with
+    one slot per entry over one state of weight 1."""
+    row, column, rate, sign = generator_ends(tail, head, rate)
+    keys, entry = np.unique(row * num + column, return_inverse=True)
+    return keys // num, keys % num, SumTable.build(len(keys), entry.ravel(), np.zeros(len(row)), rate, sign)
+
+
 @dataclass(frozen=True)
 class SparseGenerator:
     """The transition graph of (L, n), one state per rotation orbit.
@@ -273,12 +303,11 @@ class SparseGenerator:
     def full_arcs(self) -> Arcs:
         """The arcs of the full state space, each arc of `arcs` from every
         rotation of its source, by source and then in move-rule order."""
-        source, target, rate, shift = self.arcs
-        L, s, rank = self.L, np.arange(self.L), np.empty(self.num_states, dtype=np.int64)
+        L, rank = self.L, np.empty(self.num_states, dtype=np.int64)
         rank[self.orbit[0] * L + self.orbit[1]] = np.arange(self.num_states)  # of representative r rotated by s: r L + s
-        full = rank[source[:, None] * L + s].ravel(), rank[target[:, None] * L + (s + shift[:, None]) % L].ravel()
+        full = [rank[pairs] for pairs in rotated_pairs(self.arcs, L)]
         order = np.argsort(full[0], kind="stable")
-        return Arcs(*(_frozen(c[order]) for c in (*full, np.repeat(rate, L), np.repeat(shift, L))))
+        return Arcs(*(_frozen(c[order]) for c in (*full, np.repeat(self.arcs.rate, L), np.repeat(self.arcs.shift, L))))
 
     @cached_property
     def exponents(self) -> np.ndarray:
@@ -290,14 +319,10 @@ class SparseGenerator:
     @cached_property
     def balance_rows(self) -> SumTable:
         """Inflow minus outflow per representative, which each of its
-        rotations shares: each arc's flow, its source's weight times its
-        rate, added to its target and taken from its source."""
+        rotations shares: M's rule, an end at (row, column) adding the
+        weight of state column times its rate to slot row."""
         source, target, rate, _ = self.arcs
-        ones = np.ones(len(source), dtype=np.int64)
-        return SumTable.build(
-            len(self.representatives), np.concatenate([target, source]), np.concatenate([source, source]),
-            np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
-        )
+        return SumTable.build(len(self.representatives), *generator_ends(source, target, rate))
 
     @cached_property
     def solver_structure(self) -> dict:
@@ -359,20 +384,18 @@ class SparseGenerator:
 
     def triplet_rows(self) -> list[tuple[int, int, str]]:
         """Sparse symbolic export: (source index, target index, rate string)
-        over the full state space, the summed off-diagonal entries by
-        (source, target), then the diagonal."""
-        num = self.num_states
+        over the full state space, M's off-diagonal entries by (source,
+        target), then its diagonal, "0" at a state without arcs."""
         source, target, rate, _ = self.full_arcs
-        pairs, pair = np.unique(source * num + target, return_inverse=True)
-        ones = np.ones(len(source), dtype=np.int64)
-        table = SumTable.build(
-            len(pairs) + num, np.concatenate([pair.ravel(), len(pairs) + source]), np.zeros(2 * len(source), dtype=np.int32),
-            np.concatenate([rate, rate]), np.concatenate([ones, -ones]),
-        )
+        row, column, table = generator_entries(self.num_states, source, target, rate)
         values = Domain(self.n).totals(np.zeros((1, 2 * self.n), dtype=np.int64), table)
-        rows = [(j, k, str(v)) for j, k, v in zip((pairs // num).tolist(), (pairs % num).tolist(), values)]
-        rows.extend((j, j, str(v)) for j, v in enumerate(values[len(pairs) :]))
-        return rows
+        rows, diagonal = [], ["0"] * self.num_states
+        for i, j, v in zip(row.tolist(), column.tolist(), values):
+            if i == j:
+                diagonal[j] = str(v)
+            else:
+                rows.append((j, i, str(v)))
+        return sorted(rows) + [(j, j, v) for j, v in enumerate(diagonal)]
 
     def state_manifest(self) -> list[tuple[int, str]]:
         return [(j, w.to_text()) for j, w in enumerate(self.states)]

@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Arcs, SparseGenerator, adjacency, breadth_first, build_generator
+from .dynamics import Arcs, SparseGenerator, adjacency, breadth_first, build_generator, generator_entries, rotated_pairs
 from .model import ColoredWord, ensure_valid, gap_lengths
-from .symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, integer_totals, poly_det
+from .symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, integer_totals, poly_det, rate_product
 
 
 class StationaryError(RuntimeError):
@@ -107,15 +107,9 @@ def weight_exponents(letters: np.ndarray, n: int) -> np.ndarray:
     return pairs.reshape(size, n * n) @ np.array(box_exponents(n), dtype=np.int64).reshape(n * n, 2 * n)
 
 
-def _rate_products(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The exponent tuples of p_1..p_n and of q_1..q_n."""
-    return (1,) * n + (0,) * n, (0,) * n + (1,) * n
-
-
 def drift(n: int) -> Polynomial:
     """p_1..p_n - q_1..q_n: the weight determinant's factor, carried by every current."""
-    top, bottom = _rate_products(n)
-    return Polynomial._trusted(n, {top: 1, bottom: -1})
+    return Polynomial._trusted(n, {rate_product(n, "p").exponents: 1, rate_product(n, "q").exponents: -1})
 
 
 @dataclass
@@ -141,7 +135,7 @@ def weight_identities(n: int) -> WeightIdentityReport:
     table = box_exponents(n)
     matrix = [[Polynomial._trusted(n, {e: 1}) for e in row] for row in table]
     determinant_ok = poly_det(matrix) == drift(n) ** (n - 1)
-    top, bottom = _rate_products(n)
+    top, bottom = rate_product(n, "p").exponents, rate_product(n, "q").exponents
     failures = []
     for i, row in enumerate(table, start=1):
         for k in range(1, n + 1):
@@ -221,10 +215,14 @@ def _live_arcs(arcs: Arcs, live: tuple[bool, ...]) -> Arcs:
     return Arcs(*(column[keep] for column in arcs))
 
 
-def _integer_arcs(arcs: Arcs, rates: RatePoint) -> tuple[Arcs, tuple[int, ...]]:
-    """The positive-rate arcs among `arcs`, and the 2n rates scaled to integers."""
-    values = rates.integer_scaling()[1]
-    return _live_arcs(arcs, tuple(x > 0 for x in values)), values
+def _rows(size: int, row: list[int], col: list[int], values: list[int], p: int) -> list[dict[int, int]]:
+    """`_eliminate`'s rows (column -> value) of the size-row matrix whose
+    entry at (row[e], col[e]) is values[e], reduced modulo p, zeros left out."""
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
+    for i, j, v in zip(row, col, values):
+        if v % p:
+            rows[i][j] = v % p
+    return rows
 
 
 def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
@@ -376,89 +374,65 @@ def _reconstruct(x: list[int], modulus: int) -> list[int] | None:
 
 class _Quotient(NamedTuple):
     """What `exact_stationary` needs of a generator at one pattern of
-    positive rates, none of it a rate value: the orbit chain's closed
-    class, certified, and its quotient system A y = b as index arrays.
+    positive rates, none of it a rate value: the closed class, and the
+    quotient system A y = b of its orbit chain as index arrays.
 
     `orbit` numbers each representative's orbit in the class, -1 off it.
-    A's entries are listed by row, then column, in `row` and `col`, and
-    each row's run ends at its `row_ends`; b's nonzero entries follow A's
-    and sit at rows `b_row`.  `entries` holds them as the slots of a
-    `SumTable` over one state of weight 1: a row per entry and rate
-    symbol, signed by the count of the entry's arcs of that rate.
+    `entries` is the orbit chain's `generator_entries` table; `entry`
+    names its slots that are A's entries, listed by row and then column at
+    `row` and `col` of the `size` x `size` matrix A, and then those of
+    column 0, which b negates, at rows `b_row`.
     """
 
     orbit: list[int]
+    size: int
     row: list[int]
     col: list[int]
-    row_ends: list[int]
     b_row: list[int]
+    entry: list[int]
     entries: SumTable
 
 
 def _quotient(gen: SparseGenerator, live: tuple[bool, ...]) -> _Quotient:
     """The `_Quotient` of `gen` when exactly the rates marked in `live` are
     positive; StationaryError if the chain has more than one closed class."""
-    source, target, rate, shift = _live_arcs(gen.arcs, live)
+    arcs = _live_arcs(gen.arcs, live)
     num, L = len(gen.representatives), gen.L
-    members = _closed_class(num, source, target)
-    inside = np.isin(source, members)
-    tail = (source[inside, None] * L + np.arange(L)).ravel()
-    head = (target[inside, None] * L + (np.arange(L) + shift[inside, None]) % L).ravel()
-    if len(breadth_first(adjacency(num * L, tail, head), members[0] * L)) < len(members) * L:
-        raise StationaryError("chain has more than one closed class: its stationary law is not unique")
-
-    # Quotient generator: column o holds the outflows of member o, each arc
-    # adding its rate at (target, o) and taking it at (o, o); an arc that
-    # stays in its orbit does both at one place.
-    m = len(members)
+    # The full chain's class, of states r L + s, is a union of orbits, so
+    # every L-th member is a representative's r L.
+    representatives = np.array(_closed_class(num * L, *rotated_pairs(arcs, L))[::L]) // L
+    m = len(representatives)
     orbit = np.full(num, -1)
-    orbit[members] = np.arange(m)
-    o, t, r = orbit[source[inside]], orbit[target[inside]], rate[inside]
-    moves = o != t
-    o, t, r = o[moves], t[moves], r[moves]
-    keys, entry = np.unique(np.concatenate([t * m + o, o * m + o]), return_inverse=True)
-    counts = np.zeros((len(keys), 2 * gen.n), dtype=np.int64)
-    np.add.at(counts, (entry.ravel(), np.concatenate([r, r])), np.repeat([1, -1], len(r)))
-    row, col = np.divmod(keys, m)
+    orbit[representatives] = np.arange(m)
+    inside = orbit[arcs.source] >= 0
+    row, col, entries = generator_entries(m, orbit[arcs.source[inside]], orbit[arcs.target[inside]], arcs.rate[inside])
     # Deleting the redundant row 0 and the anchored column 0 leaves A y = b,
     # with b = -(column 0).
     a, rhs = (row > 0) & (col > 0), (row > 0) & (col == 0)
-    counts = np.concatenate([counts[a], -counts[rhs]])
-    slot, symbol = np.nonzero(counts)
     return _Quotient(
-        orbit.tolist(),
-        (row[a] - 1).tolist(),
-        (col[a] - 1).tolist(),
-        np.searchsorted(row[a], np.arange(2, m + 1)).tolist(),
-        (row[rhs] - 1).tolist(),
-        SumTable.build(len(counts), slot, np.zeros_like(slot), symbol, counts[slot, symbol]),
+        orbit.tolist(), m - 1, (row[a] - 1).tolist(), (col[a] - 1).tolist(), (row[rhs] - 1).tolist(),
+        np.concatenate([np.flatnonzero(a), np.flatnonzero(rhs)]).tolist(), entries,
     )
 
 
 def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     """Exact stationary distribution of the generator at the given rates.
 
-    The dynamics commute with rotation, so the law is constant on rotation
-    orbits and solves the chain of the orbits, whose states are the
-    representatives and whose arcs are the graph's.  That chain's
-    positive-rate graph must have one closed class, found here; it is
-    certified to be the orbits of one closed class of the full chain when
-    its first representative, unshifted, reaches every (representative,
-    shift) pair over it.  The law is then zero off the class and unique (a
+    The positive-rate full chain must have one closed class, found over the
+    (representative, shift) pairs; the law is zero off it and unique (a
     finite chain with one closed class has a one-dimensional null space).
-    The class, its certificate and the index arrays of the orbit chain's
-    quotient system depend only on which rates are positive, so they are
-    found on the first solve of each such pattern and kept on the
-    generator (`SparseGenerator.solver_structure`); a solve at a later
-    rate point of the pattern only scatters its integer-scaled rates.
-    The orbit chain on the class, anchored at x = 1 on the class's first
-    representative, is factored once by sparse elimination modulo a prime,
-    lifted p-adically (Dixon) and rationally reconstructed (Wang) at
-    doubling precision.  A candidate is accepted only if it is strictly
-    positive on the class and, extended by zero, annihilated exactly, in
-    integers, by every arc of the orbit chain, which is the full generator's
-    balance at every rotation; past the Hadamard bound of the quotient
-    matrix there is none.
+    Rotation commutes with the dynamics, so it maps that class to a closed
+    class, itself: the class is a union of orbits, and the law, constant
+    on orbits, solves the orbit chain on them.  The class and the index
+    arrays of its quotient system depend only on which rates are positive,
+    so they are kept on the generator per such pattern
+    (`SparseGenerator.solver_structure`).  The orbit chain, anchored at
+    x = 1 on the class's first representative, is factored by sparse
+    elimination modulo a prime, lifted p-adically (Dixon) and rationally
+    reconstructed (Wang) at doubling precision.  A candidate is accepted
+    only if it is strictly positive on the class and, extended by zero,
+    balances every representative exactly in integers; past the Hadamard
+    bound of the quotient matrix there is none.
     """
     if rates.n != gen.n:
         raise ValueError("rate point has wrong number of rows")
@@ -468,11 +442,12 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     if quotient is None:
         quotient = gen.solver_structure[live] = _quotient(gen, live)
 
-    values = integer_totals(quotient.entries, [1], scaled)
-    size, nnz = len(quotient.row_ends), len(quotient.row)
+    totals = integer_totals(quotient.entries, [1], scaled)
+    values = [totals[e] for e in quotient.entry]
+    size, nnz = quotient.size, len(quotient.row)
     b = [0] * size
     for i, v in zip(quotient.b_row, values[nnz:]):
-        b[i] = v
+        b[i] = -v
     # A by column, for the lifting and the Hadamard bound
     cols: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for i, j, v in zip(quotient.row, quotient.col, values):
@@ -483,10 +458,8 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     h2 = math.prod(max(sum(v * v for _, v in c), 1) for c in cols) * max(sum(v * v for v in b), 1)
     past_bound = 2 * h2
 
-    ends = quotient.row_ends
     for p in PRIMES:
-        entries = list(zip(quotient.col, [v % p for v in values[:nnz]]))
-        steps = _eliminate([{j: v for j, v in entries[lo:hi] if v} for lo, hi in zip([0, *ends], ends)], p)
+        steps = _eliminate(_rows(size, quotient.row, quotient.col, values[:nnz], p), p)
         if len(steps) == size:
             break
     else:
@@ -539,14 +512,11 @@ def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint) -> int:
     of 1 here, together with one exhibited null vector, proves the rational
     null space is exactly one-dimensional.
     """
-    prime = PRIMES[0]
-    (source, target, rate, _), scaled = _integer_arcs(gen.full_arcs, rates)
-    rows: list[dict[int, int]] = [{} for _ in range(gen.num_states)]
-    for s, t, r in zip(source.tolist(), target.tolist(), rate.tolist()):
-        rows[t][s] = (rows[t].get(s, 0) + scaled[r]) % prime
-        rows[s][s] = (rows[s].get(s, 0) - scaled[r]) % prime
-    rank = len(_eliminate([{j: v for j, v in row.items() if v} for row in rows], prime))
-    return gen.num_states - rank
+    prime, num = PRIMES[0], gen.num_states
+    source, target, rate, _ = gen.full_arcs
+    row, col, entries = generator_entries(num, source, target, rate)
+    values = integer_totals(entries, [1], rates.integer_scaling()[1])
+    return num - len(_eliminate(_rows(num, row.tolist(), col.tolist(), values, prime), prime))
 
 
 # -- balance equations --------------------------------------------------------------

@@ -671,7 +671,8 @@ def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
     the last ones, and is expanded once, so the expansion forms at most
     size * 2^(size - 1) products.  A zero entry is skipped with its minor,
     so a banded matrix, such as the Jacobi-Trudi band of `rect_schur`,
-    reaches only the minors of its nonzero entries."""
+    reaches only the minors of its nonzero entries; a zero minor is
+    skipped too, without a product."""
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
@@ -686,8 +687,8 @@ def poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
             return matrix[r][cols[0]]
         total = Polynomial.zero(n)
         for idx, c in enumerate(cols):
-            if matrix[r][c]:
-                term = matrix[r][c] * expand(cols[:idx] + cols[idx + 1 :])
+            if matrix[r][c] and (minor := expand(cols[:idx] + cols[idx + 1 :])):
+                term = matrix[r][c] * minor
                 total = total + term if idx % 2 == 0 else total - term
         return total
 

@@ -68,3 +68,16 @@ def build_generator(
     # the move rule would rebuild: the reference solver reads these.
     gen.__dict__["transitions"] = tuple(map(tuple, all_transitions))
     return gen
+
+
+def generator_entries(num: int, tail, head, rate, values) -> dict[tuple[int, int], object]:
+    """The nonzero entries {(row, column): value} of M = inflow - outflow
+    over states 0 .. num - 1, accumulated arc by arc as the dict loop of
+    `generator_rank_deficiency` did before it read `generator_entries`: an
+    arc tail -> head of rate index r adds values[r] at (head, tail) and
+    takes it at (tail, tail)."""
+    rows: list[dict[int, object]] = [{} for _ in range(num)]
+    for s, t, r in zip(tail.tolist(), head.tolist(), rate.tolist()):
+        rows[t][s] = rows[t].get(s, 0) + values[r]
+        rows[s][s] = rows[s].get(s, 0) - values[r]
+    return {(i, j): v for i, row in enumerate(rows) for j, v in row.items() if v}

@@ -14,7 +14,7 @@ import reference_weights
 from reference_lumping import reference_evans_product, reference_lumping_report
 from conftest import arc_targets, random_rate_point, state_index, with_swapped_targets
 from rate_symbols import p_var, q_var, rate_value
-from torus_asep.dynamics import Arcs, breadth_first, build_generator, restrict_ta
+from torus_asep.dynamics import Arcs, breadth_first, build_generator, generator_entries, restrict_ta
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate_word
 from torus_asep import stationary
 from torus_asep.stationary import (
@@ -33,7 +33,7 @@ from torus_asep.stationary import (
     weight_exponents,
     weight_identities,
 )
-from torus_asep.symbolic import Monomial, Polynomial, RatePoint
+from torus_asep.symbolic import Domain, Monomial, Polynomial, RatePoint
 
 TAU = ColoredWord.from_text("B1 b3 b3 b4 B2 b2 B3 b3 B4 b1")
 
@@ -893,7 +893,7 @@ def test_rotation_orbits_match_the_dict_reference(L, n):
     (with n = L nothing moves, and there is no one closed class), the
     dict loop numbers the orbits by the representatives in order, first
     met at the representative itself; on a closed class, those are the
-    closed class of the orbit chain that the solver assembles."""
+    orbit numbers that the solver's `_quotient` gives the representatives."""
     import reference_graph
 
     gen = _generator(L, n)
@@ -905,18 +905,54 @@ def test_rotation_orbits_match_the_dict_reference(L, n):
     zero_q = RatePoint(positive.p, (Fraction(0),) + positive.q[1:])
     classes = [(list(range(gen.num_states)), list(range(len(gen.representatives))))]
     for rates in (positive, zero_q) if n < L else ():
-        (source, target, _, _), _ = stationary._integer_arcs(gen.full_arcs, rates)
-        (rsource, rtarget, _, _), _ = stationary._integer_arcs(gen.arcs, rates)
-        classes.append(
-            (
-                stationary._closed_class(gen.num_states, source, target),
-                stationary._closed_class(len(gen.representatives), rsource, rtarget),
-            )
-        )
-    for members, representatives in classes:
+        live = tuple(x > 0 for x in rates.p + rates.q)
+        keep = np.array(live)[gen.full_arcs.rate]
+        members = stationary._closed_class(gen.num_states, gen.full_arcs.source[keep], gen.full_arcs.target[keep])
+        classes.append((members, stationary._quotient(gen, live).orbit))
+    for members, numbers in classes:
         orbit, first = reference_graph.rotation_orbits(gen.states, members)
-        assert [orbit[j] for j in members] == [representatives.index(rep[j]) for j in members]
+        assert [orbit[j] for j in members] == [numbers[rep[j]] for j in members]
+        representatives = [r for r, o in enumerate(numbers) if o >= 0]
         assert first == representatives == [index[gen.representatives[r]] for r in representatives]
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 7) for n in range(1, L + 1)])
+def test_generator_entries_match_the_per_arc_reference(L, n):
+    """M's entries, grouped from the one arc rule, equal the per-arc dict
+    loop, symbolically and at three points (all rates positive, p_1 = 0,
+    q_n = 0): on the full space, and on the orbit chain of the solver's
+    closed class, whose quotient system A y = b is that chain's M without
+    row 0, with column 0 negated as b."""
+    gen = _generator(L, n)
+    positive = RatePoint(tuple(Fraction(k + 1, 2) for k in range(n)), tuple(Fraction(3, k + 2) for k in range(n)))
+    points = (None, positive, RatePoint((Fraction(0),) + positive.p[1:], positive.q), RatePoint(positive.p, positive.q[:-1] + (Fraction(0),)))
+    zeros = np.zeros((1, 2 * n), dtype=np.int64)
+    for rates in points:
+        dom = Domain(n, rates)
+        values = [p_var(n, k) for k in range(1, n + 1)] + [q_var(n, k) for k in range(1, n + 1)] if rates is None else rates.p + rates.q
+
+        def assert_entries(num, source, target, rate):
+            row, col, table = generator_entries(num, source, target, rate)
+            expected = reference_generator.generator_entries(num, source, target, rate, values)
+            got = zip(row.tolist(), col.tolist(), dom.totals(zeros, table))
+            assert {(i, j): v for i, j, v in got if v} == expected, rates
+            return expected
+
+        assert_entries(gen.num_states, *gen.full_arcs[:3])
+        if n == L:
+            continue  # nothing moves: there is no one closed class
+        live = tuple(bool(x) for x in values)
+        quotient = stationary._quotient(gen, live)
+        orbit = np.array(quotient.orbit)
+        source, target, rate, _ = (column[np.array(live)[gen.arcs.rate]] for column in gen.arcs)
+        inside = orbit[source] >= 0
+        expected = assert_entries(quotient.size + 1, orbit[source[inside]], orbit[target[inside]], rate[inside])
+        totals = dom.totals(zeros, quotient.entries)
+        picked = [totals[e] for e in quotient.entry]
+        nnz = len(quotient.row)
+        system = {(i + 1, j + 1): v for i, j, v in zip(quotient.row, quotient.col, picked)}
+        system |= {(i + 1, 0): v for i, v in zip(quotient.b_row, picked[nnz:])}
+        assert system == {(i, j): v for (i, j), v in expected.items() if i > 0}, rates
 
 
 def test_rank_deficiency_of_reducible_full_space():

@@ -24,7 +24,7 @@ from reference_tables import REFERENCES
 from torus_asep import stationary, symbolic
 from torus_asep.dynamics import build_generator, outgoing_transitions
 from torus_asep.observables import currents_exact, densities, scott_russell_check
-from torus_asep.stationary import _integer_arcs, exact_stationary, lumping_report, verify_balance
+from torus_asep.stationary import exact_stationary, lumping_report, verify_balance
 from torus_asep.symbolic import Domain, Polynomial, RatePoint
 
 LATTICES = [(L, n) for L in range(1, 7) for n in range(1, L + 1)]
@@ -171,7 +171,7 @@ def test_no_report_value_is_a_numpy_scalar(point, monkeypatch):
     if rates is None:
         reports += [lumping_report(4, 3, gen=gen), lumping_report(4, 3, gen=broken), scott_russell_check(4, 3)]
     else:
-        reports += [_integer_arcs(gen.arcs, rates)[1], exact_stationary(gen, rates)]
+        reports += [rates.integer_scaling()[1], exact_stationary(gen, rates)]
         assert len(solver_inputs) >= 2
         reports += solver_inputs
     for name in REFERENCES:

@@ -151,14 +151,16 @@ def test_poly_det_small():
 def test_poly_det_expands_each_minor_once(monkeypatch):
     """The 8 x 8 box-weight matrix has no zero entry; with each minor
     expanded once, its determinant forms at most 8 * 2^7 products, where
-    expanding every minor afresh forms 69,280."""
+    expanding every minor afresh forms 69,280, and it multiplies by no
+    zero minor."""
     n = 8
     matrix = [[Polynomial(n, {e: 1}) for e in row] for row in box_exponents(n)]
     products = []
     mul = Polynomial.__mul__
-    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
     det = poly_det(matrix)
     assert len(products) <= n * 2 ** (n - 1)
+    assert all(a and b for a, b in products)
     monkeypatch.undo()
     assert det == (rate_product(n, "p").as_polynomial() - rate_product(n, "q")) ** (n - 1)
 
