@@ -27,7 +27,9 @@ column 0), int arrays of their arcs (source, target, rate index, shift) and
 the table of the arcs' boundary crossings, written in one pass over the move
 rule with no `Transition` kept.  The exact solver and the checks read the
 arrays; the outputs that list full states expand the rotations when they
-are written, and every graph search walks one `adjacency` of the arrays.
+are written.  The reachability certificate walks one `adjacency` of the
+arrays, and the exact solver's closed-class search masks the arcs level by
+level.
 The rule of the generator M, an arc's two signed ends, is written once in
 `generator_ends`, and every table of M reads it.
 """
@@ -328,9 +330,12 @@ class SparseGenerator:
     def solver_structure(self) -> dict:
         """The exact solver's structure per pattern of positive rates (a
         tuple of 2n bools), filled in by `exact_stationary` on its first
-        solve of each pattern and dropped with the graph; it holds no rate
-        value.  At most 2^(n+1) - 1 patterns occur, since no rate point has
-        both a zero p_k and a zero q_k."""
+        solve of each pattern and dropped with the graph: the closed class,
+        the index arrays of the quotient system, and the pivot order of its
+        last full-rank elimination, which later solves of the pattern
+        replay and verify, and which a fresh elimination replaces when the
+        replay fails.  It holds no rate value.  At most 2^(n+1) - 1 patterns
+        occur, since no rate point has both a zero p_k and a zero q_k."""
         return {}
 
     @cached_property

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Arcs, SparseGenerator, adjacency, breadth_first, build_generator, generator_entries, rotated_pairs
+from .dynamics import Arcs, SparseGenerator, build_generator, generator_entries, rotated_pairs
 from .model import ColoredWord, ensure_valid, gap_lengths
 from .symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, integer_totals, poly_det, rate_product
 
@@ -184,20 +184,38 @@ class StationaryTable:
 def _closed_class(num: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
     """The one closed class of the arcs (tail, head), in index order.
 
-    From node c, step to the deepest node that c reaches but that does not
+    From node c, step to a deepest node that c reaches but that does not
     reach c, until there is none: every step shrinks the set c reaches, and
     at the end that set is a closed class.  It is the only one if every state
     reaches c; otherwise StationaryError.  On an irreducible chain this is
     one forward and one backward search from node 0.
     """
-    fwd, bwd = adjacency(num, tail, head), adjacency(num, head, tail)
-    c: int | None = 0
-    while c is not None:
-        reach, back = breadth_first(fwd, c), breadth_first(bwd, c)
-        c = next((v for v in reversed(reach) if v not in back), None)
-    if len(back) != num:
+    c = 0
+    while True:
+        reach, back = _depths(num, tail, head, c), _depths(num, head, tail, c)
+        away = np.flatnonzero((reach >= 0) & (back < 0))
+        if not away.size:
+            break
+        c = int(away[np.argmax(reach[away])])
+    if (back < 0).any():
         raise StationaryError("chain has more than one closed class: its stationary law is not unique")
-    return sorted(reach)
+    return np.flatnonzero(reach >= 0).tolist()
+
+
+def _depths(num: int, tail: np.ndarray, head: np.ndarray, root: int) -> np.ndarray:
+    """The breadth-first depth of each node from root over the arcs (tail,
+    head), -1 where root does not reach it; one mask over the arcs per level."""
+    depth = np.full(num, -1)
+    depth[root] = 0
+    level, d = depth == 0, 0
+    while True:
+        reached = np.zeros(num, dtype=bool)
+        reached[head[level[tail]]] = True
+        level = reached & (depth < 0)
+        if not level.any():
+            return depth
+        d += 1
+        depth[level] = d
 
 
 # 31-bit primes, largest first.  The solver factors the quotient matrix
@@ -220,12 +238,19 @@ def _rows(size: int, row: list[int], col: list[int], values: list[int], p: int) 
     entry at (row[e], col[e]) is values[e], reduced modulo p, zeros left out."""
     rows: list[dict[int, int]] = [{} for _ in range(size)]
     for i, j, v in zip(row, col, values):
-        if v % p:
-            rows[i][j] = v % p
+        if x := v % p:
+            rows[i][j] = x
     return rows
 
 
-def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
+class _Steps(list):
+    """`_eliminate`'s steps; the first `sparse` of them are the sparse
+    phase's, the rest the dense tail's."""
+
+    sparse: int
+
+
+def _eliminate(rows: list[dict[int, int]], p: int) -> _Steps:
     """Gaussian elimination modulo p; consumes `rows` (column -> value).
 
     Each step pivots on the shortest remaining row, at its column with the
@@ -244,14 +269,14 @@ def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
     heapq.heapify(heap)
     live = len(heap)
     done = bytearray(len(rows))
-    steps = []
+    steps, dense = _Steps(), []
     while heap:
         length, r = heapq.heappop(heap)
         row = rows[r]
         if done[r] or length != len(row):
             continue
         if length >= _DENSE_FROM and 4 * length >= live:
-            steps += _eliminate_dense([i for i in range(len(rows)) if not done[i] and rows[i]], rows, p)
+            dense = [i for i in range(len(rows)) if not done[i] and rows[i]]
             break
         done[r] = 1
         live -= 1
@@ -278,7 +303,64 @@ def _eliminate(rows: list[dict[int, int]], p: int) -> list[tuple]:
                     cols[j].discard(i)
             heapq.heappush(heap, (len(target), i))
         steps.append((r, c, inv, updates, rest))
+    steps.sparse = len(steps)
+    if dense:
+        steps += _eliminate_dense(dense, rows, p)
     return steps
+
+
+class _Skeleton(NamedTuple):
+    """The pivot order of a full-rank `_eliminate`, with no value: per
+    sparse step, its pivot row and column, the other columns of the pivot
+    row and the rows it updates; and the rows handed to the dense tail."""
+
+    sparse: list[tuple[int, int, list[int], list[int]]]
+    dense: list[int]
+
+
+def _skeleton(steps: _Steps) -> _Skeleton:
+    """The `_Skeleton` of full-rank elimination steps."""
+    sparse = [(r, c, [j for j, _ in rest], [i for i, _ in updates]) for r, c, _, updates, rest in steps[: steps.sparse]]
+    return _Skeleton(sparse, sorted(step[0] for step in steps[steps.sparse :]))
+
+
+def _replay(skeleton: _Skeleton, rows: list[dict[int, int]], p: int) -> list[tuple] | None:
+    """The elimination steps of `rows` (column -> value, consumed) modulo
+    p in the pivot order of `skeleton`, with no search: each sparse step
+    updates only the rows and columns the skeleton lists, and the dense tail
+    is `_eliminate_dense`'s.  An updated entry is reduced modulo p only when
+    it is read.
+
+    Verified as it goes: an entry off the skeleton that is not zero here,
+    left in a pivot row or in a dense row at a column already eliminated,
+    or a zero pivot, or a singular dense tail gives None.  Otherwise every
+    update a fresh elimination in this order would make was made, so the
+    steps are an exact full-rank elimination of `rows`.
+    """
+    steps = []
+    for r, c, rest_cols, targets in skeleton.sparse:
+        row = rows[r]
+        pivot = row.pop(c, 0) % p
+        rest = [(j, v) for j in rest_cols if (v := row.pop(j, 0) % p)]
+        if not pivot or row and any(v % p for v in row.values()):
+            return None
+        inv = pow(pivot, -1, p)
+        updates = []
+        for i in targets:
+            target = rows[i]
+            f = target.pop(c, 0) * inv % p
+            updates.append((i, f))
+            for j, v in rest:
+                target[j] = target.get(j, 0) - f * v
+        steps.append((r, c, inv, updates, rest))
+    pivoted = {c for _, c, _, _ in skeleton.sparse}
+    for i in skeleton.dense:
+        rows[i] = {j: x for j, v in rows[i].items() if (x := v % p)}
+        if not pivoted.isdisjoint(rows[i]):
+            return None
+    if skeleton.dense:
+        steps += _eliminate_dense(skeleton.dense, rows, p)
+    return steps if len(steps) == len(rows) else None
 
 
 def _eliminate_dense(live: list[int], rows: list[dict[int, int]], p: int) -> list[tuple]:
@@ -324,12 +406,14 @@ def _eliminate_dense(live: list[int], rows: list[dict[int, int]], p: int) -> lis
 
 
 def _solve_mod(steps: list[tuple], rhs: list[int], p: int) -> list[int]:
-    """Solve A y = rhs modulo p from the full-rank elimination steps of A."""
-    b = [x % p for x in rhs]
+    """Solve A y = rhs modulo p from the full-rank elimination steps of A;
+    an updated entry of the right-hand side is reduced when it is read."""
+    b = list(rhs)
     for r, _, _, updates, _ in steps:
-        if b[r]:
+        br = b[r] = b[r] % p
+        if br:
             for i, f in updates:
-                b[i] = (b[i] - f * b[r]) % p
+                b[i] -= f * br
     y = [0] * len(rhs)
     for r, c, inv, _, rest in reversed(steps):
         acc = b[r]
@@ -381,7 +465,8 @@ class _Quotient(NamedTuple):
     `entries` is the orbit chain's `generator_entries` table; `entry`
     names its slots that are A's entries, listed by row and then column at
     `row` and `col` of the `size` x `size` matrix A, and then those of
-    column 0, which b negates, at rows `b_row`.
+    column 0, which b negates, at rows `b_row`.  `skeleton` is the pivot
+    order of the last full-rank elimination of A, None before the first.
     """
 
     orbit: list[int]
@@ -391,6 +476,7 @@ class _Quotient(NamedTuple):
     b_row: list[int]
     entry: list[int]
     entries: SumTable
+    skeleton: _Skeleton | None = None
 
 
 def _quotient(gen: SparseGenerator, live: tuple[bool, ...]) -> _Quotient:
@@ -429,10 +515,16 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     (`SparseGenerator.solver_structure`).  The orbit chain, anchored at
     x = 1 on the class's first representative, is factored by sparse
     elimination modulo a prime, lifted p-adically (Dixon) and rationally
-    reconstructed (Wang) at doubling precision.  A candidate is accepted
-    only if it is strictly positive on the class and, extended by zero,
-    balances every representative exactly in integers; past the Hadamard
-    bound of the quotient matrix there is none.
+    reconstructed (Wang) at doubling precision.  The first full-rank
+    elimination of a pattern keeps its pivot order, with no value, next to
+    the structure; a later solve of the pattern replays that order with no
+    pivot search (`_replay`), which checks that no entry it leaves out is
+    nonzero and that no pivot vanishes, and every lift checks its solve
+    modulo p exactly.  A failed replay or check redoes the prime with a
+    fresh elimination, whose pivot order is kept instead.  A candidate is
+    accepted only if it is strictly positive on the class and, extended by
+    zero, balances every representative exactly in integers; past the
+    Hadamard bound of the quotient matrix there is none.
     """
     if rates.n != gen.n:
         raise ValueError("rate point has wrong number of rows")
@@ -448,44 +540,61 @@ def exact_stationary(gen: SparseGenerator, rates: RatePoint) -> StationaryTable:
     b = [0] * size
     for i, v in zip(quotient.b_row, values[nnz:]):
         b[i] = -v
-    # A by column, for the lifting and the Hadamard bound
+    # A by column, for the lifting, and its squared column norms
     cols: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    norms = [0] * size
     for i, j, v in zip(quotient.row, quotient.col, values):
         cols[j].append((i, v))
+        norms[j] += v * v
     # Hadamard: every Cramer determinant of A y = b is at most the product
     # of the column norms of [A | b], so past 2 H^2 the reconstruction is
     # unique and a failing candidate means there is no exact solution.
-    h2 = math.prod(max(sum(v * v for _, v in c), 1) for c in cols) * max(sum(v * v for v in b), 1)
+    h2 = math.prod(max(x, 1) for x in norms) * max(sum(v * v for v in b), 1)
     past_bound = 2 * h2
 
-    for p in PRIMES:
-        steps = _eliminate(_rows(size, quotient.row, quotient.col, values[:nnz], p), p)
-        if len(steps) == size:
-            break
-    else:
-        raise StationaryError("quotient matrix is singular modulo every prime tried")
-
     orbit, L = quotient.orbit, gen.L
-    for x, modulus in _dixon(steps, cols, b, p):
-        values = _reconstruct(x, modulus)
-        if values is not None and min(values) > 0:
-            # orbit -1 reads the appended 0: the law vanishes off the class
-            values.append(0)
-            per_representative = [values[o] for o in orbit]
-            # inflow equals outflow at every representative, exactly, at the integer-scaled rates
-            if not any(integer_totals(gen.balance_rows, per_representative, scaled)):
-                total = L * sum(values)
-                probs = [Fraction(v, total) for v in per_representative]
-                return StationaryTable(states=list(gen.states), probabilities=[probs[r] for r in gen.orbit[0].tolist()])
-        if modulus > past_bound:
-            raise StationaryError("no exact positive null vector within the Hadamard bound")
+    for p in PRIMES:
+        for steps in _factors(gen, live, values[:nnz], p):
+            for x, modulus in _dixon(steps, cols, b, p):
+                y = _reconstruct(x, modulus)
+                if y is not None and min(y) > 0:
+                    # orbit -1 reads the appended 0: the law vanishes off the class
+                    y.append(0)
+                    per_representative = [y[o] for o in orbit]
+                    # inflow equals outflow at every representative, exactly, at the integer-scaled rates
+                    if not any(integer_totals(gen.balance_rows, per_representative, scaled)):
+                        total = L * sum(y)
+                        probs = [Fraction(v, total) for v in per_representative]
+                        return StationaryTable(states=list(gen.states), probabilities=[probs[r] for r in gen.orbit[0].tolist()])
+                if modulus > past_bound:
+                    raise StationaryError("no exact positive null vector within the Hadamard bound")
+    raise StationaryError("quotient matrix is singular modulo every prime tried")
+
+
+def _factors(gen: SparseGenerator, live: tuple[bool, ...], values: list[int], p: int):
+    """Full-rank elimination steps modulo p of the quotient matrix A kept
+    for the pattern `live`, whose entries are `values`, to lift from: the
+    replay of the kept skeleton if it verifies, then a fresh elimination if
+    A is invertible modulo p, whose skeleton is kept in place of the old."""
+    quotient = gen.solver_structure[live]
+    size, row, col = quotient.size, quotient.row, quotient.col
+    if quotient.skeleton is not None:
+        steps = _replay(quotient.skeleton, _rows(size, row, col, values, p), p)
+        if steps is not None:
+            yield steps
+    steps = _eliminate(_rows(size, row, col, values, p), p)
+    if len(steps) == size:
+        gen.solver_structure[live] = quotient._replace(skeleton=_skeleton(steps))
+        yield steps
 
 
 def _dixon(steps: list[tuple], cols: list[list[tuple[int, int]]], b: list[int], p: int):
     """p-adic lifting for A y = b (Dixon), A given by its columns and by its
     elimination steps modulo p: yields (x, p^k) with A x = b mod p^k, at
     k = 1, 2, 4, ... lifts.  Each lift is one solve modulo p and one exact
-    integer update of the residual."""
+    integer update of the residual, which p must then divide: A is
+    invertible modulo p, so that holds for the true solve alone, and the
+    lifting stops at the first solve that fails it."""
     x = [0] * len(b)
     residual = list(b)
     modulus, lifts, target = 1, 0, 1
@@ -497,6 +606,8 @@ def _dixon(steps: list[tuple], cols: list[list[tuple[int, int]]], b: list[int], 
                     x[c] += modulus * zc
                     for i, v in cols[c]:
                         residual[i] -= v * zc
+            if any(r % p for r in residual):
+                return
             residual = [r // p for r in residual]
             modulus *= p
         lifts = target

@@ -7,7 +7,8 @@ restricted word, sorted; the rotation orbits numbered by a dict loop; the
 gap labels of a word's boxes found by a cyclic walk from its first bullet,
 then sorted by column; and membership in the totally asymmetric
 restriction read box by box from the (row, gap) pairs whose box weight has
-a zeroed q factor.  Kept as the
+a zeroed q factor; and the exact solver's search for the one closed class
+by dict breadth-first walks.  Kept as the
 reference that the differential tests check the package against; nothing
 in the package imports it.
 """
@@ -22,11 +23,12 @@ from torus_asep.dynamics import (
     ReachabilityReport,
     Transition,
     _transitions,
+    adjacency,
     breadth_first,
     tau_zero,
 )
 from torus_asep.model import ColoredWord, box_gap_labels, iter_restricted
-from torus_asep.stationary import box_weight
+from torus_asep.stationary import StationaryError, box_weight
 
 
 def letter_sort_key(letter: int) -> tuple[int, int]:
@@ -159,3 +161,17 @@ def restrict_ta(L: int, n: int, zero_q) -> tuple[list[ColoredWord], ClosureCerti
         violations=violations,
     )
     return states, certificate
+
+
+def closed_class(num: int, tail, head) -> list[int]:
+    """The one closed class of the arcs (tail, head), in index order: from
+    node c, step to the deepest node that c reaches but that does not reach
+    c, until there is none; StationaryError unless every node reaches it."""
+    fwd, bwd = adjacency(num, tail, head), adjacency(num, head, tail)
+    c = 0
+    while c is not None:
+        reach, back = breadth_first(fwd, c), breadth_first(bwd, c)
+        c = next((v for v in reversed(reach) if v not in back), None)
+    if len(back) != num:
+        raise StationaryError("chain has more than one closed class: its stationary law is not unique")
+    return sorted(reach)

@@ -800,7 +800,8 @@ def test_solver_structure_is_kept_per_positive_rate_pattern():
     positive, a zero p_k, a zero q_k, all positive again.  Each table is a
     fresh generator's and the full-space reference's; the structure is
     built once per pattern, and equals the one a fresh generator builds at
-    another point of the pattern."""
+    another point of the pattern, the pivot order of the elimination
+    included."""
     gen = dataclasses.replace(_generator(5, 3))
     points = [
         RatePoint.parse("1,3/2,2;1/2,1/3,1/5"),
@@ -820,9 +821,157 @@ def test_solver_structure_is_kept_per_positive_rate_pattern():
     (structure,) = fresh.solver_structure.values()
 
     def fields(structure):
-        return [*structure[:-1], *dataclasses.astuple(structure.entries)]
+        return [*structure[:-2], *dataclasses.astuple(structure.entries)]
 
     assert all(np.array_equal(a, b) for a, b in zip(fields(structure), fields(kept[0]), strict=True))
+    assert structure.skeleton is not None and structure.skeleton == kept[0].skeleton
+
+
+def _pattern_points(n):
+    """Two rate points of each kind: all rates positive, p_1 = 0, q_n = 0."""
+    first = RatePoint(tuple(Fraction(k + 2, 3) for k in range(n)), tuple(Fraction(5, k + 4) for k in range(n)))
+    second = RatePoint(tuple(Fraction(7, 2 * k + 3) for k in range(n)), tuple(Fraction(k + 9, 4) for k in range(n)))
+    yield first, second
+    yield (RatePoint((Fraction(0),) + r.p[1:], r.q) for r in (first, second))
+    yield (RatePoint(r.p, r.q[:-1] + (Fraction(0),)) for r in (first, second))
+
+
+def _quotient_values(gen, rates):
+    """The kept structure of the pattern of `rates`, and the entries of
+    its quotient matrix A at `rates`, as the solver works them out."""
+    scaled = rates.integer_scaling()[1]
+    quotient = gen.solver_structure[tuple(x > 0 for x in scaled)]
+    totals = stationary.integer_totals(quotient.entries, [1], scaled)
+    return quotient, [totals[e] for e in quotient.entry[: len(quotient.row)]]
+
+
+def _quotient_rows(quotient, values, p):
+    return stationary._rows(quotient.size, quotient.row, quotient.col, values, p)
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(2, 7) for n in range(1, L)])
+def test_replayed_elimination_matches_a_fresh_one(L, n):
+    """The pivot order kept at one point of a pattern, replayed at the
+    same point, gives a fresh `_eliminate`'s steps; replayed at another
+    point of the pattern, steps that solve A y = rhs modulo p as a fresh
+    elimination's do.  The table at the other point is the reference's."""
+    gen = dataclasses.replace(_generator(L, n))
+    p = stationary.PRIMES[0]
+    for first, second in _pattern_points(n):
+        exact_stationary(gen, first)
+        for rates in (first, second):
+            quotient, values = _quotient_values(gen, rates)
+            replayed = stationary._replay(quotient.skeleton, _quotient_rows(quotient, values, p), p)
+            fresh = stationary._eliminate(_quotient_rows(quotient, values, p), p)
+            assert replayed is not None and len(fresh) == quotient.size, rates
+            if rates is first:
+                assert replayed == fresh
+            for rhs in ([1] * quotient.size, list(range(quotient.size))):
+                assert stationary._solve_mod(replayed, rhs, p) == stationary._solve_mod(fresh, rhs, p), rates
+        table = exact_stationary(gen, second).probabilities
+        assert gen.solver_structure[tuple(x > 0 for x in second.p + second.q)] is quotient  # replayed, not replaced
+        assert table == _assert_same_as_reference(gen, second)
+
+
+def _spy_factors(monkeypatch):
+    """Record each `_replay` (prime, whether it gave steps) and each
+    `_eliminate` (prime, rank) of the solver."""
+    calls = []
+    replay, eliminate = stationary._replay, stationary._eliminate
+
+    def spy_replay(skeleton, rows, p):
+        steps = replay(skeleton, rows, p)
+        calls.append(("replay", p, steps is not None))
+        return steps
+
+    def spy_eliminate(rows, p):
+        steps = eliminate(rows, p)
+        calls.append(("eliminate", p, len(steps)))
+        return steps
+
+    monkeypatch.setattr(stationary, "_replay", spy_replay)
+    monkeypatch.setattr(stationary, "_eliminate", spy_eliminate)
+    return calls
+
+
+def test_a_vanishing_pivot_falls_back_to_a_fresh_elimination(monkeypatch):
+    """With a prime that divides the kept order's first pivot put first,
+    the replay stops at that pivot, and the prime is redone afresh; the
+    table stays exact."""
+    gen = dataclasses.replace(_generator(5, 3))
+    first, second = next(_pattern_points(3))
+    exact_stationary(gen, first)
+    quotient, values = _quotient_values(gen, second)
+    r, c, _, _ = quotient.skeleton.sparse[0]
+    pivot = abs(next(v for i, j, v in zip(quotient.row, quotient.col, values) if (i, j) == (r, c)))
+    prime = next(q for q in range(2, pivot + 1) if pivot % q == 0)
+    monkeypatch.setattr(stationary, "PRIMES", (prime,) + stationary.PRIMES)
+    calls = _spy_factors(monkeypatch)
+    table = exact_stationary(gen, second).probabilities
+    assert calls[:2] == [("replay", prime, False), ("eliminate", prime, calls[1][2])]
+    assert table == _assert_same_as_reference(gen, second)
+
+
+def _drop_a_column(skeleton):
+    """The first pivot row that updates other rows loses its last column."""
+    k = next(k for k, (_, _, cols, targets) in enumerate(skeleton.sparse) if cols and targets)
+    r, c, cols, targets = skeleton.sparse[k]
+    return skeleton._replace(sparse=skeleton.sparse[:k] + [(r, c, cols[:-1], targets)] + skeleton.sparse[k + 1 :])
+
+
+def _drop_a_dense_row(skeleton):
+    """The first step that updates a row of the dense tail leaves it out."""
+    dense = set(skeleton.dense)
+    k, i = next((k, i) for k, (_, _, _, targets) in enumerate(skeleton.sparse) for i in targets if i in dense)
+    r, c, cols, targets = skeleton.sparse[k]
+    return skeleton._replace(sparse=skeleton.sparse[:k] + [(r, c, cols, [t for t in targets if t != i])] + skeleton.sparse[k + 1 :])
+
+
+@pytest.mark.parametrize("L,n,drop", [(5, 3, _drop_a_column), (6, 3, _drop_a_dense_row)])
+def test_an_entry_left_out_of_the_kept_order_falls_back(monkeypatch, L, n, drop):
+    """A kept order that leaves out an entry the elimination needs, a
+    column of a pivot row, or a row of the dense tail that a step must
+    update, leaves that entry nonzero in a pivot row or in the dense tail at
+    a column already eliminated: the replay refuses, a fresh elimination
+    gives the exact table, and its order is kept in place."""
+    gen = dataclasses.replace(_generator(L, n))
+    first, second = next(_pattern_points(n))
+    exact_stationary(gen, first)
+    live = (True,) * 2 * n
+    quotient = gen.solver_structure[live]
+    gen.solver_structure[live] = quotient._replace(skeleton=drop(quotient.skeleton))
+    calls = _spy_factors(monkeypatch)
+    table = exact_stationary(gen, second).probabilities
+    p = stationary.PRIMES[0]
+    assert calls == [("replay", p, False), ("eliminate", p, quotient.size)]
+    assert gen.solver_structure[live].skeleton == quotient.skeleton
+    assert table == _assert_same_as_reference(gen, second)
+
+
+def test_a_wrong_multiplier_fails_the_lifting_check(monkeypatch):
+    """Replayed steps with one multiplier off by one factor A wrongly; the
+    first lift's solve modulo p fails its check, the prime is redone with a
+    fresh elimination, and the table stays exact."""
+    gen = dataclasses.replace(_generator(5, 3))
+    first, second = next(_pattern_points(3))
+    exact_stationary(gen, first)
+    replay, p = stationary._replay, stationary.PRIMES[0]
+
+    def corrupt(skeleton, rows, p):
+        steps = replay(skeleton, rows, p)
+        k = next(k for k, step in enumerate(steps) if step[3])
+        r, c, inv, ((i, f), *others), rest = steps[k]
+        steps[k] = (r, c, inv, [(i, (f + 1) % p), *others], rest)
+        return steps
+
+    monkeypatch.setattr(stationary, "_replay", corrupt)
+    calls = _spy_factors(monkeypatch)
+    lifts = []
+    dixon = stationary._dixon
+    monkeypatch.setattr(stationary, "_dixon", lambda steps, cols, b, p: lifts.append(p) or dixon(steps, cols, b, p))
+    table = exact_stationary(gen, second).probabilities
+    assert calls == [("replay", p, True), ("eliminate", p, 53)] and lifts == [p, p]
+    assert table == _assert_same_as_reference(gen, second)
 
 
 def test_small_primes_still_give_the_exact_table(monkeypatch, rng):
@@ -914,6 +1063,41 @@ def test_rotation_orbits_match_the_dict_reference(L, n):
         assert [orbit[j] for j in members] == [numbers[rep[j]] for j in members]
         representatives = [r for r, o in enumerate(numbers) if o >= 0]
         assert first == representatives == [index[gen.representatives[r]] for r in representatives]
+
+
+def _closed_class_or_error(search, num, tail, head):
+    try:
+        return search(num, tail, head)
+    except StationaryError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(2, 7) for n in range(1, L)])
+def test_closed_class_matches_the_breadth_first_reference(L, n):
+    """The level-by-level search finds the reference's class on the full
+    chain of (representative, shift) pairs at three patterns (all rates
+    positive, p_1 = 0, q_n = 0), and on seeded random digraphs, some with
+    several closed classes, where both raise."""
+    import random
+
+    import reference_graph
+    from torus_asep.dynamics import rotated_pairs
+
+    gen = _generator(L, n)
+    for live in ((True,) * 2 * n, (False,) + (True,) * (2 * n - 1), (True,) * (2 * n - 1) + (False,)):
+        arcs = stationary._live_arcs(gen.arcs, live)
+        pairs = rotated_pairs(arcs, L)
+        num = len(gen.representatives) * L
+        assert stationary._closed_class(num, *pairs) == reference_graph.closed_class(num, *pairs), live
+    draw = random.Random(1000 * L + n)
+    outcomes = set()
+    for _ in range(20):
+        num = draw.randint(1, 12)
+        tail, head = (np.array([draw.randrange(num) for _ in range(2 * num)], dtype=np.int64) for _ in range(2))
+        found = _closed_class_or_error(stationary._closed_class, num, tail, head)
+        assert found == _closed_class_or_error(reference_graph.closed_class, num, tail, head)
+        outcomes.add(type(found))
+    assert outcomes == {list, str}
 
 
 @pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 7) for n in range(1, L + 1)])

@@ -137,12 +137,14 @@ def _numpy_free(value) -> bool:
 @pytest.mark.parametrize("point", [None, "1,3/2,2;1/2,1/3,1/5", f"{10**12},1,2;3,{10**12 - 1}/3,0"])
 def test_no_report_value_is_a_numpy_scalar(point, monkeypatch):
     rates = None if point is None else RatePoint.parse(point)
-    # The solver's integer arithmetic: the rows handed to the elimination,
-    # and the columns and right-hand side handed to the lifting.
+    # The solver's integer arithmetic: the rows handed to the elimination or
+    # to the replay of a kept pivot order, and the columns and right-hand
+    # side handed to the lifting.
     solver_inputs = []
-    eliminate, dixon = stationary._eliminate, stationary._dixon
+    eliminate, replay, dixon = stationary._eliminate, stationary._replay, stationary._dixon
     record = lambda value, result: solver_inputs.append(value) or result
     monkeypatch.setattr(stationary, "_eliminate", lambda rows, p: record(copy.deepcopy(rows), eliminate)(rows, p))
+    monkeypatch.setattr(stationary, "_replay", lambda skeleton, rows, p: record(copy.deepcopy(rows), replay)(skeleton, rows, p))
     monkeypatch.setattr(stationary, "_dixon", lambda steps, cols, b, p: record((cols, b), dixon)(steps, cols, b, p))
     gen = build_generator(4, 3)
     # Swapping the targets of two arcs of unequal flows breaks balance, so
