@@ -27,9 +27,9 @@ column 0), int arrays of their arcs (source, target, rate index, shift) and
 the table of the arcs' boundary crossings, written in one pass over the move
 rule with no `Transition` kept.  The exact solver and the checks read the
 arrays; the outputs that list full states expand the rotations when they
-are written.  The reachability certificate walks one `adjacency` of the
-arrays, and the exact solver's closed-class search masks the arcs level by
-level.
+are written.  The package's one graph search, `breadth_first`, walks arc
+arrays a frontier at a time; the reachability certificate and the exact
+solver's closed-class search both run it.
 The rule of the generator M, an arc's two signed ends, is written once in
 `generator_ends`, and every table of M reads it.
 """
@@ -480,29 +480,29 @@ class ReachabilityReport:
     witness_path: list[Transition]
 
 
-def adjacency(num: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
-    """Per node 0 .. num - 1, the heads of the arcs (tail, head) leaving it,
-    in arc order."""
-    heads = head[np.argsort(tail, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(tail, minlength=num)).tolist()
-    return [heads[a:b] for a, b in zip([0, *ends], ends)]
-
-
-def breadth_first(adjacency: list[list[int]], root: int) -> dict[int, int | None]:
-    """Breadth-first search tree from root: the parent of each reached node
-    (None for root), inserted in visiting order, so the last key is a
-    deepest node."""
-    parent: dict[int, int | None] = {root: None}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adjacency[u]:
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return parent
+def breadth_first(num: int, tail: np.ndarray, head: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from root over the arcs (tail, head) of nodes
+    0 .. num - 1, each node's arcs taken in arc order.  Returns the reached
+    nodes in visiting order, so the last is a deepest one, and per node the
+    arc that first reached it, -1 for root and for the nodes not reached."""
+    by_tail = np.argsort(tail, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=num))])
+    via = np.full(num, -1, dtype=np.int64)
+    seen = np.zeros(num, dtype=bool)
+    seen[root] = True
+    levels = [frontier := np.array([root])]
+    while frontier.size:
+        # the frontier's arcs, node by node and each node's in arc order
+        count = start[frontier + 1] - start[frontier]
+        arcs = by_tail[np.arange(count.sum()) + np.repeat(start[frontier] - np.cumsum(count) + count, count)]
+        arcs = arcs[~seen[head[arcs]]]
+        _, first = np.unique(head[arcs], return_index=True)
+        arcs = arcs[np.sort(first)]
+        frontier = head[arcs]
+        seen[frontier] = True
+        via[frontier] = arcs
+        levels.append(frontier)
+    return np.concatenate(levels), via
 
 
 def _arc_transition(w: ColoredWord, r: int) -> Transition:
@@ -520,29 +520,26 @@ def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityRe
     gen = build_generator(L, n)
     source, target, rate, _ = gen.full_arcs
     tail, head = (source, target) if direction == "from" else (target, source)
-    root = gen.states.index(tau_zero(L, n))  # near the front of the letter order
-    parent = breadth_first(adjacency(gen.num_states, tail, head), root)
-    deepest = next(reversed(parent))
+    rep, shift = gen.orbit
+    root = int(np.flatnonzero((rep == gen.representatives.index(tau_zero(L, n))) & (shift == 0))[0])
+    order, via = breadth_first(gen.num_states, tail, head, root)
+
+    def state(j: int) -> ColoredWord:
+        return gen.representatives[rep[j]].rotate(int(shift[j]))
+
     path: list[Transition] = []
-    node = deepest
-    while parent[node] is not None:
-        prev = parent[node]
-        # the first arc realizing the tree edge, the one the search took
-        src, dst = (prev, node) if direction == "from" else (node, prev)
-        a = np.flatnonzero((source == src) & (target == dst))[0]
-        path.append(_arc_transition(gen.states[src], int(rate[a])))
-        node = prev
+    node = order[-1]
+    while (a := via[node]) >= 0:
+        path.append(_arc_transition(state(source[a]), int(rate[a])))
+        node = tail[a]
     if direction == "from":
         path.reverse()
-        start = gen.states[root]
-    else:
-        start = gen.states[deepest]
     return ReachabilityReport(
-        ok=len(parent) == gen.num_states,
+        ok=len(order) == gen.num_states,
         direction=direction,
         num_states=gen.num_states,
-        num_reached=len(parent),
-        witness_start=start,
+        num_reached=len(order),
+        witness_start=state(root if direction == "from" else order[-1]),
         witness_path=path,
     )
 

@@ -20,10 +20,10 @@ cross-multiplication.  Whole-row closed forms are reported over Z(L, n),
 their oracles as L times the total.  Every closed form comes from one
 function, `closed_numerators`, which runs the recurrences of the partition
 function, the box densities and the currents in a `Domain`'s ring: as
-polynomials in `closed_forms`, built once per lattice for the symbolic
-checks, and as exact values at a rate point, computed afresh by the
-numeric checks and `closed_currents`.  Densities and currents share one
-report type, `ObservableReport`.
+polynomials in `closed_forms`, kept for the two most recent lattices
+for the symbolic checks, and as exact values at a rate point, computed
+afresh by the numeric checks and `closed_currents`.  Densities and
+currents share one report type, `ObservableReport`.
 """
 
 from __future__ import annotations
@@ -133,12 +133,13 @@ def _first_difference(a: Polynomial, b: Polynomial) -> str:
 # -- stationary ensemble ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def full_normalization(L: int, n: int) -> Polynomial:
     """L times the restricted partition function, verified against the brute
     sum of the weights, L times their sum over the representatives.
 
-    Cached per (L, n) once it passes; a mismatch raises, so it is never cached.
+    Cached per (L, n) once it passes, for the two most recent lattices, as
+    the graph is; a mismatch raises, so it is never cached.
     """
     gen = build_generator(L, n)
     total = L * Polynomial(n, Counter(map(tuple, gen.exponents.tolist())))
@@ -318,9 +319,10 @@ def closed_numerators(L: int, n: int, dom: Domain) -> MappingProxyType:
     })
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def closed_forms(L: int, n: int) -> MappingProxyType:
-    """`closed_numerators` as polynomials, built once per lattice."""
+    """`closed_numerators` as polynomials, built once per lattice and kept
+    for the two most recent lattices, as the graph is."""
     return closed_numerators(L, n, Domain(n))
 
 

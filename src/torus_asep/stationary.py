@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Arcs, SparseGenerator, build_generator, generator_entries, rotated_pairs
+from .dynamics import Arcs, SparseGenerator, breadth_first, build_generator, generator_entries, rotated_pairs
 from .model import ColoredWord, ensure_valid, gap_lengths
 from .symbolic import Domain, Monomial, Polynomial, RatePoint, SumTable, integer_totals, poly_det, rate_product
 
@@ -192,30 +192,16 @@ def _closed_class(num: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
     """
     c = 0
     while True:
-        reach, back = _depths(num, tail, head, c), _depths(num, head, tail, c)
-        away = np.flatnonzero((reach >= 0) & (back < 0))
+        reach = breadth_first(num, tail, head, c)[0]
+        back = np.zeros(num, dtype=bool)
+        back[breadth_first(num, head, tail, c)[0]] = True
+        away = reach[~back[reach]]  # in visiting order, so the last is a deepest one
         if not away.size:
             break
-        c = int(away[np.argmax(reach[away])])
-    if (back < 0).any():
+        c = int(away[-1])
+    if not back.all():
         raise StationaryError("chain has more than one closed class: its stationary law is not unique")
-    return np.flatnonzero(reach >= 0).tolist()
-
-
-def _depths(num: int, tail: np.ndarray, head: np.ndarray, root: int) -> np.ndarray:
-    """The breadth-first depth of each node from root over the arcs (tail,
-    head), -1 where root does not reach it; one mask over the arcs per level."""
-    depth = np.full(num, -1)
-    depth[root] = 0
-    level, d = depth == 0, 0
-    while True:
-        reached = np.zeros(num, dtype=bool)
-        reached[head[level[tail]]] = True
-        level = reached & (depth < 0)
-        if not level.any():
-            return depth
-        d += 1
-        depth[level] = d
+    return np.sort(reach).tolist()
 
 
 # 31-bit primes, largest first.  The solver factors the quotient matrix
@@ -613,21 +599,6 @@ def _dixon(steps: list[tuple], cols: list[list[tuple[int, int]]], b: list[int], 
         lifts = target
         yield x, modulus
         target *= 2
-
-
-def generator_rank_deficiency(gen: SparseGenerator, rates: RatePoint) -> int:
-    """num_states - rank(M) computed modulo the solver's first prime, by its
-    sparse elimination.
-
-    The rank modulo a prime never exceeds the rational rank, so a deficiency
-    of 1 here, together with one exhibited null vector, proves the rational
-    null space is exactly one-dimensional.
-    """
-    prime, num = PRIMES[0], gen.num_states
-    source, target, rate, _ = gen.full_arcs
-    row, col, entries = generator_entries(num, source, target, rate)
-    values = integer_totals(entries, [1], rates.integer_scaling()[1])
-    return num - len(_eliminate(_rows(num, row.tolist(), col.tolist(), values, prime), prime))
 
 
 # -- balance equations --------------------------------------------------------------

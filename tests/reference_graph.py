@@ -5,12 +5,14 @@ asymmetric restriction walking those tuples.  Also the rules the package
 once stated a second time: the full state space as every rotation of every
 restricted word, sorted; the rotation orbits numbered by a dict loop; the
 gap labels of a word's boxes found by a cyclic walk from its first bullet,
-then sorted by column; and membership in the totally asymmetric
-restriction read box by box from the (row, gap) pairs whose box weight has
-a zeroed q factor; and the exact solver's search for the one closed class
-by dict breadth-first walks.  Kept as the
-reference that the differential tests check the package against; nothing
-in the package imports it.
+then sorted by column; membership in the totally asymmetric restriction
+read box by box from the (row, gap) pairs whose box weight has a zeroed q
+factor; and the graph search as it stood before the package searched arc
+arrays a frontier at a time: per node a list of the heads of its arcs
+(`adjacency`) and a dict breadth-first search over those lists
+(`breadth_first`), with the exact solver's search for the one closed class
+by such walks.  Kept as the reference that the differential tests check
+the package against; nothing in the package imports it.
 """
 
 from __future__ import annotations
@@ -18,17 +20,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from torus_asep.dynamics import (
     ClosureCertificate,
     ReachabilityReport,
     Transition,
     _transitions,
-    adjacency,
-    breadth_first,
     tau_zero,
 )
 from torus_asep.model import ColoredWord, box_gap_labels, iter_restricted
 from torus_asep.stationary import StationaryError, box_weight
+
+
+def adjacency(num: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
+    """Per node 0 .. num - 1, the heads of the arcs (tail, head) leaving it,
+    in arc order."""
+    heads = head[np.argsort(tail, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(tail, minlength=num)).tolist()
+    return [heads[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def breadth_first(adjacency: list[list[int]], root: int) -> dict[int, int | None]:
+    """Breadth-first search tree from root: the parent of each reached node
+    (None for root), inserted in visiting order, so the last key is a
+    deepest node."""
+    parent: dict[int, int | None] = {root: None}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    return parent
 
 
 def letter_sort_key(letter: int) -> tuple[int, int]:

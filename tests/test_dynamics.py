@@ -463,7 +463,7 @@ def test_the_move_rule_commutes_with_rotation(L):
                     assert u.displacements == tuple(rotated(d, s) for d in t.displacements)
 
 
-@pytest.mark.parametrize("L,n", LATTICES)
+@pytest.mark.parametrize("L,n", LATTICES + [(7, 3), (7, 4)])
 def test_graph_walks_match_the_object_graph(L, n):
     """Reachability in both directions and the restriction for every zero
     set equal, field for field, the walks over the stored `Transition`s."""
@@ -500,6 +500,54 @@ def test_a_closure_violation_rebuilds_its_transition(monkeypatch):
     assert not cert.ok and {w for w, _ in cert.violations} == outsiders
     assert all(t in outgoing_transitions(w) for w, t in cert.violations)
     assert (states, cert) == reference_graph.restrict_ta(5, 3, {1})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_breadth_first_matches_the_dict_reference(seed):
+    """On seeded random digraphs, with self-loops, repeated arcs, unreached
+    nodes, one node and no arcs, the array search visits the nodes in the
+    dict search's order, and each reached node's arc comes from its dict
+    parent: the first arc from the parent to it, in arc order."""
+    import random
+
+    import numpy as np
+
+    import reference_graph
+    from torus_asep.dynamics import breadth_first
+
+    draw = random.Random(seed)
+    graphs = [(1, [], []), (1, [0], [0]), (3, [], [])]
+    for _ in range(20):
+        num = draw.randint(1, 15)
+        pairs = [(draw.randrange(num), draw.randrange(num)) for _ in range(draw.randint(0, 2 * num))]
+        pairs += [(u, u) for u in draw.sample(range(num), min(2, num))] + pairs[: draw.randint(0, len(pairs))]
+        draw.shuffle(pairs)
+        graphs.append((num, [u for u, _ in pairs], [v for _, v in pairs]))
+    unreached = 0
+    for num, tail, head in graphs:
+        tail, head = np.array(tail, dtype=np.int64), np.array(head, dtype=np.int64)
+        root = draw.randrange(num)
+        order, via = breadth_first(num, tail, head, root)
+        parent = reference_graph.breadth_first(reference_graph.adjacency(num, tail, head), root)
+        assert order.tolist() == list(parent)
+        for node in range(num):
+            if parent.get(node) is None:
+                assert via[node] == -1
+            else:
+                assert tail[via[node]] == parent[node]
+                assert via[node] == np.flatnonzero((tail == parent[node]) & (head == node))[0]
+        unreached += len(parent) < num
+    assert unreached
+
+
+def test_reachability_expands_only_its_witness(fresh_graphs):
+    """The certificate finds tau0 from the orbit map and rotates only the
+    witness states out of the representatives: the full state list is
+    never built."""
+    gen = build_generator(5, 3)
+    for direction in ("from", "to"):
+        assert reachability_tau0(5, 3, direction).ok
+    assert "states" not in vars(gen)
 
 
 def test_no_check_reads_the_transition_view(fresh_graphs):

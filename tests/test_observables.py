@@ -443,6 +443,17 @@ def test_normalization_is_proved_before_comparing(numeric, monkeypatch, rng):
     assert calls == [(4, 2), (4, 2)]
 
 
+def test_polynomial_caches_keep_two_lattices():
+    """The per-lattice polynomial tables are kept for the two most recent
+    lattices, as the graph is, so a run over many lattices stays bounded."""
+    from torus_asep.observables import closed_forms, full_normalization
+
+    for L, n in ((4, 2), (5, 2), (5, 3)):
+        full_normalization(L, n)
+    assert closed_forms.cache_info().currsize <= 2
+    assert full_normalization.cache_info().currsize <= 2
+
+
 def test_full_normalization_caches_only_a_passing_result(monkeypatch):
     from torus_asep import observables
     from torus_asep.observables import ObservableMismatch, full_normalization
