@@ -258,10 +258,12 @@ class SparseGenerator:
     every column, `density_rows` and `occupation_rows`; and
     `fiber_rows`).  The full state space is a lazy view for the outputs
     that list it: `orbit` maps full states, in letter order, to
-    (representative, shift), and `states`, `weights`, `transitions` and
-    `full_arcs` expand the rotations.  No state-to-index map is kept: a
-    caller that needs one builds it from `states`.  The one memo filled in
-    from outside is `solver_structure`, the exact solver's structure per
+    (representative, shift), `letter_rank` maps back, and `states`,
+    `weights` and `transitions` expand the rotations.  Its arcs are not
+    stored: reachability, the restriction and the export walk
+    `rotated_pairs(arcs, L)`.  No state-to-index map is kept: a caller
+    that needs one builds it from `states`.  The one memo filled in from
+    outside is `solver_structure`, the exact solver's structure per
     pattern of positive rates, which depends on the arcs and that pattern
     only.
     """
@@ -302,14 +304,10 @@ class SparseGenerator:
         return tuple(monomials[r] for r in self.orbit[0].tolist())
 
     @cached_property
-    def full_arcs(self) -> Arcs:
-        """The arcs of the full state space, each arc of `arcs` from every
-        rotation of its source, by source and then in move-rule order."""
-        L, rank = self.L, np.empty(self.num_states, dtype=np.int64)
-        rank[self.orbit[0] * L + self.orbit[1]] = np.arange(self.num_states)  # of representative r rotated by s: r L + s
-        full = [rank[pairs] for pairs in rotated_pairs(self.arcs, L)]
-        order = np.argsort(full[0], kind="stable")
-        return Arcs(*(_frozen(c[order]) for c in (*full, np.repeat(self.arcs.rate, L), np.repeat(self.arcs.shift, L))))
+    def letter_rank(self) -> np.ndarray:
+        """The index in `states`, by letter order, of each full state r L + s:
+        representative r rotated by s; `orbit` inverted."""
+        return _frozen(np.argsort(self.orbit[0] * self.L + self.orbit[1]))
 
     @cached_property
     def exponents(self) -> np.ndarray:
@@ -391,8 +389,8 @@ class SparseGenerator:
         """Sparse symbolic export: (source index, target index, rate string)
         over the full state space, M's off-diagonal entries by (source,
         target), then its diagonal, "0" at a state without arcs."""
-        source, target, rate, _ = self.full_arcs
-        row, column, table = generator_entries(self.num_states, source, target, rate)
+        tail, head = (self.letter_rank[pairs] for pairs in rotated_pairs(self.arcs, self.L))
+        row, column, table = generator_entries(self.num_states, tail, head, np.repeat(self.arcs.rate, self.L))
         values = Domain(self.n).totals(np.zeros((1, 2 * self.n), dtype=np.int64), table)
         rows, diagonal = [], ["0"] * self.num_states
         for i, j, v in zip(row.tolist(), column.tolist(), values):
@@ -513,25 +511,27 @@ def _arc_transition(w: ColoredWord, r: int) -> Transition:
 
 def reachability_tau0(L: int, n: int, direction: str = "from") -> ReachabilityReport:
     """BFS certificate that tau0 reaches (direction 'from') or is reached by
-    (direction 'to') every full state, walking the full arcs; the witness
-    path realizes the deepest state."""
+    (direction 'to') every full state, walking every rotation of the
+    representatives' arcs (`rotated_pairs`); the witness path realizes the
+    deepest state.  Each state's arcs are taken in the object graph's order:
+    out of it in move-rule order, into it by source in letter order."""
     if direction not in ("from", "to"):
         raise ValueError("direction must be 'from' or 'to'")
     gen = build_generator(L, n)
-    source, target, rate, _ = gen.full_arcs
-    tail, head = (source, target) if direction == "from" else (target, source)
-    rep, shift = gen.orbit
-    root = int(np.flatnonzero((rep == gen.representatives.index(tau_zero(L, n))) & (shift == 0))[0])
+    source, target = rotated_pairs(gen.arcs, L)  # pair a is arc a // L from rotation a % L
+    pair = np.arange(len(source)) if direction == "from" else np.argsort(gen.letter_rank[source], kind="stable")
+    tail, head = (source, target) if direction == "from" else (target[pair], source[pair])
+    root = gen.representatives.index(tau_zero(L, n)) * L
     order, via = breadth_first(gen.num_states, tail, head, root)
 
     def state(j: int) -> ColoredWord:
-        return gen.representatives[rep[j]].rotate(int(shift[j]))
+        return gen.representatives[j // L].rotate(j % L)
 
     path: list[Transition] = []
     node = order[-1]
     while (a := via[node]) >= 0:
-        path.append(_arc_transition(state(source[a]), int(rate[a])))
-        node = tail[a]
+        node, a = tail[a], pair[a]
+        path.append(_arc_transition(state(source[a]), int(gen.arcs.rate[a // L])))
     if direction == "from":
         path.reverse()
     return ReachabilityReport(
@@ -564,18 +564,22 @@ def restrict_ta(L: int, n: int, zero_q) -> tuple[list[ColoredWord], ClosureCerti
         raise ValueError(f"zeroed labels must lie in 1..{n}")
     gen = build_generator(L, n)
     zeroed = [n + m - 1 for m in zero_q]
-    member = ~gen.exponents[:, zeroed].any(axis=1)[gen.orbit[0]]  # per state, read from its representative
-    source, target, rate, _ = gen.full_arcs
-    # The arcs that survive the zeroed q's from a member state: none may leave the set.
+    member = ~gen.exponents[:, zeroed].any(axis=1)  # per representative, shared by its rotations
+    source, target, rate, _ = gen.arcs
+    # The arcs that survive the zeroed q's from a member state: none may leave
+    # the set.  Both commute with rotation, so the representatives' arcs decide.
     checked = member[source] & ~np.isin(rate, zeroed)
-    leaving = np.flatnonzero(checked & ~member[target]).tolist()
-    violations = [(t.source, t) for t in (_arc_transition(gen.states[source[a]], int(rate[a])) for a in leaving)]
-    states = [w for w, keep in zip(gen.states, member) if keep]
+    leaving = np.flatnonzero(checked & ~member[target])
+    # each leaving arc from every rotation of its source, listed by source in letter order, then in move order
+    rank = gen.letter_rank[source[leaving][:, None] * L + np.arange(L)].ravel()
+    moves = (_arc_transition(gen.states[rank[i]], int(rate[leaving[i // L]])) for i in np.argsort(rank, kind="stable"))
+    violations = [(t.source, t) for t in moves]
+    states = [w for w, keep in zip(gen.states, member[gen.orbit[0]]) if keep]
     certificate = ClosureCertificate(
         ok=not violations,
         zero_q=zero_q,
         states_checked=len(states),
-        transitions_checked=int(np.count_nonzero(checked)),
+        transitions_checked=L * int(np.count_nonzero(checked)),
         violations=violations,
     )
     return states, certificate

@@ -36,8 +36,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .dynamics import build_generator
-from .model import _check_dims, iter_restricted
-from .stationary import box_weight, config_weight
+from .model import _check_dims
+from .stationary import box_weight
 from .symbolic import (
     Domain,
     Monomial,
@@ -65,11 +65,6 @@ def partition_function(L: int, n: int) -> Polynomial:
     n total box weights, read from the recurrence of `closed_numerators`.
     """
     return closed_forms(L, n)["bullet_density"]
-
-
-def brute_force_partition_function(L: int, n: int) -> Polynomial:
-    """Independent oracle: sum of config weights over the restricted states."""
-    return Polynomial(n, Counter(config_weight(w).exponents for w in iter_restricted(L, n)))
 
 
 # -- special-case partition functions ------------------------------------------

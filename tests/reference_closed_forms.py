@@ -2,20 +2,30 @@
 function's recurrence on polynomials, and the box density by its Horner
 sum for row 1 and the cyclic rate relabelling (`shift_rows`) for the
 deeper rows.  Values at a rate point are these polynomials evaluated.
-Kept as the reference that test_observables.py checks `closed_numerators`
-against in both domains; nothing in the package imports it.
+Also the partition function by brute force, the sum of the weights of the
+restricted states (`brute_force_partition_function`).  Kept as the
+reference that test_observables.py checks `closed_numerators` against in
+both domains, and that the tests check the package's `partition_function`
+against; nothing in the package imports it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from torus_asep.stationary import box_weight, drift, total_box_weight
+from torus_asep.model import iter_restricted
+from torus_asep.stationary import box_weight, config_weight, drift, total_box_weight
 from torus_asep.symbolic import Polynomial, RatePoint, rate_product
 
 # The closed forms of whole-row totals sit over Z(L, n), every other one over L * Z(L, n).
 WHOLE_ROW = frozenset({"bullet_row_current", "box_vertical_up", "box_vertical_down", "box_vertical_net"})
+
+
+def brute_force_partition_function(L: int, n: int) -> Polynomial:
+    """Independent oracle: sum of config weights over the restricted states."""
+    return Polynomial(n, Counter(config_weight(w).exponents for w in iter_restricted(L, n)))
 
 
 @lru_cache(maxsize=None)

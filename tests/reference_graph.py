@@ -11,7 +11,9 @@ factor; and the graph search as it stood before the package searched arc
 arrays a frontier at a time: per node a list of the heads of its arcs
 (`adjacency`) and a dict breadth-first search over those lists
 (`breadth_first`), with the exact solver's search for the one closed class
-by such walks.  Kept as the reference that the differential tests check
+by such walks; and the full arcs as the graph once stored them, every
+rotation's arcs renumbered in letter order and sorted by source
+(`full_arcs`).  Kept as the reference that the differential tests check
 the package against; nothing in the package imports it.
 """
 
@@ -23,14 +25,17 @@ from functools import lru_cache
 import numpy as np
 
 from torus_asep.dynamics import (
+    Arcs,
     ClosureCertificate,
     ReachabilityReport,
     Transition,
     _transitions,
+    rotated_pairs,
     tau_zero,
 )
 from torus_asep.model import ColoredWord, box_gap_labels, iter_restricted
 from torus_asep.stationary import StationaryError, box_weight
+from torus_asep.symbolic import _frozen
 
 
 def adjacency(num: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
@@ -56,6 +61,16 @@ def breadth_first(adjacency: list[list[int]], root: int) -> dict[int, int | None
                     nxt.append(v)
         frontier = nxt
     return parent
+
+
+def full_arcs(gen) -> Arcs:
+    """The arcs of the full state space, each arc of `arcs` from every
+    rotation of its source, by source and then in move-rule order."""
+    L, rank = gen.L, np.empty(gen.num_states, dtype=np.int64)
+    rank[gen.orbit[0] * L + gen.orbit[1]] = np.arange(gen.num_states)  # of representative r rotated by s: r L + s
+    full = [rank[pairs] for pairs in rotated_pairs(gen.arcs, L)]
+    order = np.argsort(full[0], kind="stable")
+    return Arcs(*(_frozen(c[order]) for c in (*full, np.repeat(gen.arcs.rate, L), np.repeat(gen.arcs.shift, L))))
 
 
 def letter_sort_key(letter: int) -> tuple[int, int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from rate_symbols import rate_symbols
+from reference_graph import full_arcs
 from torus_asep.stationary import LumpingReport, OneDimConfig, lump, total_box_weight
 from torus_asep.symbolic import Polynomial
 
@@ -31,7 +32,7 @@ def reference_lumping_report(gen) -> LumpingReport:
         fibers.setdefault(psi, []).append(j)
 
     arcs: list[list[tuple[int, int]]] = [[] for _ in gen.states]
-    for j, k, r, _ in zip(*(column.tolist() for column in gen.full_arcs)):
+    for j, k, r, _ in zip(*(column.tolist() for column in full_arcs(gen))):
         arcs[j].append((k, r))
     symbols = rate_symbols(n)
 

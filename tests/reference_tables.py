@@ -13,6 +13,7 @@ from __future__ import annotations
 from torus_asep.dynamics import F1, B1, Transition
 from torus_asep.symbolic import RatePoint
 
+from reference_graph import full_arcs
 from reference_sums import SummandDomain
 from reference_transitions import displacement_crossings
 
@@ -25,7 +26,7 @@ def reference_balance(gen, rates: RatePoint | None = None) -> list:
     """Inflow minus outflow per state (`balance_rows`)."""
     dom = SummandDomain(gen.n, rates)
     net = dom.sums(gen.num_states, terms=True)
-    targets = iter(gen.full_arcs.target.tolist())
+    targets = iter(full_arcs(gen).target.tolist())
     for j, (m, outs) in enumerate(zip(gen.weights, gen.transitions)):
         wv = dom.weight(m)
         for t, k in zip(outs, targets):

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 from conftest import random_rate_point
 from rate_symbols import p_var, q_var
+from reference_closed_forms import brute_force_partition_function
 from torus_asep.dynamics import build_generator, outgoing_transitions, restrict_ta
 from torus_asep.mcmc import estimate_observables, simulate, tv_distance
 from torus_asep.model import ColoredWord, enumerate_restricted, validate
 from torus_asep.observables import (
-    brute_force_partition_function,
     closed_currents,
     closed_forms,
     currents_exact,

@@ -438,7 +438,7 @@ def test_expanded_arcs_are_the_object_graph(L, n):
     gen, full = build_generator(L, n), reference_graph.object_graph(L, n)
     assert gen.states == full.states and gen.num_states == len(full.states)
     assert state_index(gen) == full.index
-    source, target, rate, shift = (column.tolist() for column in gen.full_arcs)
+    source, target, rate, shift = (column.tolist() for column in reference_graph.full_arcs(gen))
     symbols = rate_symbols(n)
     expected = [(j, k, t.rate_symbol) for j, (outs, targets) in enumerate(zip(full.transitions, full.targets)) for t, k in zip(outs, targets)]
     assert list(zip(source, target, [symbols[r] for r in rate])) == expected
@@ -541,12 +541,14 @@ def test_breadth_first_matches_the_dict_reference(seed):
 
 
 def test_reachability_expands_only_its_witness(fresh_graphs):
-    """The certificate finds tau0 from the orbit map and rotates only the
-    witness states out of the representatives: the full state list is
-    never built."""
+    """The certificate numbers tau0 as its representative at shift 0 and
+    rotates only the witness states out of the representatives: the full
+    state list is never built, and a "from" search, which takes each
+    state's arcs in move-rule order, never builds the letter-order map."""
     gen = build_generator(5, 3)
-    for direction in ("from", "to"):
-        assert reachability_tau0(5, 3, direction).ok
+    assert reachability_tau0(5, 3, "from").ok
+    assert not {"states", "orbit"} & vars(gen).keys()
+    assert reachability_tau0(5, 3, "to").ok
     assert "states" not in vars(gen)
 
 

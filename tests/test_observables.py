@@ -8,8 +8,8 @@ import reference_closed_forms
 import reference_currents
 from conftest import closed_box_densities, random_rate_point
 from rate_symbols import p_var, q_var
+from reference_closed_forms import brute_force_partition_function
 from torus_asep.observables import (
-    brute_force_partition_function,
     closed_currents,
     closed_forms,
     closed_numerators,

@@ -14,7 +14,7 @@ import reference_weights
 from reference_lumping import reference_evans_product, reference_lumping_report
 from conftest import arc_targets, random_rate_point, state_index, with_swapped_targets
 from rate_symbols import p_var, q_var, rate_value
-from reference_graph import breadth_first
+from reference_graph import breadth_first, full_arcs
 from torus_asep.dynamics import Arcs, build_generator, generator_entries, restrict_ta
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, validate_word
 from torus_asep import stationary
@@ -655,7 +655,7 @@ def generator_rank_deficiency(gen, rates):
     null space is exactly one-dimensional.
     """
     prime, num = stationary.PRIMES[0], gen.num_states
-    source, target, rate, _ = gen.full_arcs
+    source, target, rate, _ = full_arcs(gen)
     row, col, entries = generator_entries(num, source, target, rate)
     values = integer_totals(entries, [1], rates.integer_scaling()[1])
     return num - len(stationary._eliminate(stationary._rows(num, row.tolist(), col.tolist(), values, prime), prime))
@@ -1077,8 +1077,9 @@ def test_rotation_orbits_match_the_dict_reference(L, n):
     classes = [(list(range(gen.num_states)), list(range(len(gen.representatives))))]
     for rates in (positive, zero_q) if n < L else ():
         live = tuple(x > 0 for x in rates.p + rates.q)
-        keep = np.array(live)[gen.full_arcs.rate]
-        members = stationary._closed_class(gen.num_states, gen.full_arcs.source[keep], gen.full_arcs.target[keep])
+        arcs = full_arcs(gen)
+        keep = np.array(live)[arcs.rate]
+        members = stationary._closed_class(gen.num_states, arcs.source[keep], arcs.target[keep])
         classes.append((members, stationary._quotient(gen, live).orbit))
     for members, numbers in classes:
         orbit, first = reference_graph.rotation_orbits(gen.states, members)
@@ -1144,7 +1145,7 @@ def test_generator_entries_match_the_per_arc_reference(L, n):
             assert {(i, j): v for i, j, v in got if v} == expected, rates
             return expected
 
-        assert_entries(gen.num_states, *gen.full_arcs[:3])
+        assert_entries(gen.num_states, *full_arcs(gen)[:3])
         if n == L:
             continue  # nothing moves: there is no one closed class
         live = tuple(bool(x) for x in values)
