@@ -388,17 +388,23 @@ class SparseGenerator:
     def triplet_rows(self) -> list[tuple[int, int, str]]:
         """Sparse symbolic export: (source index, target index, rate string)
         over the full state space, M's off-diagonal entries by (source,
-        target), then its diagonal, "0" at a state without arcs."""
-        tail, head = (self.letter_rank[pairs] for pairs in rotated_pairs(self.arcs, self.L))
-        row, column, table = generator_entries(self.num_states, tail, head, np.repeat(self.arcs.rate, self.L))
-        values = Domain(self.n).totals(np.zeros((1, 2 * self.n), dtype=np.int64), table)
-        rows, diagonal = [], ["0"] * self.num_states
-        for i, j, v in zip(row.tolist(), column.tolist(), values):
-            if i == j:
-                diagonal[j] = str(v)
-            else:
-                rows.append((j, i, str(v)))
-        return sorted(rows) + [(j, j, v) for j, v in enumerate(diagonal)]
+        target), then its diagonal, "0" at a state without arcs.  M's
+        entries are rendered once per orbit, in the representatives'
+        columns, and read at each rotation s: rotating a state by s rotates
+        its arcs' targets by s."""
+        L, s = self.L, np.arange(self.L)
+        tail, head = self.arcs.source * L, self.arcs.target * L + self.arcs.shift
+        row, column, table = generator_entries(self.num_states, tail, head, self.arcs.rate)
+        texts = [str(v) for v in Domain(self.n).totals(np.zeros((1, 2 * self.n), dtype=np.int64), table)] + ["0"]
+        source = self.letter_rank[column[:, None] + s]
+        target = self.letter_rank[row[:, None] - row[:, None] % L + (row[:, None] + s) % L]
+        off = row != column
+        entry = np.full(self.num_states, -1)  # the diagonal's text, "0" where no arc leaves
+        entry[source[~off].ravel()] = np.repeat(np.flatnonzero(~off), L)
+        tail, head, text = source[off].ravel(), target[off].ravel(), np.repeat(np.flatnonzero(off), L)
+        order = np.lexsort((head, tail))
+        rows = zip(tail[order].tolist(), head[order].tolist(), (texts[e] for e in text[order].tolist()))
+        return [*rows, *((j, j, texts[e]) for j, e in enumerate(entry.tolist()))]
 
     def state_manifest(self) -> list[tuple[int, str]]:
         return [(j, w.to_text()) for j, w in enumerate(self.states)]

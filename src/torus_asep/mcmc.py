@@ -1,20 +1,31 @@
 """Continuous-time Monte Carlo over the exact dynamics, with crossing ledgers.
 
-The event loop is Gillespie sampling in the n-fold-way form (Bortz, Kalos
-and Lebowitz 1975; Gillespie 1977).  The state lives in place: a mutable
-letter list, the bullet column of each label, and the n gap lengths (the
-boxes between bullet j and bullet j + 1).  Bullet j's forward move and
-bullet j + 1's backward move are enabled exactly when gap j is not empty,
-so the bitmask of enabled moves (per bullet, forward then backward, by
-label) changes only in the two gaps next to the bullet that moved.  The
+The run is Gillespie sampling in the n-fold-way form (Bortz, Kalos and
+Lebowitz 1975; Gillespie 1977), made in two parts: an interpreted kernel
+that only draws and moves, and one vectorised pass per chunk of
+`_FLUSH_SEGMENTS` moves that writes what the moves did.
+
+The kernel holds the state as its n gap words: gap k lists the box labels
+between bullet k and bullet k + 1 in column order.  The bullets' rates
+depend only on which gaps are empty (bullet j's forward move and bullet
+j + 1's backward move are enabled exactly when gap j is not), which is
+why the bullets alone make Evans' disordered ring ASEP (Europhys. Lett.
+1996).  The bitmask of enabled moves (per bullet, forward then backward,
+by label) changes only in the two gaps next to the bullet that moved.  The
 moves, total rate (numpy's sum) and cumulative rates of a mask form its
 menu, built on the first event that meets the mask and kept in a table
-that is cleared once it holds `_MENU_LIMIT` menus.  The event draws an
-exponential holding time at the total rate, picks a move in proportion to
-its rate, and rewrites only the cells that move touches: two cells for a
-swap (F1, B1), the shifted gap block plus the bullet and the relabelled
-jumper for a nonlocal move (F2, B2).  The crossings are written straight
-from that geometry into a ledger of signed column-boundary crossings:
+that is cleared once it holds `_MENU_LIMIT` menus.  An event draws an
+exponential holding time at the total rate, then a uniform that picks a
+move in proportion to its rate, and makes the move on the gap words:
+F1 of bullet k moves the first letter of gap k to the end of gap k - 1;
+F2 drops that letter, the jumper labelled k, and puts a k - 1 at the
+front of gap k - 1; B1 and B2 mirror them on the last letter of gap
+k - 1.  The kernel logs the holding time, the move with the letter it
+popped and, for F2 and B2, the shifted gap's letters before the move.
+
+The columns are a function of that move sequence.  The pass takes the
+bullet columns from a running sum of the moves and writes a ledger of
+signed column-boundary crossings:
 
 * bullet crossings, per (row, boundary);
 * label-preserving box crossings, per (row, boundary) - these are the swap
@@ -25,40 +36,41 @@ from that geometry into a ledger of signed column-boundary crossings:
 * per-row counts of the nonlocal forward moves (box row k -> k-1, "up") and
   backward moves (box row k -> k+1, "down").
 
-The occupancy is logged: each holding-time segment with its batch, and
-each letter as it leaves its column.  Every `_FLUSH_SEGMENTS` segments one
-`np.add.at` adds each segment to the cell of each column in time order,
-the same float adds as one add per event.  An event costs O(1) interpreted
-steps plus the shifted block, and O(L) array work per segment at a flush;
-no per-state object is built or cached, so a run's memory does not grow
-with its length.  A ledger of more cells than `dynamics.state_cap()` is
-refused before it is allocated.  Only a run made with `record_states=True`
-keeps the time spent in each visited state (`state_time`, read by
-`empirical_distribution` and `tv_distance`); that record grows with the
-number of distinct states visited.  Column currents use all box crossings;
-per-row horizontal currents use only the label-preserving ones, matching
-the exact-observable conventions.  Runs are reproducible: a fixed (seed,
-parameters) pair yields an identical event sequence, ledger, and occupancy
-record.
+It then rebuilds each column's letters over the chunk as runs, from the
+letters each move changes, and one `np.add.at` adds each holding-time
+segment to the cell of each column in time order.  The batch times are
+added in time order too, so every float is the one an add per event
+gives.  An event costs O(1) interpreted steps plus a copy of the shifted
+gap, and O(L) array work in the pass; no per-state object is built or
+cached, so a run's memory does not grow with its length.  A ledger of more
+cells than `dynamics.state_cap()` is refused before it is allocated.  Only
+a run made with `record_states=True` keeps the time spent in each visited
+state (`state_time`, read by `empirical_distribution` and `tv_distance`);
+that record grows with the number of distinct states visited.  Column
+currents use all box crossings; per-row horizontal currents use only the
+label-preserving ones, matching the exact-observable conventions.  Runs
+are reproducible: a fixed (seed, parameters) pair yields an identical
+event sequence, ledger, and occupancy record.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .dynamics import ResourceCapError, block_move, state_cap, tau_zero
-from .model import ColoredWord, _check_dims, gap_lengths
+from .dynamics import ResourceCapError, state_cap
+from .model import ColoredWord, _check_dims
 from .symbolic import RatePoint
 
 
 _MENU_LIMIT = 4096  # menus kept per run; the table is cleared when it is full
-_FLUSH_SEGMENTS = 256  # holding-time segments logged between occupancy flushes
+_FLUSH_SEGMENTS = 256  # moves logged between passes of the ledger and occupancy writer
 
 
 @dataclass
@@ -150,101 +162,189 @@ def simulate(
     if cells > cap:  # checked before anything of that size is allocated
         raise ResourceCapError(cells, cap, "the run's ledger has {} cells")
     p, q = rates.as_floats()
-    # The candidate moves in transition order: per bullet, forward then backward.
+    # The gap words: gap k holds, in column order, the codes n + i of the
+    # boxes of row i + 1 between bullet k and bullet k + 1 (0-based labels;
+    # bullet k's code is k).  tau_zero's boxes all sit in the last gap.
+    words = [deque() for _ in range(n)]
+    words[-1].extend([2 * n - 1] * (L - n))
+    # Gap j gates bullet j's forward move and bullet j + 1's backward move,
+    # on bits numbered by the candidate moves in transition order.
     candidates = [(k, d, r) for k in range(n) for d, r in ((1, p[k]), (-1, q[k])) if r > 0.0]
-    # Gap j gates bullet j's forward move and bullet j + 1's backward move.
     gate = [0] * n
     for i, (k, d, _) in enumerate(candidates):
         gate[k if d > 0 else k - 1] |= 1 << i
-    keep = [~(gate[k] | gate[k - 1]) for k in range(n)]
-    menus: dict[int, tuple[list, float, list[float]]] = {}  # enabled mask -> menu
-    letters = list(tau_zero(L, n).letters)
-    pos = list(range(n))  # tau_zero's bullets fill columns 0 .. n - 1
-    gaps = gap_lengths(pos, L)
-    mask = sum(g for g, gap in zip(gate, gaps) if gap)  # no two gates share a bit
-    nL = n * L
-    # Cell of letter c in column x, flat over one batch of `occupancy`, is
-    # base[c] + x: bullets c > 0 first, then boxes, which index from the end.
-    base = [0] * (2 * n + 1)
-    for c in range(1, n + 1):
-        base[c] = (c - 1) * L
-        base[-c] = nL + (c - 1) * L
+    # Per candidate, what the kernel needs to make it: its log tag, the
+    # jumper's code, the pop, the swap's push, the gap a nonlocal move
+    # shifts, its landing push and letter, and the mask update.  The popped
+    # gap may empty; the other one then holds a box.
+    actions = []
+    for k, d, rate in candidates:
+        ahead, behind = words[k], words[k - 1]
+        keep = ~(gate[k] | gate[k - 1])
+        # A move logs (2k + 1 if backward) * n + the popped letter's row.
+        if d > 0:
+            act = (2 * k * n - n, n + k, ahead.popleft, behind.append, behind, behind.appendleft,
+                   n + (k - 1) % n, ahead, keep, gate[k - 1], gate[k])
+        else:
+            act = ((2 * k + 1) * n - n, n + k, behind.pop, ahead.appendleft, ahead, ahead.append,
+                   n + (k + 1) % n, behind, keep, gate[k], gate[k - 1])
+        actions.append((rate, act))
+    mask = sum(g for g, word in zip(gate, words) if word)  # no two gates share a bit
+    menus: dict[int, tuple[list, float, float, list[float]]] = {}  # enabled mask -> menu
     rng = np.random.Generator(np.random.PCG64(seed))
     occupancy = np.zeros((batches, 2, n, L), dtype=np.float64)
-    bullet_edge = [0] * (batches * nL)
-    box_edge = [0] * (batches * nL)
-    jump = [0] * (batches * 2 * L)  # differences of the jumper crossings, two laps per batch
-    row_up = [0] * (batches * n)
-    row_down = [0] * (batches * n)
-    batch_time = [0.0] * batches
+    # Per batch, the signed crossings of bullets and of label-preserving
+    # boxes per (row, boundary), the jumpers' crossings as differences over
+    # two laps, and the nonlocal moves per (row, up or down).
+    nL, width = n * L, 2 * n * L + 2 * L + 2 * n
+    counts = np.zeros((batches, width), dtype=np.int64)
+    batch_time = np.zeros(batches, dtype=np.float64)
     state_time: dict[tuple[int, ...], float] | None = {} if record_states else None
-    # The occupancy log since the last flush: each holding-time segment's
-    # duration and batch offset, and one entry per letter that has left its
-    # column, e * stride + cell for its cell and the segment e it left at.
-    # A column's letters follow one another, so each entry's run of
-    # segments starts where the column's previous entry ended.
-    stride = 2 * nL
+    stride = 2 * nL  # occupancy cells per batch; code c in column x is cell c * L + x
+    columns = np.arange(L)
+    letter_of = np.array([*range(1, n + 1), *range(-1, -n - 1, -1)])  # code -> letter
+    pos = np.arange(n)  # tau_zero's bullets fill columns 0 .. n - 1
+    # The log since the last pass: per segment, its duration and (time
+    # horizon) batch; per holding time, its time in its state and (time
+    # horizon) the segments logged when it ends, for under an event horizon
+    # it is one segment; per move, its tag plus the popped letter and (time
+    # horizon) the batch of its crossings; per nonlocal move, the letters
+    # of the gap it shifts, as they stood before it.
+    timed = events is None
     seg_dt: list[float] = []
     seg_at: list[int] = []
-    runs: list[int] = []
+    held = [] if timed else seg_dt
+    ends: list[int] = []
+    moved: list[int] = []
+    move_at: list[int] = []
+    shifts: list[int] = []
 
-    def flush() -> None:
-        """Add every logged segment to the occupancy of each cell it held,
-        column by column in time order, as one add per segment and column."""
-        segments = len(seg_dt)
-        runs.extend(segments * stride + base[c] + x for x, c in enumerate(letters))
-        end, cell = np.divmod(np.array(runs, dtype=np.int64), stride)
-        order = np.argsort(cell % L, kind="stable")
-        cell = cell[order]
-        # Each column's runs tile its segments: a run's length is its end
-        # less the previous end in the column, or 0 at the column's start.
-        spans = np.diff(cell % L * segments + end[order], prepend=0)
-        np.add.at(
-            occupancy.reshape(-1),
-            np.repeat(cell, spans) + np.tile(np.array(seg_at, dtype=np.int64), L),
-            np.tile(np.array(seg_dt), L),
-        )
-        seg_dt.clear()
-        seg_at.clear()
-        runs.clear()
+    def settle() -> None:
+        """Write the logged moves into the ledger and the occupancy, then
+        clear the log.  Every float is added in time order."""
+        nonlocal pos, t
+        H, E = len(held), len(moved)
+        if not H:
+            return
+        dts = np.array(seg_dt)
+        if timed:
+            seg_b, move_b = np.array(seg_at, dtype=np.int64), np.array(move_at, dtype=np.int64)
+        else:  # move e of the run is in batch e * batches // events
+            seg_b = move_b = np.arange(ev - E, ev) * batches // events
+            t = float(np.cumsum(np.concatenate(([t], dts)))[-1])
+        np.add.at(batch_time, seg_b, dts)
+        move, row = np.divmod(np.array(moved, dtype=np.int64), n)
+        k, back = np.divmod(move, 2)
+        d, against = 1 - 2 * back, 2 * back - 1  # the bullet's step and its opposite
+        # The bullet columns before each move, from the running sum of the moves.
+        steps = np.zeros((E, n), dtype=np.int64)
+        steps[np.arange(E), k] = d
+        before = pos + np.cumsum(steps, axis=0) - steps
+        if E:
+            pos = (before[-1] + steps[-1]) % L
+        x0 = before[np.arange(E), k] % L
+        # A nonlocal move shifts by d the m boxes between its bullet and
+        # bullet k - d (the jumper among them when n = 1); a swap shifts none.
+        jumps = ~(row - k).astype(bool)  # the popped letter is the jumper
+        m = ((d * (x0 - before[np.arange(E), (k - d) % n]) - 1) % L - (n == 1)) * jumps
+        # A move rewrites the m + 2 columns from `first` on.  Forward they
+        # held (gap, bullet, c) and hold (landing, gap, bullet); backward
+        # (c, bullet, gap) becomes (bullet, gap, landing).  The popped
+        # letter c lands as itself after a swap and with its row moved by
+        # -d after a nonlocal move.  So in the move's sequence of m + 3
+        # letters, (landing, gap, bullet, c) or (c, bullet, gap, landing),
+        # column first + i has its old and new letters at places i and i + 1.
+        first = x0 - back - m * (1 - back)
+        size = m + 3
+        start = np.cumsum(size) - size
+        owner = np.repeat(np.arange(E), size)
+        col = (first[owner] + np.arange(len(owner)) - start[owner]) % L
+        bullet_at = start + 1 + m * (1 - back)
+        popped_at, landing_at = start + (1 - back) * (m + 2), start + back * (m + 2)
+        gap = np.ones(len(owner), dtype=bool)
+        gap[bullet_at] = gap[popped_at] = gap[landing_at] = False
+        sequence = np.empty(len(owner), dtype=np.int64)
+        sequence[gap] = shifts
+        sequence[bullet_at] = k
+        sequence[popped_at] = row + n
+        sequence[landing_at] = n + (row - d * jumps) % n
+        # The crossings, as (cell of `counts`, sign) records.  Each move has
+        # five: its bullet's, the swapped box's, the two ends of the
+        # jumper's walk (against d from the bullet's new column to its
+        # landing cell, across the m + 1 boundaries from `first` on) and its
+        # row move.  Those a move does not make have sign 0: numpy keeps
+        # freed buffers under 1 KB by size, and arrays of the swaps or the
+        # jumps alone, whose lengths change from chunk to chunk, would pile
+        # up there.  Each shifted box crosses one boundary in its row: a gap
+        # letter at the place of column x crosses boundary x - 1.
+        base = move_b * width
+        edge = (x0 - back) % L
+        lower = base + 2 * nL + first % L
+        index = [
+            base + k * L + edge,
+            base + nL + row * L + edge,
+            lower,
+            lower + m + 1,
+            base + 2 * nL + 2 * L + 2 * k + back,
+            base[owner[gap]] + nL + (sequence[gap] - n) * L + (col[gap] - 1) % L,
+        ]
+        sign = [d, against * ~jumps, against * jumps, d * jumps, jumps, d[owner[gap]]]
+        np.add.at(counts.reshape(-1), np.concatenate(index), np.concatenate(sign))
+        # Each letter that leaves its column, in time order with the move it
+        # leaves at, then the letters standing at the end, as cells c * L + x.
+        window = np.ones(len(owner), dtype=bool)  # a move's last place is no column's old letter
+        window[start + size - 1] = False
+        at = np.flatnonzero(window[:-1] & np.diff(sequence).astype(bool))
+        col = np.concatenate([col[at], columns])
+        cell = np.concatenate([sequence[at + 1 - back[owner[at]]], _word(words, pos)]) * L + col
+        # A column's letters tile its holdings: the one that leaves at move
+        # e held the column up to holding e, from where the one before it
+        # left; the letter standing at the end holds it to the last holding.
+        until = col * H + np.concatenate([owner[at] + 1, np.full(L, H)])
+        # Grouped by column in time order, a letter standing at the end
+        # after one that leaves at the last holding; the smallest key type
+        # makes numpy's stable sort a radix sort.
+        order = np.argsort(until.astype(np.min_scalar_type(L * H)), kind="stable")
+        states = np.repeat(cell[order], np.diff(until[order], prepend=0)).reshape(L, H)
+        if state_time is not None:
+            for w, h in zip(map(tuple, letter_of[states.T // L].tolist()), held):
+                state_time[w] = state_time.get(w, 0.0) + h
+        if timed:  # holding h spans the segments up to ends[h]
+            states = states[:, np.repeat(np.arange(H), np.diff(np.array(ends), prepend=0))]
+        np.add.at(occupancy.reshape(-1), (states + seg_b * stride).reshape(-1), np.tile(dts, L))
+        for log in (seg_dt, seg_at, held, ends, moved, move_at, shifts):
+            log.clear()
 
     t = 0.0
     ev = 0
     slab_len = (time_horizon / batches) if time_horizon is not None else None
 
     exponential, uniform = rng.exponential, rng.random
-    full = _FLUSH_SEGMENTS * stride
+    log_held, log_move, log_shift = held.append, moved.append, shifts.extend
+    stop = _FLUSH_SEGMENTS if timed else min(_FLUSH_SEGMENTS, events)
     while mask:
         menu = menus.get(mask)
         if menu is None:
-            moves = [m for i, m in enumerate(candidates) if mask >> i & 1]
-            move_rates = [m[2] for m in moves]
+            enabled = [a for i, a in enumerate(actions) if mask >> i & 1]
+            move_rates = [a[0] for a in enabled]
+            total = float(np.sum(move_rates))
             # The last move repeats: a draw at or past the last cumulative
             # rate, which float round-off allows, picks it.
-            menu = (moves + moves[-1:], float(np.sum(move_rates)), list(accumulate(move_rates)))
+            menu = ([a[1] for a in enabled + enabled[-1:]], 1.0 / total, total, list(accumulate(move_rates)))
             if len(menus) >= _MENU_LIMIT:
                 menus.clear()
             menus[mask] = menu
-        moves, total, cumulative = menu
-        dt = exponential(1.0 / total)
-        u = uniform() * total
-        k, d, _ = moves[bisect_right(cumulative, u)]
-
-        if events is not None:
-            b = ev * batches // events
-            seg_dt.append(dt)
-            seg_at.append(b * stride)
-            batch_time[b] += dt
-            if state_time is not None:
-                word = tuple(letters)
-                state_time[word] = state_time.get(word, 0.0) + dt
-            t += dt
+        moves, scale, total, cumulative = menu
+        dt = exponential(scale)
+        tag, jumper, pop, push, block, land, relabel, source, keep, gained, kept = moves[
+            bisect_right(cumulative, uniform() * total)
+        ]
+        if not timed:
+            log_held(dt)
         else:
             t_new = t + dt
             t_stop = min(t_new, time_horizon)
-            if state_time is not None:
-                word = tuple(letters)
-                state_time[word] = state_time.get(word, 0.0) + (t_stop - t)
+            log_held(t_stop - t)
             t0 = t
             while t0 < t_stop:
                 b = min(int(t0 / slab_len), batches - 1)
@@ -255,76 +355,44 @@ def simulate(
                     edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
                 seg_end = min(t_stop, edge)
                 seg_dt.append(seg_end - t0)
-                seg_at.append(b * stride)
-                batch_time[b] += seg_end - t0
+                seg_at.append(b)
                 t0 = seg_end
+            ends.append(len(seg_dt))
             if t_new >= time_horizon:
                 t = time_horizon
                 break
-            b = min(int(t_new / slab_len), batches - 1)
+            move_at.append(min(int(t_new / slab_len), batches - 1))
             t = t_new
-
-        # Bullet k moves by d = +1 (F1/F2) or -1 (B1/B2); its crossings go
-        # to batch b, and each column whose letter changes logs that letter.
-        now = len(seg_dt) * stride
-        x0 = pos[k]
-        x1 = (x0 + d) % L
-        edge = x0 if d > 0 else x1  # the boundary the bullet crosses
-        bullet_edge[b * nL + k * L + edge] += d
-        c = letters[x1]
-        runs.append(now + base[c] + x1)
-        if c != -k - 1:  # F1/B1: the box swaps back across the same boundary
-            runs.append(now + base[k + 1] + x0)
-            letters[x0] = c
-            box_edge[b * nL + (-c - 1) * L + edge] -= d
-        else:  # F2/B2
-            first, length, landing, label = block_move(pos, k + 1, d, L)
-            at = b * nL - nL  # at + base[c] + x: box c's crossing of boundary x
-            # Each block box crosses one boundary in its own row; walk the
-            # block from its leading end so no cell is overwritten unread.
-            for i in range(length - 1, -1, -1) if d > 0 else range(length):
-                x = (first + i) % L
-                y = (x + d) % L
-                c = letters[x]
-                if letters[y] != c:
-                    runs.append(now + base[letters[y]] + y)
-                    letters[y] = c
-                box_edge[at + base[c] + (x if d > 0 else y)] += d
-            if letters[landing] != -label:
-                runs.append(now + base[letters[landing]] + landing)
-                letters[landing] = -label
-            # The jumper walks against d from x1 to its landing cell, across
-            # the boundaries from the lower end of its walk on.
-            lower = b * 2 * L + (landing if d > 0 else x1)
-            jump[lower] -= d
-            jump[lower + (x1 - landing) * d % L] += d
-            (row_up if d > 0 else row_down)[b * n + k] += 1
-        letters[x1] = k + 1
-        pos[k] = x1
-        gaps[k] -= d
-        gaps[k - 1] += d
-        mask = mask & keep[k] | (gaps[k] and gate[k]) | (gaps[k - 1] and gate[k - 1])
+        c = pop()
+        if c != jumper:
+            push(c)
+        else:
+            log_shift(block)
+            land(relabel)
+        log_move(tag + c)
+        mask = mask & keep | gained | (kept if source else 0)
         ev += 1
-        if ev == events:
-            break
-        if now >= full:
-            flush()
-    flush()
-    laps = np.array(jump, dtype=np.int64).reshape(batches, 2 * L).cumsum(axis=1)
-
+        if ev == stop:
+            if ev == events:
+                break
+            settle()
+            stop = ev + _FLUSH_SEGMENTS if timed else min(ev + _FLUSH_SEGMENTS, events)
+    settle()
+    bullet_edge, box_edge, jump, row_moves = np.split(counts, [nL, 2 * nL, 2 * nL + 2 * L], axis=1)
+    laps = jump.cumsum(axis=1)
     ledger = CrossingLedger(
         L=L,
         n=n,
         batches=batches,
-        bullet_edge=np.array(bullet_edge, dtype=np.int64).reshape(batches, n, L),
-        box_edge=np.array(box_edge, dtype=np.int64).reshape(batches, n, L),
+        bullet_edge=bullet_edge.reshape(batches, n, L).copy(),
+        box_edge=box_edge.reshape(batches, n, L).copy(),
         box_jump=laps[:, :L] + laps[:, L:],
-        row_up=np.array(row_up, dtype=np.int64).reshape(batches, n),
-        row_down=np.array(row_down, dtype=np.int64).reshape(batches, n),
-        batch_time=np.array(batch_time, dtype=np.float64),
+        row_up=row_moves[:, 0::2].copy(),
+        row_down=row_moves[:, 1::2].copy(),
+        batch_time=batch_time,
     )
     state = SimState(
-        word=ColoredWord(n, tuple(letters)),
+        word=ColoredWord(n, tuple(letter_of[_word(words, pos)].tolist())),
         elapsed=t,
         events=ev,
         occupancy=occupancy,
@@ -334,6 +402,12 @@ def simulate(
         batches=batches,
     )
     return state, ledger
+
+
+def _word(words: list[deque], pos: np.ndarray) -> np.ndarray:
+    """The codes of the word whose gap words are `words` and whose bullet 1
+    stands in column pos[0]."""
+    return np.roll(np.array([*chain.from_iterable((j, *w) for j, w in enumerate(words))]), pos[0])
 
 
 def run_manifest(state: SimState, ledger: CrossingLedger) -> dict:

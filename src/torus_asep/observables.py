@@ -352,9 +352,18 @@ def _occupation_currents(L: int, n: int, dom: Domain):
     edge current numerator, and the same-row bullet-box patterns that
     trigger the nonlocal moves, up (box to the right) and down (to the
     left)."""
-    gen = build_generator(L, n)
-    totals = dom.totals(gen.exponents, gen.occupation_rows)
+    gen = build_generator(L, n)  # the cap is checked on every call
+    totals = _occupation_forms(L, n) if dom.rates is None else dom.totals(gen.exponents, gen.occupation_rows)
     return totals[:n], totals[n : 2 * n], totals[2 * n :]
+
+
+@lru_cache(maxsize=2)
+def _occupation_forms(L: int, n: int) -> tuple[Polynomial, ...]:
+    """The symbolic occupation totals, made once per lattice for
+    `currents_exact` and `scott_russell_check` and kept for the two most
+    recent lattices, as the graph is."""
+    gen = build_generator(L, n)
+    return tuple(Domain(n).totals(gen.exponents, gen.occupation_rows))
 
 
 def currents_exact(L: int, n: int, rates: RatePoint | None = None) -> ObservableReport:

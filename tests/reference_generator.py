@@ -5,7 +5,8 @@ Kept as the reference that the differential tests of the full-space solve
 check against; nothing in the package imports it.  The subset graph is
 only solved, so its crossing table is empty.  The subset is closed
 under rotation, so its graph is kept, as the package's, on the restricted
-states.
+states.  `triplet_rows` keeps the generator export as it rendered every
+full column, the reference of the per-orbit rendering.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from rate_symbols import rate_symbols, rate_value
+from torus_asep import dynamics
 from torus_asep.dynamics import Arcs, SparseGenerator, Transition, _transitions, check_state_cap
 from torus_asep.model import ColoredWord, enumerate_full, ensure_valid
-from torus_asep.symbolic import RatePoint, SumTable
+from torus_asep.symbolic import Domain, RatePoint, SumTable
 
 
 def build_generator(
@@ -68,6 +70,21 @@ def build_generator(
     # the move rule would rebuild: the reference solver reads these.
     gen.__dict__["transitions"] = tuple(map(tuple, all_transitions))
     return gen
+
+
+def triplet_rows(gen: SparseGenerator) -> list[tuple[int, int, str]]:
+    """`SparseGenerator.triplet_rows` as it stood while it rendered M's
+    entries over every full column, L times the entries of one orbit."""
+    tail, head = (gen.letter_rank[pairs] for pairs in dynamics.rotated_pairs(gen.arcs, gen.L))
+    row, column, table = dynamics.generator_entries(gen.num_states, tail, head, np.repeat(gen.arcs.rate, gen.L))
+    values = Domain(gen.n).totals(np.zeros((1, 2 * gen.n), dtype=np.int64), table)
+    rows, diagonal = [], ["0"] * gen.num_states
+    for i, j, v in zip(row.tolist(), column.tolist(), values):
+        if i == j:
+            diagonal[j] = str(v)
+        else:
+            rows.append((j, i, str(v)))
+    return sorted(rows) + [(j, j, v) for j, v in enumerate(diagonal)]
 
 
 def generator_entries(num: int, tail, head, rate, values) -> dict[tuple[int, int], object]:

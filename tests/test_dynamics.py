@@ -19,6 +19,7 @@ from torus_asep.dynamics import (
 from torus_asep.model import ColoredWord, ValidationError, enumerate_full, iter_restricted, restricted_count, validate
 from torus_asep.symbolic import Polynomial, RatePoint
 
+import reference_generator
 from conftest import state_index
 from reference_transitions import displacement_crossings, replay_displacements
 
@@ -260,6 +261,12 @@ def test_total_outgoing_rate_both_gaps_occupied():
 def test_triplet_rows_match_per_arc_assembly(L, n):
     gen = build_generator(L, n)
     assert gen.triplet_rows() == _reference_triplets(L, n)
+
+
+@pytest.mark.parametrize("L,n", [(L, n) for L in range(1, 8) for n in range(1, L + 1)] + [(8, 4)])
+def test_triplet_rows_rendered_once_per_orbit_match_the_full_column_rendering(L, n):
+    gen = build_generator(L, n)
+    assert gen.triplet_rows() == reference_generator.triplet_rows(gen)
 
 
 @pytest.mark.parametrize("zero_q", [{1}, {1, 2}])

@@ -486,6 +486,80 @@ def test_kernel_matches_reference_at_40_5_over_many_flushes():
     _assert_matches_reference(40, 5, RatePoint(_P6[:5], _Q6[:5]), 2026, events=5000, batches=20)
 
 
+# -- the kernel and its pass at the chunk boundaries ---------------------------------
+
+
+def _moves(chunks, extra=0):
+    """A run length in moves: whole chunks of the default pass, plus `extra`."""
+    return chunks * mcmc._FLUSH_SEGMENTS + extra
+
+
+@pytest.mark.parametrize("chunks,extra", [(1, 0), (1, 1), (3, 7)], ids=["one-chunk", "chunk+1", "3chunks+7"])
+def test_kernel_matches_reference_at_chunk_boundaries(chunks, extra):
+    """(40,5) runs that end on a pass, one move after one, and mid-chunk
+    after three."""
+    _assert_matches_reference(40, 5, RatePoint(_P6[:5], _Q6[:5]), 31, events=_moves(chunks, extra), batches=20)
+
+
+def test_kernel_matches_reference_over_chunks_of_a_time_horizon():
+    """A time horizon whose moves fill more than three passes, with 40
+    slabs: every slab edge is crossed, most of them inside a chunk."""
+    rates = RatePoint(_P6[:5], _Q6[:5])
+    state, ledger = simulate(40, 5, rates, 3, time_horizon=150.0, batches=40)
+    assert state.events > _moves(3)
+    assert (ledger.batch_time > 0).all()
+    _assert_matches_reference(40, 5, rates, 3, time_horizon=150.0, batches=40)
+
+
+@pytest.mark.parametrize("L", [2, 6])
+@pytest.mark.parametrize("horizon", ["events", "time"])
+def test_kernel_matches_reference_with_one_bullet(L, horizon):
+    """n = 1: the one gap word is the block every nonlocal move shifts."""
+    rates = RatePoint((Fraction(2),), (Fraction(1),))
+    if horizon == "events":
+        _assert_matches_reference(L, 1, rates, 13, events=_moves(3, 7), batches=9)
+    else:
+        state, _ = simulate(L, 1, rates, 13, time_horizon=300.0, batches=7)
+        assert state.events > _moves(3)
+        _assert_matches_reference(L, 1, rates, 13, time_horizon=300.0, batches=7)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("horizon", [{"events": 50, "batches": 5}, {"time_horizon": 3.0, "batches": 4}])
+def test_kernel_matches_reference_without_boxes(n, horizon):
+    """L = n: no move is ever enabled, and the run makes no event."""
+    state, _ = simulate(n, n, RatePoint(_P6[:n], _Q6[:n]), 5, **horizon)
+    assert state.events == 0 and state.elapsed == 0.0
+    _assert_matches_reference(n, n, RatePoint(_P6[:n], _Q6[:n]), 5, **horizon)
+
+
+@pytest.mark.parametrize("zero", ["p1", "qn"])
+@pytest.mark.parametrize("horizon", [{"events": _moves(3, 7), "batches": 20}, {"time_horizon": 60.0, "batches": 11}])
+def test_kernel_matches_reference_with_a_zero_rate(zero, horizon):
+    """p_1 = 0 or q_n = 0: the moves of one kind of one bullet are never
+    on any menu."""
+    p, q = list(_P6[:5]), list(_Q6[:5])
+    if zero == "p1":
+        p[0] = Fraction(0)
+    else:
+        q[-1] = Fraction(0)
+    menus = _assert_matches_reference(12, 5, RatePoint(tuple(p), tuple(q)), 17, **horizon)
+    assert ("p", 1) not in set().union(*menus) if zero == "p1" else ("q", 5) not in set().union(*menus)
+
+
+@pytest.mark.parametrize("horizon", [{"events": _moves(3, 7), "batches": 20}, {"time_horizon": 250.0, "batches": 50}])
+def test_recorded_state_times_match_the_reference_over_several_chunks(horizon):
+    """`record_states=True` over more than three passes: the same time per
+    state, added in the same order, with the states first met in the same
+    order."""
+    rates = RatePoint(_P6[:4], _Q6[:4])
+    state, _ = simulate(9, 4, rates, 8, **horizon, record_states=True)
+    assert state.events > _moves(3)
+    _assert_matches_reference(9, 4, rates, 8, **horizon)
+    _, _, _, _, state_time, _ = _reference_simulate(9, 4, rates, 8, **horizon)
+    assert list(state.state_time.items()) == list(state_time.items())
+
+
 def test_gap_counts_give_the_enabled_moves_of_every_small_word():
     """Bullet k's forward move is enabled exactly when the gap after it
     holds a box, and its backward move when the gap before it does; n = 1

@@ -506,3 +506,28 @@ def test_a_broken_crossing_total_raises_once_for_every_boundary(channel, message
     for rates in (None, RatePoint.parse("1,2;3,5")):
         with pytest.raises(ObservableMismatch, match=message):
             currents_exact(4, 2, rates)
+
+
+def test_currents_and_scott_russell_make_one_symbolic_occupation_pass(monkeypatch):
+    """The symbolic occupation totals are made once per lattice: after
+    `currents_exact`, `scott_russell_check` makes no `Domain.totals` call
+    on the occupation table, and a numeric call still makes its own."""
+    from torus_asep import observables
+    from torus_asep.dynamics import build_generator
+    from torus_asep.symbolic import Domain
+
+    gen = build_generator(5, 3)
+    passes = []
+    original = Domain.totals
+
+    def spy(self, exponents, table):
+        if table is gen.occupation_rows:
+            passes.append(self.mode)
+        return original(self, exponents, table)
+
+    monkeypatch.setattr(Domain, "totals", spy)
+    observables._occupation_forms.cache_clear()
+    assert currents_exact(5, 3).ok and scott_russell_check(5, 3).ok
+    assert passes == ["symbolic"]
+    currents_exact(5, 3, RatePoint.parse("1,2,3;5,7,11"))
+    assert passes == ["symbolic", "numeric"]
