@@ -14,8 +14,8 @@ why the bullets alone make Evans' disordered ring ASEP (Europhys. Lett.
 by label) changes only in the two gaps next to the bullet that moved.  The
 moves, total rate (numpy's sum) and cumulative rates of a mask form its
 menu, built on the first event that meets the mask and kept in a table
-that is cleared once it holds `_MENU_LIMIT` menus.  An event draws an
-exponential holding time at the total rate, then a uniform that picks a
+that is cleared once it holds `_MENU_LIMIT` menus.  An event takes an
+exponential holding time at the total rate and a uniform that picks a
 move in proportion to its rate, and makes the move on the gap words:
 F1 of bullet k moves the first letter of gap k to the end of gap k - 1;
 F2 drops that letter, the jumper labelled k, and puts a k - 1 at the
@@ -50,7 +50,11 @@ that record grows with the number of distinct states visited.  Column
 currents use all box crossings; per-row horizontal currents use only the
 label-preserving ones, matching the exact-observable conventions.  Runs
 are reproducible: a fixed (seed, parameters) pair yields an identical
-event sequence, ledger, and occupancy record.
+event sequence, ledger, and occupancy record.  Event i takes element
+i mod `_DRAWS` of block i div `_DRAWS` that `PCG64(seed)` draws whole:
+`_DRAWS` standard exponentials (over the total rate, its holding time),
+then `_DRAWS` uniforms.  So the variates depend on the seed alone; runs
+made with the earlier rule, two draws per event, do not reproduce.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -71,6 +75,7 @@ from .symbolic import RatePoint
 
 _MENU_LIMIT = 4096  # menus kept per run; the table is cleared when it is full
 _FLUSH_SEGMENTS = 256  # moves logged between passes of the ledger and occupancy writer
+_DRAWS = 256  # events per block of variates drawn from the run's generator
 
 
 @dataclass
@@ -157,8 +162,10 @@ def simulate(
         raise ValueError(f"more batches ({batches}) than events ({events})")
     if time_horizon is not None and not (math.isfinite(time_horizon) and time_horizon > 0):
         raise ValueError(f"time horizon must be finite and positive, got {time_horizon}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _check_dims(L, n)
-    cells, cap = batches * ((4 * n + 1) * L + 2 * n + 1), state_cap()
+    cells, cap = batches * ((4 * n + 2) * L + 2 * n + 1), state_cap()
     if cells > cap:  # checked before anything of that size is allocated
         raise ResourceCapError(cells, cap, "the run's ledger has {} cells")
     p, q = rates.as_floats()
@@ -192,6 +199,8 @@ def simulate(
     mask = sum(g for g, word in zip(gate, words) if word)  # no two gates share a bit
     menus: dict[int, tuple[list, float, float, list[float]]] = {}  # enabled mask -> menu
     rng = np.random.Generator(np.random.PCG64(seed))
+    blocks = (zip(rng.standard_exponential(_DRAWS).tolist(), rng.random(_DRAWS).tolist()) for _ in count())
+    draws = chain.from_iterable(blocks)  # (exponential, uniform) per event
     occupancy = np.zeros((batches, 2, n, L), dtype=np.float64)
     # Per batch, the signed crossings of bullets and of label-preserving
     # boxes per (row, boundary), the jumpers' crossings as differences over
@@ -319,7 +328,6 @@ def simulate(
     ev = 0
     slab_len = (time_horizon / batches) if time_horizon is not None else None
 
-    exponential, uniform = rng.exponential, rng.random
     log_held, log_move, log_shift = held.append, moved.append, shifts.extend
     stop = _FLUSH_SEGMENTS if timed else min(_FLUSH_SEGMENTS, events)
     while mask:
@@ -335,9 +343,10 @@ def simulate(
                 menus.clear()
             menus[mask] = menu
         moves, scale, total, cumulative = menu
-        dt = exponential(scale)
+        e, u = next(draws)
+        dt = e * scale
         tag, jumper, pop, push, block, land, relabel, source, keep, gained, kept = moves[
-            bisect_right(cumulative, uniform() * total)
+            bisect_right(cumulative, u * total)
         ]
         if not timed:
             log_held(dt)

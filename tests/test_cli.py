@@ -272,7 +272,7 @@ def test_simulate_ledger_above_the_cap_exits_3_before_allocating(tmp_path, monke
          "--batches", "100000000", "--output", str(tmp_path)], capsys
     )
     assert code == 3 and out == ""
-    assert err == "error: the run's ledger has 4100000000 cells, above the cap 2000000\n"
+    assert err == "error: the run's ledger has 4500000000 cells, above the cap 2000000\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -307,35 +307,36 @@ def test_observables_output_matches_golden_hash(fmt, rates, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OBSERVABLES[(fmt, rates)]
 
 
-# sha256 of the `simulate` outputs (manifest.json, ledger.csv, estimates.json);
-# a change to the simulator kernel or the estimators must leave these bytes
+# sha256 of the `simulate` outputs (manifest.json, ledger.csv, estimates.json),
+# taken when the variates were first drawn in blocks of 256 events; a change
+# to the simulator kernel or the estimators must leave these bytes
 # untouched.  (10,5) reaches 8 or more enabled moves, where numpy's sum of
 # the move rates stops adding in sequence.
 GOLDEN_SIMULATE = {
     "4,2-events": (
         ["--L", "4", "--n", "2", "--rates", "1,2;3,5", "--seed", "5", "--events", "3000"],
-        "b76ac826f3fd236fdf657c80691720fffd465a65daa728be5b2d01b0bd69bb36",
-        "2864b29ed777b794b169ee5a2ce96751b530143fc30eaf519e24a7b320dd9a49",
-        "edf574f4b93fd3e7406b55b197fd60dfcb61385bad51f533af74b5e91107d204",
+        "25915b49affcd2856e18e93db194771b44158b0999845620ead6fc01be932c7d",
+        "c85a621264098dc4ebd6331b08d86015bdcf852741dd36001acf7b56e1780cec",
+        "b10c236aaedb3b39545224d7e5abfb5eca69c510e15a3e9db83ee828843426fa",
     ),
     "4,2-time": (
         ["--L", "4", "--n", "2", "--rates", "1,2;3,5", "--seed", "5", "--time", "200"],
-        "c4b371f13ff350a0f3d35c83fa593ff586029eb6a33e7c8c177cec1195ddde0f",
-        "83e6281a189354903fe1028e8754d7ae7b2661121c72bec3a874d84600246cad",
-        "7984abadd4a9414c279c7db2a7f5fab5626437b8d45f3aa2b2264caadb2143e5",
+        "f663984e888255a5d0b2bd2b23932d08b96c392c9791acbf1a904a1ef0b6c9ad",
+        "686522bcdffcca277a27106416a1e82e26a35dc37b02b82b2e510bb90aa3eb38",
+        "56408b8377ca06a52105d63b5a296951432ad79b5e14b41299c20511f91fd61c",
     ),
     "6,1": (
         ["--L", "6", "--n", "1", "--rates", "2;1", "--seed", "3", "--events", "3000"],
-        "f7eed9a6a54b9c2336e6ecff292dacaf9bfc8b665eb740cc205505e71b04a685",
-        "eae87085135f57f4158c8182bd94432e9585aabf2bf5c5cdc37370eb64d25c25",
-        "8469da28d0654fc7ff33b49441293257d13f244d9b831420393cf74dd5833425",
+        "30a911226ea85b6581521d7c0a63c22542a6f6383ed1be400df3c0c1a0c458df",
+        "a9f2af8756bee0323b122dd46ad536f55fd83aa0b03be238c80fcf601c47c59b",
+        "1a1e35e8dbb6f81906dbe8ac0a8b003fd187339cc3011c7ae089ec4e464a0aca",
     ),
     "10,5": (
         ["--L", "10", "--n", "5", "--rates", "1,3/2,2,5/4,1;1/2,1/4,1/3,1/5,1/2",
          "--seed", "7", "--events", "3000"],
-        "3701ee6261f24f5e37747b48002a81968b3139efbd3e00fdb812a69b9eeb35fe",
-        "cf7586dc0239f8e24da8b4b9dab1db0bb15f28517a486047d578f11fd51341eb",
-        "a3b8567826d1f2e3fb6300c2149ec1bf37c16b2a879149e402b292b7a4deb4cc",
+        "1b7a79fad1b3a520fccd9dd74c4fb5c499d074196d63bcaa03e425144313c57b",
+        "6e5ad0dc3d5e93044737c15a04593ec1946f55e764724f94544b448327eeb6af",
+        "d252d0192abc03f3099004a1af86fa40086c6fad72b691436b00172bbf454dae",
     ),
 }
 

@@ -100,13 +100,13 @@ def test_time_mode_batches_are_equal_slabs():
 
 
 def test_ledger_cells_obey_the_state_cap(monkeypatch):
-    """(4,2) in 10 batches keeps 10 * (9 * 4 + 5) = 410 ledger cells."""
+    """(4,2) in 10 batches keeps 10 * (10 * 4 + 5) = 450 ledger cells."""
     from torus_asep.dynamics import ResourceCapError
 
-    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "410")
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "450")
     simulate(4, 2, RP42, seed=1, events=100, batches=10)
-    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "409")
-    with pytest.raises(ResourceCapError, match="the run's ledger has 410 cells, above the cap 409"):
+    monkeypatch.setenv("TORUS_ASEP_STATE_CAP", "449")
+    with pytest.raises(ResourceCapError, match="the run's ledger has 450 cells, above the cap 449"):
         simulate(4, 2, RP42, seed=1, events=100, batches=10)
 
 
@@ -215,21 +215,51 @@ def test_simulation_with_vanishing_backward_rates():
         ({"time_horizon": float("inf")}, ["--time", "inf"]),
         ({"events": 10, "rates": "1e400,2;3,5"}, ["--events", "10", "--rates", "1e400,2;3,5"]),
         ({"events": 10, "rates": "1,2;3,1e-400"}, ["--events", "10", "--rates", "1,2;3,1e-400"]),
+        # rejected before numpy's generator would refuse it
+        ({"events": 100, "seed": -1, "match": "seed"}, ["--events", "100", "--seed", "-1"]),
     ],
     ids=["events0", "events-neg", "batches>events", "horizon-neg", "horizon0", "horizon-nan",
-         "horizon-inf", "rate-overflow", "rate-underflow"],
+         "horizon-inf", "rate-overflow", "rate-underflow", "seed-neg"],
 )
 def test_bad_run_length_or_rates_rejected(kwargs, cli_args, capsys):
     from torus_asep.cli import main
 
     kwargs = dict(kwargs)
     rates = RatePoint.parse(kwargs.pop("rates", "1,2;3,5"))
-    with pytest.raises(ValueError):
-        simulate(4, 2, rates, seed=1, **kwargs)
+    seed, match = kwargs.pop("seed", 1), kwargs.pop("match", None)
+    with pytest.raises(ValueError, match=match):
+        simulate(4, 2, rates, seed=seed, **kwargs)
     if "--rates" not in cli_args:
         cli_args = cli_args + ["--rates", "1,2;3,5"]
-    assert main(["simulate", "--L", "4", "--n", "2", "--seed", "1", *cli_args]) == 2
+    if "--seed" not in cli_args:
+        cli_args = cli_args + ["--seed", "1"]
+    assert main(["simulate", "--L", "4", "--n", "2", *cli_args]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _block_draws(seed):
+    """The run's (exponential, uniform) pairs, event by event: PCG64(seed)
+    draws 256 standard exponentials and then 256 uniforms per 256 events."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    while True:
+        yield from zip(rng.standard_exponential(256).tolist(), rng.random(256).tolist())
+
+
+@pytest.mark.parametrize("events", [1, 255, 256, 257, 700])
+def test_variates_come_in_blocks_of_256_events(events):
+    """At (3,1) both moves of the bullet are always enabled, so event i
+    holds for exponential i over p1 + q1 and moves forward when uniform i
+    times p1 + q1 falls below p1."""
+    rates = RatePoint((Fraction(2),), (Fraction(1, 2),))
+    state, _ = simulate(3, 1, rates, seed=5, events=events, batches=1)
+    total = 2.0 + 0.5
+    elapsed, column = 0.0, 0
+    for _, (e, u) in zip(range(events), _block_draws(5)):
+        elapsed += e * (1.0 / total)
+        column += 1 if u * total < 2.0 else -1
+    assert state.events == events
+    assert state.elapsed == elapsed
+    assert state.word.letters.index(1) == column % 3
 
 
 # -- the local-update kernel against the per-state reference kernel ---------------------
@@ -240,12 +270,13 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
 
     Every event builds its state's moves through `outgoing_transitions` and
     `displacement_crossings` and picks one with numpy's cumsum, sum and
-    searchsorted.  Returns the run's outputs and the set of distinct
-    enabled-move sets seen, each as the tuple of its rate symbols.
+    searchsorted, with its variates from `_block_draws`.  Returns the run's
+    outputs and the set of distinct enabled-move sets seen, each as the
+    tuple of its rate symbols.
     """
     p, q = rates.as_floats()
     word = tau_zero(L, n).letters
-    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = _block_draws(seed)
     bullet_edge = np.zeros((batches, n, L), dtype=np.int64)
     box_edge = np.zeros((batches, n, L), dtype=np.int64)
     box_jump = np.zeros((batches, L), dtype=np.int64)
@@ -283,8 +314,9 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
         if total <= 0.0:
             break
         menus.add(tuple(symbols))
-        dt = rng.exponential(1.0 / total)
-        u = rng.random() * total
+        e, u = next(draws)
+        dt = e * (1.0 / total)
+        u = u * total
         idx = min(int(np.searchsorted(np.cumsum(rate_arr), u, side="right")), len(targets) - 1)
         cells = ([0 if c > 0 else 1 for c in word], [abs(c) - 1 for c in word], list(range(L)))
 
