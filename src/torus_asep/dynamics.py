@@ -1,21 +1,18 @@
 """Transition rules, generator assembly, and reachability machinery.
 
-Transitions are always initiated by a bullet.  With bullet k at position b
-(0-based) on the ring:
+Transitions are always initiated by a bullet.  Bullet k, in column b
+(0-based) on the ring, steps by d = +1 (F1/F2, rate p_k) or d = -1 (B1/B2,
+rate q_k) onto the box of row i in cell b + d, if that cell holds a box.
+The move rotates by d one run of cells: the bullet, the m boxes it shifts
+and that box.  The bullet and the m boxes each move one cell by d; the box
+walks against d to the far end of the run, cell b - d m.
 
-* F1 (rate p_k): the letter at b+1 is a box with label i != k; bullet and box
-  swap.
-* F2 (rate p_k): the letter at b+1 is a box with label k; the bullet steps
-  right, the block of boxes between bullet k-1 and bullet k shifts right by
-  one, and the displaced box is relabelled k-1 and lands immediately right of
-  bullet k-1.
-* B1, B2 (rate q_k): the mirrored rules acting on the letter at b-1, with the
-  displaced box of B2 relabelled k+1 and landing immediately left of bullet
-  k+1.
+* F1, B1 (i != k): m = 0, a swap, and the box keeps its label.
+* F2, B2 (i = k): the m boxes are those between bullet k and bullet k - d
+  (cyclically), and the box lands next to bullet k - d, relabelled k - d.
 
-For n = 1 the "previous bullet" of F2 (and "next bullet" of B2) is the moving
-bullet itself, read after its own step; the net effect is a plain swap with
-the adjacent box plus a relabelling-free rotation of the gap contents.
+`boxes_shifted` gives m, and it is the one place where n = 1 is special:
+bullet k - d is then bullet k itself, and m = L - 2, every other box.
 Every transition carries per-particle displacement records; the signed step
 of each record determines exactly which column boundaries the particle
 crossed, which feeds the current estimators.
@@ -25,7 +22,7 @@ one state per rotation orbit: the move rule commutes with rotation and the
 weights are rotation invariant, so it keeps the restricted states (B1 at
 column 0), int arrays of their arcs (source, target, rate index, shift) and
 the table of the arcs' boundary crossings, written in one pass over the move
-rule with no `Transition` kept.  The exact solver and the checks read the
+rule with no per-arc object built.  The exact solver and the checks read the
 arrays; the outputs that list full states expand the rotations when they
 are written.  The package's one graph search, `breadth_first`, walks arc
 arrays a frontier at a time; the reachability certificate and the exact
@@ -40,7 +37,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,58 +89,55 @@ class Transition:
     displacements: tuple[Displacement, ...]
 
 
-def block_move(pos: Sequence[int], k: int, step: int, L: int) -> tuple[int, int, int, int]:
-    """Geometry of the nonlocal move of bullet k: F2 for step = +1, B2 for -1.
+def boxes_shifted(b, other, d, jump, n: int, L: int):
+    """The number m of boxes that bullet k, in column b, shifts when it steps
+    by d onto a box, `other` being the column of bullet k - d: the boxes
+    between the two bullets when `jump` (the box is of row k), else none.
+    For n = 1 bullet k - d is bullet k itself, and the box it steps onto is
+    not among them.  Works alike on ints and elementwise on numpy arrays."""
+    return ((d * (b - other) - 1) % L - (n == 1)) * jump
 
-    Returns (start, length, landing, label): the boxes in cells start, ...,
-    start + length - 1 (mod L) each shift one cell by `step`, and the
-    jumper, the box labelled k next to bullet k, is relabelled `label` and
-    lands in cell `landing`.  `pos` holds the 0-based bullet columns by
-    label, read before the move.
-    """
-    n = len(pos)
+
+def _rotation(letters: tuple[int, ...], k: int, d: int, pos: tuple[int, ...]) -> tuple[list[int], int, list[int], int] | None:
+    """The move of bullet k by d, or None if the cell it steps into holds a
+    bullet: the new letters, the row i of the box it steps onto, the cells,
+    in column order, of the m = `boxes_shifted` boxes, and the box's
+    landing cell.  The move rotates by d the run of cells b - d m, ..., b,
+    b + d, with b the bullet's column: the bullet and the shifted boxes
+    each move one cell by d, and the box walks against d to the landing
+    cell b - d m, relabelled k - d when i = k."""
+    L, n = len(letters), len(pos)
     b = pos[k - 1]
-    if step > 0:
-        label = k - 1 if k > 1 else n
-        if n == 1:
-            return (b + 2) % L, L - 2, (b + 2) % L, label
-        a = pos[label - 1]
-        return (a + 1) % L, (b - a - 1) % L, (a + 1) % L, label
-    label = k + 1 if k < n else 1
-    if n == 1:
-        return (b + 1) % L, L - 2, (b - 2) % L, label
-    c = pos[label - 1]
-    return (b + 1) % L, (c - b - 1) % L, (c - 1) % L, label
+    i = -letters[(b + d) % L]
+    if i < 0:
+        return None
+    m = boxes_shifted(b, pos[(k - d - 1) % n], d, i == k, n, L)
+    first = b - m if d > 0 else b + 1
+    shifted = [x % L for x in range(first, first + m)]
+    new = list(letters)
+    new[(b + d) % L] = k
+    for x in shifted:
+        new[(x + d) % L] = letters[x]
+    landing = (b - d * m) % L
+    new[landing] = -((k - d - 1) % n + 1) if i == k else -i
+    return new, i, shifted, landing
 
 
 def _move(w: ColoredWord, k: int, d: int, pos: tuple[int, ...]) -> Transition | None:
     """The move of bullet k by d = +1 (F1/F2, rate p_k) or d = -1 (B1/B2,
-    rate q_k), or None if the cell it steps into holds a bullet."""
-    n, L = w.n, w.length
-    letters = w.letters
-    b = pos[k - 1]
-    x1 = (b + d) % L
-    i = -letters[x1]
-    if i < 0:
+    rate q_k) as a `Transition`, or None if the cell it steps into holds a
+    bullet."""
+    moved = _rotation(w.letters, k, d, pos)
+    if moved is None:
         return None
-    new = list(letters)
-    new[x1] = k
+    new, i, shifted, landing = moved
+    L, b, m = w.length, pos[k - 1], len(shifted)
+    x1 = (b + d) % L
     moves = [Displacement("bullet", k, k, b, x1, d)]
-    if i != k:
-        new[b] = -i
-        moves.append(Displacement("box", i, i, x1, b, -d))
-        kind = F1 if d > 0 else B1
-    else:
-        start, length, landing, label = block_move(pos, k, d, L)
-        for t in range(length):
-            x = (start + t) % L
-            new[(x + d) % L] = letters[x]
-            moves.append(Displacement("box", -letters[x], -letters[x], x, (x + d) % L, d))
-        new[landing] = -label
-        # The jumper walks against d from x1 to its landing cell.
-        moves.append(Displacement("box", k, label, x1, landing, -d * ((x1 - landing) * d % L), jump=True))
-        kind = F2 if d > 0 else B2
-    return Transition(w, ColoredWord(n, tuple(new)), kind, k, ("p" if d > 0 else "q", k), tuple(moves))
+    moves += [Displacement("box", -w.letters[x], -w.letters[x], x, (x + d) % L, d) for x in shifted]
+    moves.append(Displacement("box", i, -new[landing], x1, landing, -d * (m + 1), jump=i == k))
+    kind = ((B1, B2), (F1, F2))[d > 0][i == k]
+    return Transition(w, ColoredWord(w.n, tuple(new)), kind, k, ("p" if d > 0 else "q", k), tuple(moves))
 
 
 def outgoing_transitions(w: ColoredWord) -> list[Transition]:
@@ -429,24 +423,27 @@ def _graph(L: int, n: int) -> SparseGenerator:
     construction, and their arcs come from the move rule, each target
     rotated back to its representative by the column of its B1."""
     representatives = tuple(iter_restricted(L, n))
-    index = {w: j for j, w in enumerate(representatives)}
+    index = {w.letters: j for j, w in enumerate(representatives)}
     arcs, crossed = array("q"), array("i")  # (source, target, rate, shift) per arc; (channel, source, rate, step) rows
     for j, w in enumerate(representatives):
-        for t in _transitions(w):
-            shift = t.target.letters.index(1)
-            rate = t.row - 1 + (n if t.rate_symbol[0] == "q" else 0)
-            arcs.extend((j, index[t.target.rotate(-shift)], rate, shift))
-            swap = t.kind in (F1, B1)
-            for d in t.displacements:
-                row = (j, rate, d.step)
-                if d.species == "bullet":
-                    crossed.extend((d.label_from - 1, *row))
-                elif d.jump:
-                    crossed.extend((n, *row))
-                elif swap:
-                    crossed.extend((n, *row, n + d.label_from, *row, 2 * n + d.label_from, *row))
+        letters, pos = w.letters, w.bullet_positions()
+        for k in range(1, n + 1):
+            for d, rate in ((1, k - 1), (-1, n + k - 1)):
+                moved = _rotation(letters, k, d, pos)
+                if moved is None:
+                    continue
+                new, i, shifted, _ = moved
+                shift = new.index(1)
+                arcs.extend((j, index[tuple(new[shift:] + new[:shift])], rate, shift))
+                # The rows of `_move`'s records in order, on the channels that
+                # `SparseGenerator` lists: the bullet's, the shifted boxes', the box's.
+                crossed.extend((k - 1, j, rate, d))
+                for x in shifted:
+                    crossed.extend((n, j, rate, d, n - letters[x], j, rate, d))
+                if i == k:
+                    crossed.extend((n, j, rate, -d * (len(shifted) + 1)))
                 else:
-                    crossed.extend((n, *row, n + d.label_from, *row))
+                    crossed.extend((n, j, rate, -d, n + i, j, rate, -d, 2 * n + i, j, rate, -d))
     columns = np.frombuffer(arcs, dtype=np.int64).reshape(-1, 4).T
     return SparseGenerator(
         L, n, representatives, Arcs(*(_frozen(c.copy()) for c in columns)),

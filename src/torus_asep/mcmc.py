@@ -16,12 +16,14 @@ moves, total rate (numpy's sum) and cumulative rates of a mask form its
 menu, built on the first event that meets the mask and kept in a table
 that is cleared once it holds `_MENU_LIMIT` menus.  An event takes an
 exponential holding time at the total rate and a uniform that picks a
-move in proportion to its rate, and makes the move on the gap words:
-F1 of bullet k moves the first letter of gap k to the end of gap k - 1;
-F2 drops that letter, the jumper labelled k, and puts a k - 1 at the
-front of gap k - 1; B1 and B2 mirror them on the last letter of gap
-k - 1.  The kernel logs the holding time, the move with the letter it
-popped and, for F2 and B2, the shifted gap's letters before the move.
+move in proportion to its rate, and makes the move on the gap words.
+Bullet k steps by d onto the near letter of the gap ahead (gap k forward,
+gap k - 1 backward), a box of row i, and rotates one run of cells
+(`dynamics`): the box goes to the gap behind, to its near end as itself
+(F1, B1: i != k) or, past the m boxes of that gap, to its far end
+relabelled k - d (F2, B2: i = k, the jumper).  The kernel logs the
+holding time, the move with the letter it popped and, for F2 and B2, the
+shifted gap's letters before the move.
 
 The columns are a function of that move sequence.  The pass takes the
 bullet columns from a running sum of the moves and writes a ledger of
@@ -68,7 +70,7 @@ from itertools import accumulate, chain, count
 
 import numpy as np
 
-from .dynamics import ResourceCapError, state_cap
+from .dynamics import ResourceCapError, boxes_shifted, state_cap
 from .model import ColoredWord, _check_dims
 from .symbolic import RatePoint
 
@@ -179,22 +181,21 @@ def simulate(
     candidates = [(k, d, r) for k in range(n) for d, r in ((1, p[k]), (-1, q[k])) if r > 0.0]
     gate = [0] * n
     for i, (k, d, _) in enumerate(candidates):
-        gate[k if d > 0 else k - 1] |= 1 << i
+        gate[k - (d < 0)] |= 1 << i
     # Per candidate, what the kernel needs to make it: its log tag, the
     # jumper's code, the pop, the swap's push, the gap a nonlocal move
-    # shifts, its landing push and letter, and the mask update.  The popped
-    # gap may empty; the other one then holds a box.
+    # shifts, its landing push and letter, and the mask update.  Bullet k
+    # steps by d into gap g and pops the near end; the gap behind it, h,
+    # takes a swapped box at its near end or a landing at its far end.  The
+    # popped gap may empty; the other one then holds a box.
     actions = []
     for k, d, rate in candidates:
-        ahead, behind = words[k], words[k - 1]
-        keep = ~(gate[k] | gate[k - 1])
+        back = d < 0
+        g, h = k - back, k - 1 + back
+        near, far = (words[h].append, words[h].appendleft)[::d]
         # A move logs (2k + 1 if backward) * n + the popped letter's row.
-        if d > 0:
-            act = (2 * k * n - n, n + k, ahead.popleft, behind.append, behind, behind.appendleft,
-                   n + (k - 1) % n, ahead, keep, gate[k - 1], gate[k])
-        else:
-            act = ((2 * k + 1) * n - n, n + k, behind.pop, ahead.appendleft, ahead, ahead.append,
-                   n + (k + 1) % n, behind, keep, gate[k], gate[k - 1])
+        act = ((2 * k + back) * n - n, n + k, words[g].pop if back else words[g].popleft, near, words[h], far,
+               n + (k - d) % n, words[g], ~(gate[k] | gate[k - 1]), gate[h], gate[g])
         actions.append((rate, act))
     mask = sum(g for g, word in zip(gate, words) if word)  # no two gates share a bit
     menus: dict[int, tuple[list, float, float, list[float]]] = {}  # enabled mask -> menu
@@ -253,9 +254,9 @@ def simulate(
             pos = (before[-1] + steps[-1]) % L
         x0 = before[np.arange(E), k] % L
         # A nonlocal move shifts by d the m boxes between its bullet and
-        # bullet k - d (the jumper among them when n = 1); a swap shifts none.
+        # bullet k - d; a swap shifts none.
         jumps = ~(row - k).astype(bool)  # the popped letter is the jumper
-        m = ((d * (x0 - before[np.arange(E), (k - d) % n]) - 1) % L - (n == 1)) * jumps
+        m = boxes_shifted(x0, before[np.arange(E), (k - d) % n], d, jumps, n, L)
         # A move rewrites the m + 2 columns from `first` on.  Forward they
         # held (gap, bullet, c) and hold (landing, gap, bullet); backward
         # (c, bullet, gap) becomes (bullet, gap, landing).  The popped

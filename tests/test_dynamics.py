@@ -47,13 +47,44 @@ def test_worked_example_transitions():
         assert t.row == t.rate_symbol[1]
 
 
-@pytest.mark.parametrize("L", range(1, 7))
+@pytest.mark.parametrize("L", range(1, 8))
 def test_move_rule_matches_the_separate_forward_and_backward_rules(L):
     from reference_transitions import reference_transitions
 
     for n in range(1, L + 1):
         for w in enumerate_full(L, n):
             assert outgoing_transitions(w) == reference_transitions(w), w.to_text()
+
+
+def test_the_shifted_box_count_is_one_rule_on_ints_and_arrays():
+    """The graph reads `boxes_shifted` on ints and the simulator's pass on
+    arrays: both give the same count on every input, n = 1 included."""
+    import numpy as np
+
+    for L in range(2, 8):
+        for n in range(1, L):
+            grid = np.meshgrid(np.arange(L), np.arange(L), [1, -1], [False, True], indexing="ij")
+            b, other, d, jump = (a.ravel() for a in grid)
+            expected = [dynamics.boxes_shifted(*args, n, L) for args in zip(b.tolist(), other.tolist(), d.tolist(), jump.tolist())]
+            assert dynamics.boxes_shifted(b, other, d, jump, n, L).tolist() == expected
+            assert not any(np.array(expected)[~jump])
+            if n == 1:  # every other box, bullet k - d being bullet k
+                assert {m for m, same, j in zip(expected, b == other, jump) if same and j} == {L - 2}
+
+
+def test_the_graph_is_built_without_per_arc_objects(fresh_graphs, monkeypatch):
+    """The arcs and crossing rows come straight from the move rule: a build
+    makes no `Transition`, `Displacement` or rotated word."""
+    expected = sum(len(outgoing_transitions(w)) for w in iter_restricted(6, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build made a per-arc object")
+
+    for name in ("Transition", "Displacement", "ColoredWord"):
+        monkeypatch.setattr(dynamics, name, refuse)
+    monkeypatch.setattr(ColoredWord, "rotate", refuse)
+    gen = build_generator(6, 3)
+    assert len(gen.arcs.source) == expected and gen.crossings.size == 10
 
 
 def test_words_from_outside_the_package_are_still_validated():
