@@ -21,13 +21,15 @@ Bullet k steps by d onto the near letter of the gap ahead (gap k forward,
 gap k - 1 backward), a box of row i, and rotates one run of cells
 (`dynamics`): the box goes to the gap behind, to its near end as itself
 (F1, B1: i != k) or, past the m boxes of that gap, to its far end
-relabelled k - d (F2, B2: i = k, the jumper).  The kernel logs the
+relabelled k - d (F2, B2: i = k, the jumper).  The kernel logs only the
 holding time, the move with the letter it popped and, for F2 and B2, the
-shifted gap's letters before the move.
+shifted gap's letters before the move.  Under a time horizon it also
+sums the holding times, to stop the run.
 
 The columns are a function of that move sequence.  The pass takes the
-bullet columns from a running sum of the moves and writes a ledger of
-signed column-boundary crossings:
+holdings from a running sum of their times, cut at the slab edges under a
+time horizon (`_cut`), the bullet columns from a running sum of the
+moves, and writes a ledger of signed column-boundary crossings:
 
 * bullet crossings, per (row, boundary);
 * label-preserving box crossings, per (row, boundary) - these are the swap
@@ -43,10 +45,11 @@ letters each move changes, and one `np.add.at` adds each holding-time
 segment to the cell of each column in time order.  The batch times are
 added in time order too, so every float is the one an add per event
 gives.  An event costs O(1) interpreted steps plus a copy of the shifted
-gap, and O(L) array work in the pass; no per-state object is built or
-cached, so a run's memory does not grow with its length.  A ledger of more
-cells than `dynamics.state_cap()` is refused before it is allocated.  Only
-a run made with `record_states=True` keeps the time spent in each visited
+gap, and O(L) array work in the pass, as does each slab edge a holding
+passes; no per-state object is built or cached, so a run's memory does
+not grow with its length.  A ledger of more cells than
+`dynamics.state_cap()` is refused before it is allocated.  Only a run
+made with `record_states=True` keeps the time spent in each visited
 state (`state_time`, read by `empirical_distribution` and `tv_distance`);
 that record grows with the number of distinct states visited.  Column
 currents use all box crossings; per-row horizontal currents use only the
@@ -145,12 +148,13 @@ def simulate(
 
     Exactly one of `events` (at least 1 and at least `batches`) and a
     finite positive `time_horizon` sets the run length.  With a time
-    horizon the batches are equal time slabs; with an event horizon they
-    are equal event counts and the recorded slab durations feed the
-    batch-means errors.  With `record_states` the run also keeps the time
-    spent in each visited state as `SimState.state_time`, which grows with
-    the number of distinct states visited; otherwise `state_time` is None.
-    The setting changes no other output.
+    horizon the batches are equal time slabs, each time_horizon / batches
+    long, which must be positive; with an event horizon they are equal
+    event counts and the recorded slab durations feed the batch-means errors.
+    With `record_states` the run also keeps the time spent in each visited
+    state as `SimState.state_time`, which grows with the number of distinct
+    states visited; otherwise `state_time` is None.  The setting changes no
+    other output.
     """
     if (events is None) == (time_horizon is None):
         raise ValueError("specify exactly one of events= or time_horizon=")
@@ -164,6 +168,8 @@ def simulate(
         raise ValueError(f"more batches ({batches}) than events ({events})")
     if time_horizon is not None and not (math.isfinite(time_horizon) and time_horizon > 0):
         raise ValueError(f"time horizon must be finite and positive, got {time_horizon}")
+    if time_horizon is not None and not time_horizon / batches > 0:
+        raise ValueError(f"time horizon {time_horizon} over {batches} batches leaves slabs of length 0")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     _check_dims(L, n)
@@ -214,19 +220,12 @@ def simulate(
     columns = np.arange(L)
     letter_of = np.array([*range(1, n + 1), *range(-1, -n - 1, -1)])  # code -> letter
     pos = np.arange(n)  # tau_zero's bullets fill columns 0 .. n - 1
-    # The log since the last pass: per segment, its duration and (time
-    # horizon) batch; per holding time, its time in its state and (time
-    # horizon) the segments logged when it ends, for under an event horizon
-    # it is one segment; per move, its tag plus the popped letter and (time
-    # horizon) the batch of its crossings; per nonlocal move, the letters
-    # of the gap it shifts, as they stood before it.
+    # The log since the last pass: per event, its holding time; per move,
+    # its tag plus the popped letter; per nonlocal move, the letters of the
+    # gap it shifts, as they stood before it.
     timed = events is None
-    seg_dt: list[float] = []
-    seg_at: list[int] = []
-    held = [] if timed else seg_dt
-    ends: list[int] = []
+    held: list[float] = []
     moved: list[int] = []
-    move_at: list[int] = []
     shifts: list[int] = []
 
     def settle() -> None:
@@ -236,12 +235,14 @@ def simulate(
         H, E = len(held), len(moved)
         if not H:
             return
-        dts = np.array(seg_dt)
-        if timed:
-            seg_b, move_b = np.array(seg_at, dtype=np.int64), np.array(move_at, dtype=np.int64)
+        dts = np.array(held)
+        times = np.cumsum(np.concatenate(([t], dts)))  # the holdings' starts, then the last one's end
+        t = float(times[-1])
+        spent = dts  # each holding's time in its state
+        if timed:  # per segment, its holding, batch and duration
+            spent, seg_h, seg_b, dts, move_b = _cut(times, time_horizon, batches)
         else:  # move e of the run is in batch e * batches // events
             seg_b = move_b = np.arange(ev - E, ev) * batches // events
-            t = float(np.cumsum(np.concatenate(([t], dts)))[-1])
         np.add.at(batch_time, seg_b, dts)
         move, row = np.divmod(np.array(moved, dtype=np.int64), n)
         k, back = np.divmod(move, 2)
@@ -317,20 +318,19 @@ def simulate(
         order = np.argsort(until.astype(np.min_scalar_type(L * H)), kind="stable")
         states = np.repeat(cell[order], np.diff(until[order], prepend=0)).reshape(L, H)
         if state_time is not None:
-            for w, h in zip(map(tuple, letter_of[states.T // L].tolist()), held):
+            for w, h in zip(map(tuple, letter_of[states.T // L].tolist()), spent.tolist()):
                 state_time[w] = state_time.get(w, 0.0) + h
-        if timed:  # holding h spans the segments up to ends[h]
-            states = states[:, np.repeat(np.arange(H), np.diff(np.array(ends), prepend=0))]
+        if timed:
+            states = states[:, seg_h]
         np.add.at(occupancy.reshape(-1), (states + seg_b * stride).reshape(-1), np.tile(dts, L))
-        for log in (seg_dt, seg_at, held, ends, moved, move_at, shifts):
+        for log in (held, moved, shifts):
             log.clear()
 
-    t = 0.0
+    t = clock = 0.0
     ev = 0
-    slab_len = (time_horizon / batches) if time_horizon is not None else None
-
     log_held, log_move, log_shift = held.append, moved.append, shifts.extend
-    stop = _FLUSH_SEGMENTS if timed else min(_FLUSH_SEGMENTS, events)
+    limit = math.inf if timed else events
+    stop = min(_FLUSH_SEGMENTS, limit)
     while mask:
         menu = menus.get(mask)
         if menu is None:
@@ -349,30 +349,11 @@ def simulate(
         tag, jumper, pop, push, block, land, relabel, source, keep, gained, kept = moves[
             bisect_right(cumulative, u * total)
         ]
-        if not timed:
-            log_held(dt)
-        else:
-            t_new = t + dt
-            t_stop = min(t_new, time_horizon)
-            log_held(t_stop - t)
-            t0 = t
-            while t0 < t_stop:
-                b = min(int(t0 / slab_len), batches - 1)
-                edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
-                if edge <= t0:
-                    # float round-off put t0 on or past its slab edge
-                    b = min(b + 1, batches - 1)
-                    edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
-                seg_end = min(t_stop, edge)
-                seg_dt.append(seg_end - t0)
-                seg_at.append(b)
-                t0 = seg_end
-            ends.append(len(seg_dt))
-            if t_new >= time_horizon:
-                t = time_horizon
+        log_held(dt)
+        if timed:
+            clock += dt
+            if clock >= time_horizon:
                 break
-            move_at.append(min(int(t_new / slab_len), batches - 1))
-            t = t_new
         c = pop()
         if c != jumper:
             push(c)
@@ -383,10 +364,10 @@ def simulate(
         mask = mask & keep | gained | (kept if source else 0)
         ev += 1
         if ev == stop:
-            if ev == events:
+            if ev == limit:
                 break
             settle()
-            stop = ev + _FLUSH_SEGMENTS if timed else min(ev + _FLUSH_SEGMENTS, events)
+            stop = min(ev + _FLUSH_SEGMENTS, limit)
     settle()
     bullet_edge, box_edge, jump, row_moves = np.split(counts, [nL, 2 * nL, 2 * nL + 2 * L], axis=1)
     laps = jump.cumsum(axis=1)
@@ -403,7 +384,7 @@ def simulate(
     )
     state = SimState(
         word=ColoredWord(n, tuple(letter_of[_word(words, pos)].tolist())),
-        elapsed=t,
+        elapsed=min(t, time_horizon) if timed else t,
         events=ev,
         occupancy=occupancy,
         state_time=state_time,
@@ -412,6 +393,27 @@ def simulate(
         batches=batches,
     )
     return state, ledger
+
+
+def _cut(times: np.ndarray, time_horizon: float, batches: int) -> tuple[np.ndarray, ...]:
+    """Cut the holdings from times[i] to times[i + 1], stopped at the horizon
+    T, at the ends of the B equal slabs, float for float as a loop over the
+    pieces: a piece from t0 is in slab b = min(int(t0 / (T/B)), B - 1), or
+    in b + 1 when round-off puts slab b's end on or before t0.  Returns each
+    holding's time in its state; per piece, its holding, slab and length;
+    per move (a holding that ends before T), the slab of its end."""
+    width = time_horizon / batches
+    edge = np.append(np.arange(1, batches) * width, time_horizon)  # slab b ends at edge[b]
+    starts, stops = times[:-1], np.minimum(times[1:], time_horizon)
+    first = np.minimum((starts / width).astype(np.int64), batches - 1)
+    first += edge[first] <= starts  # a start is below T, so the last slab has no next
+    # The last piece is in the first slab from `first` on that ends at or after the stop.
+    pieces = np.where(starts < stops, np.maximum(first, np.searchsorted(edge[:-1], stops)) - first + 1, 0)
+    owner = np.repeat(np.arange(len(starts)), pieces)
+    slab = np.arange(len(owner)) + (first - np.cumsum(pieces) + pieces)[owner]
+    lengths = np.minimum(stops[owner], edge[slab]) - np.where(slab == first[owner], starts[owner], edge[slab - 1])
+    moves = stops[stops < time_horizon]
+    return stops - starts, owner, slab, lengths, np.minimum((moves / width).astype(np.int64), batches - 1)
 
 
 def _word(words: list[deque], pos: np.ndarray) -> np.ndarray:

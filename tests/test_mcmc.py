@@ -213,13 +213,16 @@ def test_simulation_with_vanishing_backward_rates():
         ({"time_horizon": float("nan")}, ["--time", "nan"]),
         # rejected before the event loop starts, which would never end
         ({"time_horizon": float("inf")}, ["--time", "inf"]),
+        # the slab length time_horizon / batches underflows to 0
+        ({"time_horizon": 5e-324, "batches": 2, "match": "5e-324 over 2 batches"},
+         ["--time", "5e-324", "--batches", "2"]),
         ({"events": 10, "rates": "1e400,2;3,5"}, ["--events", "10", "--rates", "1e400,2;3,5"]),
         ({"events": 10, "rates": "1,2;3,1e-400"}, ["--events", "10", "--rates", "1,2;3,1e-400"]),
         # rejected before numpy's generator would refuse it
         ({"events": 100, "seed": -1, "match": "seed"}, ["--events", "100", "--seed", "-1"]),
     ],
     ids=["events0", "events-neg", "batches>events", "horizon-neg", "horizon0", "horizon-nan",
-         "horizon-inf", "rate-overflow", "rate-underflow", "seed-neg"],
+         "horizon-inf", "slab-underflow", "rate-overflow", "rate-underflow", "seed-neg"],
 )
 def test_bad_run_length_or_rates_rejected(kwargs, cli_args, capsys):
     from torus_asep.cli import main
@@ -263,6 +266,23 @@ def test_variates_come_in_blocks_of_256_events(events):
 
 
 # -- the local-update kernel against the per-state reference kernel ---------------------
+
+
+def _reference_pieces(t, t_stop, time_horizon, batches):
+    """The scalar loop that cut a holding from t to t_stop at the edges of
+    the run's equal time slabs: its pieces, as (slab, length), in time order."""
+    slab_len = time_horizon / batches
+    t0 = t
+    while t0 < t_stop:
+        b = min(int(t0 / slab_len), batches - 1)
+        edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
+        if edge <= t0:
+            # float round-off put t0 on or past its slab edge
+            b = min(b + 1, batches - 1)
+            edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
+        seg_end = min(t_stop, edge)
+        yield b, seg_end - t0
+        t0 = seg_end
 
 
 def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batches=20):
@@ -339,17 +359,9 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
             t_new = t + dt
             t_stop = min(t_new, time_horizon)
             state_time[word] = state_time.get(word, 0.0) + (t_stop - t)
-            t0 = t
-            while t0 < t_stop:
-                b = min(int(t0 / slab_len), batches - 1)
-                edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
-                if edge <= t0:
-                    b = min(b + 1, batches - 1)
-                    edge = (b + 1) * slab_len if b < batches - 1 else time_horizon
-                seg_end = min(t_stop, edge)
-                occupancy[(b,) + cells] += seg_end - t0
-                batch_time[b] += seg_end - t0
-                t0 = seg_end
+            for b, piece in _reference_pieces(t, t_stop, time_horizon, batches):
+                occupancy[(b,) + cells] += piece
+                batch_time[b] += piece
             if t_new >= time_horizon:
                 t = time_horizon
                 break
@@ -367,6 +379,45 @@ def _reference_simulate(L, n, rates, seed, events=None, time_horizon=None, batch
         "occupancy": occupancy,
     }
     return arrays, t, ev, word, state_time, menus
+
+
+# With T = 7 and 10 slabs of 0.7, slab 3 starts at 3 * 0.7 = 2.0999999999999996,
+# whose quotient by 0.7 rounds down to 2.9999999999999996: a holding that
+# starts there takes the round-off branch of the scalar loop.
+_EDGE3 = 3 * 0.7
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [_EDGE3, _EDGE3 + 0.1, 2.5],
+        [0.05, 2.5, 2.8, 5 * 0.7],  # the first holding spans slabs 0 to 3; the last ends on slab 5's start
+        [5.9, 6.5, 9.0],  # the last holding ends past the horizon
+        [6.3, 7.0],  # the last slab ends at the horizon
+        [1.0, 1.0, 1.0, 1.5, 1.5, _EDGE3],  # zero-length holdings among others
+        [_EDGE3, _EDGE3, _EDGE3],  # a chunk of zero-length holdings alone
+        [0.0, 0.0, 6.9999, 7.0],  # one holding crosses every inner edge; the last ends on the horizon
+    ],
+    ids=["round-off-edge", "three-slabs", "past-horizon", "last-slab", "zero-lengths", "zero-only", "whole-run"],
+)
+def test_the_array_cut_matches_the_scalar_loop(times):
+    """mcmc's array cut of a chunk's holdings at the slab edges gives the
+    scalar loop's pieces, float for float, and counts each move in the slab
+    of its holding's end."""
+    horizon, batches = 7.0, 10
+    assert int(_EDGE3 / (horizon / batches)) == 2
+    spent, pieces, moves = [], [], []
+    for h, (t, end) in enumerate(zip(times, times[1:])):
+        t_stop = min(end, horizon)
+        spent.append(t_stop - t)
+        pieces += [(h, b, piece) for b, piece in _reference_pieces(t, t_stop, horizon, batches)]
+        if end < horizon:
+            moves.append(min(int(end / (horizon / batches)), batches - 1))
+    held, seg_h, seg_b, lengths, move_b = mcmc._cut(np.array(times), horizon, batches)
+    assert held.tolist() == spent
+    assert list(zip(seg_h.tolist(), seg_b.tolist(), lengths.tolist())) == pieces
+    assert move_b.tolist() == moves
+    assert seg_h.dtype == seg_b.dtype == np.int64 and lengths.dtype == np.float64
 
 
 def _reference_estimate(counts, batch_time, elapsed):
