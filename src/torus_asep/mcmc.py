@@ -26,10 +26,12 @@ holding time, the move with the letter it popped and, for F2 and B2, the
 shifted gap's letters before the move.  Under a time horizon it also
 sums the holding times, to stop the run.
 
-The columns are a function of that move sequence.  The pass takes the
-holdings from a running sum of their times, cut at the slab edges under a
-time horizon (`_cut`), the bullet columns from a running sum of the
-moves, and writes a ledger of signed column-boundary crossings:
+The columns are a function of that move sequence.  The pass reads its
+moves by one gather from a table built per run (`_move_table`, one column
+per log tag), takes the holdings from a running sum of their times, cut
+at the slab edges under a time horizon (`_cut`), the bullet columns from
+a running sum of the moves, and writes a ledger of signed column-boundary
+crossings:
 
 * bullet crossings, per (row, boundary);
 * label-preserving box crossings, per (row, boundary) - these are the swap
@@ -41,25 +43,30 @@ moves, and writes a ledger of signed column-boundary crossings:
   backward moves (box row k -> k+1, "down").
 
 It then rebuilds each column's letters over the chunk as runs, from the
-letters each move changes, and one `np.add.at` adds each holding-time
-segment to the cell of each column in time order.  The batch times are
-added in time order too, so every float is the one an add per event
-gives.  An event costs O(1) interpreted steps plus a copy of the shifted
-gap, and O(L) array work in the pass, as does each slab edge a holding
-passes; no per-state object is built or cached, so a run's memory does
-not grow with its length.  A ledger of more cells than
-`dynamics.state_cap()` is refused before it is allocated.  Only a run
-made with `record_states=True` keeps the time spent in each visited
+letters each move changes, and `np.add.at` adds each holding-time segment
+to the cell of each column in time order, `_ADD_CELLS` cells at a time.
+The batch times are added in time order too, so every float is the one an
+add per event gives.  A pass costs about 125 us at (40,5) however few moves
+it holds, hence chunks of 512 moves, but its temporaries must stay small:
+glibc hands memory freed on top of its heap back to the system once more
+than its trim threshold is free there (128 KiB, or twice the largest mapped
+block freed so far), and the next pass faults it in again page by page.  So
+the pass frees each array once it is done with it, and no occupancy add of
+it covers more than `_ADD_CELLS` cells.  An event costs O(1) interpreted
+steps plus a copy of the shifted gap, and O(L) array work in the pass, as
+does each slab edge a holding passes; no per-state object is built or
+cached, so a run's memory does not grow with its length.  A ledger of more
+cells than `dynamics.state_cap()` is refused before it is allocated.  Only
+a run made with `record_states=True` keeps the time spent in each visited
 state (`state_time`, read by `empirical_distribution` and `tv_distance`);
 that record grows with the number of distinct states visited.  Column
 currents use all box crossings; per-row horizontal currents use only the
-label-preserving ones, matching the exact-observable conventions.  Runs
-are reproducible: a fixed (seed, parameters) pair yields an identical
-event sequence, ledger, and occupancy record.  Event i takes element
-i mod `_DRAWS` of block i div `_DRAWS` that `PCG64(seed)` draws whole:
-`_DRAWS` standard exponentials (over the total rate, its holding time),
-then `_DRAWS` uniforms.  So the variates depend on the seed alone; runs
-made with the earlier rule, two draws per event, do not reproduce.
+label-preserving ones, matching the exact-observable conventions.  Runs are
+reproducible: a fixed (seed, parameters) pair yields an identical event
+sequence, ledger, and occupancy record.  Event i takes element i mod
+`_DRAWS` of block i div `_DRAWS` that `PCG64(seed)` draws whole: `_DRAWS`
+standard exponentials (over the total rate, its holding time), then
+`_DRAWS` uniforms, so the variates depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -79,8 +86,10 @@ from .symbolic import RatePoint
 
 
 _MENU_LIMIT = 4096  # menus kept per run; the table is cleared when it is full
-_FLUSH_SEGMENTS = 256  # moves logged between passes of the ledger and occupancy writer
+_FLUSH_SEGMENTS = 512  # moves logged between passes of the ledger and occupancy writer
 _DRAWS = 256  # events per block of variates drawn from the run's generator
+_ADD_CELLS = 8192  # occupancy cells per add of a pass, which bounds its largest temporaries
+_SUM_LIMIT = 2.0**1023  # about half the largest float: no sum of positive floats below it overflows
 
 
 @dataclass
@@ -101,17 +110,11 @@ class CrossingLedger:
         rows = [["channel", "row", "boundary", "count"]]
         for name, array in (("bullet_edge", self.bullet_edge), ("box_edge", self.box_edge)):
             totals = array.sum(axis=0)
-            for i in range(self.n):
-                for j in range(self.L):
-                    rows.append([name, str(i + 1), str(j + 1), str(int(totals[i, j]))])
-        jump = self.box_jump.sum(axis=0)
-        for j in range(self.L):
-            rows.append(["box_jump", "", str(j + 1), str(int(jump[j]))])
-        up = self.row_up.sum(axis=0)
-        down = self.row_down.sum(axis=0)
+            rows += [[name, str(i + 1), str(j + 1), str(int(x))] for (i, j), x in np.ndenumerate(totals)]
+        rows += [["box_jump", "", str(j), str(int(x))] for j, x in enumerate(self.box_jump.sum(axis=0), 1)]
+        up, down = self.row_up.sum(axis=0), self.row_down.sum(axis=0)
         for i in range(self.n):
-            rows.append(["row_up", str(i + 1), "", str(int(up[i]))])
-            rows.append(["row_down", str(i + 1), "", str(int(down[i]))])
+            rows += [["row_up", str(i + 1), "", str(int(up[i]))], ["row_down", str(i + 1), "", str(int(down[i]))]]
         return rows
 
 
@@ -177,6 +180,10 @@ def simulate(
     if cells > cap:  # checked before anything of that size is allocated
         raise ResourceCapError(cells, cap, "the run's ledger has {} cells")
     p, q = rates.as_floats()
+    point = f"{','.join(map(repr, p))};{','.join(map(repr, q))}"
+    out_of_range = f"rate point {point}: its total rate or holding times leave the float range"
+    if not sum(p) + sum(q) < _SUM_LIMIT:  # nor then any menu's total
+        raise ValueError(out_of_range)
     # The gap words: gap k holds, in column order, the codes n + i of the
     # boxes of row i + 1 between bullet k and bullet k + 1 (0-based labels;
     # bullet k's code is k).  tau_zero's boxes all sit in the last gap.
@@ -220,6 +227,7 @@ def simulate(
     columns = np.arange(L)
     letter_of = np.array([*range(1, n + 1), *range(-1, -n - 1, -1)])  # code -> letter
     pos = np.arange(n)  # tau_zero's bullets fill columns 0 .. n - 1
+    table = _move_table(n, L)
     # The log since the last pass: per event, its holding time; per move,
     # its tag plus the popped letter; per nonlocal move, the letters of the
     # gap it shifts, as they stood before it.
@@ -235,29 +243,28 @@ def simulate(
         H, E = len(held), len(moved)
         if not H:
             return
-        dts = np.array(held)
-        times = np.cumsum(np.concatenate(([t], dts)))  # the holdings' starts, then the last one's end
+        if not t + sum(held) < _SUM_LIMIT:  # nor then any sum the pass makes of them
+            raise ValueError(out_of_range)
+        spent = dts = np.fromiter(held, np.float64, H)  # spent: each holding's time in its state
+        times = np.concatenate(([t], dts)).cumsum()  # the holdings' starts, then the last one's end
         t = float(times[-1])
-        spent = dts  # each holding's time in its state
         if timed:  # per segment, its holding, batch and duration
             spent, seg_h, seg_b, dts, move_b = _cut(times, time_horizon, batches)
         else:  # move e of the run is in batch e * batches // events
             seg_b = move_b = np.arange(ev - E, ev) * batches // events
         np.add.at(batch_time, seg_b, dts)
-        move, row = np.divmod(np.array(moved, dtype=np.int64), n)
-        k, back = np.divmod(move, 2)
-        d, against = 1 - 2 * back, 2 * back - 1  # the bullet's step and its opposite
-        # The bullet columns before each move, from the running sum of the moves.
-        steps = np.zeros((E, n), dtype=np.int64)
-        steps[np.arange(E), k] = d
-        before = pos + np.cumsum(steps, axis=0) - steps
-        if E:
-            pos = (before[-1] + steps[-1]) % L
-        x0 = before[np.arange(E), k] % L
+        decoded = np.take(table, np.fromiter(moved, np.int64, E), axis=1)  # one column per move
+        k, back, d, other, jumps, popped, landing = decoded[:7]
+        # The bullet columns before each move, then after the chunk, from
+        # the running sum of the moves.
+        every, before = np.arange(E), np.zeros((E + 1, n), dtype=np.int64)
+        before[every + 1, k] = d
+        before.cumsum(axis=0, out=before)
+        before += pos
+        pos, x0 = before[-1] % L, before[every, k] % L
         # A nonlocal move shifts by d the m boxes between its bullet and
         # bullet k - d; a swap shifts none.
-        jumps = ~(row - k).astype(bool)  # the popped letter is the jumper
-        m = boxes_shifted(x0, before[np.arange(E), (k - d) % n], d, jumps, n, L)
+        m = boxes_shifted(x0, before[every, other], d, jumps, n, L)
         # A move rewrites the m + 2 columns from `first` on.  Forward they
         # held (gap, bullet, c) and hold (landing, gap, bullet); backward
         # (c, bullet, gap) becomes (bullet, gap, landing).  The popped
@@ -265,66 +272,70 @@ def simulate(
         # -d after a nonlocal move.  So in the move's sequence of m + 3
         # letters, (landing, gap, bullet, c) or (c, bullet, gap, landing),
         # column first + i has its old and new letters at places i and i + 1.
-        first = x0 - back - m * (1 - back)
-        size = m + 3
-        start = np.cumsum(size) - size
-        owner = np.repeat(np.arange(E), size)
-        col = (first[owner] + np.arange(len(owner)) - start[owner]) % L
-        bullet_at = start + 1 + m * (1 - back)
-        popped_at, landing_at = start + (1 - back) * (m + 2), start + back * (m + 2)
-        gap = np.ones(len(owner), dtype=bool)
+        size, ahead = m + 3, m * (1 - back)  # ahead: the gap's places before the bullet's
+        first, end = x0 - back - ahead, size.cumsum()
+        start = end - size
+        bullet_at = start + 1 + ahead
+        popped_at, landing_at = bullet_at + d, bullet_at - d * (m + 1)  # the box walks against d past the m boxes
+        shift_codes = np.fromiter(shifts, np.int64, len(shifts))  # m letters per move
+        gap = np.ones(3 * E + len(shift_codes), dtype=bool)
         gap[bullet_at] = gap[popped_at] = gap[landing_at] = False
-        sequence = np.empty(len(owner), dtype=np.int64)
-        sequence[gap] = shifts
-        sequence[bullet_at] = k
-        sequence[popped_at] = row + n
-        sequence[landing_at] = n + (row - d * jumps) % n
+        sequence = np.empty(len(gap), dtype=np.int64)
+        sequence[gap] = shift_codes
+        sequence[bullet_at], sequence[popped_at], sequence[landing_at] = k, popped, landing
+        del before, gap, bullet_at, popped_at, landing_at  # the pass frees what it is done with (module notes)
         # The crossings, as (cell of `counts`, sign) records.  Each move has
-        # five: its bullet's, the swapped box's, the two ends of the
-        # jumper's walk (against d from the bullet's new column to its
-        # landing cell, across the m + 1 boundaries from `first` on) and its
-        # row move.  Those a move does not make have sign 0: numpy keeps
+        # five, signed in `table`: its bullet's, the swapped box's, the two
+        # ends of the jumper's walk (against d from the bullet's new column to
+        # its landing cell, across the m + 1 boundaries from `first` on) and
+        # its row move.  Those a move does not make have sign 0: numpy keeps
         # freed buffers under 1 KB by size, and arrays of the swaps or the
-        # jumps alone, whose lengths change from chunk to chunk, would pile
-        # up there.  Each shifted box crosses one boundary in its row: a gap
-        # letter at the place of column x crosses boundary x - 1.
-        base = move_b * width
-        edge = (x0 - back) % L
-        lower = base + 2 * nL + first % L
-        index = [
-            base + k * L + edge,
-            base + nL + row * L + edge,
-            lower,
-            lower + m + 1,
-            base + 2 * nL + 2 * L + 2 * k + back,
-            base[owner[gap]] + nL + (sequence[gap] - n) * L + (col[gap] - 1) % L,
-        ]
-        sign = [d, against * ~jumps, against * jumps, d * jumps, jumps, d[owner[gap]]]
-        np.add.at(counts.reshape(-1), np.concatenate(index), np.concatenate(sign))
+        # jumps alone, whose lengths vary by chunk, would pile up there.  Gap
+        # letter j, at the place of column x = first + back + 1 + j, crosses
+        # boundary x - 1.
+        base, edge, lower = move_b * width, (x0 - back) % L, first % L + 2 * nL
+        records = np.concatenate([decoded[7] + edge, decoded[8] + edge, lower, lower + m + 1, decoded[9]]).reshape(5, E)
+        records += base
+        np.add.at(counts.reshape(-1), records.reshape(-1), decoded[10:].reshape(-1))
+        shifted = np.repeat(every, m)
+        crossed = (np.repeat(first + back + m - m.cumsum(), m) + np.arange(len(shifted))) % L + base[shifted]
+        np.add.at(counts.reshape(-1), crossed + shift_codes * L, d[shifted])
+        del records, shifted, crossed, shift_codes, base, edge, lower
         # Each letter that leaves its column, in time order with the move it
         # leaves at, then the letters standing at the end, as cells c * L + x.
-        window = np.ones(len(owner), dtype=bool)  # a move's last place is no column's old letter
-        window[start + size - 1] = False
-        at = np.flatnonzero(window[:-1] & np.diff(sequence).astype(bool))
-        col = np.concatenate([col[at], columns])
-        cell = np.concatenate([sequence[at + 1 - back[owner[at]]], _word(words, pos)]) * L + col
+        change = sequence[1:] != sequence[:-1]
+        change[end[:-1] - 1] = False  # a move's last place is no column's old letter
+        at = np.flatnonzero(change)
+        leaves = np.searchsorted(end, at, side="right")
+        col = np.concatenate([((first - start)[leaves] + at) % L, columns])
+        cell = np.concatenate([sequence[at + 1 - back[leaves]], _word(words, pos)]) * L + col
         # A column's letters tile its holdings: the one that leaves at move
         # e held the column up to holding e, from where the one before it
         # left; the letter standing at the end holds it to the last holding.
-        until = col * H + np.concatenate([owner[at] + 1, np.full(L, H)])
-        # Grouped by column in time order, a letter standing at the end
-        # after one that leaves at the last holding; the smallest key type
-        # makes numpy's stable sort a radix sort.
-        order = np.argsort(until.astype(np.min_scalar_type(L * H)), kind="stable")
-        states = np.repeat(cell[order], np.diff(until[order], prepend=0)).reshape(L, H)
+        # Grouped by column, each is in time order as it stands; the smallest
+        # key type makes numpy's stable sort a radix sort.
+        ends = np.concatenate([leaves + 1, np.full(L, H)])
+        order = np.argsort(col.astype(np.min_scalar_type(L)), kind="stable")
+        cell, col, ends = cell[order], col[order], ends[order]
+        del sequence, change, at, leaves, order, decoded, k, back, d, other, jumps, popped, landing
         if state_time is not None:
+            states = np.repeat(cell, np.diff(col * H + ends, prepend=0)).reshape(L, H)
             for w, h in zip(map(tuple, letter_of[states.T // L].tolist()), spent.tolist()):
                 state_time[w] = state_time.get(w, 0.0) + h
-        if timed:
-            states = states[:, seg_h]
-        np.add.at(occupancy.reshape(-1), (states + seg_b * stride).reshape(-1), np.tile(dts, L))
-        for log in (held, moved, shifts):
-            log.clear()
+        if timed:  # the same runs in segments: holding e's start at its first segment
+            ends = np.searchsorted(seg_h, ends)
+        # The column runs as occupancy cells, added `_ADD_CELLS` at a time.
+        # The values are tiled, not broadcast: numpy 2.4's ufunc.at reads
+        # uninitialised memory for values broadcast against a 2-D index.
+        S = len(dts)
+        lengths, step = np.diff(col * S + ends, prepend=0), max(1, _ADD_CELLS // S)  # columns per add
+        tiled, offset = np.tile(dts, min(step, L)), seg_b * stride
+        cuts = np.searchsorted(col, range(0, L + step, step)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            states = np.repeat(cell[a:b], lengths[a:b])
+            states.reshape(-1, S)[:] += offset
+            np.add.at(occupancy.reshape(-1), states, tiled[:len(states)])
+        del held[:], moved[:], shifts[:]
 
     t = clock = 0.0
     ev = 0
@@ -395,6 +406,17 @@ def simulate(
     return state, ledger
 
 
+def _move_table(n: int, L: int) -> np.ndarray:
+    """Rows per log tag (2k + back) n + i, bullet k stepping by d = 1 - 2 back
+    onto a box of row i: k, back, d, bullet k - d, the jumper flag, the popped
+    and landing codes, the `counts` cells (less batch and boundary) of its
+    bullet's, swapped box's and row move's crossings, and 5 record signs."""
+    k, back, i = (a.ravel() for a in np.meshgrid(range(n), (0, 1), range(n), indexing="ij"))
+    d, jump = 1 - 2 * back, (i == k) * 1
+    return np.array([k, back, d, (k - d) % n, jump, n + i, n + (i - d * jump) % n, k * L, (n + i) * L,
+                     2 * (n + 1) * L + 2 * k + back, d, -d * (1 - jump), -d * jump, d * jump, jump], dtype=np.int64)
+
+
 def _cut(times: np.ndarray, time_horizon: float, batches: int) -> tuple[np.ndarray, ...]:
     """Cut the holdings from times[i] to times[i + 1], stopped at the horizon
     T, at the ends of the B equal slabs, float for float as a loop over the
@@ -419,7 +441,8 @@ def _cut(times: np.ndarray, time_horizon: float, batches: int) -> tuple[np.ndarr
 def _word(words: list[deque], pos: np.ndarray) -> np.ndarray:
     """The codes of the word whose gap words are `words` and whose bullet 1
     stands in column pos[0]."""
-    return np.roll(np.array([*chain.from_iterable((j, *w) for j, w in enumerate(words))]), pos[0])
+    codes = [*chain.from_iterable((j, *w) for j, w in enumerate(words))]
+    return np.array(codes[-pos[0]:] + codes[:-pos[0]])  # rolled by pos[0]
 
 
 def run_manifest(state: SimState, ledger: CrossingLedger) -> dict:
@@ -464,19 +487,11 @@ class EstimateReport:
         return self.densities[(name, tuple(index))]
 
     def to_json_rows(self) -> list[dict]:
-        rows = []
-        for group, table in (("current", self.currents), ("density", self.densities)):
-            for (name, index), est in sorted(table.items()):
-                rows.append(
-                    {
-                        "kind": group,
-                        "observable": name,
-                        "index": list(index),
-                        "estimate": est.value,
-                        "stderr": est.stderr,
-                    }
-                )
-        return rows
+        return [
+            {"kind": group, "observable": name, "index": list(index), "estimate": est.value, "stderr": est.stderr}
+            for group, table in (("current", self.currents), ("density", self.densities))
+            for (name, index), est in sorted(table.items())
+        ]
 
 
 def estimate_observables(ledger: CrossingLedger, state: SimState) -> EstimateReport:

@@ -218,11 +218,21 @@ def test_simulation_with_vanishing_backward_rates():
          ["--time", "5e-324", "--batches", "2"]),
         ({"events": 10, "rates": "1e400,2;3,5"}, ["--events", "10", "--rates", "1e400,2;3,5"]),
         ({"events": 10, "rates": "1,2;3,1e-400"}, ["--events", "10", "--rates", "1,2;3,1e-400"]),
+        # each total rate fits, but the holding times 1 / (2e-308) times an
+        # exponential, and their running sum, leave the float range
+        ({"events": 10, "batches": 2, "rates": "1e-308,1e-308;1e-308,1e-308",
+          "match": "1e-308;1e-308,1e-308: .*float range"},
+         ["--events", "10", "--batches", "2", "--rates", "1e-308,1e-308;1e-308,1e-308"]),
+        # each rate fits, but a menu's total rate does not
+        ({"events": 10, "batches": 2, "rates": "1e308,1e308;1e308,1e308",
+          "match": "1e\\+308;1e\\+308,1e\\+308: .*float range"},
+         ["--events", "10", "--batches", "2", "--rates", "1e308,1e308;1e308,1e308"]),
         # rejected before numpy's generator would refuse it
         ({"events": 100, "seed": -1, "match": "seed"}, ["--events", "100", "--seed", "-1"]),
     ],
     ids=["events0", "events-neg", "batches>events", "horizon-neg", "horizon0", "horizon-nan",
-         "horizon-inf", "slab-underflow", "rate-overflow", "rate-underflow", "seed-neg"],
+         "horizon-inf", "slab-underflow", "rate-overflow", "rate-underflow", "holding-overflow", "total-overflow",
+         "seed-neg"],
 )
 def test_bad_run_length_or_rates_rejected(kwargs, cli_args, capsys):
     from torus_asep.cli import main
@@ -564,9 +574,48 @@ def test_the_split_slab_case_has_more_slabs_than_events():
 
 
 def test_kernel_matches_reference_at_40_5_over_many_flushes():
-    """5000 events at (40,5), about twenty flushes of the default chunk."""
-    assert 5000 > 10 * mcmc._FLUSH_SEGMENTS
-    _assert_matches_reference(40, 5, RatePoint(_P6[:5], _Q6[:5]), 2026, events=5000, batches=20)
+    """10000 events at (40,5), about twenty flushes of the default chunk."""
+    assert 10000 > 10 * mcmc._FLUSH_SEGMENTS
+    _assert_matches_reference(40, 5, RatePoint(_P6[:5], _Q6[:5]), 2026, events=10000, batches=20)
+
+
+def _reference_decode(tags, n, L):
+    """What the pass read of each logged move tag before `mcmc._move_table`:
+    the divmods and arithmetic it made per chunk, named by table column."""
+    nL = n * L
+    move, row = np.divmod(tags, n)
+    k, back = np.divmod(move, 2)
+    d, against = 1 - 2 * back, 2 * back - 1
+    jumps = ~(row - k).astype(bool)
+    return {
+        "k": k,
+        "back": back,
+        "d": d,
+        "bullet k - d": (k - d) % n,
+        "jumper": jumps,
+        "popped code": row + n,
+        "landing code": n + (row - d * jumps) % n,
+        "bullet cell": k * L,
+        "swapped box cell": nL + row * L,
+        "row move cell": 2 * nL + 2 * L + 2 * k + back,
+        "bullet sign": d,
+        "swapped box sign": against * ~jumps,
+        "jumper start sign": against * jumps,
+        "jumper end sign": d * jumps,
+        "row move sign": jumps,
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_move_table_matches_the_tag_arithmetic(n):
+    """Every column of every tag (2k + back) n + row, on lattices from L = n
+    up, equals the divmod arithmetic the table replaces."""
+    for L in (n, n + 1, 2 * n + 3, 40):
+        table = mcmc._move_table(n, L)
+        assert table.dtype == np.int64 and table.shape == (15, 2 * n * n)
+        reference = _reference_decode(np.arange(2 * n * n), n, L)
+        for column, (name, values) in zip(table, reference.items()):
+            assert column.tolist() == values.astype(np.int64).tolist(), (n, L, name)
 
 
 # -- the kernel and its pass at the chunk boundaries ---------------------------------
@@ -588,10 +637,10 @@ def test_kernel_matches_reference_over_chunks_of_a_time_horizon():
     """A time horizon whose moves fill more than three passes, with 40
     slabs: every slab edge is crossed, most of them inside a chunk."""
     rates = RatePoint(_P6[:5], _Q6[:5])
-    state, ledger = simulate(40, 5, rates, 3, time_horizon=150.0, batches=40)
+    state, ledger = simulate(40, 5, rates, 3, time_horizon=300.0, batches=40)
     assert state.events > _moves(3)
     assert (ledger.batch_time > 0).all()
-    _assert_matches_reference(40, 5, rates, 3, time_horizon=150.0, batches=40)
+    _assert_matches_reference(40, 5, rates, 3, time_horizon=300.0, batches=40)
 
 
 @pytest.mark.parametrize("L", [2, 6])
@@ -602,9 +651,9 @@ def test_kernel_matches_reference_with_one_bullet(L, horizon):
     if horizon == "events":
         _assert_matches_reference(L, 1, rates, 13, events=_moves(3, 7), batches=9)
     else:
-        state, _ = simulate(L, 1, rates, 13, time_horizon=300.0, batches=7)
+        state, _ = simulate(L, 1, rates, 13, time_horizon=600.0, batches=7)
         assert state.events > _moves(3)
-        _assert_matches_reference(L, 1, rates, 13, time_horizon=300.0, batches=7)
+        _assert_matches_reference(L, 1, rates, 13, time_horizon=600.0, batches=7)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -631,7 +680,7 @@ def test_kernel_matches_reference_with_a_zero_rate(zero, horizon):
     assert menus and all(absent not in menu for menu in menus)
 
 
-@pytest.mark.parametrize("horizon", [{"events": _moves(3, 7), "batches": 20}, {"time_horizon": 250.0, "batches": 50}])
+@pytest.mark.parametrize("horizon", [{"events": _moves(3, 7), "batches": 20}, {"time_horizon": 500.0, "batches": 50}])
 def test_recorded_state_times_match_the_reference_over_several_chunks(horizon):
     """`record_states=True` over more than three passes: the same time per
     state, added in the same order, with the states first met in the same
